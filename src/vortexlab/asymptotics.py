@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import ewald, kernels
+from . import ewald
 from . import torus as torus_mod
-from .model import ModelParams, Nonlinearity, UnsupportedKernelError
+from .model import ModelParams, Nonlinearity, eps_schedule, nonlinearity_ops
 from .radial import RadialSolution
 from .stability import principal_eigen_torus
 
@@ -108,25 +108,6 @@ class BlowupProfile:
     n_theta: int
 
 
-def _kernel_f(params):
-    if params.nonlinearity is Nonlinearity.CSH:
-        return kernels.f_csh
-    return lambda u: kernels.f_tau(u, params.tau)
-
-
-def _require_sigma(params, what):
-    if params.nonlinearity is not Nonlinearity.SIGMA_O3:
-        raise UnsupportedKernelError(
-            "%s is only defined for the SigmaO3 kernel" % what)
-
-
-def _min_image_dist(domain, p, q):
-    L1, L2 = domain.periods
-    dx = (p[0] - q[0] + 0.5 * L1) % L1 - 0.5 * L1
-    dy = (p[1] - q[1] + 0.5 * L2) % L2 - 0.5 * L2
-    return float(np.hypot(dx, dy))
-
-
 def _validate_ball(field, center, r, self_id=None):
     """Ball must fit in the cell and stay clear of other vortices.
 
@@ -145,7 +126,8 @@ def _validate_ball(field, center, r, self_id=None):
     for k, (q, m, sgn) in enumerate(field.vortices.signed()):
         if k == self_id:
             continue
-        d = _min_image_dist(field.domain, center, q)
+        d = float(np.hypot(*ewald._min_image(np.subtract(center, q),
+                                             field.domain.periods)))
         if d < need:
             raise GeometryError(
                 "ball of radius %g at (%g, %g) conflicts with vortex %d "
@@ -186,8 +168,8 @@ def _ball_coverage(domain, center, r):
     L1, L2 = domain.periods
     h1, h2 = domain.spacings
     X, Y = domain.mesh
-    dx = (X - center[0] + 0.5 * L1) % L1 - 0.5 * L1
-    dy = (Y - center[1] + 0.5 * L2) % L2 - 0.5 * L2
+    dx = ewald._min_image(X - center[0], L1)
+    dy = ewald._min_image(Y - center[1], L2)
     dist = np.hypot(dx, dy)
     half_diag = 0.5 * np.hypot(h1, h2)
     w = np.zeros(tuple(domain.grid_shape))
@@ -216,9 +198,10 @@ def vortex_mass(field, vortex_id, r, _coverage=None):
     _validate_ball(field, p, r, self_id=vortex_id)
     w = _coverage if _coverage is not None else \
         _ball_coverage(field.domain, p, r)
-    fgrid = _kernel_f(field.params)(field.u)
+    params = field.params
+    fgrid = nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
     h1, h2 = field.domain.spacings
-    return float(np.sum(w * fgrid)) * h1 * h2 * field.params.epsilon ** -2
+    return float(np.sum(w * fgrid)) * h1 * h2 * params.epsilon ** -2
 
 
 def mass_partition(field, r):
@@ -233,9 +216,10 @@ def mass_partition(field, r):
     for k, (p, m, sgn) in enumerate(entries):
         _validate_ball(field, p, r, self_id=k)
         covs.append(_ball_coverage(field.domain, p, r))
-    fgrid = _kernel_f(field.params)(field.u)
+    params = field.params
+    fgrid = nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
     h1, h2 = field.domain.spacings
-    ie2 = field.params.epsilon ** -2
+    ie2 = params.epsilon ** -2
     masses = tuple(float(np.sum(c * fgrid)) * h1 * h2 * ie2 for c in covs)
     leftover = 1.0 - sum(covs) if covs else np.ones_like(fgrid)
     exterior = float(np.sum(leftover * fgrid)) * h1 * h2 * ie2
@@ -248,15 +232,15 @@ def quantization_value(field, vortex_id, r, _coverage=None):
 
     Tends to 4 (tau+1) pi m^2 at an m-fold vortex on the vacuum branch.
     """
-    _require_sigma(field.params, "the quantization integral")
+    params = field.params
+    qgrid = nonlinearity_ops(params.nonlinearity, params.tau).q(field.u)
     entries = field.vortices.signed()
     p, m, sgn = entries[vortex_id]
     _validate_ball(field, p, r, self_id=vortex_id)
     w = _coverage if _coverage is not None else \
         _ball_coverage(field.domain, p, r)
-    qgrid = kernels.q_tau(field.u, field.params.tau)
     h1, h2 = field.domain.spacings
-    return float(np.sum(w * qgrid)) * h1 * h2 * field.params.epsilon ** -2
+    return float(np.sum(w * qgrid)) * h1 * h2 * params.epsilon ** -2
 
 
 def _bilinear_periodic(domain, grid, px, py):
@@ -335,9 +319,8 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
 
 
 def _pohozaev_radial(sol, r_cut):
-    if sol.nonlinearity is not Nonlinearity.SIGMA_O3:
-        raise UnsupportedKernelError(
-            "the Pohozaev balance is only defined for the SigmaO3 kernel")
+    ops = nonlinearity_ops(sol.nonlinearity, sol.tau)
+    ops.require_sigma("the Pohozaev balance")
     rr = sol.r
     if r_cut is None:
         k = rr.size - 1
@@ -346,7 +329,7 @@ def _pohozaev_radial(sol, r_cut):
     if k < 8:
         raise ValueError("quadrature radius leaves too few grid points")
     R = rr[k]
-    F2 = kernels.F2_tau(sol.u[:k + 1], sol.tau)
+    F2 = ops.F2(sol.u[:k + 1])
     # trapezoid keeps the quadrature error dominant and cleanly O(h^2),
     # so refinement studies see it; the 0..r0 gap closes analytically
     volume = 2.0 * np.pi * (np.trapezoid(2.0 * F2 * rr[:k + 1], rr[:k + 1])
@@ -359,7 +342,8 @@ def _pohozaev_radial(sol, r_cut):
 
 
 def _pohozaev_torus(field, vortex_id, r, center, n_theta):
-    _require_sigma(field.params, "the Pohozaev balance")
+    ops = nonlinearity_ops(field.params.nonlinearity, field.params.tau)
+    ops.require_sigma("the Pohozaev balance")
     if r is None:
         raise ValueError("ball radius r is required on the torus")
     entries = field.vortices.signed()
@@ -373,12 +357,11 @@ def _pohozaev_torus(field, vortex_id, r, center, n_theta):
         center, mult, _ = entries[vortex_id]
         _validate_ball(field, center, r, self_id=vortex_id)
 
-    tau = field.params.tau
     ie2 = field.params.epsilon ** -2
     h1, h2 = field.domain.spacings
 
     cov = _ball_coverage(field.domain, center, r)
-    F2grid = kernels.F2_tau(field.u, tau)
+    F2grid = ops.F2(field.u)
     volume = float(np.sum(cov * 2.0 * F2grid)) * h1 * h2 * ie2
 
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
@@ -388,7 +371,7 @@ def _pohozaev_torus(field, vortex_id, r, center, n_theta):
     uring, ux, uy = _sample_u_grad(field, px, py, want_grad=True)
     un = ct * ux + st * uy  # outward normal derivative
     ring = r * un * un - 0.5 * r * (ux * ux + uy * uy) \
-        + ie2 * r * kernels.F2_tau(uring, tau)
+        + ie2 * r * ops.F2(uring)
     boundary = float(np.sum(ring)) * (2.0 * np.pi * r / n_theta) \
         - 4.0 * np.pi * mult ** 2
     residual = abs(volume - boundary) / max(1.0, abs(boundary))
@@ -434,9 +417,8 @@ def _compact_mask(domain, vortices, K_radius):
     L1, L2 = domain.periods
     mask = np.ones(tuple(domain.grid_shape), dtype=bool)
     for (p, m, sgn) in vortices.signed():
-        dx = (X - p[0] + 0.5 * L1) % L1 - 0.5 * L1
-        dy = (Y - p[1] + 0.5 * L2) % L2 - 0.5 * L2
-        mask &= np.hypot(dx, dy) >= K_radius
+        mask &= np.hypot(ewald._min_image(X - p[0], L1),
+                         ewald._min_image(Y - p[1], L2)) >= K_radius
     return mask
 
 
@@ -457,13 +439,7 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
     recorded on their SweepRecord and the sweep continues from the last
     good iterate.
     """
-    eps_list = [float(e) for e in epsilons]
-    if not eps_list:
-        raise ValueError("epsilons must be nonempty")
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("epsilons must be positive")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilons must be strictly decreasing")
+    eps_list = eps_schedule(epsilons, "epsilons")
     if K_radius is None:
         K_radius = 5.0 * eps_list[0]
     K_radius = float(K_radius)
@@ -479,8 +455,9 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
         seps = [min(domain.periods)]
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
-                seps.append(_min_image_dist(domain, entries[i][0],
-                                            entries[j][0]))
+                d = ewald._min_image(
+                    np.subtract(entries[i][0], entries[j][0]), domain.periods)
+                seps.append(float(np.hypot(*d)))
         min_sep = min(seps)
         if not K_radius < 0.5 * min_sep:
             raise GeometryError(
@@ -522,10 +499,11 @@ def _make_record(fld, mask, K_radius, ball_radius, coverages,
     u = fld.u
     h1, h2 = fld.domain.spacings
     ie2 = fld.params.epsilon ** -2
-    fgrid = _kernel_f(fld.params)(u)
-    sigma = fld.params.nonlinearity is Nonlinearity.SIGMA_O3
+    ops = nonlinearity_ops(fld.params.nonlinearity, fld.params.tau)
+    fgrid = ops.f(u)
+    sigma = ops.sigma
     if sigma:
-        qgrid = kernels.q_tau(u, fld.params.tau)
+        qgrid = ops.q(u)
     reports = []
     for k, (p, m, sgn) in enumerate(fld.vortices.signed()):
         if k not in coverages:

@@ -23,12 +23,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import asymptotics
+from . import asymptotics, ewald
 from .asymptotics import (SweepError, classify_alternative, export_sweep_csv,
                           pohozaev_value, run_sweep, squared_ratio_test)
 from .config import (ConfigError, atomic_path, dumps_json, jsonable,
                      load_config, load_field, save_field, write_json)
-from .model import Nonlinearity, UnsupportedKernelError, check_hypotheses
+from .model import (Nonlinearity, UnsupportedKernelError, check_hypotheses,
+                    nonlinearity_ops)
 from .radial import (BracketError, IntegrationFailureError,
                      compute_beta_curve, export_curve_csv,
                      export_profile_csv, find_topological, integrate_radial)
@@ -378,15 +379,13 @@ def cmd_sweep(args):
 def _auto_ball_radius(fld):
     """Largest comfortable diagnostic radius: 0.45 of the tightest of the
     half-period self-image bound and the nearest-neighbor distance."""
-    L1, L2 = fld.domain.periods
-    limit = min(L1, L2)
+    limit = min(fld.domain.periods)
     entries = fld.vortices.signed()
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            dx = abs(entries[i][0][0] - entries[j][0][0]) % L1
-            dy = abs(entries[i][0][1] - entries[j][0][1]) % L2
-            d = np.hypot(min(dx, L1 - dx), min(dy, L2 - dy))
-            limit = min(limit, d)
+            d = ewald._min_image(np.subtract(entries[i][0], entries[j][0]),
+                                 fld.domain.periods)
+            limit = min(limit, np.hypot(*d))
     return 0.45 * limit
 
 
@@ -415,8 +414,7 @@ def cmd_verify(args):
     add("mass_identity", abs(total_mass(fld) - target) / scale,
         block["mass_tol"])
 
-    sigma = fld.params.nonlinearity is Nonlinearity.SIGMA_O3
-    if sigma:
+    if nonlinearity_ops(fld.params.nonlinearity, fld.params.tau).sigma:
         for a in block["a_values"]:
             _, _, rel = identity_check(fld, a)
             add("identity_a=%s" % ("%g" % a), rel, block["identity_tol"])

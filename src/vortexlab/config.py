@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Nonlinearity, VortexSet
+from .model import ModelParams, Nonlinearity, VortexSet, eps_schedule
 from .torus import TorusDomain, TorusField
 
 __all__ = [
@@ -144,10 +144,12 @@ def _object(fields):
 
 
 def _decreasing_positive(v, ptr):
+    # entries are checked one by one first, so only the order can fail
     v = _list(_num(positive=True), min_len=1)(v, ptr)
-    if any(b >= a for a, b in zip(v, v[1:])):
-        raise ConfigError(ptr, "must be strictly decreasing")
-    return v
+    try:
+        return eps_schedule(v, "schedule")
+    except ValueError:
+        raise ConfigError(ptr, "must be strictly decreasing") from None
 
 
 def _decreasing_or_none(v, ptr):

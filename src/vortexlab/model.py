@@ -5,6 +5,10 @@ nonlinearity selector), VortexSet (signed vortex points with integer
 multiplicities), and HypothesisReport (the two standing structural
 assumptions on the vortex data).  All types are immutable and safe to
 share between threads.
+
+nonlinearity_ops is the one dispatch from a Nonlinearity selector to
+its kernels, including which operations CSH refuses; eps_schedule is
+the one validator of epsilon schedules.
 """
 
 import enum
@@ -20,6 +24,7 @@ __all__ = [
     "check_hypotheses",
     "UnsupportedKernelError",
     "nonlinearity_ops",
+    "eps_schedule",
 ]
 
 
@@ -165,8 +170,13 @@ def check_hypotheses(vortices, params):
 class _SigmaOps:
     """Kernel bundle for the sigma-model nonlinearity at fixed tau."""
 
+    sigma = True
+
     def __init__(self, tau):
         self.tau = tau
+
+    def require_sigma(self, what):
+        pass
 
     def f(self, u):
         return kernels.f_tau(u, self.tau)
@@ -196,8 +206,14 @@ class _CshOps:
     tau-dependent operations are undefined here and raise.
     """
 
+    sigma = False
+
     def __init__(self):
         self.tau = None
+
+    def require_sigma(self, what):
+        raise UnsupportedKernelError(
+            "%s is only defined for the SigmaO3 kernel" % what)
 
     def f(self, u):
         return kernels.f_csh(u)
@@ -227,8 +243,30 @@ class _CshOps:
         )
 
 
-def nonlinearity_ops(params):
-    """Return the kernel bundle (f, df, F1, F2, q) for the given params."""
-    if params.nonlinearity is Nonlinearity.SIGMA_O3:
-        return _SigmaOps(params.tau)
+def nonlinearity_ops(nonlinearity, tau):
+    """Return the kernel bundle (f, df, F1, F2, q) of a nonlinearity.
+
+    This is the one place that dispatches on Nonlinearity; a string
+    selector ("SigmaO3"/"CSH") is coerced.  bundle.sigma tells whether
+    the tau-dependent operations exist, and bundle.require_sigma(what)
+    raises UnsupportedKernelError when they do not.
+    """
+    if Nonlinearity(nonlinearity) is Nonlinearity.SIGMA_O3:
+        return _SigmaOps(tau)
     return _CshOps()
+
+
+def eps_schedule(epsilons, what):
+    """Validated epsilon schedule as a list of floats.
+
+    Raises ValueError unless it is nonempty, positive and strictly
+    decreasing; `what` names the schedule in the message.
+    """
+    eps = [float(e) for e in epsilons]
+    if not eps:
+        raise ValueError("%s must be nonempty" % what)
+    if any(e <= 0 for e in eps):
+        raise ValueError("%s must be positive" % what)
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("%s must be strictly decreasing" % what)
+    return eps

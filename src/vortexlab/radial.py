@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp, simpson
 
-from . import kernels
-from .model import Nonlinearity, UnsupportedKernelError
+from .model import Nonlinearity, nonlinearity_ops
 
 # start radius for the series expansion that removes the 1/r singularity
 R0 = 1e-6
@@ -110,12 +109,6 @@ class BetaCurve:
     failures: list = field(default_factory=list)  # (s, message)
 
 
-def _select_f(nonlinearity, tau):
-    if nonlinearity is Nonlinearity.CSH:
-        return kernels.f_csh
-    return lambda u: kernels.f_tau(u, tau)
-
-
 def _series_start(s, c_log, f, nu):
     """Initial state [v, v', I] at R0 from the local expansion.
 
@@ -174,11 +167,11 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
     if vortex_sign not in (-1, 1):
         raise ValueError("vortex_sign must be -1 or +1")
     nonlinearity = Nonlinearity(nonlinearity)
-    if nonlinearity is Nonlinearity.CSH and nu > 0:
-        raise UnsupportedKernelError(
-            "singular mode is only implemented for the SigmaO3 kernel")
+    ops = nonlinearity_ops(nonlinearity, tau)
+    if nu > 0:
+        ops.require_sigma("singular mode")
 
-    f = _select_f(nonlinearity, tau)
+    f = ops.f
     c_log = 2.0 * vortex_sign * nu
     y0 = _series_start(s, c_log, f, nu)
 
@@ -379,10 +372,8 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     profile truncated at the last radius where both topological tail
     tolerances hold.
     """
-    nonlinearity = Nonlinearity(nonlinearity)
-    if nonlinearity is Nonlinearity.CSH and nu > 0:
-        raise UnsupportedKernelError(
-            "singular mode is only implemented for the SigmaO3 kernel")
+    if nu > 0:
+        nonlinearity_ops(nonlinearity, tau).require_sigma("singular mode")
     s_lo, s_hi = float(bracket[0]), float(bracket[1])
     if not s_lo < s_hi:
         raise ValueError("bracket must satisfy s_lo < s_hi")
@@ -449,39 +440,24 @@ def _truncate_topological(sol):
                           nonlinearity=sol.nonlinearity)
 
 
-_SIGMA_KERNELS = {
-    MassKind.FLUX: kernels.f_tau,
-    MassKind.F1_MASS: kernels.F1_tau,
-    MassKind.F2_MASS: kernels.F2_tau,
-    MassKind.QUANTIZATION: kernels.q_tau,
-}
-
-_CSH_KERNELS = {
-    MassKind.FLUX: lambda u, tau: kernels.f_csh(u),
-    MassKind.F1_MASS: lambda u, tau: kernels.F1_csh(u),
-}
-
-
 def mass_integral(sol, kind):
     """2 pi * int_0^r_end kernel(u(r)) r dr on the stored grid.
 
     Composite Simpson quadrature plus an O(r0^2) origin correction.
     Undetermined profiles still produce a value but emit a warning.
+    Kernels the profile's nonlinearity lacks (CSH: F2 and the
+    quantization density) raise UnsupportedKernelError.
     """
-    kind = MassKind(kind)
-    if sol.nonlinearity is Nonlinearity.CSH:
-        if kind not in _CSH_KERNELS:
-            raise UnsupportedKernelError(
-                "%s is not defined for the CSH kernel" % kind.value)
-        kern = _CSH_KERNELS[kind]
-    else:
-        kern = _SIGMA_KERNELS[kind]
+    ops = nonlinearity_ops(sol.nonlinearity, sol.tau)
+    kern = {MassKind.FLUX: ops.f, MassKind.F1_MASS: ops.F1,
+            MassKind.F2_MASS: ops.F2,
+            MassKind.QUANTIZATION: ops.q}[MassKind(kind)]
     if sol.bc_type is BCType.UNDETERMINED:
         warnings.warn("mass integral on an Undetermined profile",
                       RuntimeWarning, stacklevel=2)
-    vals = kern(sol.u, sol.tau)
+    vals = kern(sol.u)
     body = simpson(y=vals * sol.r, x=sol.r)
-    origin = 0.5 * float(kern(sol.u[0], sol.tau)) * sol.r[0] ** 2
+    origin = 0.5 * float(kern(sol.u[0])) * sol.r[0] ** 2
     return 2.0 * np.pi * (body + origin)
 
 

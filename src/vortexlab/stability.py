@@ -25,7 +25,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, minres
 
 from . import radial as radial_mod
 from . import torus as torus_mod
-from .model import Nonlinearity
+from .model import nonlinearity_ops
 
 
 class StabilityClass(enum.Enum):
@@ -58,8 +58,8 @@ class EigenResult:
 
 def _torus_operator(fld):
     """L = -Lap - eps^-2 f'(u) as a callable on grids, plus the potential."""
-    _, df = torus_mod._f_df(fld.params)
-    pot = -fld.params.epsilon ** -2 * df(fld.u)
+    ops = nonlinearity_ops(fld.params.nonlinearity, fld.params.tau)
+    pot = -fld.params.epsilon ** -2 * ops.df(fld.u)
 
     def apply(g):
         return -torus_mod.laplacian(fld.domain, g) + pot * g
@@ -104,7 +104,7 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
 
         op = LinearOperator((n, n), matvec=mv)
         M = LinearOperator((n, n), matvec=psolve)
-        sol, _ = torus_mod._minres_compat(op, b.ravel(), M, rtol, maxiter=2000)
+        sol, _ = minres(op, b.ravel(), M=M, rtol=rtol, maxiter=2000)
         return sol.reshape(shape)
 
     def iterate(x0):
@@ -169,15 +169,6 @@ def rayleigh_quotient_torus(fld, phi):
     return num / den
 
 
-def _radial_df(sol):
-    if sol.nonlinearity is Nonlinearity.CSH:
-        from .kernels import df_csh
-        return df_csh
-    from .kernels import df_tau
-    tau = sol.tau
-    return lambda u: df_tau(u, tau)
-
-
 def weighted_eigen_radial(sol, _sensitivity=True):
     """Smallest mu with (-Lap_r - f'(u)) psi = mu (1 - e^u) psi.
 
@@ -195,8 +186,7 @@ def weighted_eigen_radial(sol, _sensitivity=True):
         raise WeightIndefiniteError(
             "weight 1-e^u is nonpositive at %d grid points (min %.3e)"
             % (int(np.sum(w <= 0)), float(w.min())))
-    df = _radial_df(sol)
-    dfu = df(u)
+    dfu = nonlinearity_ops(sol.nonlinearity, sol.tau).df(u)
 
     h = np.diff(r)
     rmid = 0.5 * (r[:-1] + r[1:])

@@ -24,9 +24,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
 from . import ewald
-from .kernels import f_csh, df_csh, f_tau, df_tau, sup_abs_df_tau
-from .model import (ModelParams, Nonlinearity, UnsupportedKernelError,
-                    VortexSet)
+from .model import ModelParams, VortexSet, eps_schedule, nonlinearity_ops
 
 
 class ResolutionWarning(UserWarning):
@@ -200,11 +198,8 @@ def green_function(domain, source):
 
     X1, X2 = domain.mesh
     L1, L2 = domain.periods
-    dx = X1 - src[0]
-    dx -= L1 * np.round(dx / L1)
-    dy = X2 - src[1]
-    dy -= L2 * np.round(dy / L2)
-    dist = np.hypot(dx, dy)
+    dist = np.hypot(ewald._min_image(X1 - src[0], L1),
+                    ewald._min_image(X2 - src[1], L2))
     h = max(h1, h2)
     ring = (dist >= 3.5 * h) & (dist <= 4.5 * h)
     gamma = float(np.mean(G[ring] + np.log(dist[ring]) / (2.0 * np.pi)))
@@ -246,20 +241,13 @@ class TorusField:
         return self.u0 + self.v
 
     def residual_field(self):
-        f, _ = _f_df(self.params)
+        ops = nonlinearity_ops(self.params.nonlinearity, self.params.tau)
         ie2 = self.params.epsilon ** -2
         K = 4.0 * np.pi * (self.vortices.N1 - self.vortices.N2) / self.domain.area
-        return laplacian(self.domain, self.v) + ie2 * f(self.u0 + self.v) - K
+        return laplacian(self.domain, self.v) + ie2 * ops.f(self.u) - K
 
     def residual_norm(self):
         return float(np.max(np.abs(self.residual_field())))
-
-
-def _f_df(params):
-    if params.nonlinearity is Nonlinearity.CSH:
-        return f_csh, df_csh
-    tau = params.tau
-    return (lambda u: f_tau(u, tau)), (lambda u: df_tau(u, tau))
 
 
 def _solver_tol(params, tol_factor):
@@ -276,14 +264,6 @@ def _check_resolution(domain, params):
     return True
 
 
-def _minres_compat(op, b, M, rtol, maxiter):
-    try:
-        sol, info = minres(op, b, M=M, rtol=rtol, maxiter=maxiter)
-    except TypeError:  # older scipy spells it tol
-        sol, info = minres(op, b, M=M, tol=rtol, maxiter=maxiter)
-    return sol, info
-
-
 def solve_newton(domain, vortices, params, v_init=None, continuation=None,
                  max_iter=60, tol_factor=1e-10):
     """Damped Newton for F(v) = 0, optionally with eps-continuation.
@@ -296,11 +276,7 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
     u0 = build_u0(domain, snapped)
 
     if continuation is not None:
-        eps_list = [float(e) for e in continuation]
-        if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            raise ValueError("continuation schedule must be strictly decreasing")
-        if any(e <= 0 for e in eps_list):
-            raise ValueError("continuation epsilons must be positive")
+        eps_list = eps_schedule(continuation, "continuation schedule")
     else:
         eps_list = [params.epsilon]
 
@@ -329,7 +305,7 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
 
 def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
                  history):
-    f, df = _f_df(params)
+    ops = nonlinearity_ops(params.nonlinearity, params.tau)
     ie2 = params.epsilon ** -2
     K = 4.0 * np.pi * (vortices.N1 - vortices.N2) / domain.area
     tol = _solver_tol(params, tol_factor)
@@ -338,7 +314,7 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
     k2 = domain._k2
 
     v = v.copy()
-    F = laplacian(domain, v) + ie2 * f(u0 + v) - K
+    F = laplacian(domain, v) + ie2 * ops.f(u0 + v) - K
     res = float(np.max(np.abs(F)))
     res0 = max(res, tol)
     history.append(res)
@@ -352,7 +328,7 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
             raise NewtonDivergenceError(
                 "Newton did not converge in %d iterations (residual %.3e)"
                 % (max_iter, res), field=fld)
-        D = ie2 * df(u0 + v)
+        D = ie2 * ops.df(u0 + v)
 
         def matvec(x):
             g = x.reshape(shape)
@@ -367,14 +343,14 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
         op = LinearOperator((n, n), matvec=matvec)
         M = LinearOperator((n, n), matvec=psolve)
         eta = min(0.1, max(np.sqrt(res / res0) * 1e-2, 1e-10))
-        delta, info = _minres_compat(op, F.ravel(), M, eta, maxiter=800)
+        delta, info = minres(op, F.ravel(), M=M, rtol=eta, maxiter=800)
         inner_total += 1
         delta = delta.reshape(shape)
 
         best = None
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
             v_t = v + alpha * delta
-            F_t = laplacian(domain, v_t) + ie2 * f(u0 + v_t) - K
+            F_t = laplacian(domain, v_t) + ie2 * ops.f(u0 + v_t) - K
             r_t = float(np.max(np.abs(F_t)))
             if best is None or r_t < best[0]:
                 best = (r_t, v_t, F_t)
@@ -412,9 +388,9 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     Residual signs of the supplied bracket are reported in the
     diagnostics, not enforced.
     """
-    if params.nonlinearity is Nonlinearity.CSH:
-        raise UnsupportedKernelError(
-            "monotone iteration needs the globally bounded SigmaO3 derivative")
+    ops = nonlinearity_ops(params.nonlinearity, params.tau)
+    # the shift needs the globally bounded SigmaO3 derivative
+    ops.require_sigma("monotone iteration")
     sub = np.asarray(sub, dtype=float)
     super_ = np.asarray(super_, dtype=float)
     if sub.shape != tuple(domain.grid_shape) or super_.shape != sub.shape:
@@ -425,15 +401,14 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     snapped = snapped_vortices(domain, vortices)
     u0 = build_u0(domain, snapped)
     _check_resolution(domain, params)
-    f, _ = _f_df(params)
     ie2 = params.epsilon ** -2
     K = 4.0 * np.pi * (snapped.N1 - snapped.N2) / domain.area
     tol = _solver_tol(params, tol_factor)
-    c = 1.05 * ie2 * sup_abs_df_tau(params.tau)
+    c = 1.05 * ie2 * ops.sup_abs_df()
     mult = 1.0 / (-domain._k2 - c)
 
     def residual(v):
-        return laplacian(domain, v) + ie2 * f(u0 + v) - K
+        return laplacian(domain, v) + ie2 * ops.f(u0 + v) - K
 
     diag = {
         "shift": c,
@@ -453,7 +428,7 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
             return TorusField(domain=domain, vortices=snapped, params=params,
                               u0=u0, v=v, newton_history=tuple(history),
                               diagnostics=diag)
-        rhs = -c * v - ie2 * f(u0 + v) + K
+        rhs = -c * v - ie2 * ops.f(u0 + v) + K
         v_new = np.fft.ifft2(np.fft.fft2(rhs) * mult).real
         slack = 1e-9 * (1.0 + float(np.max(np.abs(v))))
         if float(np.max(v_new - v)) > slack:
@@ -526,10 +501,10 @@ def identity_check(field, a):
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    if field.params.nonlinearity is Nonlinearity.CSH:
-        raise UnsupportedKernelError("the a-identity is specific to SigmaO3")
-    domain = field.domain
     params = field.params
+    nonlinearity_ops(params.nonlinearity,
+                     params.tau).require_sigma("the a-identity")
+    domain = field.domain
     L1, L2 = domain.periods
     u = field.u
     gvx, gvy = gradient(domain, field.v)
@@ -566,13 +541,13 @@ def identity_check(field, a):
 
 def total_mass(field):
     """int eps^-2 f(u) dx; equals 4pi(N1-N2) exactly at convergence."""
-    f, _ = _f_df(field.params)
+    ops = nonlinearity_ops(field.params.nonlinearity, field.params.tau)
     return cell_integral(field.domain,
-                         field.params.epsilon ** -2 * f(field.u))
+                         field.params.epsilon ** -2 * ops.f(field.u))
 
 
 def mass_bound_report(field):
     """int |eps^-2 f(u)| dx, the quantity bounded uniformly in eps."""
-    f, _ = _f_df(field.params)
+    ops = nonlinearity_ops(field.params.nonlinearity, field.params.tau)
     return cell_integral(field.domain,
-                         np.abs(field.params.epsilon ** -2 * f(field.u)))
+                         np.abs(field.params.epsilon ** -2 * ops.f(field.u)))

@@ -67,6 +67,15 @@ def sweep128(dom128, one_plus):
 
 
 @pytest.fixture(scope="module")
+def csh_sweep64(one_plus):
+    dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(64, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_sweep(dom, one_plus, 1.0, [0.4, 0.35, 0.3], K_radius=1.0,
+                         nonlinearity=Nonlinearity.CSH)
+
+
+@pytest.fixture(scope="module")
 def limit_profile():
     return find_topological(1.0, 1.0, (-8.0, 8.0), vortex_sign=1)
 
@@ -318,6 +327,24 @@ class TestSweepFamily:
 def _rec(eps, sup, inf, error=None):
     return SweepRecord(epsilon=eps, sup_K=sup, inf_K=inf,
                        total_abs_mass=4 * np.pi, error=error)
+
+
+class TestCshSweep:
+    def test_mass_finite_tau_diagnostics_nan(self, csh_sweep64):
+        assert [rec.epsilon for rec in csh_sweep64] == [0.4, 0.35, 0.3]
+        for rec in csh_sweep64:
+            assert rec.ok
+            (vr,) = rec.per_vortex
+            assert np.isfinite(vr.mass)
+            assert np.all(np.isnan(vr.pohozaev))
+            assert np.isnan(vr.quantization)
+
+    def test_pohozaev_rejected(self, csh_sweep64):
+        with pytest.raises(UnsupportedKernelError):
+            pohozaev_value(csh_sweep64[-1].field, vortex_id=0, r=1.0)
+        sol = integrate_radial(-1.0, nonlinearity=Nonlinearity.CSH)
+        with pytest.raises(UnsupportedKernelError):
+            pohozaev_value(sol, r=10.0)
 
 
 class TestVerdictBranches:

@@ -411,6 +411,15 @@ class TestTorusCommand:
         assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_csh_monotone_is_usage_error(self, tmp_path, capsys):
+        tree = _base_cfg(tmp_path)
+        tree["model"].update(nonlinearity="CSH", epsilon=0.3)
+        tree["solver"] = {"method": "monotone"}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_USAGE
+        assert "SigmaO3" in capsys.readouterr().err
+        assert not (tmp_path / "run_summary.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # stability command
@@ -537,3 +546,14 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["field"] == archive
         assert doc["all_passed"] is True
+
+    def test_csh_battery_skips_sigma_rows(self, tmp_path, capsys):
+        tree = _base_cfg(tmp_path)
+        tree["model"].update(nonlinearity="CSH", epsilon=0.3)
+        tree["solver"].pop("continuation")
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        rows = [line.split()[:2] for line in
+                capsys.readouterr().out.splitlines()
+                if line.startswith(("PASS", "FAIL"))]
+        assert rows == [["PASS", "residual_sup"], ["PASS", "mass_identity"]]

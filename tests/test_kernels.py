@@ -248,14 +248,14 @@ class TestModelParams:
         assert p.nonlinearity is Nonlinearity.CSH
 
     def test_csh_ops_reject_tau_dependent(self):
-        ops = nonlinearity_ops(ModelParams(tau=1.0, epsilon=0.1, nonlinearity="CSH"))
+        ops = nonlinearity_ops("CSH", 1.0)
         with pytest.raises(UnsupportedKernelError):
             ops.F2(0.0)
         with pytest.raises(UnsupportedKernelError):
             ops.q(0.0)
 
     def test_sigma_ops_dispatch(self):
-        ops = nonlinearity_ops(ModelParams(tau=2.0, epsilon=0.1))
+        ops = nonlinearity_ops(Nonlinearity.SIGMA_O3, 2.0)
         assert ops.f(-1.0) == kernels.f_tau(-1.0, 2.0)
         assert ops.F2(0.5) == kernels.F2_tau(0.5, 2.0)
 

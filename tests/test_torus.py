@@ -255,6 +255,11 @@ class TestNewton:
             solve_newton(dom64, one_plus, ModelParams(1.0, 0.15),
                          continuation=[0.2, -0.1])
 
+    def test_empty_continuation_rejected(self, dom64, one_plus):
+        with pytest.raises(ValueError):
+            solve_newton(dom64, one_plus, ModelParams(1.0, 0.15),
+                         continuation=[])
+
     def test_bad_v_init_rejected(self, dom64, one_plus):
         with pytest.raises(ValueError):
             solve_newton(dom64, one_plus, ModelParams(1.0, 0.25),
@@ -269,6 +274,14 @@ class TestNewton:
         vs = VortexSet(positive_vortices=(((1.3, 1.2), 1), ((2.8, 2.9), 1)))
         with pytest.raises(NewtonDivergenceError):
             solve_newton(dom64, vs, ModelParams(1.0, 0.3))
+
+
+class TestCshNewton:
+    def test_converges_with_exact_mass(self, dom64, one_plus):
+        fld = solve_newton(dom64, one_plus,
+                           ModelParams(1.0, 0.3, nonlinearity=Nonlinearity.CSH))
+        assert fld.residual_norm() <= 1e-10 * 0.3 ** -2
+        assert total_mass(fld) == pytest.approx(4.0 * np.pi, rel=1e-10)
 
 
 class TestMonotone:
