@@ -412,6 +412,19 @@ def rescale_blowup(field, center, scale=None, n_theta=64,
                          w=w, n_theta=int(n_theta))
 
 
+def _min_separation(domain, vortices):
+    """Smallest min-image distance between two vortices, or from one to
+    its own periodic image (the shorter period)."""
+    entries = vortices.signed()
+    sep = min(domain.periods)
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            d = ewald._min_image(np.subtract(entries[i][0], entries[j][0]),
+                                 domain.periods)
+            sep = min(sep, float(np.hypot(*d)))
+    return sep
+
+
 def _compact_mask(domain, vortices, K_radius):
     X, Y = domain.mesh
     L1, L2 = domain.periods
@@ -450,15 +463,8 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
             float(first_continuation[-1]) != eps_list[0]:
         raise ValueError("first_continuation must end at epsilons[0]")
 
-    entries = vortices.signed()
-    if entries:
-        seps = [min(domain.periods)]
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                d = ewald._min_image(
-                    np.subtract(entries[i][0], entries[j][0]), domain.periods)
-                seps.append(float(np.hypot(*d)))
-        min_sep = min(seps)
+    if len(vortices):
+        min_sep = _min_separation(domain, vortices)
         if not K_radius < 0.5 * min_sep:
             raise GeometryError(
                 "K_radius %g must be below half the minimal vortex "
@@ -502,17 +508,15 @@ def _make_record(fld, mask, K_radius, ball_radius, coverages,
     ops = nonlinearity_ops(fld.params.nonlinearity, fld.params.tau)
     fgrid = ops.f(u)
     sigma = ops.sigma
-    if sigma:
-        qgrid = ops.q(u)
     reports = []
     for k, (p, m, sgn) in enumerate(fld.vortices.signed()):
         if k not in coverages:
             coverages[k] = _ball_coverage(fld.domain, p, ball_radius)
         cov = coverages[k]
-        mass = float(np.sum(cov * fgrid)) * h1 * h2 * ie2
+        mass = vortex_mass(fld, k, ball_radius, _coverage=cov)
         poh = _pohozaev_torus(fld, k, ball_radius, None, 1024) \
             if sigma else (float("nan"),) * 3
-        quant = float(np.sum(cov * qgrid)) * h1 * h2 * ie2 \
+        quant = quantization_value(fld, k, ball_radius, _coverage=cov) \
             if sigma else float("nan")
         reports.append(VortexReport(
             vortex=k, point=(float(p[0]), float(p[1])),

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import asymptotics, ewald
+from . import asymptotics
 from .asymptotics import (SweepError, classify_alternative, export_sweep_csv,
                           pohozaev_value, run_sweep, squared_ratio_test)
 from .config import (ConfigError, atomic_path, dumps_json, jsonable,
@@ -377,16 +377,9 @@ def cmd_sweep(args):
 
 
 def _auto_ball_radius(fld):
-    """Largest comfortable diagnostic radius: 0.45 of the tightest of the
-    half-period self-image bound and the nearest-neighbor distance."""
-    limit = min(fld.domain.periods)
-    entries = fld.vortices.signed()
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            d = ewald._min_image(np.subtract(entries[i][0], entries[j][0]),
-                                 fld.domain.periods)
-            limit = min(limit, np.hypot(*d))
-    return 0.45 * limit
+    """Largest comfortable diagnostic radius: 0.45 of the minimal vortex
+    separation, periodic self-images included."""
+    return 0.45 * asymptotics._min_separation(fld.domain, fld.vortices)
 
 
 def cmd_verify(args):

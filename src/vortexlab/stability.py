@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, minres
+from scipy.sparse.linalg import eigsh
 
 from . import radial as radial_mod
 from . import torus as torus_mod
@@ -81,33 +81,15 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
     h1, h2 = domain.spacings
     cellw = h1 * h2
     apply_L, pot = _torus_operator(fld)
-    shape = tuple(domain.grid_shape)
-    n = shape[0] * shape[1]
-    k2 = domain._k2
     pot_min = float(pot.min())
     pot_max = float(pot.max())
+    failed = 0
 
     def l2norm(g):
         return float(np.sqrt(cellw * np.sum(g * g)))
 
-    def solve_shifted(sigma, b, rtol):
-        # (L - sigma) x = b by MINRES, preconditioned by (c - Lap)^-1
-        c = max(pot_max - sigma, 1e-8 * (1.0 + abs(sigma)))
-        pre = 1.0 / (c + k2)
-
-        def mv(x):
-            g = x.reshape(shape)
-            return (apply_L(g) - sigma * g).ravel()
-
-        def psolve(x):
-            return np.fft.ifft2(np.fft.fft2(x.reshape(shape)) * pre).real.ravel()
-
-        op = LinearOperator((n, n), matvec=mv)
-        M = LinearOperator((n, n), matvec=psolve)
-        sol, _ = minres(op, b.ravel(), M=M, rtol=rtol, maxiter=2000)
-        return sol.reshape(shape)
-
     def iterate(x0):
+        nonlocal failed
         x = x0 / l2norm(x0)
         best = (np.inf, None, None)
         stalled = 0
@@ -138,13 +120,17 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
                 # eigenvalue to it is always the bottom one.
                 sigma = rho - max(2.0 * res, 1e-12 * max(1.0, abs(rho)))
             rtol = min(1e-10, max(1e-13, 0.1 * res / max(1.0, abs(rho))))
-            y = solve_shifted(sigma, x, rtol=rtol)
+            # (L - sigma) y = x, preconditioned by (c - Lap)^-1
+            c = max(pot_max - sigma, 1e-8 * (1.0 + abs(sigma)))
+            y, info = torus_mod._solve_shifted(domain, pot - sigma, c, x,
+                                               rtol, 2000)
+            failed += info != 0
             x = y / l2norm(y)
         raise EigenConvergenceError(
             "eigen iteration stagnated at residual %.3e" % best[0],
             rayleigh=best[1])
 
-    x0 = np.ones(shape)
+    x0 = np.ones(domain.grid_shape)
     rho, x, res, it = iterate(x0)
     if float(x.max()) * float(x.min()) <= 0.0:
         rho, x, res, it2 = iterate(np.abs(x) + 0.1)
@@ -158,7 +144,8 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
     return EigenResult(eigenvalue=rho, eigenvector=x, rayleigh=rho,
                        residual_norm=res, iterations=it,
                        diagnostics={"epsilon": fld.params.epsilon,
-                                    "tau": fld.params.tau})
+                                    "tau": fld.params.tau,
+                                    "minres_failed": failed})
 
 
 def rayleigh_quotient_torus(fld, phi):

@@ -92,44 +92,47 @@ class TorusDomain:
 
     @cached_property
     def _k(self):
+        # wavenumbers on the real-FFT half plane: full axis 0, half axis 1
         h1, h2 = self.spacings
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.grid_shape[0], d=h1)
-        k2 = 2.0 * np.pi * np.fft.fftfreq(self.grid_shape[1], d=h2)
-        return k1, k2
+        k2 = 2.0 * np.pi * np.fft.rfftfreq(self.grid_shape[1], d=h2)
+        return k1[:, None], k2[None, :]
 
     @cached_property
     def _k2(self):
         k1, k2 = self._k
-        return k1[:, None] ** 2 + k2[None, :] ** 2
+        return k1 ** 2 + k2 ** 2
 
     @cached_property
-    def _k_grad(self):
+    def _inv_lap(self):
+        # zero-mean inverse Laplacian: the constant mode gets -1/inf = 0
+        return -1.0 / np.where(self._k2 > 0.0, self._k2, np.inf)
+
+    @cached_property
+    def _ik(self):
         # first derivatives of real fields: zero the Nyquist modes
         k1, k2 = (k.copy() for k in self._k)
         k1[self.grid_shape[0] // 2] = 0.0
-        k2[self.grid_shape[1] // 2] = 0.0
-        return k1, k2
+        k2[..., -1] = 0.0
+        return 1j * k1, 1j * k2
+
+    def _multiply(self, symbol, g):
+        """Apply a Fourier multiplier given on the half spectrum."""
+        return np.fft.irfft2(symbol * np.fft.rfft2(g), s=self.grid_shape)
 
 
 def laplacian(domain, g):
-    return np.fft.ifft2(np.fft.fft2(g) * (-domain._k2)).real
+    return -domain._multiply(domain._k2, g)
 
 
 def poisson_solve(domain, rhs):
     """Zero-mean solution of Lap phi = rhs - mean(rhs)."""
-    k2 = domain._k2.copy()
-    k2[0, 0] = 1.0
-    rh = np.fft.fft2(rhs)
-    rh[0, 0] = 0.0
-    return np.fft.ifft2(rh / (-k2)).real
+    return domain._multiply(domain._inv_lap, rhs)
 
 
 def gradient(domain, g):
-    k1, k2 = domain._k_grad
-    gh = np.fft.fft2(g)
-    gx = np.fft.ifft2(1j * k1[:, None] * gh).real
-    gy = np.fft.ifft2(1j * k2[None, :] * gh).real
-    return gx, gy
+    ik1, ik2 = domain._ik
+    return domain._multiply(ik1, g), domain._multiply(ik2, g)
 
 
 def cell_integral(domain, values):
@@ -150,15 +153,23 @@ def snap_to_grid(domain, point):
 def snapped_vortices(domain, vortices):
     """VortexSet with every position replaced by the nearest grid point.
 
-    Emits a warning when any vortex actually moves.
+    Emits a warning when any vortex actually moves; raises ValueError
+    when two vortices snap to one grid point.
     """
     h1, h2 = domain.spacings
     moved = []
+    taken = {}
 
     def snap_entries(entries):
         out = []
         for (p, m) in entries:
             _, q = snap_to_grid(domain, p)
+            if q in taken:
+                raise ValueError(
+                    "vortices at (%g, %g) and (%g, %g) both snap to the grid "
+                    "point (%g, %g); refine the grid to separate them"
+                    % (taken[q] + p + q))
+            taken[q] = p
             dx = abs(p[0] - q[0])
             dy = abs(p[1] - q[1])
             if max(dx, dy) > 1e-12 * max(h1, h2):
@@ -286,6 +297,7 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
 
     history = []
     stages = []
+    failed = 0
     fld = None
     for eps in eps_list:
         p = replace(params, epsilon=float(eps))
@@ -293,10 +305,12 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
         fld = _newton_core(domain, snapped, p, u0, v, max_iter, tol_factor,
                            history)
         v = fld.v
+        failed += fld.diagnostics["minres_failed"]
         stages.append({"epsilon": float(eps),
                        "iterations": fld.diagnostics["iterations"],
                        "residual": fld.diagnostics["residual"]})
     diagnostics = dict(fld.diagnostics)
+    diagnostics["minres_failed"] = failed  # over every stage
     diagnostics["stages"] = stages
     return TorusField(domain=domain, vortices=snapped, params=fld.params,
                       u0=u0, v=fld.v, newton_history=tuple(history),
@@ -309,9 +323,6 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
     ie2 = params.epsilon ** -2
     K = 4.0 * np.pi * (vortices.N1 - vortices.N2) / domain.area
     tol = _solver_tol(params, tol_factor)
-    shape = tuple(domain.grid_shape)
-    n = shape[0] * shape[1]
-    k2 = domain._k2
 
     v = v.copy()
     F = laplacian(domain, v) + ie2 * ops.f(u0 + v) - K
@@ -319,33 +330,20 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
     res0 = max(res, tol)
     history.append(res)
     grow_count = 0
-    inner_total = 0
+    failed = 0
     it = 0
     while res > tol:
         if it >= max_iter:
             fld = _make_field(domain, vortices, params, u0, v, history,
-                              res, it, inner_total)
+                              res, it, failed)
             raise NewtonDivergenceError(
                 "Newton did not converge in %d iterations (residual %.3e)"
                 % (max_iter, res), field=fld)
         D = ie2 * ops.df(u0 + v)
-
-        def matvec(x):
-            g = x.reshape(shape)
-            return (-laplacian(domain, g) - D * g).ravel()
-
         c0 = max(float(np.mean(np.maximum(-D, 0.0))), 1e-6 * ie2)
-        pre = 1.0 / (c0 + k2)
-
-        def psolve(x):
-            return np.fft.ifft2(np.fft.fft2(x.reshape(shape)) * pre).real.ravel()
-
-        op = LinearOperator((n, n), matvec=matvec)
-        M = LinearOperator((n, n), matvec=psolve)
         eta = min(0.1, max(np.sqrt(res / res0) * 1e-2, 1e-10))
-        delta, info = minres(op, F.ravel(), M=M, rtol=eta, maxiter=800)
-        inner_total += 1
-        delta = delta.reshape(shape)
+        delta, info = _solve_shifted(domain, -D, c0, F, eta, 800)
+        failed += info != 0
 
         best = None
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
@@ -363,19 +361,41 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
         it += 1
         if grow_count >= 5:
             fld = _make_field(domain, vortices, params, u0, v, history,
-                              res, it, inner_total)
+                              res, it, failed)
             raise NewtonDivergenceError(
                 "Newton residual grew for 5 consecutive damped steps "
                 "(residual %.3e)" % res, field=fld)
     return _make_field(domain, vortices, params, u0, v, history, res, it,
-                       inner_total)
+                       failed)
 
 
-def _make_field(domain, vortices, params, u0, v, history, res, it, inner):
+def _solve_shifted(domain, W, c, b, rtol, maxiter):
+    """(-Lap + W) x = b by MINRES with the (c - Lap)^-1 preconditioner.
+
+    Returns the solution grid and MINRES's info (nonzero: rtol missed).
+    """
+    shape, n = domain.grid_shape, b.size
+    pre = 1.0 / (c + domain._k2)
+
+    def matvec(x):
+        g = x.reshape(shape)
+        return (-laplacian(domain, g) + W * g).ravel()
+
+    def psolve(x):
+        return domain._multiply(pre, x.reshape(shape)).ravel()
+
+    op = LinearOperator((n, n), matvec=matvec)
+    M = LinearOperator((n, n), matvec=psolve)
+    x, info = minres(op, b.ravel(), M=M, rtol=rtol, maxiter=maxiter)
+    return x.reshape(shape), info
+
+
+def _make_field(domain, vortices, params, u0, v, history, res, it, failed):
+    # minres_failed counts the Newton steps whose inner solve missed rtol
     return TorusField(domain=domain, vortices=vortices, params=params,
                       u0=u0, v=v, newton_history=tuple(history),
                       diagnostics={"iterations": it, "residual": res,
-                                   "linear_solves": inner})
+                                   "minres_failed": failed})
 
 
 def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
@@ -429,7 +449,7 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
                               u0=u0, v=v, newton_history=tuple(history),
                               diagnostics=diag)
         rhs = -c * v - ie2 * ops.f(u0 + v) + K
-        v_new = np.fft.ifft2(np.fft.fft2(rhs) * mult).real
+        v_new = domain._multiply(mult, rhs)
         slack = 1e-9 * (1.0 + float(np.max(np.abs(v))))
         if float(np.max(v_new - v)) > slack:
             raise MonotonicityError(

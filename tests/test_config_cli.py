@@ -9,6 +9,8 @@ on the CSV/JSON artifacts.
 import json
 import math
 import os
+import shlex
+import shutil
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from vortexlab.config import (
     validate_config,
     write_json,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::vortexlab.torus.ResolutionWarning"),
@@ -411,6 +415,15 @@ class TestTorusCommand:
         assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_snap_collision_is_usage_error(self, tmp_path, capsys):
+        # both points round to the grid point (1, 1) at h = 1/16
+        tree = _base_cfg(tmp_path)
+        tree["vortices"]["positive"] = [{"point": [1.0, 1.0]},
+                                        {"point": [1.02, 0.99]}]
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_USAGE
+        assert "refine the grid" in capsys.readouterr().err
+
     def test_csh_monotone_is_usage_error(self, tmp_path, capsys):
         tree = _base_cfg(tmp_path)
         tree["model"].update(nonlinearity="CSH", epsilon=0.3)
@@ -557,3 +570,34 @@ class TestVerifyCommand:
                 capsys.readouterr().out.splitlines()
                 if line.startswith(("PASS", "FAIL"))]
         assert rows == [["PASS", "residual_sup"], ["PASS", "mass_identity"]]
+
+
+# ---------------------------------------------------------------------------
+# README quick start
+
+
+def _readme_torus_commands():
+    """The commands of the README's config-driven quick-start block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("Torus solves are config-driven:")[1].split("```")[1]
+    return [shlex.split(line) for line in
+            block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+class TestReadmeQuickStart:
+    def test_torus_block_runs_as_documented(self, tmp_path, monkeypatch,
+                                            capsys):
+        commands = _readme_torus_commands()
+        assert [cmd[:2] for cmd in commands] == [
+            ["vortexlab", "torus"], ["vortexlab", "stability"],
+            ["vortexlab", "sweep"], ["vortexlab", "verify"]]
+        (tmp_path / "demos").mkdir()
+        shutil.copy(os.path.join(ROOT, "demos", "one_vortex.json"),
+                    tmp_path / "demos")
+        monkeypatch.chdir(tmp_path)
+        for cmd in commands:
+            assert main(cmd[1:]) == EXIT_OK, " ".join(cmd)
+        out = capsys.readouterr().out
+        assert "all_passed = true" in out
+        assert "squared_ratio = pass" in out

@@ -93,6 +93,7 @@ class TestTorusVortexField:
         cls = classify_stability(res, default_torus_margin(
             vortex_field.params))
         assert cls is StabilityClass.STRICTLY_STABLE
+        assert res.diagnostics["minres_failed"] == 0
 
     def test_rayleigh_minimality(self, vortex_field):
         res = principal_eigen_torus(vortex_field)

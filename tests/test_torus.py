@@ -40,6 +40,7 @@ from vortexlab import (
     total_mass,
 )
 from vortexlab import ewald
+from vortexlab.torus import _solve_shifted
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::vortexlab.torus.ResolutionWarning"),
@@ -130,22 +131,49 @@ class TestEwaldStructure:
         assert gy == pytest.approx(fy, rel=1e-8)
 
 
+# the square grid plus a rectangular one whose half spectrum is not
+# square, so a swapped axis or a misplaced Nyquist slot shows
+SPECTRAL_DOMAINS = pytest.mark.parametrize(
+    "periods,shape", [((4.0, 4.0), (64, 64)), ((4.0, 2.0), (64, 128))],
+    ids=["square", "rect"])
+
+
 class TestSpectralCore:
-    def test_poisson_inverts_laplacian(self, dom64):
-        X1, X2 = dom64.mesh
-        rhs = np.cos(2 * np.pi * X1 / 4.0) * np.sin(4 * np.pi * X2 / 4.0)
-        phi = poisson_solve(dom64, rhs)
+    @SPECTRAL_DOMAINS
+    def test_poisson_inverts_laplacian(self, periods, shape):
+        dom = TorusDomain(periods=periods, grid_shape=shape)
+        L1, L2 = dom.periods
+        X1, X2 = dom.mesh
+        rhs = np.cos(2 * np.pi * X1 / L1) * np.sin(4 * np.pi * X2 / L2)
+        phi = poisson_solve(dom, rhs)
         assert abs(np.mean(phi)) < 1e-14
-        back = laplacian(dom64, phi)
+        back = laplacian(dom, phi)
         assert np.max(np.abs(back - (rhs - np.mean(rhs)))) < 1e-12
 
-    def test_gradient_of_plane_wave(self, dom64):
-        X1, X2 = dom64.mesh
-        k1, k2 = 2 * np.pi * 3 / 4.0, 2 * np.pi * 2 / 4.0
+    @SPECTRAL_DOMAINS
+    def test_gradient_of_plane_wave(self, periods, shape):
+        dom = TorusDomain(periods=periods, grid_shape=shape)
+        L1, L2 = dom.periods
+        X1, X2 = dom.mesh
+        k1, k2 = 2 * np.pi * 3 / L1, 2 * np.pi * 2 / L2
         g = np.cos(k1 * X1 + k2 * X2)
-        gx, gy = gradient(dom64, g)
+        gx, gy = gradient(dom, g)
         assert np.max(np.abs(gx + k1 * np.sin(k1 * X1 + k2 * X2))) < 1e-11
         assert np.max(np.abs(gy + k2 * np.sin(k1 * X1 + k2 * X2))) < 1e-11
+
+    @SPECTRAL_DOMAINS
+    def test_gradient_drops_nyquist_modes(self, periods, shape):
+        # a real field cannot carry the odd derivative of a Nyquist mode,
+        # so its derivative along that axis is exactly zero
+        dom = TorusDomain(periods=periods, grid_shape=shape)
+        L1, L2 = dom.periods
+        X1, X2 = dom.mesh
+        alt1 = (-1.0) ** np.arange(shape[0])[:, None]
+        alt2 = (-1.0) ** np.arange(shape[1])[None, :]
+        gx, _ = gradient(dom, alt1 * np.cos(2 * np.pi * X2 / L2))
+        _, gy = gradient(dom, np.cos(2 * np.pi * X1 / L1) * alt2)
+        assert np.all(gx == 0.0)
+        assert np.all(gy == 0.0)
 
     def test_cell_integral_of_ones(self, dom64):
         assert cell_integral(dom64, np.ones(dom64.grid_shape)) == \
@@ -157,11 +185,33 @@ class TestSpectralCore:
         with pytest.raises(ValueError):
             TorusDomain(periods=(-1.0, 1.0), grid_shape=(64, 64))
 
+    def test_snap_collision_names_both_points(self, dom64):
+        # two distinct vortices within h/2 of one grid point (h = 1/16)
+        vs = VortexSet(positive_vortices=(((1.0, 1.0), 1),),
+                       negative_vortices=(((1.02, 0.99), 1),))
+        with pytest.raises(ValueError, match="refine the grid") as err:
+            snapped_vortices(dom64, vs)
+        msg = str(err.value)
+        assert "(1, 1)" in msg and "(1.02, 0.99)" in msg
+        assert "pairwise distinct" not in msg
+
     def test_snap_to_grid(self, dom64):
         (i, j), p = snap_to_grid(dom64, (1.02, 2.31))
         h1, h2 = dom64.spacings
         assert abs(p[0] - 1.02) <= h1 / 2 and abs(p[1] - 2.31) <= h2 / 2
         assert p == (i * h1, j * h2)
+
+
+class TestShiftedSolve:
+    def test_solves_and_reports_info(self, dom64):
+        X1, X2 = dom64.mesh
+        W = 2.0 + np.cos(np.pi * X1 / 2.0) * np.sin(np.pi * X2 / 2.0)
+        b = np.exp(np.sin(np.pi * X1 / 2.0))
+        x, info = _solve_shifted(dom64, W, 2.0, b, 1e-12, 500)
+        assert info == 0
+        assert np.max(np.abs(-laplacian(dom64, x) + W * x - b)) < 1e-9
+        _, info = _solve_shifted(dom64, W, 2.0, b, 1e-12, 1)
+        assert info != 0
 
 
 class TestGreenGrid:
@@ -246,6 +296,11 @@ class TestNewton:
     def test_continuation_diagnostics(self, fld128):
         stages = fld128.diagnostics["stages"]
         assert len(stages) == 3
+
+    def test_inner_solve_failures_counted(self, fld128):
+        # Newton steps whose MINRES solve missed its tolerance
+        assert fld128.diagnostics["minres_failed"] == 0
+        assert "linear_solves" not in fld128.diagnostics
 
     def test_bad_continuation_rejected(self, dom64, one_plus):
         with pytest.raises(ValueError):
