@@ -187,7 +187,7 @@ def _ball_coverage(domain, center, r):
     return w
 
 
-def vortex_mass(field, vortex_id, r, _coverage=None):
+def vortex_mass(field, vortex_id, r, _coverage=None, _fgrid=None):
     """Local mass int_{B_r(p)} eps^-2 f(u) dx around vortex #vortex_id.
 
     Grid quadrature with partial-cell coverage weights at the ball
@@ -199,7 +199,8 @@ def vortex_mass(field, vortex_id, r, _coverage=None):
     w = _coverage if _coverage is not None else \
         _ball_coverage(field.domain, p, r)
     params = field.params
-    fgrid = nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
+    fgrid = _fgrid if _fgrid is not None else \
+        nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
     h1, h2 = field.domain.spacings
     return float(np.sum(w * fgrid)) * h1 * h2 * params.epsilon ** -2
 
@@ -513,7 +514,7 @@ def _make_record(fld, mask, K_radius, ball_radius, coverages,
         if k not in coverages:
             coverages[k] = _ball_coverage(fld.domain, p, ball_radius)
         cov = coverages[k]
-        mass = vortex_mass(fld, k, ball_radius, _coverage=cov)
+        mass = vortex_mass(fld, k, ball_radius, _coverage=cov, _fgrid=fgrid)
         poh = _pohozaev_torus(fld, k, ball_radius, None, 1024) \
             if sigma else (float("nan"),) * 3
         quant = quantization_value(fld, k, ball_radius, _coverage=cov) \

@@ -12,7 +12,9 @@ lattice sum
 (n over the period lattice, m over the dual lattice) converges for any
 splitting parameter eta; eta^2 = pi/|O| balances both windows so that
 half-width 4-ish terms reach machine precision.  The value is exactly
-independent of eta, which the test suite exploits.
+independent of eta, which the test suite exploits and which
+torus._u0_gradient uses to sum the gradient on a whole grid with an
+eta set by the grid spacing.
 
 Unlike the FFT route, these sums evaluate G and grad G at arbitrary
 off-grid points with no truncation ringing near the log singularity.
@@ -43,6 +45,18 @@ def _min_image(dx, L):
     return dx - L * np.round(dx / L)
 
 
+def _real_weight(r2, eta2):
+    """Real-space gradient weight: an image at squared distance r2 adds
+    _real_weight * (its displacement); inf on the source itself."""
+    return np.where(r2 > 0, -np.exp(-eta2 * r2) / (2.0 * np.pi * r2), np.inf)
+
+
+def _dual_damping(q2, eta2):
+    """Gaussian factor of the dual term at |m|^2 = q2 (m in cycles per
+    unit length)."""
+    return np.exp(-np.pi**2 * q2 / eta2)
+
+
 def green_value(dx, dy, L1=1.0, L2=1.0):
     """G(x) - G at displacement (dx, dy) from the source.
 
@@ -64,7 +78,7 @@ def green_value(dx, dy, L1=1.0, L2=1.0):
             if i == 0 and j == 0:
                 continue
             q2 = (i / L1) ** 2 + (j / L2) ** 2
-            w = np.exp(-np.pi**2 * q2 / eta2) / (4.0 * np.pi**2 * q2 * area)
+            w = _dual_damping(q2, eta2) / (4.0 * np.pi**2 * q2 * area)
             out = out + w * np.cos(2.0 * np.pi * (i * dx / L1 + j * dy / L2))
     return out - 1.0 / (4.0 * eta2 * area)
 
@@ -83,8 +97,7 @@ def green_gradient(dx, dy, L1=1.0, L2=1.0):
                 ax = dx - i * L1
                 ay = dy - j * L2
                 r2 = ax * ax + ay * ay
-                w = np.where(r2 > 0,
-                             -np.exp(-eta2 * r2) / (2.0 * np.pi * r2), np.inf)
+                w = _real_weight(r2, eta2)
                 gx = gx + w * ax
                 gy = gy + w * ay
     for i in range(-m1, m1 + 1):
@@ -93,7 +106,7 @@ def green_gradient(dx, dy, L1=1.0, L2=1.0):
                 continue
             q2 = (i / L1) ** 2 + (j / L2) ** 2
             w = -np.sin(2.0 * np.pi * (i * dx / L1 + j * dy / L2)) * \
-                np.exp(-np.pi**2 * q2 / eta2) / (2.0 * np.pi * q2 * area)
+                _dual_damping(q2, eta2) / (2.0 * np.pi * q2 * area)
             gx = gx + w * (i / L1)
             gy = gy + w * (j / L2)
     return gx, gy
@@ -120,5 +133,5 @@ def regular_part(L1=1.0, L2=1.0):
             if i == 0 and j == 0:
                 continue
             q2 = (i / L1) ** 2 + (j / L2) ** 2
-            out += np.exp(-np.pi**2 * q2 / eta2) / (4.0 * np.pi**2 * q2 * area)
+            out += _dual_damping(q2, eta2) / (4.0 * np.pi**2 * q2 * area)
     return out - 1.0 / (4.0 * eta2 * area)

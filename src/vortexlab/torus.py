@@ -489,6 +489,50 @@ def _u0_regular_at(field, which):
     return val
 
 
+def _u0_gradient(domain, vortices):
+    """grad u0 = sum_p c_p grad G(x - p), c_p = -4pi m sgn, on the grid.
+
+    Ewald split with eta set by the grid: the dual Gaussian has fallen
+    to e^-_Z_CUT at the coarser axis's Nyquist wavenumber, so the dual
+    series of all vortices is one exact half-spectrum multiply of point
+    charges on their (snapped) cells, and the real-space images reach
+    only 2 _Z_CUT/pi ~ 24 cells: one offset stencil, scattered
+    periodically around each vortex.  nan on the vortex cells.
+    """
+    h1, h2 = domain.spacings
+    n1, n2 = domain.grid_shape
+    eta2 = (np.pi / max(h1, h2)) ** 2 / (4.0 * ewald._Z_CUT)
+    r_cut = np.sqrt(ewald._Z_CUT / eta2)
+    w1 = int(np.ceil(r_cut / h1))
+    w2 = int(np.ceil(r_cut / h2))
+    a = np.arange(-w1, w1 + 1)
+    b = np.arange(-w2, w2 + 1)
+    dx = (a * h1)[:, None]
+    dy = (b * h2)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = ewald._real_weight(dx * dx + dy * dy, eta2)
+        wx, wy = w * dx, w * dy
+
+    rho = np.zeros(domain.grid_shape)
+    stencils = []
+    for (p, m, sgn) in vortices.signed():
+        (i, j), _ = snap_to_grid(domain, p)
+        coef = -4.0 * np.pi * m * sgn
+        rho[i, j] += coef / (h1 * h2)
+        stencils.append((coef, np.ix_((i + a) % n1, (j + b) % n2)))
+    smooth = ewald._dual_damping(domain._k2 / (4.0 * np.pi ** 2), eta2) \
+        * -domain._inv_lap
+    grad = []
+    for ik, wk in zip(domain._ik, (wx, wy)):
+        g = domain._multiply(ik * smooth, rho)
+        for coef, cells in stencils:
+            # unbuffered: a stencil wider than the grid folds its
+            # periodic images onto one cell
+            np.add.at(g, cells, coef * wk)
+        grad.append(g)
+    return tuple(grad)
+
+
 def _w1_stable(u, a):
     # e^u / (a + e^u)^2 without overflow on either side
     t = np.exp(-np.abs(u))
@@ -513,11 +557,11 @@ def identity_check(field, a):
           + eps^-2 e^u (1-e^u)^2 / ((tau+e^u)^3 (a+e^u)) dx,
     rhs = 4pi (N1/a + N2).
 
-    grad u is assembled as spectral grad v plus the analytic (Ewald)
-    gradient of u0, so the log singularities enter exactly; at the
-    vortex cells, where grad u0 is infinite but the integrand has a
-    removable singularity, the cell value is replaced by its analytic
-    limit.
+    grad u is assembled as spectral grad v plus the exact grid-Ewald
+    gradient of u0 (_u0_gradient), so the log singularities enter
+    exactly; at the vortex cells, where grad u0 is infinite but the
+    integrand has a removable singularity, the cell value is replaced
+    by its analytic limit.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -525,17 +569,11 @@ def identity_check(field, a):
     nonlinearity_ops(params.nonlinearity,
                      params.tau).require_sigma("the a-identity")
     domain = field.domain
-    L1, L2 = domain.periods
     u = field.u
     gvx, gvy = gradient(domain, field.v)
-    X1, X2 = domain.mesh
-    gx = gvx.copy()
-    gy = gvy.copy()
-    for (p, m, sgn) in field.vortices.signed():
-        ex, ey = ewald.green_gradient(X1 - p[0], X2 - p[1], L1, L2)
-        coef = -4.0 * np.pi * m * sgn
-        gx += coef * ex
-        gy += coef * ey
+    g0x, g0y = _u0_gradient(domain, field.vortices)
+    gx = gvx + g0x
+    gy = gvy + g0y
 
     grad2 = gx * gx + gy * gy
     t1 = (a + 1.0) * grad2 * _w1_stable(u, a)

@@ -576,19 +576,31 @@ class TestVerifyCommand:
 # README quick start
 
 
-def _readme_torus_commands():
-    """The commands of the README's config-driven quick-start block."""
+def _readme_commands(intro):
+    """The commands of the README quick-start block that follows intro."""
     with open(os.path.join(ROOT, "README.md")) as fh:
         text = fh.read()
-    block = text.split("Torus solves are config-driven:")[1].split("```")[1]
-    return [shlex.split(line) for line in
+    block = text.split(intro)[1].split("```")[1]
+    return [shlex.split(line, comments=True) for line in
             block.replace("\\\n", " ").splitlines() if line.strip()]
 
 
 class TestReadmeQuickStart:
+    def test_radial_block_runs_as_documented(self, tmp_path, monkeypatch):
+        commands = _readme_commands("Radial shooting on the plane:")
+        assert [cmd[:2] for cmd in commands] == [
+            ["vortexlab", "shoot"], ["vortexlab", "shoot"],
+            ["vortexlab", "beta-curve"]]
+        monkeypatch.chdir(tmp_path)
+        for cmd in commands:
+            assert main(cmd[1:]) == EXIT_OK, " ".join(cmd)
+            prefix = cmd[cmd.index("--out") + 1]
+            for ext in (".csv", ".json"):
+                assert (tmp_path / (prefix + ext)).is_file(), prefix + ext
+
     def test_torus_block_runs_as_documented(self, tmp_path, monkeypatch,
                                             capsys):
-        commands = _readme_torus_commands()
+        commands = _readme_commands("Torus solves are config-driven:")
         assert [cmd[:2] for cmd in commands] == [
             ["vortexlab", "torus"], ["vortexlab", "stability"],
             ["vortexlab", "sweep"], ["vortexlab", "verify"]]

@@ -39,8 +39,8 @@ from vortexlab import (
     solve_newton,
     total_mass,
 )
-from vortexlab import ewald
-from vortexlab.torus import _solve_shifted
+from vortexlab import ewald, torus
+from vortexlab.torus import _solve_shifted, _u0_gradient
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::vortexlab.torus.ResolutionWarning"),
@@ -392,6 +392,65 @@ class TestIdentity:
                          v=np.zeros(dom64.grid_shape))
         with pytest.raises(UnsupportedKernelError):
             identity_check(fld, 1.0)
+
+
+def _pointwise_u0_gradient(domain, vortices):
+    """Reference grad u0: one Ewald point evaluation per vortex."""
+    X1, X2 = domain.mesh
+    L1, L2 = domain.periods
+    gx = np.zeros(domain.grid_shape)
+    gy = np.zeros(domain.grid_shape)
+    for (p, m, sgn) in vortices.signed():
+        ex, ey = ewald.green_gradient(X1 - p[0], X2 - p[1], L1, L2)
+        coef = -4.0 * np.pi * m * sgn
+        gx += coef * ex
+        gy += coef * ey
+    return gx, gy
+
+
+def _mixed_vortices(domain):
+    L1, L2 = domain.periods
+    return snapped_vortices(domain, VortexSet(
+        positive_vortices=(((0.3 * L1, 0.2 * L2), 1),
+                           ((0.71 * L1, 0.64 * L2), 2)),
+        negative_vortices=(((0.1 * L1, 0.85 * L2), 1),
+                           ((0.55 * L1, 0.05 * L2), 2))))
+
+
+class TestGridEwald:
+    @pytest.mark.parametrize("periods, grid_shape", [
+        ((4.0, 4.0), (32, 32)),      # the real-space stencil wraps
+        ((4.0, 2.0), (64, 128)),     # anisotropic spacing
+        ((4.0, 4.0), (256, 256)),
+    ], ids=["wrap32", "rect", "256"])
+    def test_matches_pointwise_sum(self, periods, grid_shape):
+        dom = TorusDomain(periods=periods, grid_shape=grid_shape)
+        vs = _mixed_vortices(dom)
+        gx, gy = _u0_gradient(dom, vs)
+        rx, ry = _pointwise_u0_gradient(dom, vs)
+        finite = np.isfinite(rx) & np.isfinite(ry)
+        assert np.array_equal(finite, np.isfinite(gx) & np.isfinite(gy))
+        assert np.count_nonzero(~finite) == 4
+        scale = max(np.abs(rx[finite]).max(), np.abs(ry[finite]).max())
+        err = max(np.abs(gx - rx)[finite].max(), np.abs(gy - ry)[finite].max())
+        assert err <= 1e-13 * scale
+
+    @pytest.mark.parametrize("which", ["solved", "mixed"])
+    def test_identity_matches_pointwise_assembly(self, fld128, dom64,
+                                                 monkeypatch, which):
+        if which == "solved":
+            fld = fld128
+        else:
+            vs = _mixed_vortices(dom64)
+            X1, _ = dom64.mesh
+            fld = TorusField(domain=dom64, vortices=vs,
+                             params=ModelParams(1.0, 0.3),
+                             u0=build_u0(dom64, vs),
+                             v=0.1 * np.cos(2.0 * np.pi * X1 / 4.0))
+        grid = [identity_check(fld, a)[2] for a in (0.5, 1.0, 2.0)]
+        monkeypatch.setattr(torus, "_u0_gradient", _pointwise_u0_gradient)
+        ref = [identity_check(fld, a)[2] for a in (0.5, 1.0, 2.0)]
+        assert grid == pytest.approx(ref, rel=0, abs=1e-14)
 
 
 class TestResolutionGuard:
