@@ -187,22 +187,32 @@ def _ball_coverage(domain, center, r):
     return w
 
 
-def vortex_mass(field, vortex_id, r, _coverage=None, _fgrid=None):
+def _ball(field, center, r, self_id):
+    """Validated coverage weights of the ball B_r(center); self_id as in
+    _validate_ball."""
+    _validate_ball(field, center, r, self_id=self_id)
+    return _ball_coverage(field.domain, center, r)
+
+
+def _ball_integral(field, weights, grid):
+    """eps^-2 sum weights * grid * h1 h2: the weighted cell quadrature
+    every ball integral goes through."""
+    h1, h2 = field.domain.spacings
+    return float(np.sum(weights * grid)) * h1 * h2 \
+        * field.params.epsilon ** -2
+
+
+def vortex_mass(field, vortex_id, r):
     """Local mass int_{B_r(p)} eps^-2 f(u) dx around vortex #vortex_id.
 
     Grid quadrature with partial-cell coverage weights at the ball
     boundary.  Ids index field.vortices.signed().
     """
-    entries = field.vortices.signed()
-    p, m, sgn = entries[vortex_id]
-    _validate_ball(field, p, r, self_id=vortex_id)
-    w = _coverage if _coverage is not None else \
-        _ball_coverage(field.domain, p, r)
+    p, m, sgn = field.vortices.signed()[vortex_id]
+    w = _ball(field, p, r, vortex_id)
     params = field.params
-    fgrid = _fgrid if _fgrid is not None else \
-        nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
-    h1, h2 = field.domain.spacings
-    return float(np.sum(w * fgrid)) * h1 * h2 * params.epsilon ** -2
+    fgrid = nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
+    return _ball_integral(field, w, fgrid)
 
 
 def mass_partition(field, r):
@@ -212,36 +222,26 @@ def mass_partition(field, r):
     the full cell measure); the interesting check is that the total
     equals 4 pi (N1 - N2).
     """
-    entries = field.vortices.signed()
-    covs = []
-    for k, (p, m, sgn) in enumerate(entries):
-        _validate_ball(field, p, r, self_id=k)
-        covs.append(_ball_coverage(field.domain, p, r))
+    covs = [_ball(field, p, r, k)
+            for k, (p, m, sgn) in enumerate(field.vortices.signed())]
     params = field.params
     fgrid = nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
-    h1, h2 = field.domain.spacings
-    ie2 = params.epsilon ** -2
-    masses = tuple(float(np.sum(c * fgrid)) * h1 * h2 * ie2 for c in covs)
+    masses = tuple(_ball_integral(field, c, fgrid) for c in covs)
     leftover = 1.0 - sum(covs) if covs else np.ones_like(fgrid)
-    exterior = float(np.sum(leftover * fgrid)) * h1 * h2 * ie2
+    exterior = _ball_integral(field, leftover, fgrid)
     return {"masses": masses, "exterior": exterior,
             "total": sum(masses) + exterior}
 
 
-def quantization_value(field, vortex_id, r, _coverage=None):
+def quantization_value(field, vortex_id, r):
     """Concentration integral int_{B_r(p)} (1-e^u)^2/(eps^2 (tau+e^u)^2) dx.
 
     Tends to 4 (tau+1) pi m^2 at an m-fold vortex on the vacuum branch.
     """
     params = field.params
     qgrid = nonlinearity_ops(params.nonlinearity, params.tau).q(field.u)
-    entries = field.vortices.signed()
-    p, m, sgn = entries[vortex_id]
-    _validate_ball(field, p, r, self_id=vortex_id)
-    w = _coverage if _coverage is not None else \
-        _ball_coverage(field.domain, p, r)
-    h1, h2 = field.domain.spacings
-    return float(np.sum(w * qgrid)) * h1 * h2 * params.epsilon ** -2
+    p, m, sgn = field.vortices.signed()[vortex_id]
+    return _ball_integral(field, _ball(field, p, r, vortex_id), qgrid)
 
 
 def _bilinear_periodic(domain, grid, px, py):
@@ -267,26 +267,17 @@ def _sample_u_grad(field, px, py, want_grad):
     """u (and optionally grad u) at arbitrary points.
 
     The singular background is evaluated analytically through the
-    lattice Green function (coefficient -4 pi m sgn per vortex, the
-    build_u0 convention); the smooth remainder v and its spectral
-    gradient are sampled bilinearly.
+    lattice Green function (torus._u0_at); the smooth remainder v and
+    its spectral gradient are sampled bilinearly.
     """
-    L1, L2 = field.domain.periods
-    val = _bilinear_periodic(field.domain, field.v, px, py)
-    if want_grad:
-        vx, vy = torus_mod.gradient(field.domain, field.v)
-        gx = _bilinear_periodic(field.domain, vx, px, py)
-        gy = _bilinear_periodic(field.domain, vy, px, py)
-    else:
-        gx = gy = None
-    for (q, m, sgn) in field.vortices.signed():
-        coef = -4.0 * np.pi * m * sgn
-        val = val + coef * ewald.green_value(px - q[0], py - q[1], L1, L2)
-        if want_grad:
-            ex, ey = ewald.green_gradient(px - q[0], py - q[1], L1, L2)
-            gx = gx + coef * ex
-            gy = gy + coef * ey
-    return val, gx, gy
+    u0, u0x, u0y = torus_mod._u0_at(field.domain, field.vortices, px, py,
+                                    want_grad)
+    val = _bilinear_periodic(field.domain, field.v, px, py) + u0
+    if not want_grad:
+        return val, None, None
+    vx, vy = torus_mod.gradient(field.domain, field.v)
+    return (val, _bilinear_periodic(field.domain, vx, px, py) + u0x,
+            _bilinear_periodic(field.domain, vy, px, py) + u0y)
 
 
 def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
@@ -347,23 +338,17 @@ def _pohozaev_torus(field, vortex_id, r, center, n_theta):
     ops.require_sigma("the Pohozaev balance")
     if r is None:
         raise ValueError("ball radius r is required on the torus")
-    entries = field.vortices.signed()
     if vortex_id is None:
         if center is None:
             center = (0.5 * field.domain.periods[0],
                       0.5 * field.domain.periods[1])
         mult = 0
-        _validate_ball(field, center, r, self_id=None)
     else:
-        center, mult, _ = entries[vortex_id]
-        _validate_ball(field, center, r, self_id=vortex_id)
+        center, mult, _ = field.vortices.signed()[vortex_id]
+    cov = _ball(field, center, r, vortex_id)
+    volume = _ball_integral(field, cov, 2.0 * ops.F2(field.u))
 
     ie2 = field.params.epsilon ** -2
-    h1, h2 = field.domain.spacings
-
-    cov = _ball_coverage(field.domain, center, r)
-    F2grid = ops.F2(field.u)
-    volume = float(np.sum(cov * 2.0 * F2grid)) * h1 * h2 * ie2
 
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
     ct, st = np.cos(theta), np.sin(theta)
@@ -504,21 +489,20 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
 def _make_record(fld, mask, K_radius, ball_radius, coverages,
                  compute_eigen, keep_fields):
     u = fld.u
-    h1, h2 = fld.domain.spacings
-    ie2 = fld.params.epsilon ** -2
     ops = nonlinearity_ops(fld.params.nonlinearity, fld.params.tau)
     fgrid = ops.f(u)
     sigma = ops.sigma
+    qgrid = ops.q(u) if sigma else None
     reports = []
     for k, (p, m, sgn) in enumerate(fld.vortices.signed()):
+        # the balls are fixed across the sweep: validate and cover once
         if k not in coverages:
-            coverages[k] = _ball_coverage(fld.domain, p, ball_radius)
+            coverages[k] = _ball(fld, p, ball_radius, k)
         cov = coverages[k]
-        mass = vortex_mass(fld, k, ball_radius, _coverage=cov, _fgrid=fgrid)
+        mass = _ball_integral(fld, cov, fgrid)
         poh = _pohozaev_torus(fld, k, ball_radius, None, 1024) \
             if sigma else (float("nan"),) * 3
-        quant = quantization_value(fld, k, ball_radius, _coverage=cov) \
-            if sigma else float("nan")
+        quant = _ball_integral(fld, cov, qgrid) if sigma else float("nan")
         reports.append(VortexReport(
             vortex=k, point=(float(p[0]), float(p[1])),
             multiplicity=int(m), sign=int(sgn), mass=mass,
@@ -529,7 +513,7 @@ def _make_record(fld, mask, K_radius, ball_radius, coverages,
         epsilon=fld.params.epsilon,
         sup_K=float(u[mask].max()),
         inf_K=float(u[mask].min()),
-        total_abs_mass=float(np.sum(np.abs(fgrid))) * h1 * h2 * ie2,
+        total_abs_mass=_ball_integral(fld, 1.0, np.abs(fgrid)),
         per_vortex=tuple(reports),
         eigen=eig,
         field=fld if keep_fields else None,

@@ -196,9 +196,6 @@ class _SigmaOps:
     def sup_abs_df(self):
         return kernels.sup_abs_df_tau(self.tau)
 
-    def sup_abs_f(self):
-        return kernels.sup_abs_f_tau(self.tau)
-
 
 class _CshOps:
     """Kernel bundle for the Chern-Simons-Higgs alternate nonlinearity.
@@ -235,11 +232,6 @@ class _CshOps:
     def sup_abs_df(self):
         raise UnsupportedKernelError(
             "df is unbounded for the CSH nonlinearity; no finite sup exists"
-        )
-
-    def sup_abs_f(self):
-        raise UnsupportedKernelError(
-            "f is unbounded for the CSH nonlinearity; no finite sup exists"
         )
 
 

@@ -128,7 +128,7 @@ def _series_start(s, c_log, f, nu):
 def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
                      vortex_sign=-1, nonlinearity=Nonlinearity.SIGMA_O3,
                      divergence_stop=DIVERGENCE_STOP,
-                     points_per_decade=_POINTS_PER_DECADE, _retried=False):
+                     points_per_decade=_POINTS_PER_DECADE, _retry=True):
     """Integrate the radial profile from R0 out to r_max.
 
     Parameters
@@ -242,7 +242,7 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
         "flux_quadrature": float(ii[-1]),
         "beta_samples": beta_samples,
         "event": event_kind,
-        "retried": _retried,
+        "retried": False,
         "c_log": c_log,
     }
 
@@ -252,13 +252,14 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
                             vortex_sign=int(vortex_sign),
                             nonlinearity=nonlinearity)
 
-    if bc_type is BCType.UNDETERMINED and not _retried:
-        return integrate_radial(s, nu, tau, r_max * 100.0, tol,
-                                vortex_sign=vortex_sign,
-                                nonlinearity=nonlinearity,
-                                divergence_stop=divergence_stop,
-                                points_per_decade=points_per_decade,
-                                _retried=True)
+    if bc_type is BCType.UNDETERMINED and _retry:
+        result = integrate_radial(s, nu, tau, r_max * 100.0, tol,
+                                  vortex_sign=vortex_sign,
+                                  nonlinearity=nonlinearity,
+                                  divergence_stop=divergence_stop,
+                                  points_per_decade=points_per_decade,
+                                  _retry=False)
+        result.diagnostics["retried"] = True
     return result
 
 
@@ -351,7 +352,7 @@ def _tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
     the topological corridor out to r_end."""
     sol = integrate_radial(s, nu, tau, r_end, tol, vortex_sign=vortex_sign,
                            nonlinearity=nonlinearity, divergence_stop=30.0,
-                           _retried=True)
+                           _retry=False)
     if sol.bc_type is BCType.NONTOPOLOGICAL_I:
         return -1
     if sol.bc_type is BCType.NONTOPOLOGICAL_II:
@@ -413,7 +414,7 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
                            nonlinearity=nonlinearity,
                            divergence_stop=30.0,
                            points_per_decade=points_per_decade,
-                           _retried=True)
+                           _retry=False)
     return _truncate_topological(sol)
 
 

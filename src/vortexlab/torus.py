@@ -218,6 +218,15 @@ def green_function(domain, source):
                       regular_part_at_source=gamma)
 
 
+def _sources(vortices):
+    """Points (n, 2) and coefficients c_p = -4pi m sgn of the singular
+    background u0 = sum_p c_p G(. - p), in vortices.signed() order."""
+    entries = vortices.signed()
+    points = np.reshape([p for (p, m, sgn) in entries], (-1, 2))
+    c = np.array([-4.0 * np.pi * m * sgn for (p, m, sgn) in entries])
+    return points, c
+
+
 def build_u0(domain, vortices):
     """Singular background u0 = -4pi sum m G(., p+) + 4pi sum m G(., p-).
 
@@ -227,10 +236,10 @@ def build_u0(domain, vortices):
     snapped = snapped_vortices(domain, vortices)
     h1, h2 = domain.spacings
     rhs = np.zeros(domain.grid_shape)
-    for (p, m, sgn) in snapped.signed():
+    for p, c in zip(*_sources(snapped)):
         (i, j), _ = snap_to_grid(domain, p)
-        # Lap u0 = +4pi m delta at positive vortices, -4pi m at negative
-        rhs[i, j] += sgn * 4.0 * np.pi * m / (h1 * h2)
+        # Lap u0 = -c delta: +4pi m at positive vortices, -4pi m at negative
+        rhs[i, j] -= c / (h1 * h2)
     rhs -= 4.0 * np.pi * (snapped.N1 - snapped.N2) / domain.area
     return poisson_solve(domain, rhs)
 
@@ -266,13 +275,15 @@ def _solver_tol(params, tol_factor):
 
 
 def _check_resolution(domain, params):
-    h = min(domain.spacings)
-    if h > params.epsilon / 4.0:
+    """Warn when the coarser spacing exceeds eps/4; the verdict as
+    diagnostics fields {"resolved", "h_over_eps"}."""
+    h = max(domain.spacings)
+    resolved = h <= params.epsilon / 4.0
+    if not resolved:
         warnings.warn(
             "grid spacing h=%.3g does not resolve epsilon=%.3g (want h <= eps/4)"
             % (h, params.epsilon), ResolutionWarning, stacklevel=3)
-        return False
-    return True
+    return {"resolved": resolved, "h_over_eps": h / params.epsilon}
 
 
 def solve_newton(domain, vortices, params, v_init=None, continuation=None,
@@ -301,14 +312,15 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
     fld = None
     for eps in eps_list:
         p = replace(params, epsilon=float(eps))
-        _check_resolution(domain, p)
+        resolution = _check_resolution(domain, p)
         fld = _newton_core(domain, snapped, p, u0, v, max_iter, tol_factor,
                            history)
         v = fld.v
         failed += fld.diagnostics["minres_failed"]
         stages.append({"epsilon": float(eps),
                        "iterations": fld.diagnostics["iterations"],
-                       "residual": fld.diagnostics["residual"]})
+                       "residual": fld.diagnostics["residual"],
+                       **resolution})
     diagnostics = dict(fld.diagnostics)
     diagnostics["minres_failed"] = failed  # over every stage
     diagnostics["stages"] = stages
@@ -420,7 +432,7 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
 
     snapped = snapped_vortices(domain, vortices)
     u0 = build_u0(domain, snapped)
-    _check_resolution(domain, params)
+    resolution = _check_resolution(domain, params)
     ie2 = params.epsilon ** -2
     K = 4.0 * np.pi * (snapped.N1 - snapped.N2) / domain.area
     tol = _solver_tol(params, tol_factor)
@@ -434,6 +446,7 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
         "shift": c,
         "sub_residual_min": float(np.min(residual(sub))),
         "super_residual_max": float(np.max(residual(super_))),
+        **resolution,
     }
 
     v = super_.copy()
@@ -462,31 +475,31 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     raise ConvergenceError("monotone iteration exhausted %d steps" % max_iter)
 
 
-def _vortex_cells(domain, vortices):
-    cells = []
-    for (p, m, sgn) in vortices.signed():
-        (i, j), _ = snap_to_grid(domain, p)
-        cells.append((i, j))
-    return cells
+def _u0_at(domain, vortices, px, py, want_grad):
+    """u0 and grad u0 (None unless want_grad) at off-grid points: one
+    lattice-sum call over every (point, vortex) displacement."""
+    L1, L2 = domain.periods
+    q, c = _sources(vortices)
+    dx, dy = np.subtract.outer(px, q[:, 0]), np.subtract.outer(py, q[:, 1])
+    val = ewald.green_value(dx, dy, L1, L2) @ c
+    if not want_grad:
+        return val, None, None
+    gx, gy = ewald.green_gradient(dx, dy, L1, L2)
+    return val, gx @ c, gy @ c
 
 
-def _u0_regular_at(field, which):
-    """lim of u0 -/+ 2m ln|x-p| at vortex #which of field.vortices.signed().
+def _u0_regular(domain, vortices):
+    """lim of u0 -/+ 2m ln|x-p| at each vortex, in vortices.signed() order.
 
-    The self term contributes -/+ 4pi m gamma(p,p); every other vortex
+    The self term contributes c_p gamma(p,p); every other vortex
     contributes its full (finite) Green value at p.
     """
-    L1, L2 = field.domain.periods
-    entries = field.vortices.signed()
-    p0, m0, sgn0 = entries[which]
-    val = -4.0 * np.pi * m0 * sgn0 * ewald.regular_part(L1, L2)
-    for k, (q, m, sgn) in enumerate(entries):
-        if k == which:
-            continue
-        g = float(ewald.green_value(np.array([p0[0] - q[0]]),
-                                    np.array([p0[1] - q[1]]), L1, L2)[0])
-        val += -4.0 * np.pi * m * sgn * g
-    return val
+    L1, L2 = domain.periods
+    q, c = _sources(vortices)
+    G = ewald.green_value(np.subtract.outer(q[:, 0], q[:, 0]),
+                          np.subtract.outer(q[:, 1], q[:, 1]), L1, L2)
+    np.fill_diagonal(G, ewald.regular_part(L1, L2))
+    return G @ c
 
 
 def _u0_gradient(domain, vortices):
@@ -515,9 +528,8 @@ def _u0_gradient(domain, vortices):
 
     rho = np.zeros(domain.grid_shape)
     stencils = []
-    for (p, m, sgn) in vortices.signed():
+    for p, coef in zip(*_sources(vortices)):
         (i, j), _ = snap_to_grid(domain, p)
-        coef = -4.0 * np.pi * m * sgn
         rho[i, j] += coef / (h1 * h2)
         stencils.append((coef, np.ix_((i + a) % n1, (j + b) % n2)))
     smooth = ewald._dual_damping(domain._k2 / (4.0 * np.pi ** 2), eta2) \
@@ -582,10 +594,11 @@ def identity_check(field, a):
     # vortex (c the regular part of u at p), |grad u|^2 e^u/(a+e^u)^2
     # tends to 4 m^2 e^c / a^2 when m = 1 and to 0 when m >= 2; the
     # mirror statement holds at negative vortices with e^u -> e^-c.
+    reg = _u0_regular(domain, field.vortices)
     for which, (p, m, sgn) in enumerate(field.vortices.signed()):
         (i, j), _ = snap_to_grid(domain, p)
         if m == 1:
-            c = sgn * (field.v[i, j] + _u0_regular_at(field, which))
+            c = sgn * (field.v[i, j] + reg[which])
             t1[i, j] = (a + 1.0) * 4.0 * np.exp(c) / (a * a if sgn > 0 else 1.0)
         else:
             t1[i, j] = 0.0

@@ -140,6 +140,10 @@ class TestLocalMass:
         rep = rec.per_vortex[0]
         direct = vortex_mass(rec.field, 0, rec.ball_radius)
         assert rep.mass == direct
+        assert rep.quantization == quantization_value(rec.field, 0,
+                                                      rec.ball_radius)
+        assert rep.pohozaev == pohozaev_value(rec.field, vortex_id=0,
+                                              r=rec.ball_radius)
 
     def test_mass_concentrates_to_full_flux(self, sweep128):
         masses = [rec.per_vortex[0].mass for rec in sweep128]

@@ -124,6 +124,16 @@ class TestSingularTopological:
         flux = mass_integral(sol, MassKind.FLUX)
         assert flux == pytest.approx(2.0 * np.pi * sol.c_log, rel=1e-4)
 
+    def test_find_topological_reports_no_retry(self):
+        # bisection and the final run never retry further out
+        sol = find_topological(1.0, 1.0, (-8.0, 8.0))
+        assert sol.diagnostics["retried"] is False
+
+    def test_undetermined_run_retries_once(self):
+        sol = integrate_radial(-1e-3, r_max=10.0)
+        assert sol.diagnostics["retried"] is True
+        assert sol.diagnostics["r_end"] == 1000.0
+
     def test_same_side_bracket_raises(self):
         with pytest.raises(BracketError):
             find_topological(1.0, 1.0, (-8.0, -7.0))

@@ -40,7 +40,7 @@ from vortexlab import (
     total_mass,
 )
 from vortexlab import ewald, torus
-from vortexlab.torus import _solve_shifted, _u0_gradient
+from vortexlab.torus import _solve_shifted, _u0_at, _u0_gradient, _u0_regular
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::vortexlab.torus.ResolutionWarning"),
@@ -348,6 +348,8 @@ class TestMonotone:
         assert np.max(np.abs(mono.v - newt.v)) < 1e-8
         # the vacuum shift -u0 is an exact discrete supersolution
         assert mono.diagnostics["super_residual_max"] < 1e-9
+        assert mono.diagnostics["resolved"] is True
+        assert mono.diagnostics["h_over_eps"] == pytest.approx(0.0625 / 0.3)
 
     def test_ordering_violation_rejected(self, dom64, one_plus):
         p = ModelParams(1.0, 0.3)
@@ -453,8 +455,85 @@ class TestGridEwald:
         assert grid == pytest.approx(ref, rel=0, abs=1e-14)
 
 
+def _pointwise_u0_at(domain, vortices, px, py):
+    """Reference u0 and grad u0 at points: one Ewald call per vortex."""
+    L1, L2 = domain.periods
+    val = np.zeros(px.shape)
+    gx = np.zeros(px.shape)
+    gy = np.zeros(px.shape)
+    for (p, m, sgn) in vortices.signed():
+        coef = -4.0 * np.pi * m * sgn
+        val += coef * ewald.green_value(px - p[0], py - p[1], L1, L2)
+        ex, ey = ewald.green_gradient(px - p[0], py - p[1], L1, L2)
+        gx += coef * ex
+        gy += coef * ey
+    return val, gx, gy
+
+
+def _assert_rel_close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= \
+        rel * np.abs(want).max(initial=0.0)
+
+
+class TestOffGridU0:
+    @pytest.mark.parametrize("which", ["mixed", "none"])
+    @pytest.mark.parametrize("points", ["ring", "plane"])
+    def test_u0_at_matches_pointwise_sum(self, dom64, which, points):
+        vs = _mixed_vortices(dom64) if which == "mixed" else VortexSet()
+        if points == "ring":
+            # a Pohozaev ring around the first positive vortex
+            theta = (np.arange(256) + 0.5) * (2.0 * np.pi / 256)
+            px = 1.1875 + 0.3 * np.cos(theta)
+            py = 0.8125 + 0.3 * np.sin(theta)
+        else:
+            # off-grid 2-D point set, flattened as rescale_blowup does
+            X, Y = np.meshgrid(np.linspace(0.03, 3.97, 17),
+                               np.linspace(0.01, 3.93, 13), indexing="ij")
+            px, py = X.ravel(), Y.ravel()
+        got = _u0_at(dom64, vs, px, py, want_grad=True)
+        want = _pointwise_u0_at(dom64, vs, px, py)
+        for g, w in zip(got, want):
+            _assert_rel_close(g, w)
+        val, gx, gy = _u0_at(dom64, vs, px, py, want_grad=False)
+        assert np.array_equal(val, got[0])
+        assert gx is None and gy is None
+
+    @pytest.mark.parametrize("which", ["mixed", "none"])
+    def test_u0_regular_matches_pointwise_sum(self, dom64, which):
+        vs = _mixed_vortices(dom64) if which == "mixed" else VortexSet()
+        L1, L2 = dom64.periods
+        entries = vs.signed()
+        want = []
+        for k, (p, m, sgn) in enumerate(entries):
+            val = -4.0 * np.pi * m * sgn * ewald.regular_part(L1, L2)
+            for j, (q, mq, sq) in enumerate(entries):
+                if j != k:
+                    val += -4.0 * np.pi * mq * sq * float(
+                        ewald.green_value(p[0] - q[0], p[1] - q[1], L1, L2))
+            want.append(val)
+        _assert_rel_close(_u0_regular(dom64, vs), np.array(want))
+
+
 class TestResolutionGuard:
     def test_warns_when_grid_too_coarse(self, one_plus):
         dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(32, 32))
         with pytest.warns(ResolutionWarning):
-            solve_newton(dom, one_plus, ModelParams(1.0, 0.25))
+            fld = solve_newton(dom, one_plus, ModelParams(1.0, 0.25))
+        assert fld.diagnostics["stages"][-1]["resolved"] is False
+
+    def test_coarser_axis_decides_and_is_recorded(self):
+        # h2 = 0.03125 resolves eps/4 = 0.05, h1 = 0.0625 does not
+        dom = TorusDomain(periods=(4.0, 2.0), grid_shape=(64, 64))
+        vs = VortexSet(positive_vortices=(((2.0, 1.0), 1),))
+        with pytest.warns(ResolutionWarning):
+            fld = solve_newton(dom, vs, ModelParams(1.0, 0.2))
+        stage = fld.diagnostics["stages"][-1]
+        assert stage["resolved"] is False
+        assert stage["h_over_eps"] == pytest.approx(0.3125, rel=1e-15)
+
+    def test_resolved_grid_recorded(self, fld128):
+        for stage in fld128.diagnostics["stages"]:
+            assert stage["resolved"] is True
+            assert stage["h_over_eps"] == pytest.approx(
+                0.03125 / stage["epsilon"], rel=1e-15)
