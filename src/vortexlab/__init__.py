@@ -31,10 +31,9 @@ from .stability import (EigenConvergenceError, EigenResult, StabilityClass,
 from .torus import (ConvergenceError, MonotonicityError,
                     NewtonDivergenceError, ResolutionWarning, TorusDomain,
                     TorusField, build_u0, cell_integral, gradient,
-                    green_function, identity_check, laplacian,
-                    mass_bound_report, poisson_solve, snap_to_grid,
-                    snapped_vortices, solve_monotone, solve_newton,
-                    total_mass)
+                    identity_check, laplacian, mass_bound_report,
+                    poisson_solve, snap_to_grid, snapped_vortices,
+                    solve_monotone, solve_newton, total_mass)
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,7 @@ __all__ = [
     "IntegrationFailureError",
     # torus
     "TorusDomain", "TorusField", "solve_newton", "solve_monotone",
-    "build_u0", "green_function", "identity_check", "total_mass",
+    "build_u0", "identity_check", "total_mass",
     "mass_bound_report", "laplacian", "poisson_solve", "gradient",
     "cell_integral", "snap_to_grid", "snapped_vortices",
     "NewtonDivergenceError", "MonotonicityError", "ConvergenceError",

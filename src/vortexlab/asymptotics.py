@@ -66,6 +66,10 @@ class SweepRecord:
     sup_K / inf_K are extrema of u over the vortex-excluding compact
     set K; total_abs_mass tracks int eps^-2 |f(u)|.  error is set (and
     the numeric fields are NaN) when the solve at this epsilon failed.
+    resolved and h_over_eps come from the last Newton stage (resolved
+    means h <= eps/4), minres_failed counts the Newton steps whose
+    inner solve missed its tolerance; all three are None/NaN on a
+    failed step.
     """
 
     epsilon: float
@@ -78,6 +82,9 @@ class SweepRecord:
     error: str = None
     K_radius: float = float("nan")
     ball_radius: float = float("nan")
+    resolved: bool = None
+    h_over_eps: float = float("nan")
+    minres_failed: int = None
 
     @property
     def ok(self):
@@ -209,10 +216,7 @@ def vortex_mass(field, vortex_id, r):
     boundary.  Ids index field.vortices.signed().
     """
     p, m, sgn = field.vortices.signed()[vortex_id]
-    w = _ball(field, p, r, vortex_id)
-    params = field.params
-    fgrid = nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
-    return _ball_integral(field, w, fgrid)
+    return _ball_integral(field, _ball(field, p, r, vortex_id), field.f)
 
 
 def mass_partition(field, r):
@@ -224,11 +228,9 @@ def mass_partition(field, r):
     """
     covs = [_ball(field, p, r, k)
             for k, (p, m, sgn) in enumerate(field.vortices.signed())]
-    params = field.params
-    fgrid = nonlinearity_ops(params.nonlinearity, params.tau).f(field.u)
-    masses = tuple(_ball_integral(field, c, fgrid) for c in covs)
-    leftover = 1.0 - sum(covs) if covs else np.ones_like(fgrid)
-    exterior = _ball_integral(field, leftover, fgrid)
+    masses = tuple(_ball_integral(field, c, field.f) for c in covs)
+    leftover = 1.0 - sum(covs) if covs else np.ones_like(field.f)
+    exterior = _ball_integral(field, leftover, field.f)
     return {"masses": masses, "exterior": exterior,
             "total": sum(masses) + exterior}
 
@@ -238,8 +240,7 @@ def quantization_value(field, vortex_id, r):
 
     Tends to 4 (tau+1) pi m^2 at an m-fold vortex on the vacuum branch.
     """
-    params = field.params
-    qgrid = nonlinearity_ops(params.nonlinearity, params.tau).q(field.u)
+    qgrid = field.q
     p, m, sgn = field.vortices.signed()[vortex_id]
     return _ball_integral(field, _ball(field, p, r, vortex_id), qgrid)
 
@@ -275,7 +276,7 @@ def _sample_u_grad(field, px, py, want_grad):
     val = _bilinear_periodic(field.domain, field.v, px, py) + u0
     if not want_grad:
         return val, None, None
-    vx, vy = torus_mod.gradient(field.domain, field.v)
+    vx, vy = field.grad_v
     return (val, _bilinear_periodic(field.domain, vx, px, py) + u0x,
             _bilinear_periodic(field.domain, vy, px, py) + u0y)
 
@@ -307,7 +308,18 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
     """
     if isinstance(obj, RadialSolution):
         return _pohozaev_radial(obj, r)
-    return _pohozaev_torus(obj, vortex_id, r, center, n_theta)
+    obj.ops.require_sigma("the Pohozaev balance")
+    if r is None:
+        raise ValueError("ball radius r is required on the torus")
+    if vortex_id is None:
+        if center is None:
+            center = (0.5 * obj.domain.periods[0],
+                      0.5 * obj.domain.periods[1])
+        mult = 0
+    else:
+        center, mult, _ = obj.vortices.signed()[vortex_id]
+    cov = _ball(obj, center, r, vortex_id)
+    return _pohozaev_torus(obj, center, mult, r, cov, n_theta)
 
 
 def _pohozaev_radial(sol, r_cut):
@@ -333,19 +345,10 @@ def _pohozaev_radial(sol, r_cut):
     return float(volume), float(boundary), float(residual)
 
 
-def _pohozaev_torus(field, vortex_id, r, center, n_theta):
-    ops = nonlinearity_ops(field.params.nonlinearity, field.params.tau)
-    ops.require_sigma("the Pohozaev balance")
-    if r is None:
-        raise ValueError("ball radius r is required on the torus")
-    if vortex_id is None:
-        if center is None:
-            center = (0.5 * field.domain.periods[0],
-                      0.5 * field.domain.periods[1])
-        mult = 0
-    else:
-        center, mult, _ = field.vortices.signed()[vortex_id]
-    cov = _ball(field, center, r, vortex_id)
+def _pohozaev_torus(field, center, mult, r, cov, n_theta):
+    """The torus balance on the validated ball with coverage cov around
+    center, which encloses a vortex of multiplicity mult (0: none)."""
+    ops = field.ops
     volume = _ball_integral(field, cov, 2.0 * ops.F2(field.u))
 
     ie2 = field.params.epsilon ** -2
@@ -488,37 +491,37 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
 
 def _make_record(fld, mask, K_radius, ball_radius, coverages,
                  compute_eigen, keep_fields):
-    u = fld.u
-    ops = nonlinearity_ops(fld.params.nonlinearity, fld.params.tau)
-    fgrid = ops.f(u)
-    sigma = ops.sigma
-    qgrid = ops.q(u) if sigma else None
+    sigma = fld.ops.sigma
     reports = []
     for k, (p, m, sgn) in enumerate(fld.vortices.signed()):
         # the balls are fixed across the sweep: validate and cover once
         if k not in coverages:
             coverages[k] = _ball(fld, p, ball_radius, k)
         cov = coverages[k]
-        mass = _ball_integral(fld, cov, fgrid)
-        poh = _pohozaev_torus(fld, k, ball_radius, None, 1024) \
+        mass = _ball_integral(fld, cov, fld.f)
+        poh = _pohozaev_torus(fld, p, m, ball_radius, cov, 1024) \
             if sigma else (float("nan"),) * 3
-        quant = _ball_integral(fld, cov, qgrid) if sigma else float("nan")
+        quant = _ball_integral(fld, cov, fld.q) if sigma else float("nan")
         reports.append(VortexReport(
             vortex=k, point=(float(p[0]), float(p[1])),
             multiplicity=int(m), sign=int(sgn), mass=mass,
             beta_proxy=-mass / (4.0 * np.pi) - m,
             pohozaev=poh, quantization=quant))
     eig = principal_eigen_torus(fld) if compute_eigen else None
+    stage = fld.diagnostics["stages"][-1]
     return SweepRecord(
         epsilon=fld.params.epsilon,
-        sup_K=float(u[mask].max()),
-        inf_K=float(u[mask].min()),
-        total_abs_mass=_ball_integral(fld, 1.0, np.abs(fgrid)),
+        sup_K=float(fld.u[mask].max()),
+        inf_K=float(fld.u[mask].min()),
+        total_abs_mass=_ball_integral(fld, 1.0, np.abs(fld.f)),
         per_vortex=tuple(reports),
         eigen=eig,
         field=fld if keep_fields else None,
         K_radius=K_radius,
-        ball_radius=ball_radius)
+        ball_radius=ball_radius,
+        resolved=stage["resolved"],
+        h_over_eps=stage["h_over_eps"],
+        minres_failed=fld.diagnostics["minres_failed"])
 
 
 def classify_alternative(records, zero_tol=1e-2, away_threshold=0.25):
@@ -527,7 +530,9 @@ def classify_alternative(records, zero_tol=1e-2, away_threshold=0.25):
     A needs both sup_K and inf_K tending to zero (non-increasing |.|
     over the last three records, final value below zero_tol); B needs
     sup_K <= -away_threshold on every record, C symmetrically.
-    Anything else is Mixed/Inconclusive.
+    Anything else is Mixed/Inconclusive.  The evidence counts the
+    successful records whose grid did not resolve eps (n_underresolved);
+    they still enter the verdict.
     """
     ok = [rec for rec in records if rec.ok]
     if len(ok) < 3:
@@ -561,6 +566,7 @@ def classify_alternative(records, zero_tol=1e-2, away_threshold=0.25):
     evidence = {
         "n_records": len(records),
         "n_failed": len(records) - len(ok),
+        "n_underresolved": sum(1 for rec in ok if rec.resolved is False),
         "sup_first": float(sup[0]), "sup_last": float(sup[-1]),
         "inf_first": float(inf[0]), "inf_last": float(inf[-1]),
         "sup_to_zero": sup_zero, "inf_to_zero": inf_zero,
@@ -617,7 +623,8 @@ def squared_ratio_test(epsilons, values, n_last=3, fit_slack=2.0,
 def export_sweep_csv(records, path):
     """Write sweep records as CSV, per-vortex columns flattened."""
     n_v = max((len(rec.per_vortex) for rec in records), default=0)
-    cols = ["epsilon", "sup_K", "inf_K", "total_abs_mass", "error"]
+    cols = ["epsilon", "sup_K", "inf_K", "total_abs_mass", "error",
+            "resolved", "h_over_eps", "minres_failed"]
     for k in range(n_v):
         cols += ["v%d_mass" % k, "v%d_beta_proxy" % k,
                  "v%d_pohozaev_volume" % k, "v%d_pohozaev_boundary" % k,
@@ -627,7 +634,11 @@ def export_sweep_csv(records, path):
         for rec in records:
             row = ["%.17g" % rec.epsilon, "%.17g" % rec.sup_K,
                    "%.17g" % rec.inf_K, "%.17g" % rec.total_abs_mass,
-                   rec.error or ""]
+                   rec.error or "",
+                   {True: "true", False: "false", None: ""}[rec.resolved],
+                   "%.17g" % rec.h_over_eps,
+                   "" if rec.minres_failed is None
+                   else "%d" % rec.minres_failed]
             for k in range(n_v):
                 if k < len(rec.per_vortex):
                     vr = rec.per_vortex[k]

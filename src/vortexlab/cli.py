@@ -28,8 +28,7 @@ from .asymptotics import (SweepError, classify_alternative, export_sweep_csv,
                           pohozaev_value, run_sweep, squared_ratio_test)
 from .config import (ConfigError, atomic_path, dumps_json, jsonable,
                      load_config, load_field, save_field, write_json)
-from .model import (Nonlinearity, UnsupportedKernelError, check_hypotheses,
-                    nonlinearity_ops)
+from .model import Nonlinearity, UnsupportedKernelError, check_hypotheses
 from .radial import (BracketError, IntegrationFailureError,
                      compute_beta_curve, export_curve_csv,
                      export_profile_csv, find_topological, integrate_radial)
@@ -364,6 +363,7 @@ def cmd_sweep(args):
             line += "  mu = %s" % _fmt(rec.eigen.eigenvalue)
         lines.append(line)
     lines.append("verdict = %s" % verdict.kind.value)
+    lines.append("n_underresolved = %d" % verdict.evidence["n_underresolved"])
     if ratio is not None:
         state = {True: "pass", False: "fail", None: "inconclusive"}
         lines.append("squared_ratio = %s" % state[ratio["passed"]])
@@ -407,7 +407,7 @@ def cmd_verify(args):
     add("mass_identity", abs(total_mass(fld) - target) / scale,
         block["mass_tol"])
 
-    if nonlinearity_ops(fld.params.nonlinearity, fld.params.tau).sigma:
+    if fld.ops.sigma:
         for a in block["a_values"]:
             _, _, rel = identity_check(fld, a)
             add("identity_a=%s" % ("%g" % a), rel, block["identity_tol"])

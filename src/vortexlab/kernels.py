@@ -40,7 +40,6 @@ __all__ = [
     "df_csh",
     "F1_csh",
     "sup_abs_df_tau",
-    "sup_abs_f_tau",
 ]
 
 
@@ -212,16 +211,3 @@ def sup_abs_df_tau(tau):
     vals = np.abs(df_tau(us, tau))
     # u = 0 is itself a candidate (value 1/(tau+1)^3); include it
     return float(max(np.max(vals), 1.0 / (tau + 1.0) ** 3))
-
-
-def sup_abs_f_tau(tau):
-    """Supremum over u of |f_tau(u)|.
-
-    Extrema of f_tau solve df_tau = 0, i.e. the quadratic
-    t^2 - 2(tau+1) t + tau = 0 in t = e^u; both roots are positive.
-    """
-    tau = _check_tau(tau)
-    disc = (tau + 1.0) ** 2 - tau
-    ts = np.array([tau + 1.0 - np.sqrt(disc), tau + 1.0 + np.sqrt(disc)])
-    ts = ts[ts > 0.0]
-    return float(np.max(np.abs(f_tau(np.log(ts), tau))))

@@ -185,39 +185,6 @@ def snapped_vortices(domain, vortices):
     return VortexSet(positive_vortices=pos, negative_vortices=neg)
 
 
-@dataclass(frozen=True)
-class GreenField:
-    domain: TorusDomain
-    source: tuple
-    values: np.ndarray
-    regular_part_at_source: float
-
-
-def green_function(domain, source):
-    """Periodic Green function -Lap G = delta_src - 1/|O|, zero mean.
-
-    The source is snapped to the nearest grid point; the regular part
-    gamma(p,p) is estimated by averaging G + (1/2pi) ln|x-p| over a
-    ring of grid points at radius ~4h.
-    """
-    (i, j), src = snap_to_grid(domain, source)
-    h1, h2 = domain.spacings
-    delta = np.zeros(domain.grid_shape)
-    delta[i, j] = 1.0 / (h1 * h2)
-    rhs = delta - 1.0 / domain.area
-    G = poisson_solve(domain, -rhs)
-
-    X1, X2 = domain.mesh
-    L1, L2 = domain.periods
-    dist = np.hypot(ewald._min_image(X1 - src[0], L1),
-                    ewald._min_image(X2 - src[1], L2))
-    h = max(h1, h2)
-    ring = (dist >= 3.5 * h) & (dist <= 4.5 * h)
-    gamma = float(np.mean(G[ring] + np.log(dist[ring]) / (2.0 * np.pi)))
-    return GreenField(domain=domain, source=src, values=G,
-                      regular_part_at_source=gamma)
-
-
 def _sources(vortices):
     """Points (n, 2) and coefficients c_p = -4pi m sgn of the singular
     background u0 = sum_p c_p G(. - p), in vortices.signed() order."""
@@ -244,9 +211,20 @@ def build_u0(domain, vortices):
     return poisson_solve(domain, rhs)
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class TorusField:
-    """Converged (or last-iterate) torus solution u = u0 + v."""
+    """Converged (or last-iterate) torus solution u = u0 + v.
+
+    The grids the audits share (u, f(u), q(u), grad v, |grad u|^2, the
+    regular part of u0 at each vortex) are computed on first use and
+    cached read-only, the way TorusDomain caches its spectral symbols;
+    u0 and v must not change in place once one of them has been read.
+    """
 
     domain: TorusDomain
     vortices: VortexSet
@@ -256,15 +234,44 @@ class TorusField:
     newton_history: tuple = ()
     diagnostics: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
+    def ops(self):
+        return nonlinearity_ops(self.params.nonlinearity, self.params.tau)
+
+    @cached_property
     def u(self):
-        return self.u0 + self.v
+        return _read_only(self.u0 + self.v)
+
+    @cached_property
+    def f(self):
+        return _read_only(self.ops.f(self.u))
+
+    @cached_property
+    def q(self):
+        return _read_only(self.ops.q(self.u))
+
+    @cached_property
+    def grad_v(self):
+        return tuple(_read_only(g) for g in gradient(self.domain, self.v))
+
+    @cached_property
+    def grad_u_sq(self):
+        """|grad v + grad u0|^2 with the exact grid-Ewald grad u0
+        (_u0_gradient); nan on the vortex cells."""
+        gvx, gvy = self.grad_v
+        g0x, g0y = _u0_gradient(self.domain, self.vortices)
+        gx = gvx + g0x
+        gy = gvy + g0y
+        return _read_only(gx * gx + gy * gy)
+
+    @cached_property
+    def u0_regular(self):
+        return _read_only(_u0_regular(self.domain, self.vortices))
 
     def residual_field(self):
-        ops = nonlinearity_ops(self.params.nonlinearity, self.params.tau)
         ie2 = self.params.epsilon ** -2
         K = 4.0 * np.pi * (self.vortices.N1 - self.vortices.N2) / self.domain.area
-        return laplacian(self.domain, self.v) + ie2 * ops.f(self.u) - K
+        return laplacian(self.domain, self.v) + ie2 * self.f - K
 
     def residual_norm(self):
         return float(np.max(np.abs(self.residual_field())))
@@ -569,32 +576,25 @@ def identity_check(field, a):
           + eps^-2 e^u (1-e^u)^2 / ((tau+e^u)^3 (a+e^u)) dx,
     rhs = 4pi (N1/a + N2).
 
-    grad u is assembled as spectral grad v plus the exact grid-Ewald
-    gradient of u0 (_u0_gradient), so the log singularities enter
-    exactly; at the vortex cells, where grad u0 is infinite but the
-    integrand has a removable singularity, the cell value is replaced
-    by its analytic limit.
+    |grad u|^2 is field.grad_u_sq, built once per field from spectral
+    grad v plus the exact grid-Ewald gradient of u0 (_u0_gradient), so
+    the log singularities enter exactly; at the vortex cells, where
+    grad u0 is infinite but the integrand has a removable singularity,
+    the cell value is replaced by its analytic limit.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     params = field.params
-    nonlinearity_ops(params.nonlinearity,
-                     params.tau).require_sigma("the a-identity")
+    field.ops.require_sigma("the a-identity")
     domain = field.domain
     u = field.u
-    gvx, gvy = gradient(domain, field.v)
-    g0x, g0y = _u0_gradient(domain, field.vortices)
-    gx = gvx + g0x
-    gy = gvy + g0y
-
-    grad2 = gx * gx + gy * gy
-    t1 = (a + 1.0) * grad2 * _w1_stable(u, a)
+    t1 = (a + 1.0) * field.grad_u_sq * _w1_stable(u, a)
     # grad u0 is infinite at the vortex cells but the integrand has a
     # finite limit there: with e^u ~ e^c |x-p|^(2m) near a positive
     # vortex (c the regular part of u at p), |grad u|^2 e^u/(a+e^u)^2
     # tends to 4 m^2 e^c / a^2 when m = 1 and to 0 when m >= 2; the
     # mirror statement holds at negative vortices with e^u -> e^-c.
-    reg = _u0_regular(domain, field.vortices)
+    reg = field.u0_regular
     for which, (p, m, sgn) in enumerate(field.vortices.signed()):
         (i, j), _ = snap_to_grid(domain, p)
         if m == 1:
@@ -612,13 +612,10 @@ def identity_check(field, a):
 
 def total_mass(field):
     """int eps^-2 f(u) dx; equals 4pi(N1-N2) exactly at convergence."""
-    ops = nonlinearity_ops(field.params.nonlinearity, field.params.tau)
-    return cell_integral(field.domain,
-                         field.params.epsilon ** -2 * ops.f(field.u))
+    return cell_integral(field.domain, field.params.epsilon ** -2 * field.f)
 
 
 def mass_bound_report(field):
     """int |eps^-2 f(u)| dx, the quantity bounded uniformly in eps."""
-    ops = nonlinearity_ops(field.params.nonlinearity, field.params.tau)
     return cell_integral(field.domain,
-                         np.abs(field.params.epsilon ** -2 * ops.f(field.u)))
+                         np.abs(field.params.epsilon ** -2 * field.f))

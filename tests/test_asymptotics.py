@@ -383,6 +383,9 @@ class TestVerdictBranches:
         verdict = classify_alternative(recs)
         assert verdict.kind is Alternative.A_UNIFORM_ZERO
         assert verdict.evidence["n_failed"] == 1
+        # resolution is unknown on failed and synthetic records
+        assert recs[2].resolved is None and recs[2].minres_failed is None
+        assert verdict.evidence["n_underresolved"] == 0
 
     def test_too_few_records(self):
         with pytest.raises(ValueError):
@@ -411,6 +414,20 @@ class TestSquaredRatioHelper:
         assert passed is None
 
 
+class TestResolutionFlags:
+    def test_underresolved_steps_are_reported(self, sweep128):
+        # h = 4/128 resolves eps/4 down to eps = 0.125: four steps do not
+        h = 4.0 / 128
+        for rec in sweep128:
+            assert rec.resolved is (h <= rec.epsilon / 4.0)
+            assert rec.h_over_eps == pytest.approx(h / rec.epsilon,
+                                                   rel=1e-15)
+            assert rec.minres_failed == 0
+        assert sum(rec.resolved is False for rec in sweep128) == 4
+        verdict = classify_alternative(sweep128)
+        assert verdict.evidence["n_underresolved"] == 4
+
+
 class TestExport:
     def test_csv_roundtrip(self, sweep128, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -423,3 +440,10 @@ class TestExport:
         assert len(lines) == 1 + len(sweep128)
         first = lines[1].split(",")
         assert float(first[0]) == sweep128[0].epsilon  # 17 digits round-trip
+        assert header[5:8] == ["resolved", "h_over_eps", "minres_failed"]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[5] for row in rows] == [
+            "true" if rec.resolved else "false" for rec in sweep128]
+        assert [float(row[6]) for row in rows] == [
+            rec.h_over_eps for rec in sweep128]
+        assert [row[7] for row in rows] == ["0"] * len(sweep128)

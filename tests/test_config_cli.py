@@ -493,6 +493,7 @@ class TestSweepCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "A_uniform_zero"
         assert doc["n_failed"] == 0
+        assert doc["evidence"]["n_underresolved"] == 4  # eps < 0.125
         assert doc["squared_ratio"] is not None
         lines = (tmp_path / "sw_sweep.csv").read_text().splitlines()
         assert lines[0].startswith("epsilon,sup_K,inf_K,total_abs_mass")
@@ -613,3 +614,4 @@ class TestReadmeQuickStart:
         out = capsys.readouterr().out
         assert "all_passed = true" in out
         assert "squared_ratio = pass" in out
+        assert "n_underresolved = 0" in out

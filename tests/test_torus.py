@@ -8,6 +8,7 @@ for tau = 1 and N1 - N2 = 2 already excludes eps = 0.3.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ from vortexlab import (
     build_u0,
     cell_integral,
     gradient,
-    green_function,
     identity_check,
     laplacian,
     mass_bound_report,
+    pohozaev_value,
     poisson_solve,
     snap_to_grid,
     snapped_vortices,
@@ -231,12 +232,6 @@ class TestGreenGrid:
     def test_u0_zero_mean(self, dom64, one_plus):
         u0 = build_u0(dom64, one_plus)
         assert abs(np.mean(u0)) < 1e-12
-
-    def test_grid_regular_part_near_ewald(self):
-        dom = TorusDomain(periods=(1.0, 1.0), grid_shape=(128, 128))
-        gf = green_function(dom, (0.5, 0.5))
-        assert gf.regular_part_at_source == pytest.approx(
-            ewald.regular_part(1.0, 1.0), abs=5e-4)
 
 
 class TestNewton:
@@ -451,7 +446,8 @@ class TestGridEwald:
                              v=0.1 * np.cos(2.0 * np.pi * X1 / 4.0))
         grid = [identity_check(fld, a)[2] for a in (0.5, 1.0, 2.0)]
         monkeypatch.setattr(torus, "_u0_gradient", _pointwise_u0_gradient)
-        ref = [identity_check(fld, a)[2] for a in (0.5, 1.0, 2.0)]
+        fresh = replace(fld)  # grad_u_sq is cached on fld
+        ref = [identity_check(fresh, a)[2] for a in (0.5, 1.0, 2.0)]
         assert grid == pytest.approx(ref, rel=0, abs=1e-14)
 
 
@@ -513,6 +509,47 @@ class TestOffGridU0:
                         ewald.green_value(p[0] - q[0], p[1] - q[1], L1, L2))
             want.append(val)
         _assert_rel_close(_u0_regular(dom64, vs), np.array(want))
+
+
+class TestAuditGrids:
+    def test_audits_transform_each_grid_once(self, dom64, monkeypatch):
+        vs = VortexSet(positive_vortices=(((1.0, 1.0), 1), ((3.0, 1.0), 1)),
+                       negative_vortices=(((2.0, 3.0), 1),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            fld = solve_newton(dom64, vs, ModelParams(1.0, 0.2))
+        n = len(fld.vortices.signed())
+
+        def audits(f):
+            return ([identity_check(f, a) for a in (0.5, 1.0, 2.0)]
+                    + [pohozaev_value(f, vortex_id=k, r=0.5)
+                       for k in range(n)])
+
+        rfft2 = np.fft.rfft2
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return rfft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft2", counting)
+        got = audits(fld)
+        monkeypatch.undo()
+        # grad v and grad u0, one transform per component, for all
+        # three a-values and every Pohozaev ring
+        assert len(calls) == 4
+        fresh = TorusField(domain=fld.domain, vortices=fld.vortices,
+                           params=fld.params, u0=fld.u0, v=fld.v)
+        assert got == audits(fresh)
+
+    def test_cached_grids_are_read_only(self, fld128):
+        fld = replace(fld128)
+        assert fld.u is fld.u
+        for grid in (fld.u, fld.f, fld.q, *fld.grad_v, fld.grad_u_sq,
+                     fld.u0_regular):
+            with pytest.raises(ValueError):
+                grid[(0,) * grid.ndim] = 0.0
+        assert np.array_equal(fld.u, fld128.u0 + fld128.v)
 
 
 class TestResolutionGuard:
