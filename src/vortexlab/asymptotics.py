@@ -348,8 +348,7 @@ def _pohozaev_radial(sol, r_cut):
 def _pohozaev_torus(field, center, mult, r, cov, n_theta):
     """The torus balance on the validated ball with coverage cov around
     center, which encloses a vortex of multiplicity mult (0: none)."""
-    ops = field.ops
-    volume = _ball_integral(field, cov, 2.0 * ops.F2(field.u))
+    volume = _ball_integral(field, cov, 2.0 * field.F2)
 
     ie2 = field.params.epsilon ** -2
 
@@ -360,7 +359,7 @@ def _pohozaev_torus(field, center, mult, r, cov, n_theta):
     uring, ux, uy = _sample_u_grad(field, px, py, want_grad=True)
     un = ct * ux + st * uy  # outward normal derivative
     ring = r * un * un - 0.5 * r * (ux * ux + uy * uy) \
-        + ie2 * r * ops.F2(uring)
+        + ie2 * r * field.ops.F2(uring)
     boundary = float(np.sum(ring)) * (2.0 * np.pi * r / n_theta) \
         - 4.0 * np.pi * mult ** 2
     residual = abs(volume - boundary) / max(1.0, abs(boundary))

@@ -187,7 +187,8 @@ def F1_csh(u):
 def _df_critical_points(tau):
     # Stationary points of df_tau solve the cubic (in t = e^u, t > 0)
     #   -t^3 + (7 tau + 4) t^2 - tau (4 tau + 7) t + tau^2 = 0
-    # obtained from d/du df_tau = 0 after clearing (tau + t)^5.
+    # obtained from d/du df_tau = 0 after clearing (tau + t)^5.  It is
+    # tau^2 > 0 at t = 0 and tends to -inf, so a positive root exists.
     coeffs = [-1.0, 7.0 * tau + 4.0, -tau * (4.0 * tau + 7.0), tau * tau]
     roots = np.roots(coeffs)
     real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
@@ -202,12 +203,7 @@ def sup_abs_df_tau(tau):
     at both tails).
     """
     tau = _check_tau(tau)
-    ts = _df_critical_points(tau)
-    if ts.size == 0:
-        # cannot happen for tau > 0, but stay safe
-        us = np.linspace(-50.0, 50.0, 20001)
-        return float(np.max(np.abs(df_tau(us, tau))))
-    us = np.log(ts)
+    us = np.log(_df_critical_points(tau))
     vals = np.abs(df_tau(us, tau))
     # u = 0 is itself a candidate (value 1/(tau+1)^3); include it
     return float(max(np.max(vals), 1.0 / (tau + 1.0) ** 3))

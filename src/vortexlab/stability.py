@@ -58,7 +58,7 @@ class EigenResult:
 
 def _torus_operator(fld):
     """L = -Lap - eps^-2 f'(u) as a callable on grids, plus the potential."""
-    pot = -fld.params.epsilon ** -2 * fld.ops.df(fld.u)
+    pot = fld.potential
 
     def apply(g):
         return -torus_mod.laplacian(fld.domain, g) + pot * g

@@ -218,12 +218,15 @@ def _read_only(a):
 
 @dataclass(frozen=True)
 class TorusField:
-    """Converged (or last-iterate) torus solution u = u0 + v.
+    """Torus field u = u0 + v: a solver iterate or its converged result.
 
-    The grids the audits share (u, f(u), q(u), grad v, |grad u|^2, the
-    regular part of u0 at each vortex) are computed on first use and
-    cached read-only, the way TorusDomain caches its spectral symbols;
-    u0 and v must not change in place once one of them has been read.
+    It is the one place the equation is written: residual is F(v) and
+    potential is -eps^-2 f'(u), so the linearization is -Lap + potential.
+    These and the grids the audits share (u, f(u), q(u), F2(u), grad v,
+    |grad u|^2, the regular part of u0 at each vortex) are computed on
+    first use and cached read-only, the way TorusDomain caches its
+    spectral symbols; u0 and v must not change in place once one of
+    them has been read.
     """
 
     domain: TorusDomain
@@ -251,6 +254,22 @@ class TorusField:
         return _read_only(self.ops.q(self.u))
 
     @cached_property
+    def F2(self):
+        return _read_only(self.ops.F2(self.u))
+
+    @cached_property
+    def residual(self):
+        """F(v) = Lap v + eps^-2 f(u) - 4pi(N1 - N2)/|O|."""
+        ie2 = self.params.epsilon ** -2
+        K = 4.0 * np.pi * (self.vortices.N1 - self.vortices.N2) / self.domain.area
+        return _read_only(laplacian(self.domain, self.v) + ie2 * self.f - K)
+
+    @cached_property
+    def potential(self):
+        """-eps^-2 f'(u), the potential of the linearization."""
+        return _read_only(-self.params.epsilon ** -2 * self.ops.df(self.u))
+
+    @cached_property
     def grad_v(self):
         return tuple(_read_only(g) for g in gradient(self.domain, self.v))
 
@@ -268,13 +287,8 @@ class TorusField:
     def u0_regular(self):
         return _read_only(_u0_regular(self.domain, self.vortices))
 
-    def residual_field(self):
-        ie2 = self.params.epsilon ** -2
-        K = 4.0 * np.pi * (self.vortices.N1 - self.vortices.N2) / self.domain.area
-        return laplacian(self.domain, self.v) + ie2 * self.f - K
-
     def residual_norm(self):
-        return float(np.max(np.abs(self.residual_field())))
+        return float(np.max(np.abs(self.residual)))
 
 
 def _solver_tol(params, tol_factor):
@@ -331,61 +345,59 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
     diagnostics = dict(fld.diagnostics)
     diagnostics["minres_failed"] = failed  # over every stage
     diagnostics["stages"] = stages
-    return TorusField(domain=domain, vortices=snapped, params=fld.params,
-                      u0=u0, v=fld.v, newton_history=tuple(history),
-                      diagnostics=diagnostics)
+    return replace(fld, diagnostics=diagnostics)
 
 
 def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
                  history):
-    ops = nonlinearity_ops(params.nonlinearity, params.tau)
-    ie2 = params.epsilon ** -2
-    K = 4.0 * np.pi * (vortices.N1 - vortices.N2) / domain.area
     tol = _solver_tol(params, tol_factor)
-
-    v = v.copy()
-    F = laplacian(domain, v) + ie2 * ops.f(u0 + v) - K
-    res = float(np.max(np.abs(F)))
+    fld = TorusField(domain=domain, vortices=vortices, params=params,
+                     u0=u0, v=v)
+    res = fld.residual_norm()
     res0 = max(res, tol)
     history.append(res)
     grow_count = 0
     failed = 0
     it = 0
+    error = None
     while res > tol:
         if it >= max_iter:
-            fld = _make_field(domain, vortices, params, u0, v, history,
-                              res, it, failed)
-            raise NewtonDivergenceError(
-                "Newton did not converge in %d iterations (residual %.3e)"
-                % (max_iter, res), field=fld)
-        D = ie2 * ops.df(u0 + v)
-        c0 = max(float(np.mean(np.maximum(-D, 0.0))), 1e-6 * ie2)
+            error = ("Newton did not converge in %d iterations (residual %.3e)"
+                     % (max_iter, res))
+            break
+        pot = fld.potential
+        c0 = max(float(np.mean(np.maximum(pot, 0.0))),
+                 1e-6 * params.epsilon ** -2)
         eta = min(0.1, max(np.sqrt(res / res0) * 1e-2, 1e-10))
-        delta, info = _solve_shifted(domain, -D, c0, F, eta, 800)
+        delta, info = _solve_shifted(domain, pot, c0, fld.residual, eta, 800)
         failed += info != 0
 
         best = None
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            v_t = v + alpha * delta
-            F_t = laplacian(domain, v_t) + ie2 * ops.f(u0 + v_t) - K
-            r_t = float(np.max(np.abs(F_t)))
+            trial = replace(fld, v=fld.v + alpha * delta)
+            r_t = trial.residual_norm()
             if best is None or r_t < best[0]:
-                best = (r_t, v_t, F_t)
+                best = (r_t, trial)
             if r_t < res * (1.0 - 0.25 * alpha):
                 break
-        r_new, v, F = best
+        r_new, fld = best
+        # a rejected last trial would keep its grids through the next solve
+        del trial
         grow_count = grow_count + 1 if r_new >= res else 0
         res = r_new
         history.append(res)
         it += 1
         if grow_count >= 5:
-            fld = _make_field(domain, vortices, params, u0, v, history,
-                              res, it, failed)
-            raise NewtonDivergenceError(
-                "Newton residual grew for 5 consecutive damped steps "
-                "(residual %.3e)" % res, field=fld)
-    return _make_field(domain, vortices, params, u0, v, history, res, it,
-                       failed)
+            error = ("Newton residual grew for 5 consecutive damped steps "
+                     "(residual %.3e)" % res)
+            break
+    # minres_failed counts the Newton steps whose inner solve missed rtol
+    fld = replace(fld, newton_history=tuple(history),
+                  diagnostics={"iterations": it, "residual": res,
+                               "minres_failed": failed})
+    if error is not None:
+        raise NewtonDivergenceError(error, field=fld)
+    return fld
 
 
 def _solve_shifted(domain, W, c, b, rtol, maxiter):
@@ -407,14 +419,6 @@ def _solve_shifted(domain, W, c, b, rtol, maxiter):
     M = LinearOperator((n, n), matvec=psolve)
     x, info = minres(op, b.ravel(), M=M, rtol=rtol, maxiter=maxiter)
     return x.reshape(shape), info
-
-
-def _make_field(domain, vortices, params, u0, v, history, res, it, failed):
-    # minres_failed counts the Newton steps whose inner solve missed rtol
-    return TorusField(domain=domain, vortices=vortices, params=params,
-                      u0=u0, v=v, newton_history=tuple(history),
-                      diagnostics={"iterations": it, "residual": res,
-                                   "minres_failed": failed})
 
 
 def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
@@ -446,29 +450,26 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     c = 1.05 * ie2 * ops.sup_abs_df()
     mult = 1.0 / (-domain._k2 - c)
 
-    def residual(v):
-        return laplacian(domain, v) + ie2 * ops.f(u0 + v) - K
-
+    fld = TorusField(domain=domain, vortices=snapped, params=params, u0=u0,
+                     v=super_.copy())
     diag = {
         "shift": c,
-        "sub_residual_min": float(np.min(residual(sub))),
-        "super_residual_max": float(np.max(residual(super_))),
+        "sub_residual_min": float(np.min(replace(fld, v=sub).residual)),
+        "super_residual_max": float(np.max(replace(fld, v=super_).residual)),
         **resolution,
     }
 
-    v = super_.copy()
     history = []
     for it in range(max_iter):
-        F = residual(v)
-        res = float(np.max(np.abs(F)))
+        res = fld.residual_norm()
         history.append(res)
         if res < tol:
             diag["iterations"] = it
             diag["residual"] = res
-            return TorusField(domain=domain, vortices=snapped, params=params,
-                              u0=u0, v=v, newton_history=tuple(history),
-                              diagnostics=diag)
-        rhs = -c * v - ie2 * ops.f(u0 + v) + K
+            return replace(fld, newton_history=tuple(history),
+                           diagnostics=diag)
+        v = fld.v
+        rhs = -c * v - ie2 * fld.f + K
         v_new = domain._multiply(mult, rhs)
         slack = 1e-9 * (1.0 + float(np.max(np.abs(v))))
         if float(np.max(v_new - v)) > slack:
@@ -478,7 +479,7 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
         if float(np.max(sub - v_new)) > slack:
             raise MonotonicityError(
                 "iterate fell below the subsolution at step %d" % it)
-        v = v_new
+        fld = replace(fld, v=v_new)
     raise ConvergenceError("monotone iteration exhausted %d steps" % max_iter)
 
 

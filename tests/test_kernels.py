@@ -162,6 +162,11 @@ class TestStructure:
             with pytest.raises(ValueError):
                 kernels.f_tau(0.0, bad)
 
+    def test_df_critical_point_exists(self):
+        # sup_abs_df_tau has no fallback for a cubic without a positive root
+        for tau in np.geomspace(1e-4, 1e4, 400):
+            assert kernels._df_critical_points(tau).size > 0
+
     def test_sup_abs_df_matches_scan(self):
         us = np.linspace(-40.0, 40.0, 400001)
         for tau in TAUS:

@@ -40,7 +40,7 @@ from vortexlab import (
     solve_newton,
     total_mass,
 )
-from vortexlab import ewald, torus
+from vortexlab import ewald, kernels, torus
 from vortexlab.torus import _solve_shifted, _u0_at, _u0_gradient, _u0_regular
 
 pytestmark = [
@@ -243,6 +243,8 @@ class TestNewton:
     def test_residual_below_tolerance(self, fld128):
         eps = fld128.params.epsilon
         assert fld128.residual_norm() <= 1e-10 * eps ** -2
+        # the CLI summary reads the stored value instead of recomputing it
+        assert fld128.residual_norm() == fld128.diagnostics["residual"]
 
     @pytest.mark.parametrize("pos,neg", [
         ((((2.0, 2.0), 1),), ()),
@@ -345,6 +347,23 @@ class TestMonotone:
         assert mono.diagnostics["super_residual_max"] < 1e-9
         assert mono.diagnostics["resolved"] is True
         assert mono.diagnostics["h_over_eps"] == pytest.approx(0.0625 / 0.3)
+
+    def test_one_f_evaluation_per_iterate(self, dom64, one_plus, monkeypatch):
+        p = ModelParams(1.0, 0.3)
+        u0 = build_u0(dom64, snapped_vortices(dom64, one_plus))
+        f_tau = kernels.f_tau
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return f_tau(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "f_tau", counting)
+        mono = solve_monotone(dom64, one_plus, p, sub=-u0 - 25.0, super_=-u0)
+        monkeypatch.undo()
+        # the two bracket residuals, then one f per iterate
+        assert len(calls) == mono.diagnostics["iterations"] + 3
+        assert mono.residual_norm() == mono.diagnostics["residual"]
 
     def test_ordering_violation_rejected(self, dom64, one_plus):
         p = ModelParams(1.0, 0.3)
@@ -545,8 +564,8 @@ class TestAuditGrids:
     def test_cached_grids_are_read_only(self, fld128):
         fld = replace(fld128)
         assert fld.u is fld.u
-        for grid in (fld.u, fld.f, fld.q, *fld.grad_v, fld.grad_u_sq,
-                     fld.u0_regular):
+        for grid in (fld.u, fld.f, fld.q, fld.F2, fld.residual, fld.potential,
+                     *fld.grad_v, fld.grad_u_sq, fld.u0_regular):
             with pytest.raises(ValueError):
                 grid[(0,) * grid.ndim] = 0.0
         assert np.array_equal(fld.u, fld128.u0 + fld128.v)
