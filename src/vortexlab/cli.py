@@ -382,6 +382,19 @@ def _auto_ball_radius(fld):
     return 0.45 * asymptotics._min_separation(fld.domain, fld.vortices)
 
 
+def _solver_block(fld):
+    """What the solve says of its own validity, from the field's
+    diagnostics: the last Newton stage's grid_shape, resolved and
+    h_over_eps (a monotone field's own), and minres_failed; None where
+    the diagnostics lack a key.  Reported beside the rows, not gated."""
+    diag = fld.diagnostics
+    last = (diag.get("stages") or [diag])[-1]
+    block = {key: last.get(key)
+             for key in ("grid_shape", "resolved", "h_over_eps")}
+    block["minres_failed"] = diag.get("minres_failed")
+    return jsonable(block)
+
+
 def cmd_verify(args):
     cfg = load_config(args.config, args.override)
     block = cfg.tree["verify"]
@@ -431,6 +444,7 @@ def cmd_verify(args):
         "nonlinearity": fld.params.nonlinearity.value,
         "rows": rows,
         "all_passed": all_passed,
+        "solver": _solver_block(fld),
     }
     out_json = _outpath(cfg, "_verify.json")
     write_json(out_json, summary)

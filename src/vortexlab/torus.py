@@ -120,6 +120,18 @@ class TorusDomain:
         """Apply a Fourier multiplier given on the half spectrum."""
         return np.fft.irfft2(symbol * np.fft.rfft2(g), s=self.grid_shape)
 
+    def _resample(self, g):
+        """Trigonometric interpolation of g from a coarser grid of this
+        torus: its half spectrum zero-padded into this grid's, the coarse
+        Nyquist row and column dropped."""
+        (m1, m2), (n1, n2) = g.shape, self.grid_shape
+        spec = np.fft.rfft2(g) * (n1 * n2 / (m1 * m2))
+        pad = np.zeros((n1, n2 // 2 + 1), dtype=complex)
+        h1, h2 = m1 // 2, m2 // 2
+        pad[:h1, :h2] = spec[:h1, :h2]
+        pad[n1 - h1 + 1:, :h2] = spec[h1 + 1:, :h2]
+        return np.fft.irfft2(pad, s=self.grid_shape)
+
 
 def laplacian(domain, g):
     return -domain._multiply(domain._k2, g)
@@ -307,13 +319,35 @@ def _check_resolution(domain, params):
     return {"resolved": resolved, "h_over_eps": h / params.epsilon}
 
 
+def _stage_domain(domain, cells, eps):
+    """The coarsest grid of `domain`'s torus that resolves eps (spacing
+    <= eps/4, both axes >= 32) and holds every vortex cell in `cells`
+    (target-grid indices) as one of its points."""
+    n1, n2 = domain.grid_shape
+    h = max(domain.spacings)
+    s = 1  # halving a power-of-two grid doubles its spacings exactly
+    while (min(n1, n2) // (2 * s) >= 32 and 2 * s * h <= eps / 4.0
+           and not any(i % (2 * s) or j % (2 * s) for (i, j) in cells)):
+        s *= 2
+    if s == 1:
+        return domain
+    return TorusDomain(periods=domain.periods, grid_shape=(n1 // s, n2 // s))
+
+
 def solve_newton(domain, vortices, params, v_init=None, continuation=None,
                  max_iter=60, tol_factor=1e-10):
     """Damped Newton for F(v) = 0, optionally with eps-continuation.
 
     continuation, when given, is a decreasing sequence of epsilon
     values ending at params.epsilon's replacement; each stage is
-    warm-started from the previous solution.  Returns the final field.
+    warm-started from the previous solution.  From a cold start
+    (v_init None) every stage but the last runs on the coarsest grid
+    of the torus that resolves its epsilon and holds every snapped
+    vortex as a grid point (_stage_domain); each stage's solution is
+    resampled spectrally onto the next stage's grid (nested iteration).
+    Each stages entry records its grid_shape, and resolved/h_over_eps
+    for that grid.  Returns the final field, on `domain`; a stage that
+    diverges raises with its last iterate on that stage's grid.
     """
     snapped = snapped_vortices(domain, vortices)
     u0 = build_u0(domain, snapped)
@@ -326,21 +360,31 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
     v = np.zeros(domain.grid_shape) if v_init is None else np.array(v_init, dtype=float)
     if v.shape != tuple(domain.grid_shape):
         raise ValueError("v_init shape does not match the grid")
+    n_coarse = len(eps_list) - 1 if v_init is None else 0
+    cells = [snap_to_grid(domain, p)[0] for (p, m, sgn) in snapped.signed()]
 
     history = []
     stages = []
     failed = 0
     fld = None
-    for eps in eps_list:
+    dom, dom_u0 = domain, u0
+    for k, eps in enumerate(eps_list):
         p = replace(params, epsilon=float(eps))
-        resolution = _check_resolution(domain, p)
-        fld = _newton_core(domain, snapped, p, u0, v, max_iter, tol_factor,
+        stage = _stage_domain(domain, cells, eps) if k < n_coarse else domain
+        if stage != dom:
+            # a finer grid only: eps decreases, so stage grids never coarsen
+            dom = stage
+            dom_u0 = u0 if dom is domain else build_u0(dom, snapped)
+            v = np.zeros(dom.grid_shape) if fld is None else dom._resample(v)
+        resolution = _check_resolution(dom, p)
+        fld = _newton_core(dom, snapped, p, dom_u0, v, max_iter, tol_factor,
                            history)
         v = fld.v
         failed += fld.diagnostics["minres_failed"]
         stages.append({"epsilon": float(eps),
                        "iterations": fld.diagnostics["iterations"],
                        "residual": fld.diagnostics["residual"],
+                       "grid_shape": dom.grid_shape,
                        **resolution})
     diagnostics = dict(fld.diagnostics)
     diagnostics["minres_failed"] = failed  # over every stage
@@ -450,12 +494,13 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     c = 1.05 * ie2 * ops.sup_abs_df()
     mult = 1.0 / (-domain._k2 - c)
 
+    # the first iterate is the supersolution: its residual is the bracket's
     fld = TorusField(domain=domain, vortices=snapped, params=params, u0=u0,
                      v=super_.copy())
     diag = {
         "shift": c,
         "sub_residual_min": float(np.min(replace(fld, v=sub).residual)),
-        "super_residual_max": float(np.max(replace(fld, v=super_).residual)),
+        "super_residual_max": float(np.max(fld.residual)),
         **resolution,
     }
 

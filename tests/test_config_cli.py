@@ -538,6 +538,21 @@ class TestVerifyCommand:
         names = [row["name"] for row in doc["rows"]]
         assert names[:2] == ["residual_sup", "mass_identity"]
         assert "pohozaev_v0" in names
+        # the solve's own validity, from the last continuation stage
+        assert doc["solver"] == {
+            "grid_shape": [128, 128], "h_over_eps": 0.03125 / 0.15,
+            "minres_failed": 0, "resolved": True}
+
+    def test_monotone_field_has_no_stage_grid(self, tmp_path, capsys):
+        tree = _base_cfg(tmp_path)
+        tree["model"]["epsilon"] = 0.3
+        tree["solver"] = {"method": "monotone"}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        doc = json.loads((tmp_path / "run_verify.json").read_text())
+        assert doc["solver"] == {
+            "grid_shape": None, "h_over_eps": 0.0625 / 0.3,
+            "minres_failed": None, "resolved": True}
 
     def test_identity_battery_fails_on_coarse_grid(self, tmp_path, capsys):
         # 64^2 leaves ~2e-3 discretization error in the integral
@@ -560,6 +575,7 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["field"] == archive
         assert doc["all_passed"] is True
+        assert doc["solver"]["grid_shape"] == [128, 128]
 
     def test_csh_battery_skips_sigma_rows(self, tmp_path, capsys):
         tree = _base_cfg(tmp_path)

@@ -361,8 +361,9 @@ class TestMonotone:
         monkeypatch.setattr(kernels, "f_tau", counting)
         mono = solve_monotone(dom64, one_plus, p, sub=-u0 - 25.0, super_=-u0)
         monkeypatch.undo()
-        # the two bracket residuals, then one f per iterate
-        assert len(calls) == mono.diagnostics["iterations"] + 3
+        # the sub bracket's residual, then one f per iterate; the first
+        # iterate's residual is the super bracket's
+        assert len(calls) == mono.diagnostics["iterations"] + 2
         assert mono.residual_norm() == mono.diagnostics["residual"]
 
     def test_ordering_violation_rejected(self, dom64, one_plus):
@@ -589,7 +590,75 @@ class TestResolutionGuard:
         assert stage["h_over_eps"] == pytest.approx(0.3125, rel=1e-15)
 
     def test_resolved_grid_recorded(self, fld128):
+        # each stage reports the spacing of the grid it ran on
         for stage in fld128.diagnostics["stages"]:
+            h = max(4.0 / n for n in stage["grid_shape"])
             assert stage["resolved"] is True
             assert stage["h_over_eps"] == pytest.approx(
-                0.03125 / stage["epsilon"], rel=1e-15)
+                h / stage["epsilon"], rel=1e-15)
+
+
+def _trig(domain):
+    # band-limited: every mode lies below the 64^2 Nyquist wavenumbers
+    x, y = domain.mesh
+    k1, k2 = (2.0 * np.pi / L for L in domain.periods)
+    return (1.3 + np.cos(3 * k1 * x + 0.2) * np.sin(31 * k2 * y)
+            + np.sin(31 * k1 * x) * np.cos(5 * k2 * y - 1.0)
+            + 0.5 * np.cos(7 * k1 * x - 12 * k2 * y))
+
+
+def _warm_chain(dom, vs, sched):
+    # one solve per stage on dom, each warm-started from the last: the
+    # warm-start path never leaves the target grid
+    prev = None
+    for eps in sched:
+        prev = solve_newton(dom, vs, ModelParams(1.0, eps),
+                            v_init=None if prev is None else prev.v)
+    return prev
+
+
+class TestCoarseStages:
+    """Cold continuation runs every stage but the last on the coarsest
+    resolving grid that holds every vortex, then finishes on the target."""
+
+    def test_resample_is_exact_for_band_limited_data(self):
+        coarse = TorusDomain(periods=(4.0, 2.0), grid_shape=(64, 64))
+        fine = TorusDomain(periods=(4.0, 2.0), grid_shape=(256, 256))
+        err = np.max(np.abs(fine._resample(_trig(coarse)) - _trig(fine)))
+        assert err <= 1e-13
+
+    def test_stage_grids(self, fld128):
+        # eps = 0.25 is resolved by 64^2 (h = eps/4), the later stages not
+        shapes = [st["grid_shape"] for st in fld128.diagnostics["stages"]]
+        assert shapes == [(64, 64), (128, 128), (128, 128)]
+        assert fld128.domain.grid_shape == (128, 128)
+        assert fld128.v.shape == fld128.u0.shape == (128, 128)
+
+    def test_odd_vortex_cell_keeps_target_grid(self):
+        dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(128, 128))
+        vs = VortexSet(positive_vortices=(((65 * 4.0 / 128, 2.0), 1),))
+        sched = [0.25, 0.2, 0.15]
+        fld = solve_newton(dom, vs, ModelParams(1.0, 0.15),
+                           continuation=sched)
+        for stage in fld.diagnostics["stages"]:
+            assert stage["grid_shape"] == (128, 128)
+        # the same path as a stage-by-stage warm-started chain
+        assert np.array_equal(fld.v, _warm_chain(dom, vs, sched).v)
+
+    def test_matches_target_grid_chain(self):
+        dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(256, 256))
+        q = 4.0 / 64  # every vortex is a point of the 64^2 grid
+        vs = VortexSet(
+            positive_vortices=(((8 * q, 12 * q), 1), ((40 * q, 20 * q), 1)),
+            negative_vortices=(((20 * q, 44 * q), 1), ((52 * q, 52 * q), 1)))
+        sched = [0.25, 0.2, 0.15, 0.12]
+        fld = solve_newton(dom, vs, ModelParams(1.0, 0.12),
+                           continuation=sched)
+        stages = fld.diagnostics["stages"]
+        assert [st["grid_shape"] for st in stages] == [
+            (64, 64), (128, 128), (128, 128), (256, 256)]
+        assert all(st["resolved"] for st in stages)
+        # oracle: every stage on the target grid, warm-started by hand
+        oracle = _warm_chain(dom, vs, sched)
+        assert np.max(np.abs(fld.v - oracle.v)) <= 1e-10
+        assert fld.residual_norm() <= 1e-10 * 0.12 ** -2
