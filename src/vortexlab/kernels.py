@@ -64,6 +64,21 @@ def _restore(result, u):
     return result
 
 
+def _two_sided(u, forms):
+    """Evaluate a kernel from its two overflow-free forms.
+
+    forms(e, m) returns (neg_form, pos_form) in e = e^-|u| and
+    m = 1 - e^-|u|; neg_form holds on u <= 0 (where e = e^u) and
+    pos_form on u > 0 (where e = e^-u).  m = -expm1(-|u|) keeps full
+    relative accuracy near u = 0.
+    """
+    arr = _checked_u(u)
+    e = np.exp(-np.abs(arr))
+    m = -np.expm1(-np.abs(arr))
+    neg_form, pos_form = forms(e, m)
+    return _restore(np.where(arr > 0.0, pos_form, neg_form), u)
+
+
 def f_tau(u, tau):
     """Nonlinearity f_tau(u) = e^u (1 - e^u) / (tau + e^u)^3.
 
@@ -80,13 +95,8 @@ def f_tau(u, tau):
     float or ndarray
     """
     tau = _check_tau(tau)
-    arr = _checked_u(u)
-    e = np.exp(-np.abs(arr))
-    # 1 - e^u = -expm1(u) keeps full relative accuracy near u = 0
-    m = -np.expm1(-np.abs(arr))
-    neg_form = e * m / (tau + e) ** 3
-    pos_form = -e * m / (tau * e + 1.0) ** 3
-    return _restore(np.where(arr > 0.0, pos_form, neg_form), u)
+    return _two_sided(u, lambda e, m: (e * m / (tau + e) ** 3,
+                                       -e * m / (tau * e + 1.0) ** 3))
 
 
 def df_tau(u, tau):
@@ -96,11 +106,9 @@ def df_tau(u, tau):
     with df_tau(0) = -1/(tau+1)^3.
     """
     tau = _check_tau(tau)
-    arr = _checked_u(u)
-    e = np.exp(-np.abs(arr))
-    neg_form = e * (tau - 2.0 * (tau + 1.0) * e + e * e) / (tau + e) ** 4
-    pos_form = e * (tau * e * e - 2.0 * (tau + 1.0) * e + 1.0) / (tau * e + 1.0) ** 4
-    return _restore(np.where(arr > 0.0, pos_form, neg_form), u)
+    return _two_sided(u, lambda e, m: (
+        e * (tau - 2.0 * (tau + 1.0) * e + e * e) / (tau + e) ** 4,
+        e * (tau * e * e - 2.0 * (tau + 1.0) * e + 1.0) / (tau * e + 1.0) ** 4))
 
 
 def F1_tau(u, tau):
@@ -110,12 +118,9 @@ def F1_tau(u, tau):
     limits -1/(2(tau+1)tau^2) at -inf and -1/(2(tau+1)) at +inf.
     """
     tau = _check_tau(tau)
-    arr = _checked_u(u)
-    e = np.exp(-np.abs(arr))
-    m = -np.expm1(-np.abs(arr))
-    neg_form = -(m * m) / (2.0 * (tau + 1.0) * (tau + e) ** 2)
-    pos_form = -(m * m) / (2.0 * (tau + 1.0) * (tau * e + 1.0) ** 2)
-    return _restore(np.where(arr > 0.0, pos_form, neg_form), u)
+    return _two_sided(u, lambda e, m: (
+        -(m * m) / (2.0 * (tau + 1.0) * (tau + e) ** 2),
+        -(m * m) / (2.0 * (tau + 1.0) * (tau * e + 1.0) ** 2)))
 
 
 def F2_tau(u, tau):
@@ -126,11 +131,9 @@ def F2_tau(u, tau):
     at +inf.
     """
     tau = _check_tau(tau)
-    arr = _checked_u(u)
-    e = np.exp(-np.abs(arr))
-    neg_form = e * ((1.0 - tau) * e + 2.0 * tau) / (2.0 * tau * tau * (tau + e) ** 2)
-    pos_form = ((1.0 - tau) + 2.0 * tau * e) / (2.0 * tau * tau * (tau * e + 1.0) ** 2)
-    return _restore(np.where(arr > 0.0, pos_form, neg_form), u)
+    return _two_sided(u, lambda e, m: (
+        e * ((1.0 - tau) * e + 2.0 * tau) / (2.0 * tau * tau * (tau + e) ** 2),
+        ((1.0 - tau) + 2.0 * tau * e) / (2.0 * tau * tau * (tau * e + 1.0) ** 2)))
 
 
 def q_tau(u, tau):
@@ -141,13 +144,18 @@ def q_tau(u, tau):
     topological vortex profile is quantized.
     """
     tau = _check_tau(tau)
-    arr = _checked_u(u)
-    e = np.exp(-np.abs(arr))
-    m = -np.expm1(-np.abs(arr))
-    neg_form = (m / (tau + e)) ** 2
     # (1 - e^u)/(tau + e^u) = (s - 1)/(tau s + 1) after multiplying by s/s
-    pos_form = (m / (tau * e + 1.0)) ** 2
-    return _restore(np.where(arr > 0.0, pos_form, neg_form), u)
+    return _two_sided(u, lambda e, m: ((m / (tau + e)) ** 2,
+                                       (m / (tau * e + 1.0)) ** 2))
+
+
+def _csh(u, form):
+    # form(t) at t = e^u; where e^u overflows the value is -inf
+    arr = _checked_u(u)
+    with np.errstate(over="ignore"):
+        t = np.exp(arr)
+        out = np.where(np.isinf(t), -np.inf, form(t))
+    return _restore(out, u)
 
 
 def f_csh(u):
@@ -156,32 +164,17 @@ def f_csh(u):
     Unbounded below as u -> +inf; intended for u <= 0 profiles.  The
     value overflows IEEE range for u > ~355 and is returned as -inf.
     """
-    arr = _checked_u(u)
-    with np.errstate(over="ignore"):
-        t = np.exp(arr)
-        out = t * (1.0 - t)
-        out = np.where(np.isinf(t), -np.inf, out)
-    return _restore(out, u)
+    return _csh(u, lambda t: t * (1.0 - t))
 
 
 def df_csh(u):
     """Derivative e^u (1 - 2 e^u) of the Chern-Simons-Higgs kernel."""
-    arr = _checked_u(u)
-    with np.errstate(over="ignore"):
-        t = np.exp(arr)
-        out = t * (1.0 - 2.0 * t)
-        out = np.where(np.isinf(t), -np.inf, out)
-    return _restore(out, u)
+    return _csh(u, lambda t: t * (1.0 - 2.0 * t))
 
 
 def F1_csh(u):
     """Antiderivative -(1 - e^u)^2 / 2 of the Chern-Simons-Higgs kernel."""
-    arr = _checked_u(u)
-    with np.errstate(over="ignore"):
-        t = np.exp(arr)
-        out = -0.5 * (1.0 - t) ** 2
-        out = np.where(np.isinf(t), -np.inf, out)
-    return _restore(out, u)
+    return _csh(u, lambda t: -0.5 * (1.0 - t) ** 2)
 
 
 def _df_critical_points(tau):

@@ -56,16 +56,6 @@ class EigenResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _torus_operator(fld):
-    """L = -Lap - eps^-2 f'(u) as a callable on grids, plus the potential."""
-    pot = fld.potential
-
-    def apply(g):
-        return -torus_mod.laplacian(fld.domain, g) + pot * g
-
-    return apply, pot
-
-
 def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
     """Smallest eigenvalue of -Lap - eps^-2 f_tau'(u) on the torus grid.
 
@@ -79,7 +69,7 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
     domain = fld.domain
     h1, h2 = domain.spacings
     cellw = h1 * h2
-    apply_L, pot = _torus_operator(fld)
+    pot = fld.potential
     pot_min = float(pot.min())
     pot_max = float(pot.max())
     failed = 0
@@ -93,7 +83,7 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
         best = (np.inf, None, None)
         stalled = 0
         for it in range(1, max_iter + 1):
-            Lx = apply_L(x)
+            Lx = torus_mod._apply_shifted(domain, pot, x)
             rho = cellw * float(np.sum(x * Lx))
             res = l2norm(Lx - rho * x)
             if res > 0.97 * best[0]:
@@ -149,8 +139,8 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
 
 def rayleigh_quotient_torus(fld, phi):
     """Quotient (int |grad phi|^2 - eps^-2 f' phi^2) / int phi^2."""
-    apply_L, _ = _torus_operator(fld)
-    num = float(np.sum(phi * apply_L(phi)))
+    Lphi = torus_mod._apply_shifted(fld.domain, fld.potential, phi)
+    num = float(np.sum(phi * Lphi))
     den = float(np.sum(phi * phi))
     return num / den
 

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
-from . import ewald
+from . import ewald, kernels
 from .model import ModelParams, VortexSet, eps_schedule, nonlinearity_ops
 
 
@@ -206,6 +206,18 @@ def _sources(vortices):
     return points, c
 
 
+def _charges(domain, vortices):
+    """Snapped cells (i, j), coefficients c_p and the grid of point
+    charges c_p/(h1 h2) on those cells, in vortices.signed() order."""
+    h1, h2 = domain.spacings
+    points, c = _sources(vortices)
+    cells = [snap_to_grid(domain, p)[0] for p in points]
+    rho = np.zeros(domain.grid_shape)
+    for (i, j), cp in zip(cells, c):
+        rho[i, j] += cp / (h1 * h2)
+    return cells, c, rho
+
+
 def build_u0(domain, vortices):
     """Singular background u0 = -4pi sum m G(., p+) + 4pi sum m G(., p-).
 
@@ -213,13 +225,9 @@ def build_u0(domain, vortices):
     to grid points first.
     """
     snapped = snapped_vortices(domain, vortices)
-    h1, h2 = domain.spacings
-    rhs = np.zeros(domain.grid_shape)
-    for p, c in zip(*_sources(snapped)):
-        (i, j), _ = snap_to_grid(domain, p)
-        # Lap u0 = -c delta: +4pi m at positive vortices, -4pi m at negative
-        rhs[i, j] -= c / (h1 * h2)
-    rhs -= 4.0 * np.pi * (snapped.N1 - snapped.N2) / domain.area
+    # Lap u0 = -c delta: +4pi m at positive vortices, -4pi m at negative
+    rhs = -_charges(domain, snapped)[2] \
+        - 4.0 * np.pi * (snapped.N1 - snapped.N2) / domain.area
     return poisson_solve(domain, rhs)
 
 
@@ -246,7 +254,6 @@ class TorusField:
     params: ModelParams
     u0: np.ndarray
     v: np.ndarray
-    newton_history: tuple = ()
     diagnostics: dict = field(default_factory=dict)
 
     @cached_property
@@ -361,9 +368,8 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
     if v.shape != tuple(domain.grid_shape):
         raise ValueError("v_init shape does not match the grid")
     n_coarse = len(eps_list) - 1 if v_init is None else 0
-    cells = [snap_to_grid(domain, p)[0] for (p, m, sgn) in snapped.signed()]
+    cells = _charges(domain, snapped)[0]
 
-    history = []
     stages = []
     failed = 0
     fld = None
@@ -377,8 +383,7 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
             dom_u0 = u0 if dom is domain else build_u0(dom, snapped)
             v = np.zeros(dom.grid_shape) if fld is None else dom._resample(v)
         resolution = _check_resolution(dom, p)
-        fld = _newton_core(dom, snapped, p, dom_u0, v, max_iter, tol_factor,
-                           history)
+        fld = _newton_core(dom, snapped, p, dom_u0, v, max_iter, tol_factor)
         v = fld.v
         failed += fld.diagnostics["minres_failed"]
         stages.append({"epsilon": float(eps),
@@ -392,14 +397,12 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
     return replace(fld, diagnostics=diagnostics)
 
 
-def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
-                 history):
+def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor):
     tol = _solver_tol(params, tol_factor)
     fld = TorusField(domain=domain, vortices=vortices, params=params,
                      u0=u0, v=v)
     res = fld.residual_norm()
     res0 = max(res, tol)
-    history.append(res)
     grow_count = 0
     failed = 0
     it = 0
@@ -429,19 +432,22 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor,
         del trial
         grow_count = grow_count + 1 if r_new >= res else 0
         res = r_new
-        history.append(res)
         it += 1
         if grow_count >= 5:
             error = ("Newton residual grew for 5 consecutive damped steps "
                      "(residual %.3e)" % res)
             break
     # minres_failed counts the Newton steps whose inner solve missed rtol
-    fld = replace(fld, newton_history=tuple(history),
-                  diagnostics={"iterations": it, "residual": res,
-                               "minres_failed": failed})
+    fld = replace(fld, diagnostics={"iterations": it, "residual": res,
+                                    "minres_failed": failed})
     if error is not None:
         raise NewtonDivergenceError(error, field=fld)
     return fld
+
+
+def _apply_shifted(domain, W, g):
+    """(-Lap + W) g; with W a field's potential, its linearization."""
+    return -laplacian(domain, g) + W * g
 
 
 def _solve_shifted(domain, W, c, b, rtol, maxiter):
@@ -453,8 +459,7 @@ def _solve_shifted(domain, W, c, b, rtol, maxiter):
     pre = 1.0 / (c + domain._k2)
 
     def matvec(x):
-        g = x.reshape(shape)
-        return (-laplacian(domain, g) + W * g).ravel()
+        return _apply_shifted(domain, W, x.reshape(shape)).ravel()
 
     def psolve(x):
         return domain._multiply(pre, x.reshape(shape)).ravel()
@@ -488,11 +493,9 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     snapped = snapped_vortices(domain, vortices)
     u0 = build_u0(domain, snapped)
     resolution = _check_resolution(domain, params)
-    ie2 = params.epsilon ** -2
-    K = 4.0 * np.pi * (snapped.N1 - snapped.N2) / domain.area
     tol = _solver_tol(params, tol_factor)
-    c = 1.05 * ie2 * ops.sup_abs_df()
-    mult = 1.0 / (-domain._k2 - c)
+    c = 1.05 * params.epsilon ** -2 * ops.sup_abs_df()
+    mult = 1.0 / (c + domain._k2)
 
     # the first iterate is the supersolution: its residual is the bracket's
     fld = TorusField(domain=domain, vortices=snapped, params=params, u0=u0,
@@ -504,18 +507,15 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
         **resolution,
     }
 
-    history = []
     for it in range(max_iter):
         res = fld.residual_norm()
-        history.append(res)
         if res < tol:
             diag["iterations"] = it
             diag["residual"] = res
-            return replace(fld, newton_history=tuple(history),
-                           diagnostics=diag)
+            return replace(fld, diagnostics=diag)
+        # (c - Lap) v_new = c v + eps^-2 f(u) - 4pi(N1 - N2)/|O|
         v = fld.v
-        rhs = -c * v - ie2 * fld.f + K
-        v_new = domain._multiply(mult, rhs)
+        v_new = v + domain._multiply(mult, fld.residual)
         slack = 1e-9 * (1.0 + float(np.max(np.abs(v))))
         if float(np.max(v_new - v)) > slack:
             raise MonotonicityError(
@@ -579,40 +579,18 @@ def _u0_gradient(domain, vortices):
         w = ewald._real_weight(dx * dx + dy * dy, eta2)
         wx, wy = w * dx, w * dy
 
-    rho = np.zeros(domain.grid_shape)
-    stencils = []
-    for p, coef in zip(*_sources(vortices)):
-        (i, j), _ = snap_to_grid(domain, p)
-        rho[i, j] += coef / (h1 * h2)
-        stencils.append((coef, np.ix_((i + a) % n1, (j + b) % n2)))
+    cells, c, rho = _charges(domain, vortices)
     smooth = ewald._dual_damping(domain._k2 / (4.0 * np.pi ** 2), eta2) \
         * -domain._inv_lap
     grad = []
     for ik, wk in zip(domain._ik, (wx, wy)):
         g = domain._multiply(ik * smooth, rho)
-        for coef, cells in stencils:
+        for (i, j), coef in zip(cells, c):
             # unbuffered: a stencil wider than the grid folds its
             # periodic images onto one cell
-            np.add.at(g, cells, coef * wk)
+            np.add.at(g, np.ix_((i + a) % n1, (j + b) % n2), coef * wk)
         grad.append(g)
     return tuple(grad)
-
-
-def _w1_stable(u, a):
-    # e^u / (a + e^u)^2 without overflow on either side
-    t = np.exp(-np.abs(u))
-    pos = t / (a * t + 1.0) ** 2
-    neg = t / (a + t) ** 2
-    return np.where(u > 0, pos, neg)
-
-
-def _w2_stable(u, tau, a):
-    # e^u (1-e^u)^2 / ((tau+e^u)^3 (a+e^u)) without overflow
-    t = np.exp(-np.abs(u))
-    m = -np.expm1(-np.abs(u))
-    pos = t * m * m / ((tau * t + 1.0) ** 3 * (a * t + 1.0))
-    neg = t * m * m / ((tau + t) ** 3 * (a + t))
-    return np.where(u > 0, pos, neg)
 
 
 def identity_check(field, a):
@@ -633,22 +611,28 @@ def identity_check(field, a):
     params = field.params
     field.ops.require_sigma("the a-identity")
     domain = field.domain
-    u = field.u
-    t1 = (a + 1.0) * field.grad_u_sq * _w1_stable(u, a)
+    tau = params.tau
+    # e^u/(a+e^u)^2 and e^u(1-e^u)^2/((tau+e^u)^3(a+e^u)), overflow-free
+    w1 = kernels._two_sided(field.u, lambda e, m: (e / (a + e) ** 2,
+                                                   e / (a * e + 1.0) ** 2))
+    w2 = kernels._two_sided(field.u, lambda e, m: (
+        e * m * m / ((tau + e) ** 3 * (a + e)),
+        e * m * m / ((tau * e + 1.0) ** 3 * (a * e + 1.0))))
+    t1 = (a + 1.0) * field.grad_u_sq * w1
     # grad u0 is infinite at the vortex cells but the integrand has a
     # finite limit there: with e^u ~ e^c |x-p|^(2m) near a positive
     # vortex (c the regular part of u at p), |grad u|^2 e^u/(a+e^u)^2
     # tends to 4 m^2 e^c / a^2 when m = 1 and to 0 when m >= 2; the
     # mirror statement holds at negative vortices with e^u -> e^-c.
-    reg = field.u0_regular
-    for which, (p, m, sgn) in enumerate(field.vortices.signed()):
-        (i, j), _ = snap_to_grid(domain, p)
+    cells = _charges(domain, field.vortices)[0]
+    for (i, j), (p, m, sgn), reg in zip(cells, field.vortices.signed(),
+                                        field.u0_regular):
         if m == 1:
-            c = sgn * (field.v[i, j] + reg[which])
+            c = sgn * (field.v[i, j] + reg)
             t1[i, j] = (a + 1.0) * 4.0 * np.exp(c) / (a * a if sgn > 0 else 1.0)
         else:
             t1[i, j] = 0.0
-    t2 = params.epsilon ** -2 * _w2_stable(u, params.tau, a)
+    t2 = params.epsilon ** -2 * w2
 
     lhs = cell_integral(domain, t1 + t2)
     rhs = 4.0 * np.pi * (field.vortices.N1 / a + field.vortices.N2)

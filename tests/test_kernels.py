@@ -231,6 +231,37 @@ class TestCshKernels:
         assert kernels.f_csh(400.0) == -np.inf
 
 
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+class TestScalarPath:
+    # a float and a 0-d array take the same path, bit for bit; a faster
+    # scalar path must keep this
+    US = np.concatenate([
+        np.random.default_rng(5).uniform(-700.0, 700.0, 400),
+        np.random.default_rng(6).normal(0.0, 2.0, 200),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 700.0, -700.0]])
+
+    @pytest.mark.parametrize("name", ["f_tau", "df_tau", "F1_tau", "F2_tau",
+                                      "q_tau"])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
+    def test_sigma_float_matches_0d(self, name, tau):
+        k = getattr(kernels, name)
+        for x in self.US:
+            got = k(float(x), tau)
+            assert type(got) is float
+            assert _bits(got) == _bits(k(np.array(x), tau))
+
+    @pytest.mark.parametrize("name", ["f_csh", "df_csh", "F1_csh"])
+    def test_csh_float_matches_0d(self, name):
+        k = getattr(kernels, name)
+        for x in self.US:
+            got = k(float(x))
+            assert type(got) is float
+            assert _bits(got) == _bits(k(np.array(x)))
+
+
 class TestModelParams:
     def test_validation(self):
         ModelParams(tau=1.0, epsilon=0.1)

@@ -31,7 +31,7 @@ from vortexlab import (
     weighted_eigen_radial,
 )
 from vortexlab.kernels import df_tau, sup_abs_df_tau
-from vortexlab.stability import _torus_operator
+from vortexlab.torus import _apply_shifted
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::vortexlab.torus.ResolutionWarning")
@@ -111,7 +111,10 @@ class TestTorusVortexField:
             assert q >= res.eigenvalue - 1e-9 * abs(res.eigenvalue)
 
     def test_operator_is_symmetric(self, vortex_field):
-        apply_L, _ = _torus_operator(vortex_field)
+        def apply_L(g):
+            return _apply_shifted(vortex_field.domain, vortex_field.potential,
+                                  g)
+
         rng = np.random.default_rng(11)
         phi = rng.normal(size=vortex_field.domain.grid_shape)
         psi = rng.normal(size=vortex_field.domain.grid_shape)

@@ -41,7 +41,14 @@ from vortexlab import (
     total_mass,
 )
 from vortexlab import ewald, kernels, torus
-from vortexlab.torus import _solve_shifted, _u0_at, _u0_gradient, _u0_regular
+from vortexlab.torus import (
+    _apply_shifted,
+    _charges,
+    _solve_shifted,
+    _u0_at,
+    _u0_gradient,
+    _u0_regular,
+)
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::vortexlab.torus.ResolutionWarning"),
@@ -208,9 +215,15 @@ class TestShiftedSolve:
         X1, X2 = dom64.mesh
         W = 2.0 + np.cos(np.pi * X1 / 2.0) * np.sin(np.pi * X2 / 2.0)
         b = np.exp(np.sin(np.pi * X1 / 2.0))
-        x, info = _solve_shifted(dom64, W, 2.0, b, 1e-12, 500)
+        rtol = 1e-12
+        x, info = _solve_shifted(dom64, W, 2.0, b, rtol, 500)
         assert info == 0
         assert np.max(np.abs(-laplacian(dom64, x) + W * x - b)) < 1e-9
+        # MINRES stops on the backward error |r|_M <= rtol |A| |x|, not
+        # on |r| <= rtol |b|; on this system the plain relative residual
+        # is 4.8 rtol
+        r = _apply_shifted(dom64, W, x) - b
+        assert np.linalg.norm(r) <= 10.0 * rtol * np.linalg.norm(b)
         _, info = _solve_shifted(dom64, W, 2.0, b, 1e-12, 1)
         assert info != 0
 
@@ -366,6 +379,26 @@ class TestMonotone:
         assert len(calls) == mono.diagnostics["iterations"] + 2
         assert mono.residual_norm() == mono.diagnostics["residual"]
 
+    def test_matches_explicit_map(self, dom64, one_plus):
+        # reference: iterate (Lap - c)^-1 (-c v - eps^-2 f(u) + K), the
+        # same map written without the residual
+        p = ModelParams(1.0, 0.3)
+        snapped = snapped_vortices(dom64, one_plus)
+        u0 = build_u0(dom64, snapped)
+        mono = solve_monotone(dom64, one_plus, p, sub=-u0 - 25.0, super_=-u0)
+        c = mono.diagnostics["shift"]
+        K = 4.0 * np.pi * (snapped.N1 - snapped.N2) / dom64.area
+        mult = 1.0 / (-dom64._k2 - c)
+        fld = TorusField(domain=dom64, vortices=snapped, params=p, u0=u0,
+                         v=-u0)
+        it = 0
+        while fld.residual_norm() >= 1e-10 * p.epsilon ** -2:
+            rhs = -c * fld.v - p.epsilon ** -2 * fld.f + K
+            fld = replace(fld, v=dom64._multiply(mult, rhs))
+            it += 1
+        assert mono.diagnostics["iterations"] == it
+        assert np.max(np.abs(mono.v - fld.v)) <= 1e-13
+
     def test_ordering_violation_rejected(self, dom64, one_plus):
         p = ModelParams(1.0, 0.3)
         zeros = np.zeros(dom64.grid_shape)
@@ -394,6 +427,46 @@ class TestIdentity:
             4.0 * np.pi * (fld128.vortices.N1 / a + fld128.vortices.N2),
             rel=1e-15)
         assert rel < 2e-3
+
+    @pytest.mark.parametrize("which", ["solved", "wide"])
+    def test_weights_match_explicit_forms(self, fld128, dom64, monkeypatch,
+                                          which):
+        # reference: the two weights written out branch by branch
+        def w1(u, a):
+            t = np.exp(-np.abs(u))
+            return np.where(u > 0, t / (a * t + 1.0) ** 2, t / (a + t) ** 2)
+
+        def w2(u, tau, a):
+            t = np.exp(-np.abs(u))
+            m = -np.expm1(-np.abs(u))
+            return np.where(u > 0,
+                            t * m * m / ((tau * t + 1.0) ** 3 * (a * t + 1.0)),
+                            t * m * m / ((tau + t) ** 3 * (a + t)))
+
+        if which == "solved":
+            fld = fld128
+        else:
+            # u over [-700, 700], both branches and both overflow tails
+            u0 = np.linspace(-700.0, 700.0, dom64.grid_shape[0] ** 2)
+            fld = TorusField(domain=dom64, vortices=VortexSet(),
+                             params=ModelParams(0.7, 0.3),
+                             u0=u0.reshape(dom64.grid_shape),
+                             v=np.zeros(dom64.grid_shape))
+        two_sided = kernels._two_sided
+        got = []
+
+        def recording(u, forms):
+            got.append(two_sided(u, forms))
+            return got[-1]
+
+        monkeypatch.setattr(kernels, "_two_sided", recording)
+        a = 1.7
+        identity_check(fld, a)
+        monkeypatch.undo()
+        tau = fld.params.tau
+        assert len(got) == 2
+        for have, want in zip(got, (w1(fld.u, a), w2(fld.u, tau, a))):
+            assert np.array_equal(have.view(np.int64), want.view(np.int64))
 
     def test_bad_a_rejected(self, fld128):
         with pytest.raises(ValueError):
@@ -432,6 +505,39 @@ def _mixed_vortices(domain):
                            ((0.71 * L1, 0.64 * L2), 2)),
         negative_vortices=(((0.1 * L1, 0.85 * L2), 1),
                            ((0.55 * L1, 0.05 * L2), 2))))
+
+
+class TestWrapAroundVortex:
+    # x = 3.98 lies within h/2 of the period L1 = 4 (h = 1/16), so the
+    # vortex snaps to cell index 0, not 64
+    def test_snaps_to_cell_zero(self, dom64):
+        vs = VortexSet(positive_vortices=(((3.98, 2.0), 1),))
+        p = ModelParams(1.0, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            fld = solve_newton(dom64, vs, p)
+            # the same vortex moved by exactly 32 cells in x
+            ref = solve_newton(
+                dom64, VortexSet(positive_vortices=(((2.0, 2.0), 1),)), p)
+        cell = (0, 32)
+        assert _charges(dom64, fld.vortices)[0] == [cell]
+        # Lap u0 = 4pi delta - K: the charge sits on cell (0, 32) alone
+        h1, h2 = dom64.spacings
+        K = 4.0 * np.pi / dom64.area
+        lap = laplacian(dom64, build_u0(dom64, vs)) + K
+        want = np.zeros(dom64.grid_shape)
+        want[cell] = 4.0 * np.pi / (h1 * h2)
+        assert np.max(np.abs(lap - want)) <= 1e-9 * abs(want[cell])
+        nan = np.isnan(fld.grad_u_sq)
+        assert nan[cell] and np.count_nonzero(nan) == 1
+        # the identity's vortex-cell limit is read at (0, 32): the rows
+        # are finite, pass, and equal those of the translated field
+        for a in (0.5, 1.0, 2.0):
+            _, _, rel = identity_check(fld, a)
+            _, _, rel_ref = identity_check(ref, a)
+            assert rel < 1e-3
+            assert rel == pytest.approx(rel_ref, rel=1e-9)
+        assert np.max(np.abs(fld.v - np.roll(ref.v, -32, axis=0))) < 1e-12
 
 
 class TestGridEwald:
