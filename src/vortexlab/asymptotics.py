@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ewald
 from . import torus as torus_mod
-from .model import ModelParams, Nonlinearity, eps_schedule, nonlinearity_ops
+from .model import ModelParams, Nonlinearity, eps_schedule
 from .radial import RadialSolution
 from .stability import principal_eigen_torus
 
@@ -68,8 +68,8 @@ class SweepRecord:
     the numeric fields are NaN) when the solve at this epsilon failed.
     resolved and h_over_eps come from the last Newton stage (resolved
     means h <= eps/4), minres_failed counts the Newton steps whose
-    inner solve missed its tolerance; all three are None/NaN on a
-    failed step.
+    inner MINRES solve hit maxiter; all three are None/NaN on a failed
+    step.
     """
 
     epsilon: float
@@ -323,8 +323,7 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
 
 
 def _pohozaev_radial(sol, r_cut):
-    ops = nonlinearity_ops(sol.nonlinearity, sol.tau)
-    ops.require_sigma("the Pohozaev balance")
+    sol.ops.require_sigma("the Pohozaev balance")
     rr = sol.r
     if r_cut is None:
         k = rr.size - 1
@@ -333,7 +332,7 @@ def _pohozaev_radial(sol, r_cut):
     if k < 8:
         raise ValueError("quadrature radius leaves too few grid points")
     R = rr[k]
-    F2 = ops.F2(sol.u[:k + 1])
+    F2 = sol.ops.F2(sol.u[:k + 1])
     # trapezoid keeps the quadrature error dominant and cleanly O(h^2),
     # so refinement studies see it; the 0..r0 gap closes analytically
     volume = 2.0 * np.pi * (np.trapezoid(2.0 * F2 * rr[:k + 1], rr[:k + 1])

@@ -19,7 +19,6 @@ byte-identical.
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -85,24 +84,30 @@ def _outpath(cfg, suffix):
 # shoot
 
 
+def _profile(topological, s, bracket, nu, tau, r_max, tol, vortex_sign,
+             points_per_decade, nonlinearity=Nonlinearity.SIGMA_O3):
+    """The radial profile of shoot and of the radial stability target:
+    the topological one bisected in bracket, or shot from s to r_max."""
+    if topological:
+        return find_topological(nu, tau, tuple(bracket), tol=tol,
+                                vortex_sign=vortex_sign,
+                                nonlinearity=nonlinearity,
+                                points_per_decade=points_per_decade)
+    return integrate_radial(s, nu=nu, tau=tau, r_max=r_max, tol=tol,
+                            vortex_sign=vortex_sign, nonlinearity=nonlinearity,
+                            points_per_decade=points_per_decade)
+
+
 def cmd_shoot(args):
     kernel = Nonlinearity(args.kernel)
     if args.s is not None and args.bracket is not None:
         raise _UsageError("shoot: --bracket only applies with "
                           "--find-topological")
-    if args.find_topological:
-        if args.bracket is None:
-            raise _UsageError("shoot: --find-topological requires --bracket")
-        sol = find_topological(args.nu, args.tau, tuple(args.bracket),
-                               tol=args.tol, vortex_sign=args.vortex_sign,
-                               nonlinearity=kernel,
-                               points_per_decade=args.points_per_decade)
-    else:
-        sol = integrate_radial(args.s, nu=args.nu, tau=args.tau,
-                               r_max=args.rmax, tol=args.tol,
-                               vortex_sign=args.vortex_sign,
-                               nonlinearity=kernel,
-                               points_per_decade=args.points_per_decade)
+    if args.find_topological and args.bracket is None:
+        raise _UsageError("shoot: --find-topological requires --bracket")
+    sol = _profile(args.find_topological, args.s, args.bracket, args.nu,
+                   args.tau, args.rmax, args.tol, args.vortex_sign,
+                   args.points_per_decade, kernel)
 
     out_csv = args.out + ".csv"
     out_json = args.out + ".json"
@@ -174,19 +179,16 @@ def _solve_from_config(cfg):
     domain = cfg.domain()
     vortices = cfg.vortices()
     solver = cfg.tree["solver"]
-    continuation = solver["continuation"]
-    params = cfg.params(require_epsilon=continuation is None)
-    if continuation is not None:
-        # the schedule owns the target epsilon; keep params consistent
-        params = replace(params, epsilon=continuation[-1])
+    params = cfg.params()
     if solver["method"] == "monotone":
-        u0 = build_u0(domain, snapped_vortices(domain, vortices))
+        vortices = snapped_vortices(domain, vortices)
+        u0 = build_u0(domain, vortices)
         fld = solve_monotone(domain, vortices, params,
                              sub=-u0 - solver["monotone_offset"], super_=-u0,
                              tol_factor=solver["tol_factor"])
     else:
         fld = solve_newton(domain, vortices, params,
-                           continuation=continuation,
+                           continuation=solver["continuation"],
                            max_iter=solver["max_iter"],
                            tol_factor=solver["tol_factor"])
     return fld
@@ -252,23 +254,15 @@ def cmd_stability(args):
             margin = default_torus_margin(fld.params)
         extra = {"epsilon": fld.params.epsilon, "tau": fld.params.tau}
     else:
-        if block["find_topological"]:
-            if block["bracket"] is None:
-                raise ConfigError("/stability/bracket",
-                                  "required with find_topological")
-            sol = find_topological(block["nu"], block["tau"],
-                                   tuple(block["bracket"]), tol=block["tol"],
-                                   vortex_sign=block["vortex_sign"],
-                                   points_per_decade=block["points_per_decade"])
-        else:
-            if block["s"] is None:
-                raise ConfigError("/stability/s",
-                                  "required unless find_topological is set")
-            sol = integrate_radial(block["s"], nu=block["nu"],
-                                   tau=block["tau"], r_max=block["r_max"],
-                                   tol=block["tol"],
-                                   vortex_sign=block["vortex_sign"],
-                                   points_per_decade=block["points_per_decade"])
+        if block["find_topological"] and block["bracket"] is None:
+            raise ConfigError("/stability/bracket",
+                              "required with find_topological")
+        if not block["find_topological"] and block["s"] is None:
+            raise ConfigError("/stability/s",
+                              "required unless find_topological is set")
+        sol = _profile(block["find_topological"], block["s"], block["bracket"],
+                       block["nu"], block["tau"], block["r_max"], block["tol"],
+                       block["vortex_sign"], block["points_per_decade"])
         result = weighted_eigen_radial(sol)
         margin = block["margin"]
         if margin is None:
@@ -311,13 +305,10 @@ def cmd_sweep(args):
     if len(block["epsilons"]) < 3:
         raise ConfigError("/sweep/epsilons",
                           "need at least 3 steps to classify a trend")
-    domain = cfg.domain()
-    vortices = cfg.vortices()
-    params = cfg.params(require_epsilon=False)
-
-    records = run_sweep(domain, vortices, params.tau, block["epsilons"],
-                        K_radius=block["K_radius"],
-                        nonlinearity=params.nonlinearity,
+    model = cfg.tree["model"]
+    records = run_sweep(cfg.domain(), cfg.vortices(), model["tau"],
+                        block["epsilons"], K_radius=block["K_radius"],
+                        nonlinearity=model["nonlinearity"],
                         compute_eigen=block["compute_eigen"],
                         ball_radius=block["ball_radius"],
                         first_continuation=block["first_continuation"],
@@ -340,7 +331,7 @@ def cmd_sweep(args):
         export_sweep_csv(records, tmp)
     summary = {
         "seed": cfg.seed,
-        "tau": params.tau,
+        "tau": model["tau"],
         "n_steps": len(records),
         "n_failed": sum(0 if rec.ok else 1 for rec in records),
         "verdict": verdict.kind.value,

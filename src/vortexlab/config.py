@@ -334,14 +334,13 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError("/vortices", str(e))
 
-    def params(self, require_epsilon=True):
+    def params(self):
+        """ModelParams at the last continuation stage, else model.epsilon."""
         m = self.tree["model"]
-        eps = m["epsilon"]
+        continuation = self.tree["solver"]["continuation"]
+        eps = m["epsilon"] if continuation is None else continuation[-1]
         if eps is None:
-            if require_epsilon:
-                raise ConfigError("/model/epsilon",
-                                  "required by this command")
-            eps = 1.0  # placeholder; callers that pass False override it
+            raise ConfigError("/model/epsilon", "required by this command")
         try:
             return ModelParams(tau=m["tau"], epsilon=eps,
                                nonlinearity=Nonlinearity(m["nonlinearity"]))

@@ -15,7 +15,8 @@ or Undetermined.
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp, simpson
@@ -72,6 +73,7 @@ class RadialSolution:
     grid holds (r, u, u') rows for the full solution u; in singular
     mode u includes the c ln r part.  beta is the extrapolated flux,
     diagnostics carries integrator statistics and consistency residuals.
+    tol and points_per_decade record the shot; ops is the kernel bundle.
     """
 
     s: float
@@ -83,6 +85,12 @@ class RadialSolution:
     diagnostics: dict = field(default_factory=dict)
     vortex_sign: int = -1
     nonlinearity: Nonlinearity = Nonlinearity.SIGMA_O3
+    tol: float = 1e-10
+    points_per_decade: int = _POINTS_PER_DECADE
+
+    @cached_property
+    def ops(self):
+        return nonlinearity_ops(self.nonlinearity, self.tau)
 
     @property
     def r(self):
@@ -250,17 +258,23 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
                             grid=grid, beta=float(beta), bc_type=bc_type,
                             diagnostics=diagnostics,
                             vortex_sign=int(vortex_sign),
-                            nonlinearity=nonlinearity)
+                            nonlinearity=nonlinearity, tol=float(tol),
+                            points_per_decade=int(points_per_decade))
 
     if bc_type is BCType.UNDETERMINED and _retry:
-        result = integrate_radial(s, nu, tau, r_max * 100.0, tol,
-                                  vortex_sign=vortex_sign,
-                                  nonlinearity=nonlinearity,
-                                  divergence_stop=divergence_stop,
-                                  points_per_decade=points_per_decade,
-                                  _retry=False)
+        result = _reshoot(result, r_max * 100.0,
+                          divergence_stop=divergence_stop, _retry=False)
         result.diagnostics["retried"] = True
     return result
+
+
+def _reshoot(sol, r_max, **kw):
+    """sol's shot again, out to r_max, with its own s, nu, tau, vortex_sign,
+    nonlinearity, tol and points_per_decade; kw goes to integrate_radial."""
+    return integrate_radial(sol.s, sol.nu, sol.tau, r_max, sol.tol,
+                            vortex_sign=sol.vortex_sign,
+                            nonlinearity=sol.nonlinearity,
+                            points_per_decade=sol.points_per_decade, **kw)
 
 
 def _extrapolate_beta(rr, dvv):
@@ -287,14 +301,19 @@ def _extrapolate_beta(rr, dvv):
     return b3, samples
 
 
+def _in_corridor(r, u, du):
+    """Pointwise |u| < TOPOLOGICAL_TOL_U and |r u'| < TOPOLOGICAL_TOL_SLOPE."""
+    return (np.abs(u) < TOPOLOGICAL_TOL_U) & \
+        (np.abs(r * du) < TOPOLOGICAL_TOL_SLOPE)
+
+
 def _classify(rr, uu, duu, event_kind):
     if event_kind == "up":
         return BCType.NONTOPOLOGICAL_II
     if event_kind == "down":
         return BCType.NONTOPOLOGICAL_I
     u_end = uu[-1]
-    ru_end = rr[-1] * duu[-1]
-    if abs(u_end) < TOPOLOGICAL_TOL_U and abs(ru_end) < TOPOLOGICAL_TOL_SLOPE:
+    if _in_corridor(rr[-1], u_end, duu[-1]):
         return BCType.TOPOLOGICAL
     if u_end < -CLASSIFY_DIVERGED:
         return BCType.NONTOPOLOGICAL_I
@@ -420,9 +439,7 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
 
 def _truncate_topological(sol):
     """Cut the profile at the last point inside the topological corridor."""
-    ok = (np.abs(sol.u) < TOPOLOGICAL_TOL_U) & \
-         (np.abs(sol.r * sol.du) < TOPOLOGICAL_TOL_SLOPE)
-    idx = np.nonzero(ok)[0]
+    idx = np.nonzero(_in_corridor(sol.r, sol.u, sol.du))[0]
     if idx.size == 0:
         sol.bc_type = BCType.UNDETERMINED
         return sol
@@ -434,11 +451,8 @@ def _truncate_topological(sol):
     diagnostics["u_end"] = float(grid[-1, 1])
     diagnostics["ru_end"] = float(grid[-1, 0] * grid[-1, 2])
     diagnostics["truncated"] = True
-    return RadialSolution(s=sol.s, nu=sol.nu, tau=sol.tau, grid=grid,
-                          beta=float(beta), bc_type=BCType.TOPOLOGICAL,
-                          diagnostics=diagnostics,
-                          vortex_sign=sol.vortex_sign,
-                          nonlinearity=sol.nonlinearity)
+    return replace(sol, grid=grid, beta=float(beta),
+                   bc_type=BCType.TOPOLOGICAL, diagnostics=diagnostics)
 
 
 def mass_integral(sol, kind):
@@ -449,10 +463,9 @@ def mass_integral(sol, kind):
     Kernels the profile's nonlinearity lacks (CSH: F2 and the
     quantization density) raise UnsupportedKernelError.
     """
-    ops = nonlinearity_ops(sol.nonlinearity, sol.tau)
-    kern = {MassKind.FLUX: ops.f, MassKind.F1_MASS: ops.F1,
-            MassKind.F2_MASS: ops.F2,
-            MassKind.QUANTIZATION: ops.q}[MassKind(kind)]
+    kern = {MassKind.FLUX: sol.ops.f, MassKind.F1_MASS: sol.ops.F1,
+            MassKind.F2_MASS: sol.ops.F2,
+            MassKind.QUANTIZATION: sol.ops.q}[MassKind(kind)]
     if sol.bc_type is BCType.UNDETERMINED:
         warnings.warn("mass integral on an Undetermined profile",
                       RuntimeWarning, stacklevel=2)

@@ -25,7 +25,6 @@ from scipy.sparse.linalg import eigsh
 
 from . import radial as radial_mod
 from . import torus as torus_mod
-from .model import nonlinearity_ops
 
 
 class StabilityClass(enum.Enum):
@@ -162,7 +161,7 @@ def weighted_eigen_radial(sol, _sensitivity=True):
         raise WeightIndefiniteError(
             "weight 1-e^u is nonpositive at %d grid points (min %.3e)"
             % (int(np.sum(w <= 0)), float(w.min())))
-    dfu = nonlinearity_ops(sol.nonlinearity, sol.tau).df(u)
+    dfu = sol.ops.df(u)
 
     h = np.diff(r)
     rmid = 0.5 * (r[:-1] + r[1:])
@@ -214,9 +213,7 @@ def weighted_eigen_radial(sol, _sensitivity=True):
     diag_info = {"r_max": float(r[-1]), "n_nodes": int(r.size)}
     if _sensitivity:
         try:
-            sol2 = radial_mod.integrate_radial(
-                sol.s, nu=sol.nu, tau=sol.tau, r_max=2.0 * float(r[-1]),
-                vortex_sign=sol.vortex_sign, nonlinearity=sol.nonlinearity)
+            sol2 = radial_mod._reshoot(sol, 2.0 * float(r[-1]))
             res2 = weighted_eigen_radial(sol2, _sensitivity=False)
             mu2 = res2.eigenvalue
             sens = abs(mu2 - mu) / max(abs(mu), 1e-300)

@@ -437,7 +437,7 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor):
             error = ("Newton residual grew for 5 consecutive damped steps "
                      "(residual %.3e)" % res)
             break
-    # minres_failed counts the Newton steps whose inner solve missed rtol
+    # minres_failed counts the Newton steps whose inner solve hit maxiter
     fld = replace(fld, diagnostics={"iterations": it, "residual": res,
                                     "minres_failed": failed})
     if error is not None:
@@ -453,7 +453,8 @@ def _apply_shifted(domain, W, g):
 def _solve_shifted(domain, W, c, b, rtol, maxiter):
     """(-Lap + W) x = b by MINRES with the (c - Lap)^-1 preconditioner.
 
-    Returns the solution grid and MINRES's info (nonzero: rtol missed).
+    Returns the solution grid and MINRES's info, nonzero only at maxiter;
+    MINRES stops on its backward error, not on ||Ax - b|| <= rtol ||b||.
     """
     shape, n = domain.grid_shape, b.size
     pre = 1.0 / (c + domain._k2)

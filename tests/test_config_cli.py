@@ -11,10 +11,12 @@ import math
 import os
 import shlex
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
+from test_stability import FROZEN_TOPOLOGICAL
 from vortexlab import (
     ModelParams,
     Nonlinearity,
@@ -424,6 +426,19 @@ class TestTorusCommand:
         assert main(["torus", "--config", cfg]) == EXIT_USAGE
         assert "refine the grid" in capsys.readouterr().err
 
+    def test_monotone_snaps_an_off_grid_vortex_once(self, tmp_path, capsys):
+        tree = _base_cfg(tmp_path)
+        tree["model"]["epsilon"] = 0.3
+        tree["vortices"]["positive"] = [{"point": [2.01, 2.0]}]
+        tree["solver"] = {"method": "monotone"}
+        cfg = _write_cfg(tmp_path, tree)
+        # "always" overrides the module filter that hides the warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["torus", "--config", cfg]) == EXIT_OK
+        snaps = [w for w in caught if "snapped to the grid" in str(w.message)]
+        assert len(snaps) == 1
+
     def test_csh_monotone_is_usage_error(self, tmp_path, capsys):
         tree = _base_cfg(tmp_path)
         tree["model"].update(nonlinearity="CSH", epsilon=0.3)
@@ -449,6 +464,22 @@ class TestStabilityCommand:
         assert doc["eigenvalue"] == pytest.approx(-0.012767050113463,
                                                   rel=1e-6)
         assert doc["bc_type"] == "NonTopologicalI"
+
+    def test_radial_topological_profile(self, tmp_path, capsys):
+        tree = {"stability": {"target": "radial", "find_topological": True,
+                              "bracket": [-8.0, 8.0], "nu": 1.0,
+                              "vortex_sign": 1},
+                "output": {"dir": str(tmp_path), "prefix": "st"}}
+        cfg = _write_cfg(tmp_path, tree)
+        # the probe cannot re-shoot past the separatrix truncation
+        with pytest.warns(UserWarning, match="unreliable"):
+            assert main(["stability", "--config", cfg]) == EXIT_OK
+        doc = json.loads((tmp_path / "st_stability.json").read_text())
+        assert doc["classification"] == "StrictlyStable"
+        assert doc["bc_type"] == "Topological"
+        assert doc["s"] == pytest.approx(-3.2781023384423236, abs=1e-7)
+        assert doc["eigenvalue"] == pytest.approx(FROZEN_TOPOLOGICAL,
+                                                  rel=1e-6)
 
     def test_torus_target_from_archive(self, small_field, tmp_path, capsys):
         archive = str(tmp_path / "field.npz")

@@ -134,6 +134,19 @@ class TestSingularTopological:
         assert sol.diagnostics["retried"] is True
         assert sol.diagnostics["r_end"] == 1000.0
 
+    def test_retried_shot_records_its_settings(self):
+        sol = integrate_radial(-1e-3, r_max=10.0, tol=1e-9,
+                               points_per_decade=50)
+        assert sol.diagnostics["retried"] is True
+        assert sol.tol == 1e-9
+        assert sol.points_per_decade == 50
+
+    def test_truncation_keeps_the_shot_settings(self):
+        sol = find_topological(1.0, 1.0, (-8.0, 8.0), points_per_decade=100)
+        assert sol.diagnostics["truncated"] is True
+        assert sol.points_per_decade == 100
+        assert sol.tol == 1e-10
+
     def test_same_side_bracket_raises(self):
         with pytest.raises(BracketError):
             find_topological(1.0, 1.0, (-8.0, -7.0))

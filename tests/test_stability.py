@@ -141,6 +141,21 @@ class TestRadialTypeOne:
         assert res.diagnostics["reliable"] is True
         assert res.diagnostics["sensitivity"] < 0.05
 
+    @pytest.mark.parametrize("settings", [{"points_per_decade": 50},
+                                          {"tol": 1e-8}])
+    def test_probe_reshoots_with_the_profile_settings(self, settings):
+        # the r_max-doubling probe must repeat the profile's own tol and
+        # points_per_decade, or it reads a grid change as r_max sensitivity
+        sol = integrate_radial(-1.0, tau=1.0, **settings)
+        res = weighted_eigen_radial(sol)
+        doubled = integrate_radial(-1.0, tau=1.0, r_max=2.0 * float(sol.r[-1]),
+                                   **settings)
+        mu2 = weighted_eigen_radial(doubled, _sensitivity=False).eigenvalue
+        mu = res.eigenvalue
+        assert res.diagnostics["mu_doubled_rmax"] == mu2
+        assert res.diagnostics["sensitivity"] == abs(mu2 - mu) / abs(mu)
+        assert res.diagnostics["sensitivity"] < 1e-5
+
     def test_classified_unstable(self):
         sol = integrate_radial(-1.0, tau=1.0)
         res = weighted_eigen_radial(sol)
