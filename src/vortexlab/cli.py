@@ -262,7 +262,8 @@ def cmd_stability(args):
                               "required unless find_topological is set")
         sol = _profile(block["find_topological"], block["s"], block["bracket"],
                        block["nu"], block["tau"], block["r_max"], block["tol"],
-                       block["vortex_sign"], block["points_per_decade"])
+                       block["vortex_sign"], block["points_per_decade"],
+                       Nonlinearity(cfg.section("model")["nonlinearity"]))
         result = weighted_eigen_radial(sol)
         margin = block["margin"]
         if margin is None:

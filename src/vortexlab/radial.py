@@ -441,8 +441,7 @@ def _truncate_topological(sol):
     """Cut the profile at the last point inside the topological corridor."""
     idx = np.nonzero(_in_corridor(sol.r, sol.u, sol.du))[0]
     if idx.size == 0:
-        sol.bc_type = BCType.UNDETERMINED
-        return sol
+        return replace(sol, bc_type=BCType.UNDETERMINED)
     last = idx[-1]
     grid = sol.grid[:last + 1]
     beta = sol.c_log - grid[-1, 0] * grid[-1, 2]

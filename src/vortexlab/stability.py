@@ -6,24 +6,22 @@ stability means mu_eps > 0), and on radial entire profiles the
 weighted eigenvalue mu* of (-Lap_r - f_tau'(u)) psi = mu (1-e^u) psi,
 whose negativity certifies instability of type-I solutions.
 
-The torus solve is inverse iteration with Rayleigh-quotient shifts;
-inner systems go through MINRES with a (c - Lap)^-1 preconditioner.
+The torus solve is one LOBPCG call preconditioned by (c - Lap)^-1.
 The radial problem is assembled in flux (P1 finite element) form on
 the shooter's geometric grid with mass lumping, reduced to a symmetric
 tridiagonal problem, and solved directly.  Dirichlet truncation at
 r_max only raises eigenvalues, so a negative mu* certifies; a positive
-one is reported with its r_max-doubling sensitivity.
+one is reported with its sensitivity to halving r_max on the same grid.
 """
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, lobpcg
 
-from . import radial as radial_mod
 from . import torus as torus_mod
 
 
@@ -38,7 +36,8 @@ class WeightIndefiniteError(RuntimeError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Eigensolver stagnated; carries the best Rayleigh quotient."""
+    """Eigensolver missed its residual gate or returned a vector that
+    changes sign; carries the Rayleigh quotient it reached."""
 
     def __init__(self, message, rayleigh=None):
         super().__init__(message)
@@ -58,82 +57,60 @@ class EigenResult:
 def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
     """Smallest eigenvalue of -Lap - eps^-2 f_tau'(u) on the torus grid.
 
-    Inverse iteration with Rayleigh-quotient shifting from a constant
-    start (nonzero overlap with the positive principal eigenfunction).
-    The eigenvector is returned L2(domain)-normalized and oriented
-    positive; a converged result with a sign change triggers one
-    restart and then a hard error, since the ground state cannot
-    change sign.
+    One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517-541)
+    of the field's linearization -Lap + potential, preconditioned by
+    (c - Lap)^-1 with c = max potential - min potential + 1, from the
+    constant start (nonzero overlap with the positive principal
+    eigenfunction).  The result is accepted only if its L2(domain)
+    residual is at most tol * max(1, |mu|) and the eigenvector has one
+    sign, since the ground state cannot change sign; otherwise
+    EigenConvergenceError carries the Rayleigh quotient.  The
+    eigenvector is returned L2(domain)-normalized and oriented positive;
+    iterations counts the preconditioned LOBPCG steps.
     """
     domain = fld.domain
+    shape = domain.grid_shape
     h1, h2 = domain.spacings
     cellw = h1 * h2
     pot = fld.potential
-    pot_min = float(pot.min())
-    pot_max = float(pot.max())
-    failed = 0
+    pre = 1.0 / (float(pot.max()) - float(pot.min()) + 1.0 + domain._k2)
+    steps = 0
 
-    def l2norm(g):
-        return float(np.sqrt(cellw * np.sum(g * g)))
+    def apply(X):
+        return torus_mod._apply_shifted(domain, pot,
+                                        X.reshape(shape)).reshape(-1, 1)
 
-    def iterate(x0):
-        nonlocal failed
-        x = x0 / l2norm(x0)
-        best = (np.inf, None, None)
-        stalled = 0
-        for it in range(1, max_iter + 1):
-            Lx = torus_mod._apply_shifted(domain, pot, x)
-            rho = cellw * float(np.sum(x * Lx))
-            res = l2norm(Lx - rho * x)
-            if res > 0.97 * best[0]:
-                stalled += 1
-            else:
-                stalled = 0
-            if res < best[0]:
-                best = (res, rho, x)
-            if res <= tol * max(1.0, abs(rho)):
-                return rho, x, res, it
-            if stalled >= 5:
-                # inner-solve accuracy floor; accept if demonstrably tight
-                if best[0] <= 1e-7 * max(1.0, abs(best[1])):
-                    return best[1], best[2], best[0], it
-                raise EigenConvergenceError(
-                    "eigen iteration stagnated at residual %.3e" % best[0],
-                    rayleigh=best[1])
-            if it <= 2:
-                sigma = pot_min - 1.0  # strictly below the whole spectrum
-            else:
-                # |rho - lambda_1| <= res (self-adjoint residual bound),
-                # so this shift stays below lambda_1 and the nearest
-                # eigenvalue to it is always the bottom one.
-                sigma = rho - max(2.0 * res, 1e-12 * max(1.0, abs(rho)))
-            rtol = min(1e-10, max(1e-13, 0.1 * res / max(1.0, abs(rho))))
-            # (L - sigma) y = x, preconditioned by (c - Lap)^-1
-            c = max(pot_max - sigma, 1e-8 * (1.0 + abs(sigma)))
-            y, info = torus_mod._solve_shifted(domain, pot - sigma, c, x,
-                                               rtol, 2000)
-            failed += info != 0
-            x = y / l2norm(y)
+    def precondition(R):
+        nonlocal steps
+        steps += 1
+        return domain._multiply(pre, R.reshape(shape)).reshape(-1, 1)
+
+    with warnings.catch_warnings():
+        # lobpcg's residual of its unit vector is the L2(domain) residual
+        # of the rescaled one, so its tol is at least as strict as the
+        # gate below, which decides in place of lobpcg's miss warning
+        warnings.simplefilter("ignore", UserWarning)
+        _, X = lobpcg(apply, np.ones((pot.size, 1)), M=precondition, tol=tol,
+                      maxiter=max_iter, largest=False)
+    x = X[:, 0].reshape(shape)
+    x = x / float(np.sqrt(cellw * np.sum(x * x)))
+    Lx = torus_mod._apply_shifted(domain, pot, x)
+    rho = cellw * float(np.sum(x * Lx))
+    res = float(np.sqrt(cellw * np.sum((Lx - rho * x) ** 2)))
+    if not res <= tol * max(1.0, abs(rho)):
         raise EigenConvergenceError(
-            "eigen iteration stagnated at residual %.3e" % best[0],
-            rayleigh=best[1])
-
-    x0 = np.ones(domain.grid_shape)
-    rho, x, res, it = iterate(x0)
+            "LOBPCG reached residual %.3e in %d steps" % (res, steps),
+            rayleigh=rho)
     if float(x.max()) * float(x.min()) <= 0.0:
-        rho, x, res, it2 = iterate(np.abs(x) + 0.1)
-        it += it2
-        if float(x.max()) * float(x.min()) <= 0.0:
-            raise EigenConvergenceError(
-                "converged eigenvector changes sign; not the ground state",
-                rayleigh=rho)
+        raise EigenConvergenceError(
+            "converged eigenvector changes sign; not the ground state",
+            rayleigh=rho)
     if float(np.mean(x)) < 0:
         x = -x
     return EigenResult(eigenvalue=rho, eigenvector=x, rayleigh=rho,
-                       residual_norm=res, iterations=it,
+                       residual_norm=res, iterations=steps,
                        diagnostics={"epsilon": fld.params.epsilon,
-                                    "tau": fld.params.tau,
-                                    "minres_failed": failed})
+                                    "tau": fld.params.tau})
 
 
 def rayleigh_quotient_torus(fld, phi):
@@ -212,22 +189,24 @@ def weighted_eigen_radial(sol, _sensitivity=True):
 
     diag_info = {"r_max": float(r[-1]), "n_nodes": int(r.size)}
     if _sensitivity:
+        # the same solve on the stored grid cut at r_max/2, so no grid change
+        # is read; r_max/4 would read the truncation, not the bound state
+        half = replace(sol, grid=sol.grid[:np.count_nonzero(r <= 0.5 * r[-1])])
         try:
-            sol2 = radial_mod._reshoot(sol, 2.0 * float(r[-1]))
-            res2 = weighted_eigen_radial(sol2, _sensitivity=False)
-            mu2 = res2.eigenvalue
+            mu2 = weighted_eigen_radial(half, _sensitivity=False).eigenvalue
+        except ValueError as e:  # too few nodes left below r_max/2
+            diag_info["sensitivity"] = None
+            diag_info["reliable"] = False
+            diag_info["sensitivity_error"] = str(e)
+        else:
             sens = abs(mu2 - mu) / max(abs(mu), 1e-300)
-            diag_info["mu_doubled_rmax"] = mu2
+            diag_info["mu_half_rmax"] = mu2
             diag_info["sensitivity"] = sens
             diag_info["reliable"] = bool(sens < 0.05)
             if sens >= 0.05:
                 warnings.warn(
-                    "mu* moved %.1f%% when r_max doubled; flagged unreliable"
-                    % (100 * sens), UserWarning, stacklevel=2)
-        except (radial_mod.IntegrationFailureError, WeightIndefiniteError) as e:
-            diag_info["sensitivity"] = None
-            diag_info["reliable"] = False
-            diag_info["sensitivity_error"] = str(e)
+                    "mu* moved %.1f%% when r_max was halved; flagged "
+                    "unreliable" % (100 * sens), UserWarning, stacklevel=2)
     return EigenResult(eigenvalue=mu, eigenvector=psi, rayleigh=mu,
                        residual_norm=res_norm, iterations=1,
                        diagnostics=diag_info)

@@ -471,15 +471,27 @@ class TestStabilityCommand:
                               "vortex_sign": 1},
                 "output": {"dir": str(tmp_path), "prefix": "st"}}
         cfg = _write_cfg(tmp_path, tree)
-        # the probe cannot re-shoot past the separatrix truncation
-        with pytest.warns(UserWarning, match="unreliable"):
+        # the half-radius probe vouches for the truncated profile
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["stability", "--config", cfg]) == EXIT_OK
+        assert not [w for w in caught if "unreliable" in str(w.message)]
         doc = json.loads((tmp_path / "st_stability.json").read_text())
         assert doc["classification"] == "StrictlyStable"
         assert doc["bc_type"] == "Topological"
         assert doc["s"] == pytest.approx(-3.2781023384423236, abs=1e-7)
         assert doc["eigenvalue"] == pytest.approx(FROZEN_TOPOLOGICAL,
                                                   rel=1e-6)
+        assert doc["diagnostics"]["reliable"] is True
+
+    def test_radial_profile_reads_the_model_kernel(self, tmp_path, capsys):
+        tree = {"model": {"nonlinearity": "CSH"},
+                "stability": {"target": "radial", "s": -1.0},
+                "output": {"dir": str(tmp_path), "prefix": "st"}}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["stability", "--config", cfg]) == EXIT_OK
+        doc = json.loads((tmp_path / "st_stability.json").read_text())
+        assert doc["eigenvalue"] == pytest.approx(-0.0614619563, rel=1e-6)
 
     def test_torus_target_from_archive(self, small_field, tmp_path, capsys):
         archive = str(tmp_path / "field.npz")

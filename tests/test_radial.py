@@ -103,9 +103,16 @@ class TestFirstIntegral:
         assert flux == pytest.approx(2.0 * np.pi * sol.beta, rel=1e-6)
 
 
+@pytest.fixture(scope="module")
+def topological():
+    # one bisection shared by the tests below; no library call changes
+    # a profile in place
+    return find_topological(1.0, 1.0, (-8.0, 8.0))
+
+
 class TestSingularTopological:
-    def test_find_topological_connects(self):
-        sol = find_topological(1.0, 1.0, (-8.0, 8.0))
+    def test_find_topological_connects(self, topological):
+        sol = topological
         assert sol.bc_type is BCType.TOPOLOGICAL
         # connecting shooting value, frozen from a converged bisection
         assert sol.s == pytest.approx(3.2781023384423236, abs=1e-7)
@@ -113,20 +120,20 @@ class TestSingularTopological:
         # tail actually reached the connecting branch
         assert abs(sol.u[-1]) < 1e-3
 
-    def test_topological_quantization_integral(self):
+    def test_topological_quantization_integral(self, topological):
         # int q_tau(u) over the plane is 4 pi (tau + 1) nu^2
-        sol = find_topological(1.0, 1.0, (-8.0, 8.0))
+        sol = topological
         q = mass_integral(sol, MassKind.QUANTIZATION)
         assert q == pytest.approx(8.0 * np.pi, rel=1e-6)
 
-    def test_topological_flux_is_two_pi_clog(self):
-        sol = find_topological(1.0, 1.0, (-8.0, 8.0))
+    def test_topological_flux_is_two_pi_clog(self, topological):
+        sol = topological
         flux = mass_integral(sol, MassKind.FLUX)
         assert flux == pytest.approx(2.0 * np.pi * sol.c_log, rel=1e-4)
 
-    def test_find_topological_reports_no_retry(self):
+    def test_find_topological_reports_no_retry(self, topological):
         # bisection and the final run never retry further out
-        sol = find_topological(1.0, 1.0, (-8.0, 8.0))
+        sol = topological
         assert sol.diagnostics["retried"] is False
 
     def test_undetermined_run_retries_once(self):

@@ -3,16 +3,18 @@
 The torus solver is checked against the constant-coefficient oracle
 (where the ground state is the constant mode and the eigenvalue is
 known in closed form) and Rayleigh minimality; the radial solver
-against frozen values whose residuals and r_max-doubling sensitivities
-were verified when they were recorded.
+against frozen values whose residuals were verified when they were
+recorded, and its half-radius sensitivity probe.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vortexlab import (
+    EigenConvergenceError,
     EigenResult,
     ModelParams,
     Nonlinearity,
@@ -93,7 +95,13 @@ class TestTorusVortexField:
         cls = classify_stability(res, default_torus_margin(
             vortex_field.params))
         assert cls is StabilityClass.STRICTLY_STABLE
-        assert res.diagnostics["minres_failed"] == 0
+
+    def test_unconverged_solve_raises_with_its_rayleigh_quotient(
+            self, vortex_field):
+        # one LOBPCG step cannot meet the residual gate on a vortex field
+        with pytest.raises(EigenConvergenceError) as info:
+            principal_eigen_torus(vortex_field, max_iter=1)
+        assert np.isfinite(info.value.rayleigh)
 
     def test_rayleigh_minimality(self, vortex_field):
         res = principal_eigen_torus(vortex_field)
@@ -137,24 +145,34 @@ class TestRadialTypeOne:
         assert res.eigenvalue == pytest.approx(FROZEN_RADIAL[s], rel=1e-6)
         assert res.eigenvalue < 0.0
         assert res.residual_norm < 1e-8
-        # the bound state is localized, so doubling r_max barely moves mu
+        # the bound state is localized, so halving r_max barely moves mu
         assert res.diagnostics["reliable"] is True
         assert res.diagnostics["sensitivity"] < 0.05
 
     @pytest.mark.parametrize("settings", [{"points_per_decade": 50},
                                           {"tol": 1e-8}])
-    def test_probe_reshoots_with_the_profile_settings(self, settings):
-        # the r_max-doubling probe must repeat the profile's own tol and
-        # points_per_decade, or it reads a grid change as r_max sensitivity
+    def test_probe_solves_on_the_half_radius_grid(self, settings):
+        # the probe is the same solve on the stored grid cut at r_max/2,
+        # so it reads no grid change, whatever the profile's settings
         sol = integrate_radial(-1.0, tau=1.0, **settings)
         res = weighted_eigen_radial(sol)
-        doubled = integrate_radial(-1.0, tau=1.0, r_max=2.0 * float(sol.r[-1]),
-                                   **settings)
-        mu2 = weighted_eigen_radial(doubled, _sensitivity=False).eigenvalue
+        k = int(np.count_nonzero(sol.r <= 0.5 * sol.r[-1]))
+        half = replace(sol, grid=sol.grid[:k])
+        mu2 = weighted_eigen_radial(half, _sensitivity=False).eigenvalue
         mu = res.eigenvalue
-        assert res.diagnostics["mu_doubled_rmax"] == mu2
+        assert res.diagnostics["mu_half_rmax"] == mu2
         assert res.diagnostics["sensitivity"] == abs(mu2 - mu) / abs(mu)
         assert res.diagnostics["sensitivity"] < 1e-5
+
+    def test_probe_on_a_grid_too_short_to_halve(self):
+        # eight nodes can be solved, the seven below r_max/2 cannot
+        sol = integrate_radial(-1.0, tau=1.0)
+        short = replace(sol, grid=sol.grid[np.r_[0:2100:300, -1]])
+        res = weighted_eigen_radial(short)
+        assert np.isfinite(res.eigenvalue)
+        assert res.diagnostics["reliable"] is False
+        assert res.diagnostics["sensitivity"] is None
+        assert "too short" in res.diagnostics["sensitivity_error"]
 
     def test_classified_unstable(self):
         sol = integrate_radial(-1.0, tau=1.0)
@@ -174,15 +192,18 @@ class TestRadialTypeOne:
 class TestRadialTopological:
     def test_positive_eigenvalue(self):
         sol = find_topological(1.0, 1.0, (-8.0, 8.0), vortex_sign=1)
-        with pytest.warns(UserWarning, match="unreliable"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             res = weighted_eigen_radial(sol)
+        assert not [w for w in caught if "unreliable" in str(w.message)]
         assert res.eigenvalue == pytest.approx(FROZEN_TOPOLOGICAL, rel=1e-6)
         assert res.eigenvalue > 0.0
         assert res.residual_norm < 1e-8
         assert classify_stability(res, 1e-8) is StabilityClass.STRICTLY_STABLE
-        # re-integrating past the separatrix truncation is ill-posed, so
-        # the r_max-doubling probe honestly reports itself unreliable
-        assert res.diagnostics["reliable"] is False
+        # the half-radius probe stays inside the corridor, so the stable
+        # solution's mu* is vouched for
+        assert res.diagnostics["reliable"] is True
+        assert res.diagnostics["sensitivity"] < 1e-6
 
 
 class TestWeightGuard:
