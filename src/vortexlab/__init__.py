@@ -28,7 +28,7 @@ from .stability import (EigenConvergenceError, EigenResult, StabilityClass,
                         WeightIndefiniteError, classify_stability,
                         default_torus_margin, principal_eigen_torus,
                         rayleigh_quotient_torus, weighted_eigen_radial)
-from .torus import (ConvergenceError, MonotonicityError,
+from .torus import (CapacityError, ConvergenceError, MonotonicityError,
                     NewtonDivergenceError, ResolutionWarning, TorusDomain,
                     TorusField, build_u0, cell_integral, gradient,
                     identity_check, laplacian, mass_bound_report,
@@ -55,7 +55,7 @@ __all__ = [
     "mass_bound_report", "laplacian", "poisson_solve", "gradient",
     "cell_integral", "snap_to_grid", "snapped_vortices",
     "NewtonDivergenceError", "MonotonicityError", "ConvergenceError",
-    "ResolutionWarning",
+    "CapacityError", "ResolutionWarning",
     # stability
     "principal_eigen_torus", "weighted_eigen_radial",
     "rayleigh_quotient_torus", "classify_stability", "default_torus_margin",

@@ -471,7 +471,7 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
                 continuation=first_continuation if idx == 0 else None,
                 tol_factor=tol_factor)
         except (torus_mod.NewtonDivergenceError,
-                torus_mod.ConvergenceError) as e:
+                torus_mod.ConvergenceError, torus_mod.CapacityError) as e:
             if idx == 0:
                 raise SweepError(
                     "sweep failed at the first epsilon %g: %s"

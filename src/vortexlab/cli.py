@@ -34,7 +34,7 @@ from .radial import (BracketError, IntegrationFailureError,
 from .stability import (EigenConvergenceError, WeightIndefiniteError,
                         classify_stability, default_torus_margin,
                         principal_eigen_torus, weighted_eigen_radial)
-from .torus import (ConvergenceError, MonotonicityError,
+from .torus import (CapacityError, ConvergenceError, MonotonicityError,
                     NewtonDivergenceError, build_u0, identity_check,
                     mass_bound_report, snapped_vortices, solve_monotone,
                     solve_newton, total_mass)
@@ -47,8 +47,8 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
 _NUMERICAL = (IntegrationFailureError, BracketError, NewtonDivergenceError,
-              ConvergenceError, MonotonicityError, EigenConvergenceError,
-              WeightIndefiniteError, SweepError)
+              ConvergenceError, MonotonicityError, CapacityError,
+              EigenConvergenceError, WeightIndefiniteError, SweepError)
 
 _DEFAULT_RADIAL_MARGIN = 1e-8
 
@@ -260,10 +260,12 @@ def cmd_stability(args):
         if not block["find_topological"] and block["s"] is None:
             raise ConfigError("/stability/s",
                               "required unless find_topological is set")
+        model = cfg.section("model")
+        tau = model["tau"] if block["tau"] is None else block["tau"]
         sol = _profile(block["find_topological"], block["s"], block["bracket"],
-                       block["nu"], block["tau"], block["r_max"], block["tol"],
+                       block["nu"], tau, block["r_max"], block["tol"],
                        block["vortex_sign"], block["points_per_decade"],
-                       Nonlinearity(cfg.section("model")["nonlinearity"]))
+                       Nonlinearity(model["nonlinearity"]))
         result = weighted_eigen_radial(sol)
         margin = block["margin"]
         if margin is None:

@@ -198,7 +198,7 @@ _SCHEMA = {
         "target": (_str(choices=("torus", "radial")), True, None),
         "margin": (_num(positive=True, allow_none=True), False, None),
         "field": (_str(allow_none=True), False, None),
-        "tau": (_num(positive=True), False, 1.0),
+        "tau": (_num(positive=True, allow_none=True), False, None),
         "nu": (_num(nonneg=True), False, 0.0),
         "s": (_num(allow_none=True), False, None),
         "find_topological": (_bool(), False, False),

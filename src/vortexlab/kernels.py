@@ -26,7 +26,18 @@ matching.
 
 All functions accept scalars or numpy arrays and reject non-finite
 input.  They are pure and stateless, hence thread-safe.
+
+The radial shooter calls f_tau on one float at a time, so a float u
+takes a scalar path through _two_sided: it checks u with math.isfinite
+and evaluates only the form of u's side, in numpy scalars.  That is the
+arithmetic a 0-d array runs, so the value is the same bit for bit.
+Python floats are not used on purpose: their arithmetic raises
+OverflowError or ZeroDivisionError at extreme tau where numpy returns
+inf or 0, and math.exp and math.log differ from numpy's by an ulp on a
+few inputs, which shooting toward the saddle amplifies.
 """
+
+import math
 
 import numpy as np
 
@@ -40,12 +51,13 @@ __all__ = [
     "df_csh",
     "F1_csh",
     "sup_abs_df_tau",
+    "f_extrema_tau",
 ]
 
 
 def _check_tau(tau):
     tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0.0:
+    if not 0.0 < tau < math.inf:
         raise ValueError("tau must be a finite positive real, got %r" % (tau,))
     return tau
 
@@ -64,19 +76,28 @@ def _restore(result, u):
     return result
 
 
-def _two_sided(u, forms):
+def _two_sided(u, neg, pos):
     """Evaluate a kernel from its two overflow-free forms.
 
-    forms(e, m) returns (neg_form, pos_form) in e = e^-|u| and
-    m = 1 - e^-|u|; neg_form holds on u <= 0 (where e = e^u) and
-    pos_form on u > 0 (where e = e^-u).  m = -expm1(-|u|) keeps full
-    relative accuracy near u = 0.
+    neg(e, m) holds on u <= 0 (where e = e^u) and pos(e, m) on u > 0
+    (where e = e^-u), in e = e^-|u| and m = 1 - e^-|u|; m = -expm1(-|u|)
+    keeps full relative accuracy near u = 0.
+
+    A float u (np.float64 included) takes the scalar path of the module
+    docstring: only u's form runs, in numpy scalars, and a Python float
+    comes back.  Anything else, a 0-d array included, takes np.where
+    over both forms.
     """
+    if isinstance(u, float):
+        if not math.isfinite(u):
+            raise ValueError("non-finite input to kernel evaluation")
+        a = -abs(u)
+        e, m = np.exp(a), -np.expm1(a)
+        return float(pos(e, m) if u > 0.0 else neg(e, m))
     arr = _checked_u(u)
     e = np.exp(-np.abs(arr))
     m = -np.expm1(-np.abs(arr))
-    neg_form, pos_form = forms(e, m)
-    return _restore(np.where(arr > 0.0, pos_form, neg_form), u)
+    return _restore(np.where(arr > 0.0, pos(e, m), neg(e, m)), u)
 
 
 def f_tau(u, tau):
@@ -95,8 +116,8 @@ def f_tau(u, tau):
     float or ndarray
     """
     tau = _check_tau(tau)
-    return _two_sided(u, lambda e, m: (e * m / (tau + e) ** 3,
-                                       -e * m / (tau * e + 1.0) ** 3))
+    return _two_sided(u, lambda e, m: e * m / (tau + e) ** 3,
+                      lambda e, m: -e * m / (tau * e + 1.0) ** 3)
 
 
 def df_tau(u, tau):
@@ -106,9 +127,11 @@ def df_tau(u, tau):
     with df_tau(0) = -1/(tau+1)^3.
     """
     tau = _check_tau(tau)
-    return _two_sided(u, lambda e, m: (
-        e * (tau - 2.0 * (tau + 1.0) * e + e * e) / (tau + e) ** 4,
-        e * (tau * e * e - 2.0 * (tau + 1.0) * e + 1.0) / (tau * e + 1.0) ** 4))
+    return _two_sided(
+        u,
+        lambda e, m: e * (tau - 2.0 * (tau + 1.0) * e + e * e) / (tau + e) ** 4,
+        lambda e, m: (e * (tau * e * e - 2.0 * (tau + 1.0) * e + 1.0)
+                      / (tau * e + 1.0) ** 4))
 
 
 def F1_tau(u, tau):
@@ -118,9 +141,10 @@ def F1_tau(u, tau):
     limits -1/(2(tau+1)tau^2) at -inf and -1/(2(tau+1)) at +inf.
     """
     tau = _check_tau(tau)
-    return _two_sided(u, lambda e, m: (
-        -(m * m) / (2.0 * (tau + 1.0) * (tau + e) ** 2),
-        -(m * m) / (2.0 * (tau + 1.0) * (tau * e + 1.0) ** 2)))
+    return _two_sided(
+        u,
+        lambda e, m: -(m * m) / (2.0 * (tau + 1.0) * (tau + e) ** 2),
+        lambda e, m: -(m * m) / (2.0 * (tau + 1.0) * (tau * e + 1.0) ** 2))
 
 
 def F2_tau(u, tau):
@@ -131,9 +155,12 @@ def F2_tau(u, tau):
     at +inf.
     """
     tau = _check_tau(tau)
-    return _two_sided(u, lambda e, m: (
-        e * ((1.0 - tau) * e + 2.0 * tau) / (2.0 * tau * tau * (tau + e) ** 2),
-        ((1.0 - tau) + 2.0 * tau * e) / (2.0 * tau * tau * (tau * e + 1.0) ** 2)))
+    return _two_sided(
+        u,
+        lambda e, m: (e * ((1.0 - tau) * e + 2.0 * tau)
+                      / (2.0 * tau * tau * (tau + e) ** 2)),
+        lambda e, m: (((1.0 - tau) + 2.0 * tau * e)
+                      / (2.0 * tau * tau * (tau * e + 1.0) ** 2)))
 
 
 def q_tau(u, tau):
@@ -145,8 +172,8 @@ def q_tau(u, tau):
     """
     tau = _check_tau(tau)
     # (1 - e^u)/(tau + e^u) = (s - 1)/(tau s + 1) after multiplying by s/s
-    return _two_sided(u, lambda e, m: ((m / (tau + e)) ** 2,
-                                       (m / (tau * e + 1.0)) ** 2))
+    return _two_sided(u, lambda e, m: (m / (tau + e)) ** 2,
+                      lambda e, m: (m / (tau * e + 1.0)) ** 2)
 
 
 def _csh(u, form):
@@ -200,3 +227,20 @@ def sup_abs_df_tau(tau):
     vals = np.abs(df_tau(us, tau))
     # u = 0 is itself a candidate (value 1/(tau+1)^3); include it
     return float(max(np.max(vals), 1.0 / (tau + 1.0) ** 3))
+
+
+def f_extrema_tau(tau):
+    """(min, max) of f_tau over u.
+
+    In t = e^u, d/dt [t (1 - t) / (tau + t)^3] vanishes where
+    t^2 - 2(tau+1) t + tau = 0, at t = (tau+1) -/+ sqrt(tau^2 + tau + 1).
+    The root in (0, 1) is the max and the root above 1 the min.  Both
+    come from q = t_min / tau, which neither cancels nor overflows: the
+    smaller root is 1/q and the larger one's e^-u is 1/(tau q), each
+    evaluated in its side's form.
+    """
+    tau = _check_tau(tau)
+    q = (1.0 + 1.0 / tau) + np.hypot(1.0 + 0.5 / tau, np.sqrt(0.75) / tau)
+    r, s = 1.0 / q, 1.0 / tau / q
+    return (float(-s * (1.0 - s) / (r + 1.0) ** 3),
+            float(r * (1.0 - r) / (tau + r) ** 3))

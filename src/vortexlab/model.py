@@ -196,6 +196,9 @@ class _SigmaOps:
     def sup_abs_df(self):
         return kernels.sup_abs_df_tau(self.tau)
 
+    def f_extrema(self):
+        return kernels.f_extrema_tau(self.tau)
+
 
 class _CshOps:
     """Kernel bundle for the Chern-Simons-Higgs alternate nonlinearity.
@@ -233,6 +236,10 @@ class _CshOps:
         raise UnsupportedKernelError(
             "df is unbounded for the CSH nonlinearity; no finite sup exists"
         )
+
+    def f_extrema(self):
+        # e^u (1 - e^u) peaks at 1/4 (e^u = 1/2) and is unbounded below
+        return float("-inf"), 0.25
 
 
 def nonlinearity_ops(nonlinearity, tau):

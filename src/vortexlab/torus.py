@@ -47,6 +47,10 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching tolerance."""
 
 
+class CapacityError(RuntimeError):
+    """No field can carry the total mass the vortices need at this eps."""
+
+
 def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -326,6 +330,27 @@ def _check_resolution(domain, params):
     return {"resolved": resolved, "h_over_eps": h / params.epsilon}
 
 
+def _check_capacity(domain, vortices, params, eps):
+    """Raise CapacityError when the mass identity is out of reach at eps.
+
+    Every solution has eps^-2 int f(u) dx = 4pi(N1 - N2), and
+    min f <= f <= max f, so N1 > N2 needs eps^-2 |O| max f >= 4pi(N1 - N2)
+    and N2 > N1 needs eps^-2 |O| |min f| >= 4pi(N2 - N1).
+    """
+    charge = vortices.N1 - vortices.N2
+    if charge == 0:
+        return
+    f_min, f_max = nonlinearity_ops(params.nonlinearity,
+                                    params.tau).f_extrema()
+    room = domain.area * (f_max if charge > 0 else -f_min)
+    need = 4.0 * np.pi * abs(charge)
+    if eps ** -2 * room < need:
+        raise CapacityError(
+            "epsilon %.6g is over capacity: N1 - N2 = %d at tau %.6g on a "
+            "torus of area %.6g needs epsilon <= %.6g"
+            % (eps, charge, params.tau, domain.area, np.sqrt(room / need)))
+
+
 def _stage_domain(domain, cells, eps):
     """The coarsest grid of `domain`'s torus that resolves eps (spacing
     <= eps/4, both axes >= 32) and holds every vortex cell in `cells`
@@ -354,15 +379,17 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
     resampled spectrally onto the next stage's grid (nested iteration).
     Each stages entry records its grid_shape, and resolved/h_over_eps
     for that grid.  Returns the final field, on `domain`; a stage that
-    diverges raises with its last iterate on that stage's grid.
+    diverges raises with its last iterate on that stage's grid.  Raises
+    CapacityError before any solve when the schedule's largest epsilon
+    cannot carry the mass identity (_check_capacity).
     """
     snapped = snapped_vortices(domain, vortices)
-    u0 = build_u0(domain, snapped)
-
     if continuation is not None:
         eps_list = eps_schedule(continuation, "continuation schedule")
     else:
         eps_list = [params.epsilon]
+    _check_capacity(domain, snapped, params, eps_list[0])
+    u0 = build_u0(domain, snapped)
 
     v = np.zeros(domain.grid_shape) if v_init is None else np.array(v_init, dtype=float)
     if v.shape != tuple(domain.grid_shape):
@@ -479,7 +506,8 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     maximal solution in the bracket; the linearization shift c exceeds
     sup |eps^-2 f_tau'| so the iteration map is order-preserving.
     Residual signs of the supplied bracket are reported in the
-    diagnostics, not enforced.
+    diagnostics, not enforced.  Raises CapacityError before iterating
+    when epsilon cannot carry the mass identity (_check_capacity).
     """
     ops = nonlinearity_ops(params.nonlinearity, params.tau)
     # the shift needs the globally bounded SigmaO3 derivative
@@ -492,6 +520,7 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
         raise ValueError("sub must lie below super pointwise")
 
     snapped = snapped_vortices(domain, vortices)
+    _check_capacity(domain, snapped, params, params.epsilon)
     u0 = build_u0(domain, snapped)
     resolution = _check_resolution(domain, params)
     tol = _solver_tol(params, tol_factor)
@@ -614,11 +643,12 @@ def identity_check(field, a):
     domain = field.domain
     tau = params.tau
     # e^u/(a+e^u)^2 and e^u(1-e^u)^2/((tau+e^u)^3(a+e^u)), overflow-free
-    w1 = kernels._two_sided(field.u, lambda e, m: (e / (a + e) ** 2,
-                                                   e / (a * e + 1.0) ** 2))
-    w2 = kernels._two_sided(field.u, lambda e, m: (
-        e * m * m / ((tau + e) ** 3 * (a + e)),
-        e * m * m / ((tau * e + 1.0) ** 3 * (a * e + 1.0))))
+    w1 = kernels._two_sided(field.u, lambda e, m: e / (a + e) ** 2,
+                            lambda e, m: e / (a * e + 1.0) ** 2)
+    w2 = kernels._two_sided(
+        field.u,
+        lambda e, m: e * m * m / ((tau + e) ** 3 * (a + e)),
+        lambda e, m: e * m * m / ((tau * e + 1.0) ** 3 * (a * e + 1.0)))
     t1 = (a + 1.0) * field.grad_u_sq * w1
     # grad u0 is infinite at the vortex cells but the integrand has a
     # finite limit there: with e^u ~ e^c |x-p|^(2m) near a positive

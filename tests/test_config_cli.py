@@ -22,7 +22,10 @@ from vortexlab import (
     Nonlinearity,
     TorusDomain,
     VortexSet,
+    integrate_radial,
     solve_newton,
+    torus,
+    weighted_eigen_radial,
 )
 from vortexlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from vortexlab.config import (
@@ -407,7 +410,7 @@ class TestTorusCommand:
         assert main(["torus", "--config", str(path)]) == EXIT_USAGE
 
     def test_over_capacity_is_numerical_failure(self, tmp_path, capsys):
-        # two vortices need eps < 0.248 on this domain; 0.3 diverges
+        # two vortices need eps < 0.248 on this domain; 0.3 is over capacity
         tree = _base_cfg(tmp_path)
         tree["vortices"]["positive"] = [{"point": [1.0, 1.0]},
                                         {"point": [3.0, 3.0]}]
@@ -416,6 +419,22 @@ class TestTorusCommand:
         cfg = _write_cfg(tmp_path, tree)
         assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_capacity_checked_before_newton(self, tmp_path, capsys,
+                                            monkeypatch):
+        # tau = 1000 on the demo's 4 x 4 torus: one vortex needs
+        # eps <= 1.78e-5, so eps = 0.3 fails before any Newton step
+        monkeypatch.setattr(torus, "_newton_core", None)
+        rc = main(["torus", "--config",
+                   os.path.join(ROOT, "demos", "one_vortex.json"),
+                   "--override", "model.tau=1000",
+                   "--override", "model.epsilon=0.3",
+                   "--override", "solver.continuation=null",
+                   "--override", "output.dir=%s" % json.dumps(str(tmp_path))])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "over capacity" in err
+        assert "needs epsilon <= 1.78279e-05" in err
 
     def test_snap_collision_is_usage_error(self, tmp_path, capsys):
         # both points round to the grid point (1, 1) at h = 1/16
@@ -483,6 +502,25 @@ class TestStabilityCommand:
         assert doc["eigenvalue"] == pytest.approx(FROZEN_TOPOLOGICAL,
                                                   rel=1e-6)
         assert doc["diagnostics"]["reliable"] is True
+
+    def test_radial_profile_reads_the_model_tau(self, tmp_path, capsys):
+        tree = {"model": {"tau": 2.0},
+                "stability": {"target": "radial", "s": -1.0},
+                "output": {"dir": str(tmp_path), "prefix": "st"}}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["stability", "--config", cfg]) == EXIT_OK
+        doc = json.loads((tmp_path / "st_stability.json").read_text())
+        assert doc["tau"] == 2
+        want = weighted_eigen_radial(integrate_radial(-1.0, tau=2.0))
+        assert doc["eigenvalue"] == want.eigenvalue
+        # an explicit stability.tau still wins
+        tree["stability"]["tau"] = 1.0
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["stability", "--config", cfg]) == EXIT_OK
+        doc = json.loads((tmp_path / "st_stability.json").read_text())
+        assert doc["tau"] == 1
+        assert doc["eigenvalue"] == pytest.approx(-0.012767050113463,
+                                                  rel=1e-6)
 
     def test_radial_profile_reads_the_model_kernel(self, tmp_path, capsys):
         tree = {"model": {"nonlinearity": "CSH"},

@@ -235,23 +235,46 @@ def _bits(x):
     return np.float64(x).view(np.int64)
 
 
+def _same(a, b):
+    # bit for bit, so the sign of zero counts; NaN equals NaN
+    return (np.isnan(a) and np.isnan(b)) or _bits(a) == _bits(b)
+
+
+SIGMA_KERNELS = ["f_tau", "df_tau", "F1_tau", "F2_tau", "q_tau"]
+
+
 class TestScalarPath:
-    # a float and a 0-d array take the same path, bit for bit; a faster
-    # scalar path must keep this
+    # a float takes _two_sided's scalar path and a 0-d array the np.where
+    # path; they must agree bit for bit, over- and underflow included
     US = np.concatenate([
         np.random.default_rng(5).uniform(-700.0, 700.0, 400),
         np.random.default_rng(6).normal(0.0, 2.0, 200),
-        [0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 700.0, -700.0]])
+        np.random.default_rng(7).uniform(-30.0, 30.0, 200),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+         1e-17, -1e-17, 700.0, -700.0, 745.0, -745.0]])
 
-    @pytest.mark.parametrize("name", ["f_tau", "df_tau", "F1_tau", "F2_tau",
-                                      "q_tau"])
-    @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("name", SIGMA_KERNELS)
+    @pytest.mark.parametrize("tau", [1e-300, 1e-8, 0.5, 1.0, 3.0, 1000.0,
+                                     1e103, 1e308])
     def test_sigma_float_matches_0d(self, name, tau):
         k = getattr(kernels, name)
-        for x in self.US:
-            got = k(float(x), tau)
-            assert type(got) is float
-            assert _bits(got) == _bits(k(np.array(x), tau))
+        with np.errstate(all="ignore"):
+            for x in self.US:
+                want = k(np.array(x), tau)
+                for got in (k(float(x), tau), k(np.float64(x), tau)):
+                    assert type(got) is float
+                    assert _same(got, want), (x, got, want)
+
+    @pytest.mark.parametrize("name", SIGMA_KERNELS)
+    def test_sigma_float_rejects_nonfinite(self, name):
+        k = getattr(kernels, name)
+        for bad in (np.nan, np.inf, -np.inf):
+            for u in (bad, np.float64(bad)):
+                with pytest.raises(ValueError):
+                    k(u, 1.0)
+        for tau in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                k(0.5, tau)
 
     @pytest.mark.parametrize("name", ["f_csh", "df_csh", "F1_csh"])
     def test_csh_float_matches_0d(self, name):
@@ -260,6 +283,23 @@ class TestScalarPath:
             got = k(float(x))
             assert type(got) is float
             assert _bits(got) == _bits(k(np.array(x)))
+
+
+class TestExtrema:
+    def test_f_extrema_match_scan(self):
+        for tau in TAUS + [1000.0]:
+            f_min, f_max = kernels.f_extrema_tau(tau)
+            us = np.linspace(-30.0, 30.0, 600001) + np.log(tau)
+            f = kernels.f_tau(us, tau)
+            # the scan's spacing of 1e-4 misses the peak by O(1e-8)
+            assert f_min == pytest.approx(f.min(), rel=1e-7)
+            assert f_max == pytest.approx(f.max(), rel=1e-7)
+            assert f_min <= f.min() and f_max >= f.max()
+
+    def test_csh_extrema(self):
+        f_min, f_max = nonlinearity_ops("CSH", 1.0).f_extrema()
+        assert f_min == -np.inf
+        assert f_max == kernels.f_csh(np.log(0.5)) == 0.25
 
 
 class TestModelParams:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexlab import (
+    CapacityError,
     ConvergenceError,
     ModelParams,
     MonotonicityError,
@@ -335,10 +336,33 @@ class TestNewton:
             solve_newton(dom64, one_plus, ModelParams(1.0, 0.15), max_iter=1)
 
     def test_over_capacity_diverges(self, dom64):
-        # N1 - N2 = 2 needs eps < 0.248 on this domain; 0.3 is unsolvable
+        # N1 - N2 = 2 needs eps < 0.248 on this domain; 0.3 is unsolvable,
+        # and the pre-check says so before any Newton step
         vs = VortexSet(positive_vortices=(((1.3, 1.2), 1), ((2.8, 2.9), 1)))
-        with pytest.raises(NewtonDivergenceError):
+        with pytest.raises(CapacityError, match=r"epsilon <= 0\.2475"):
             solve_newton(dom64, vs, ModelParams(1.0, 0.3))
+
+    def test_capacity_reads_the_largest_stage(self, dom64, monkeypatch):
+        vs = VortexSet(positive_vortices=(((1.3, 1.2), 1), ((2.8, 2.9), 1)))
+        monkeypatch.setattr(torus, "_newton_core", None)
+        with pytest.raises(CapacityError):
+            solve_newton(dom64, vs, ModelParams(1.0, 0.2),
+                         continuation=[0.3, 0.2])
+
+    def test_capacity_bound_is_sharp(self, dom64):
+        # N2 > N1 reads min f: eps^2 <= |O| |min f| / (4 pi (N2 - N1))
+        f_min = kernels.f_extrema_tau(1.0)[0]
+        bound = np.sqrt(dom64.area * -f_min / (8.0 * np.pi))
+        vs = VortexSet(negative_vortices=(((1.25, 1.25), 1),
+                                          ((2.75, 2.75), 1)))
+        torus._check_capacity(dom64, vs, ModelParams(1.0, bound),
+                              0.9999 * bound)
+        with pytest.raises(CapacityError):
+            torus._check_capacity(dom64, vs, ModelParams(1.0, 1.0001 * bound),
+                                  1.0001 * bound)
+        # CSH is unbounded below: any eps carries a negative excess
+        csh = ModelParams(1.0, 10.0, nonlinearity=Nonlinearity.CSH)
+        torus._check_capacity(dom64, vs, csh, 10.0)
 
 
 class TestCshNewton:
@@ -418,6 +442,13 @@ class TestMonotone:
             solve_monotone(dom64, one_plus, p, sub=zeros - 25.0,
                            super_=zeros)
 
+    def test_over_capacity_rejected(self, dom64, one_plus):
+        # tau = 1000 caps max f near 2.5e-10: one vortex needs eps <= 1.8e-5
+        p = ModelParams(1000.0, 0.3)
+        u0 = build_u0(dom64, snapped_vortices(dom64, one_plus))
+        with pytest.raises(CapacityError, match=r"epsilon <= 1\.78"):
+            solve_monotone(dom64, one_plus, p, sub=-u0 - 25.0, super_=-u0)
+
 
 class TestIdentity:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -455,8 +486,8 @@ class TestIdentity:
         two_sided = kernels._two_sided
         got = []
 
-        def recording(u, forms):
-            got.append(two_sided(u, forms))
+        def recording(u, neg, pos):
+            got.append(two_sided(u, neg, pos))
             return got[-1]
 
         monkeypatch.setattr(kernels, "_two_sided", recording)
