@@ -51,6 +51,7 @@ _NUMERICAL = (IntegrationFailureError, BracketError, NewtonDivergenceError,
               EigenConvergenceError, WeightIndefiniteError, SweepError)
 
 _DEFAULT_RADIAL_MARGIN = 1e-8
+_DEFAULT_RMAX = 1e6
 
 
 class _UsageError(Exception):
@@ -87,12 +88,16 @@ def _outpath(cfg, suffix):
 def _profile(topological, s, bracket, nu, tau, r_max, tol, vortex_sign,
              points_per_decade, nonlinearity=Nonlinearity.SIGMA_O3):
     """The radial profile of shoot and of the radial stability target:
-    the topological one bisected in bracket, or shot from s to r_max."""
+    the topological one bisected in bracket, or shot from s to r_max
+    (None: _DEFAULT_RMAX).  Bisection sets its own radius, so the callers
+    refuse an r_max with topological."""
     if topological:
         return find_topological(nu, tau, tuple(bracket), tol=tol,
                                 vortex_sign=vortex_sign,
                                 nonlinearity=nonlinearity,
                                 points_per_decade=points_per_decade)
+    if r_max is None:
+        r_max = _DEFAULT_RMAX
     return integrate_radial(s, nu=nu, tau=tau, r_max=r_max, tol=tol,
                             vortex_sign=vortex_sign, nonlinearity=nonlinearity,
                             points_per_decade=points_per_decade)
@@ -105,6 +110,9 @@ def cmd_shoot(args):
                           "--find-topological")
     if args.find_topological and args.bracket is None:
         raise _UsageError("shoot: --find-topological requires --bracket")
+    if args.find_topological and args.rmax is not None:
+        raise _UsageError("shoot: --rmax does not apply with "
+                          "--find-topological")
     sol = _profile(args.find_topological, args.s, args.bracket, args.nu,
                    args.tau, args.rmax, args.tol, args.vortex_sign,
                    args.points_per_decade, kernel)
@@ -257,6 +265,9 @@ def cmd_stability(args):
         if block["find_topological"] and block["bracket"] is None:
             raise ConfigError("/stability/bracket",
                               "required with find_topological")
+        if block["find_topological"] and block["r_max"] is not None:
+            raise ConfigError("/stability/r_max",
+                              "does not apply with find_topological")
         if not block["find_topological"] and block["s"] is None:
             raise ConfigError("/stability/s",
                               "required unless find_topological is set")
@@ -483,7 +494,9 @@ def build_parser():
                    help="bisect --bracket for the connecting profile")
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--rmax", type=float, default=1e6)
+    p.add_argument("--rmax", type=float,
+                   help="outer radius of an --s shot (default %g)"
+                   % _DEFAULT_RMAX)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--vortex-sign", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--kernel", choices=("SigmaO3", "CSH"), default="SigmaO3")
@@ -497,7 +510,7 @@ def build_parser():
     p.add_argument("--s-min", type=float, required=True)
     p.add_argument("--s-max", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rmax", type=float, default=1e6)
+    p.add_argument("--rmax", type=float, default=_DEFAULT_RMAX)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--kernel", choices=("SigmaO3", "CSH"), default="SigmaO3")
     p.add_argument("--out", default="beta", help="output prefix")

@@ -204,7 +204,7 @@ _SCHEMA = {
         "find_topological": (_bool(), False, False),
         "bracket": (_list(_num(), exact_len=2, allow_none=True), False, None),
         "vortex_sign": (_int(choices=(-1, 1)), False, -1),
-        "r_max": (_num(positive=True), False, 1e6),
+        "r_max": (_num(positive=True, allow_none=True), False, None),
         "tol": (_num(positive=True), False, 1e-10),
         "points_per_decade": (_int(min_value=10), False, 200),
     }), False, None),

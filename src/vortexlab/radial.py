@@ -166,72 +166,13 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
     -------
     RadialSolution
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3], got %r" % (tol,))
     if r_max < 10.0:
         raise ValueError("r_max must be >= 10, got %r" % (r_max,))
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    if vortex_sign not in (-1, 1):
-        raise ValueError("vortex_sign must be -1 or +1")
     nonlinearity = Nonlinearity(nonlinearity)
-    ops = nonlinearity_ops(nonlinearity, tau)
-    if nu > 0:
-        ops.require_sigma("singular mode")
-
-    f = ops.f
     c_log = 2.0 * vortex_sign * nu
-    y0 = _series_start(s, c_log, f, nu)
-
-    def rhs(r, y):
-        u = c_log * np.log(r) + y[0]
-        fu = float(f(u))
-        return [y[1], -y[1] / r - fu, fu * r]
-
-    # directional events: the singular mode starts at large |u| and
-    # transits toward 0, which must not count as divergence
-    def hit_upper(r, y):
-        return c_log * np.log(r) + y[0] - divergence_stop
-
-    hit_upper.terminal = True
-    hit_upper.direction = 1.0
-
-    def hit_lower(r, y):
-        return c_log * np.log(r) + y[0] + divergence_stop
-
-    hit_lower.terminal = True
-    hit_lower.direction = -1.0
-
-    n_pts = max(int(points_per_decade * np.log10(r_max / R0)), 20) + 1
-    t_eval = np.geomspace(R0, r_max, n_pts)
-
-    sol = solve_ivp(rhs, (R0, r_max), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, t_eval=t_eval,
-                    events=(hit_upper, hit_lower))
-    if sol.status == -1:
-        r_reached = sol.t[-1] if sol.t.size else R0
-        raise IntegrationFailureError(sol.message, r_reached)
-
-    rr = sol.t
-    vv = sol.y[0]
-    dvv = sol.y[1]
-    ii = sol.y[2]
-    event_kind = None
-    if sol.status == 1:
-        if sol.t_events[0].size:
-            event_kind = "up"
-            t_ev, y_ev = sol.t_events[0][0], sol.y_events[0][0]
-        else:
-            event_kind = "down"
-            t_ev, y_ev = sol.t_events[1][0], sol.y_events[1][0]
-        if rr.size == 0 or t_ev > rr[-1]:
-            rr = np.append(rr, t_ev)
-            vv = np.append(vv, y_ev[0])
-            dvv = np.append(dvv, y_ev[1])
-            ii = np.append(ii, y_ev[2])
-
-    uu = c_log * np.log(rr) + vv
-    duu = c_log / rr + dvv
+    (rr, uu, duu, dvv, ii), event_kind, nfev = _shoot(
+        s, nu, tau, r_max, tol, vortex_sign, nonlinearity, divergence_stop,
+        _radii(r_max, points_per_decade))
     grid = np.column_stack([rr, uu, duu])
 
     # r u' = c - I(r) is the exact first integral of the equation
@@ -242,7 +183,7 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
     bc_type = _classify(rr, uu, duu, event_kind)
 
     diagnostics = {
-        "nfev": int(sol.nfev),
+        "nfev": nfev,
         "r_end": float(rr[-1]),
         "u_end": float(uu[-1]),
         "ru_end": float(rr[-1] * duu[-1]),
@@ -275,6 +216,85 @@ def _reshoot(sol, r_max, **kw):
                             vortex_sign=sol.vortex_sign,
                             nonlinearity=sol.nonlinearity,
                             points_per_decade=sol.points_per_decade, **kw)
+
+
+def _radii(r_max, points_per_decade):
+    """The geometric output grid from R0 to r_max."""
+    n_pts = max(int(points_per_decade * np.log10(r_max / R0)), 20) + 1
+    return np.geomspace(R0, r_max, n_pts)
+
+
+def _shoot(s, nu, tau, r_max, tol, vortex_sign, nonlinearity,
+           divergence_stop, radii):
+    """One DOP853 run of the regular part [v, v', I] from R0 to r_max.
+
+    The state is sampled at radii (sorted, inside [R0, r_max]); DOP853's
+    steps do not depend on them, so a shot sampled at fewer radii gives
+    the same values there and only builds dense output where it samples.
+    Returns ((r, u, u', v', I) arrays, event_kind, nfev), u = c ln r + v
+    the full solution: event_kind is "up" or "down" when a divergence
+    event at |u| = divergence_stop ended the run, whose point is then
+    appended if it lies past the last sample.
+    """
+    if not (0.0 < tol <= 1e-3):
+        raise ValueError("tol must lie in (0, 1e-3], got %r" % (tol,))
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
+    if vortex_sign not in (-1, 1):
+        raise ValueError("vortex_sign must be -1 or +1")
+    ops = nonlinearity_ops(nonlinearity, tau)
+    if nu > 0:
+        ops.require_sigma("singular mode")
+
+    f = ops.f
+    c_log = 2.0 * vortex_sign * nu
+    y0 = _series_start(s, c_log, f, nu)
+
+    def rhs(r, y):
+        u = c_log * np.log(r) + y[0]
+        fu = float(f(u))
+        return [y[1], -y[1] / r - fu, fu * r]
+
+    # directional events: the singular mode starts at large |u| and
+    # transits toward 0, which must not count as divergence
+    def hit_upper(r, y):
+        return c_log * np.log(r) + y[0] - divergence_stop
+
+    hit_upper.terminal = True
+    hit_upper.direction = 1.0
+
+    def hit_lower(r, y):
+        return c_log * np.log(r) + y[0] + divergence_stop
+
+    hit_lower.terminal = True
+    hit_lower.direction = -1.0
+
+    sol = solve_ivp(rhs, (R0, r_max), y0, method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, t_eval=radii,
+                    events=(hit_upper, hit_lower))
+    # sol.t and sol.y are empty lists when no sample radius was reached
+    if sol.status == -1:
+        r_reached = sol.t[-1] if len(sol.t) else R0
+        raise IntegrationFailureError(sol.message, r_reached)
+
+    rr, vv, dvv, ii = np.vstack([sol.t, sol.y]) if len(sol.t) \
+        else np.empty((4, 0))
+    event_kind = None
+    if sol.status == 1:
+        if sol.t_events[0].size:
+            event_kind = "up"
+            t_ev, y_ev = sol.t_events[0][0], sol.y_events[0][0]
+        else:
+            event_kind = "down"
+            t_ev, y_ev = sol.t_events[1][0], sol.y_events[1][0]
+        if rr.size == 0 or t_ev > rr[-1]:
+            rr = np.append(rr, t_ev)
+            vv = np.append(vv, y_ev[0])
+            dvv = np.append(dvv, y_ev[1])
+            ii = np.append(ii, y_ev[2])
+    uu = c_log * np.log(rr) + vv
+    duu = c_log / rr + dvv
+    return (rr, uu, duu, dvv, ii), event_kind, int(sol.nfev)
 
 
 def _extrapolate_beta(rr, dvv):
@@ -368,18 +388,34 @@ def compute_beta_curve(tau, s_values, r_max=1e6, tol=1e-10,
 
 def _tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
     """Which way the profile diverges: -1, +1, or 0 if it never left
-    the topological corridor out to r_end."""
-    sol = integrate_radial(s, nu, tau, r_end, tol, vortex_sign=vortex_sign,
-                           nonlinearity=nonlinearity, divergence_stop=30.0,
-                           _retry=False)
-    if sol.bc_type is BCType.NONTOPOLOGICAL_I:
-        return -1
-    if sol.bc_type is BCType.NONTOPOLOGICAL_II:
-        return 1
-    u_end = sol.u[-1]
-    if abs(u_end) < TOPOLOGICAL_TOL_U:
-        return 0
-    return -1 if u_end < 0 else 1
+    the topological corridor out to r_end; returns (sign, nfev, reshot).
+
+    The sign is that of the full-grid shot integrate_radial(s, ..., r_end,
+    divergence_stop=30, _retry=False): its class, else the side of
+    u(r_end).  The probe samples only r_end (or the event point).  Only
+    when that one row classifies Undetermined is it shot again (reshot),
+    sampled on the last decade of the default 200-per-decade grid, the
+    rows the hysteresis test of _classify reads.
+    """
+    shot = (s, nu, tau, r_end, tol, vortex_sign, nonlinearity, 30.0)
+    (rr, uu, duu, _, _), event_kind, nfev = _shoot(*shot, np.array([r_end]))
+    bc_type = _classify(rr, uu, duu, event_kind)
+    reshot = bc_type is BCType.UNDETERMINED
+    if reshot:
+        radii = _radii(r_end, _POINTS_PER_DECADE)
+        (rr, uu, duu, _, _), event_kind, more = _shoot(
+            *shot, radii[radii >= r_end / 10.0])
+        nfev += more
+        bc_type = _classify(rr, uu, duu, event_kind)
+    if bc_type is BCType.NONTOPOLOGICAL_I:
+        sign = -1
+    elif bc_type is BCType.NONTOPOLOGICAL_II:
+        sign = 1
+    elif abs(uu[-1]) < TOPOLOGICAL_TOL_U:
+        sign = 0
+    else:
+        sign = -1 if uu[-1] < 0 else 1
+    return sign, nfev, reshot
 
 
 def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
@@ -388,9 +424,14 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     """Bisect the shooting parameter to the topological profile.
 
     bracket = (s_lo, s_hi) must straddle the connecting value: the two
-    endpoint profiles have to diverge to opposite sides.  Returns the
-    profile truncated at the last radius where both topological tail
-    tolerances hold.
+    endpoint profiles have to diverge to opposite sides.  Each bisection
+    probe (_tail_sign) shoots out to r_bisect and samples only r_end, or
+    the last decade of the default 200-per-decade grid when the tail
+    needs the hysteresis test, whatever points_per_decade is; that sets
+    the grid of the returned profile alone.  Returns the profile
+    truncated at the last radius where both topological tail tolerances
+    hold; its diagnostics add bisect_probes, bisect_reshots (probes shot
+    again for the hysteresis test) and bisect_nfev (their summed nfev).
     """
     if nu > 0:
         nonlinearity_ops(nonlinearity, tau).require_sigma("singular mode")
@@ -402,9 +443,18 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     # enough that double-precision shooting errors have amplified
     r_bisect = max(200.0, 60.0 * (tau + 1.0) ** 1.5 * (1.0 + nu))
 
-    args = (nu, tau, r_bisect, tol, vortex_sign, nonlinearity)
-    sgn_lo = _tail_sign(s_lo, *args)
-    sgn_hi = _tail_sign(s_hi, *args)
+    probes = {"bisect_probes": 0, "bisect_reshots": 0, "bisect_nfev": 0}
+
+    def tail_sign(s):
+        sign, nfev, reshot = _tail_sign(s, nu, tau, r_bisect, tol,
+                                        vortex_sign, nonlinearity)
+        probes["bisect_probes"] += 1
+        probes["bisect_reshots"] += int(reshot)
+        probes["bisect_nfev"] += nfev
+        return sign
+
+    sgn_lo = tail_sign(s_lo)
+    sgn_hi = tail_sign(s_hi)
     s_star = None
     if sgn_lo == 0:
         s_star = s_lo
@@ -419,7 +469,7 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
             mid = 0.5 * (s_lo + s_hi)
             if mid == s_lo or mid == s_hi or s_hi - s_lo < 1e-13:
                 break
-            sgn_mid = _tail_sign(mid, *args)
+            sgn_mid = tail_sign(mid)
             if sgn_mid == 0:
                 break
             if sgn_mid == sgn_lo:
@@ -434,7 +484,9 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
                            divergence_stop=30.0,
                            points_per_decade=points_per_decade,
                            _retry=False)
-    return _truncate_topological(sol)
+    sol = _truncate_topological(sol)
+    sol.diagnostics.update(probes)
+    return sol
 
 
 def _truncate_topological(sol):

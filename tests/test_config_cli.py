@@ -317,6 +317,24 @@ class TestShootCommand:
         rc = main(["shoot", "--tau", "1.0", "--find-topological"])
         assert rc == EXIT_USAGE
 
+    def test_rmax_conflicts_with_find_topological(self, tmp_path, capsys):
+        # bisection shoots to its own radius, so an --rmax would be ignored
+        rc = main(["shoot", "--tau", "1", "--find-topological", "--nu", "1",
+                   "--bracket", "-8", "8", "--rmax", "5",
+                   "--out", str(tmp_path / "p")])
+        assert rc == EXIT_USAGE
+        assert "--rmax" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
+    def test_find_topological_records_its_bisection(self, tmp_path, capsys):
+        rc = main(["shoot", "--tau", "1", "--find-topological", "--nu", "2",
+                   "--bracket", "-16", "16", "--out", str(tmp_path / "p")])
+        assert rc == EXIT_OK
+        diag = json.loads((tmp_path / "p.json").read_text())["diagnostics"]
+        assert diag["bisect_probes"] > 2
+        assert 0 <= diag["bisect_reshots"] <= diag["bisect_probes"]
+        assert diag["bisect_nfev"] > diag["nfev"]
+
     def test_same_side_bracket_is_numerical_failure(self, tmp_path, capsys):
         rc = main(["shoot", "--tau", "1.0", "--find-topological",
                    "--nu", "1.0", "--bracket", "-8", "-7",
@@ -554,6 +572,16 @@ class TestStabilityCommand:
         cfg = _write_cfg(tmp_path, tree)
         assert main(["stability", "--config", cfg]) == EXIT_USAGE
         assert "/stability/bracket" in capsys.readouterr().err
+
+    def test_r_max_conflicts_with_find_topological(self, tmp_path, capsys):
+        tree = {"stability": {"target": "radial", "find_topological": True,
+                              "bracket": [-8.0, 8.0], "nu": 1.0,
+                              "r_max": 1e6},
+                "output": {"dir": str(tmp_path), "prefix": "st"}}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["stability", "--config", cfg]) == EXIT_USAGE
+        assert "/stability/r_max" in capsys.readouterr().err
+        assert not (tmp_path / "st_stability.json").exists()
 
 
 # ---------------------------------------------------------------------------

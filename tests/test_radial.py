@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexlab import radial
 from vortexlab import (
     BCType,
     BracketError,
@@ -163,6 +164,77 @@ class TestSingularTopological:
         sol = integrate_radial(-1.0, tau=1.0)
         f2 = mass_integral(sol, MassKind.F2_MASS)
         assert 2.0 * f2 == pytest.approx(np.pi * sol.beta ** 2, rel=1e-4)
+
+
+def _full_grid_tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
+    """Reference probe: the whole 200-per-decade shot and its sign rule."""
+    sol = integrate_radial(s, nu, tau, r_end, tol, vortex_sign=vortex_sign,
+                           nonlinearity=nonlinearity, divergence_stop=30.0,
+                           _retry=False)
+    if sol.bc_type is BCType.NONTOPOLOGICAL_I:
+        sign = -1
+    elif sol.bc_type is BCType.NONTOPOLOGICAL_II:
+        sign = 1
+    elif abs(sol.u[-1]) < radial.TOPOLOGICAL_TOL_U:
+        sign = 0
+    else:
+        sign = -1 if sol.u[-1] < 0 else 1
+    return sign, sol.diagnostics["nfev"], False
+
+
+class TestBisectionProbe:
+    R_BISECT = max(200.0, 60.0 * 2.0 ** 1.5 * 2.0)  # nu = 1, tau = 1
+
+    @pytest.mark.parametrize("nu,tau", [(1.0, 1.0), (1.0, 0.5)])
+    def test_full_grid_probes_give_the_same_profile(self, nu, tau, request,
+                                                    monkeypatch):
+        if (nu, tau) == (1.0, 1.0):
+            real = request.getfixturevalue("topological")
+        else:
+            real = find_topological(nu, tau, (-8.0, 8.0))
+        calls = []
+
+        def reference(*args):
+            calls.append(_full_grid_tail_sign(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(radial, "_tail_sign", reference)
+        ref = find_topological(nu, tau, (-8.0, 8.0))
+        assert real.s == ref.s
+        assert real.beta == ref.beta
+        assert real.grid.tobytes() == ref.grid.tobytes()
+        # the same bisection path, probe for probe
+        assert ref.diagnostics["bisect_probes"] == len(calls)
+        assert real.diagnostics["bisect_probes"] == len(calls)
+        assert ref.diagnostics["bisect_reshots"] == 0
+        assert ref.diagnostics["bisect_nfev"] == sum(c[1] for c in calls)
+        assert 0 < real.diagnostics["bisect_reshots"] < len(calls)
+        assert 0 < real.diagnostics["bisect_nfev"] < \
+            ref.diagnostics["bisect_nfev"]
+
+    @pytest.mark.parametrize("s,shots", [
+        (-8.0, 2),  # no event and |u(r_end)| < 25: the hysteresis test
+        (3.3, 1),   # the event fires before r_end, no sample is reached
+        (4.0, 1),   # u(r_end) > 25 decides on the one row
+    ])
+    def test_probe_sign_and_shots(self, s, shots, monkeypatch):
+        args = (s, 1.0, 1.0, self.R_BISECT, 1e-10, -1,
+                Nonlinearity.SIGMA_O3)
+        want = _full_grid_tail_sign(*args)[0]
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(kw["t_eval"].size)
+            return real_solve_ivp(*a, **kw)
+
+        real_solve_ivp = radial.solve_ivp
+        monkeypatch.setattr(radial, "solve_ivp", counting)
+        sign, nfev, reshot = radial._tail_sign(*args)
+        assert sign == want
+        assert len(calls) == shots
+        assert reshot is (shots == 2)
+        assert calls[0] == 1
+        assert nfev > 0
 
 
 class TestBetaCurve:
