@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from vortexlab import TorusDomain, VortexSet, find_topological
+from vortexlab import TorusDomain, TorusGeometry, VortexSet, find_topological
 from vortexlab.asymptotics import (
     classify_alternative,
     rescale_blowup,
@@ -28,7 +28,7 @@ def main():
     vs = VortexSet(positive_vortices=(((2.0, 2.0), 1),))
     eps = np.geomspace(0.25, 0.05, 8)
 
-    records = run_sweep(dom, vs, 1.0, eps, keep_fields=True)
+    records = run_sweep(TorusGeometry(dom, vs), 1.0, eps, keep_fields=True)
     print("= sweep: one +1 vortex, eps 0.25 -> 0.05 =")
     print("  eps      sup_K u     inf_K u     ball mass   quantization")
     for rec in records:

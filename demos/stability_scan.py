@@ -13,6 +13,7 @@ import warnings
 from vortexlab import (
     ModelParams,
     TorusDomain,
+    TorusGeometry,
     VortexSet,
     classify_stability,
     default_torus_margin,
@@ -30,7 +31,8 @@ def main():
 
     print("= vacuum oracle: mu = eps^-2 / (tau+1)^3 =")
     for tau, eps in ((1.0, 0.5), (2.0, 0.3)):
-        fld = solve_newton(dom, VortexSet(), ModelParams(tau, eps))
+        fld = solve_newton(TorusGeometry(dom, VortexSet()),
+                           ModelParams(tau, eps))
         res = principal_eigen_torus(fld)
         want = eps ** -2 / (tau + 1.0) ** 3
         print("  tau=%g eps=%g   mu = %.10f   formula = %.10f"
@@ -38,11 +40,10 @@ def main():
 
     print()
     print("= one-vortex torus branch =")
+    geo = TorusGeometry(dom, VortexSet(positive_vortices=(((2.0, 2.0), 1),)))
     for eps, sched in ((0.15, [0.25, 0.2, 0.15]),
                        (0.1, [0.25, 0.2, 0.15, 0.12, 0.1])):
-        vs = VortexSet(positive_vortices=(((2.0, 2.0), 1),))
-        fld = solve_newton(dom, vs, ModelParams(1.0, eps),
-                           continuation=sched)
+        fld = solve_newton(geo, ModelParams(1.0, eps), continuation=sched)
         res = principal_eigen_torus(fld)
         cls = classify_stability(res, default_torus_margin(fld.params))
         print("  eps=%.2f   mu = %9.4f   %s" % (eps, res.eigenvalue,

@@ -16,10 +16,9 @@ import numpy as np
 from vortexlab import (
     ModelParams,
     TorusDomain,
+    TorusGeometry,
     VortexSet,
-    build_u0,
     identity_check,
-    snapped_vortices,
     solve_monotone,
     solve_newton,
     total_mass,
@@ -31,10 +30,11 @@ warnings.simplefilter("ignore")
 def main():
     dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(128, 128))
     vs = VortexSet(positive_vortices=(((2.0, 2.0), 1),))
+    geo = TorusGeometry(dom, vs)
     params = ModelParams(tau=1.0, epsilon=0.1)
     sched = [0.25, 0.2, 0.15, 0.12, 0.1]
 
-    fld = solve_newton(dom, vs, params, continuation=sched)
+    fld = solve_newton(geo, params, continuation=sched)
     print("= one +1 vortex, eps = 0.1, 128^2 grid =")
     print("  continuation stages : %s" % sched)
     print("  sup residual        : %.3e" % fld.residual_norm())
@@ -51,8 +51,8 @@ def main():
         print("  a = %-4g identity    : lhs %.6f  rhs %.6f  rel %.1e"
               % (a, lhs, rhs, rel))
 
-    u0 = build_u0(dom, snapped_vortices(dom, vs))
-    mono = solve_monotone(dom, vs, params, sub=-u0 - 25.0, super_=-u0)
+    # the vacuum shift -u0 is a supersolution
+    mono = solve_monotone(geo, params, sub=-geo.u0 - 25.0, super_=-geo.u0)
     print()
     print("= monotone iteration cross-check =")
     print("  iterations          : %d" % mono.diagnostics["iterations"])
@@ -62,9 +62,10 @@ def main():
     # swapping the vortex sign mirrors the solution when tau -> 1/tau
     # and eps picks up a factor tau^(3/2)
     sched2 = [0.2, 0.17, 0.15]
-    a1 = solve_newton(dom, VortexSet(negative_vortices=(((2.0, 2.0), 1),)),
-                      ModelParams(2.0, 0.15), continuation=sched2)
-    a2 = solve_newton(dom, vs, ModelParams(0.5, 0.15 * 2.0 ** 1.5),
+    a1 = solve_newton(
+        TorusGeometry(dom, VortexSet(negative_vortices=(((2.0, 2.0), 1),))),
+        ModelParams(2.0, 0.15), continuation=sched2)
+    a2 = solve_newton(geo, ModelParams(0.5, 0.15 * 2.0 ** 1.5),
                       continuation=[e * 2.0 ** 1.5 for e in sched2])
     print()
     print("= sign-flip duality =")

@@ -30,10 +30,10 @@ from .stability import (EigenConvergenceError, EigenResult, StabilityClass,
                         rayleigh_quotient_torus, weighted_eigen_radial)
 from .torus import (CapacityError, ConvergenceError, MonotonicityError,
                     NewtonDivergenceError, ResolutionWarning, TorusDomain,
-                    TorusField, build_u0, cell_integral, gradient,
+                    TorusField, TorusGeometry, cell_integral, gradient,
                     identity_check, laplacian, mass_bound_report,
-                    poisson_solve, snap_to_grid, snapped_vortices,
-                    solve_monotone, solve_newton, total_mass)
+                    poisson_solve, snap_to_grid, solve_monotone,
+                    solve_newton, total_mass)
 
 __version__ = "0.1.0"
 
@@ -50,10 +50,10 @@ __all__ = [
     "export_profile_csv", "export_curve_csv", "BracketError",
     "IntegrationFailureError",
     # torus
-    "TorusDomain", "TorusField", "solve_newton", "solve_monotone",
-    "build_u0", "identity_check", "total_mass",
+    "TorusDomain", "TorusGeometry", "TorusField", "solve_newton",
+    "solve_monotone", "identity_check", "total_mass",
     "mass_bound_report", "laplacian", "poisson_solve", "gradient",
-    "cell_integral", "snap_to_grid", "snapped_vortices",
+    "cell_integral", "snap_to_grid",
     "NewtonDivergenceError", "MonotonicityError", "ConvergenceError",
     "CapacityError", "ResolutionWarning",
     # stability

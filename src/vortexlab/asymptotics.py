@@ -115,7 +115,7 @@ class BlowupProfile:
     n_theta: int
 
 
-def _validate_ball(field, center, r, self_id=None):
+def _validate_ball(geometry, center, r, self_id=None):
     """Ball must fit in the cell and stay clear of other vortices.
 
     Vortex-centered balls (self_id given) must be pairwise disjoint
@@ -124,17 +124,17 @@ def _validate_ball(field, center, r, self_id=None):
     """
     if not r > 0:
         raise ValueError("ball radius must be positive, got %r" % (r,))
-    L = min(field.domain.periods)
+    L = min(geometry.domain.periods)
     if not r < 0.5 * L:
         raise GeometryError(
             "ball radius %g does not fit the fundamental domain "
             "(needs r < %g)" % (r, 0.5 * L))
     need = 2.0 * r if self_id is not None else r
-    for k, (q, m, sgn) in enumerate(field.vortices.signed()):
+    for k, (q, m, sgn) in enumerate(geometry.vortices.signed()):
         if k == self_id:
             continue
         d = float(np.hypot(*ewald._min_image(np.subtract(center, q),
-                                             field.domain.periods)))
+                                             geometry.domain.periods)))
         if d < need:
             raise GeometryError(
                 "ball of radius %g at (%g, %g) conflicts with vortex %d "
@@ -194,11 +194,29 @@ def _ball_coverage(domain, center, r):
     return w
 
 
-def _ball(field, center, r, self_id):
-    """Validated coverage weights of the ball B_r(center); self_id as in
-    _validate_ball."""
-    _validate_ball(field, center, r, self_id=self_id)
-    return _ball_coverage(field.domain, center, r)
+def _ball(geometry, center, r, self_id):
+    """Validated coverage weights of the ball B_r(center), self_id as in
+    _validate_ball; the memo keeps the covered cells and their weights."""
+    def build():
+        _validate_ball(geometry, center, r, self_id=self_id)
+        w = _ball_coverage(geometry.domain, center, r).ravel()
+        cells = np.flatnonzero(w)
+        return cells, w[cells]
+    cells, weights = geometry._cached(("ball", center, r, self_id), build)
+    w = np.zeros(geometry.domain.grid_shape)
+    w.flat[cells] = weights
+    return w
+
+
+def _ring(geometry, center, r, n_theta):
+    """cos, sin of n_theta midpoint angles, the points of |x - center| = r
+    there and u0, grad u0 at them (torus._u0_at), once per geometry."""
+    def build():
+        theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
+        ct, st = np.cos(theta), np.sin(theta)
+        px, py = center[0] + r * ct, center[1] + r * st
+        return (ct, st, px, py) + torus_mod._u0_at(geometry, px, py, True)
+    return geometry._cached(("ring", center, r, n_theta), build)
 
 
 def _ball_integral(field, weights, grid):
@@ -216,7 +234,8 @@ def vortex_mass(field, vortex_id, r):
     boundary.  Ids index field.vortices.signed().
     """
     p, m, sgn = field.vortices.signed()[vortex_id]
-    return _ball_integral(field, _ball(field, p, r, vortex_id), field.f)
+    return _ball_integral(field, _ball(field.geometry, p, r, vortex_id),
+                          field.f)
 
 
 def mass_partition(field, r):
@@ -226,7 +245,7 @@ def mass_partition(field, r):
     the full cell measure); the interesting check is that the total
     equals 4 pi (N1 - N2).
     """
-    covs = [_ball(field, p, r, k)
+    covs = [_ball(field.geometry, p, r, k)
             for k, (p, m, sgn) in enumerate(field.vortices.signed())]
     masses = tuple(_ball_integral(field, c, field.f) for c in covs)
     leftover = 1.0 - sum(covs) if covs else np.ones_like(field.f)
@@ -242,7 +261,8 @@ def quantization_value(field, vortex_id, r):
     """
     qgrid = field.q
     p, m, sgn = field.vortices.signed()[vortex_id]
-    return _ball_integral(field, _ball(field, p, r, vortex_id), qgrid)
+    return _ball_integral(field, _ball(field.geometry, p, r, vortex_id),
+                          qgrid)
 
 
 def _bilinear_periodic(domain, grid, px, py):
@@ -262,23 +282,6 @@ def _bilinear_periodic(domain, grid, px, py):
             + fx * (1 - fy) * grid[i1, j0]
             + (1 - fx) * fy * grid[i0, j1]
             + fx * fy * grid[i1, j1])
-
-
-def _sample_u_grad(field, px, py, want_grad):
-    """u (and optionally grad u) at arbitrary points.
-
-    The singular background is evaluated analytically through the
-    lattice Green function (torus._u0_at); the smooth remainder v and
-    its spectral gradient are sampled bilinearly.
-    """
-    u0, u0x, u0y = torus_mod._u0_at(field.domain, field.vortices, px, py,
-                                    want_grad)
-    val = _bilinear_periodic(field.domain, field.v, px, py) + u0
-    if not want_grad:
-        return val, None, None
-    vx, vy = field.grad_v
-    return (val, _bilinear_periodic(field.domain, vx, px, py) + u0x,
-            _bilinear_periodic(field.domain, vy, px, py) + u0y)
 
 
 def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
@@ -303,8 +306,8 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
               + eps^-2 oint (x.n) F2(u) ds - 4 pi m^2,
 
     with x the displacement from the center and m the multiplicity.
-    The ring is sampled analytically for the singular part and
-    bilinearly for the remainder.
+    The ring is sampled analytically for the singular part (the lattice
+    Green function, once per geometry) and bilinearly for the remainder.
     """
     if isinstance(obj, RadialSolution):
         return _pohozaev_radial(obj, r)
@@ -315,10 +318,11 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
         if center is None:
             center = (0.5 * obj.domain.periods[0],
                       0.5 * obj.domain.periods[1])
+        center = (float(center[0]), float(center[1]))
         mult = 0
     else:
         center, mult, _ = obj.vortices.signed()[vortex_id]
-    cov = _ball(obj, center, r, vortex_id)
+    cov = _ball(obj.geometry, center, r, vortex_id)
     return _pohozaev_torus(obj, center, mult, r, cov, n_theta)
 
 
@@ -351,11 +355,9 @@ def _pohozaev_torus(field, center, mult, r, cov, n_theta):
 
     ie2 = field.params.epsilon ** -2
 
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    px = center[0] + r * ct
-    py = center[1] + r * st
-    uring, ux, uy = _sample_u_grad(field, px, py, want_grad=True)
+    ct, st, px, py, *u0 = _ring(field.geometry, center, r, n_theta)
+    uring, ux, uy = (_bilinear_periodic(field.domain, g, px, py) + g0
+                     for g, g0 in zip((field.v, *field.grad_v), u0))
     un = ct * ux + st * uy  # outward normal derivative
     ring = r * un * un - 0.5 * r * (ux * ux + uy * uy) \
         + ie2 * r * field.ops.F2(uring)
@@ -386,11 +388,11 @@ def rescale_blowup(field, center, scale=None, n_theta=64,
     n_r = max(int(points_per_decade * np.log10(y_max / y_min)), 8) + 1
     y = np.geomspace(y_min, y_max, n_r)
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    px = center[0] + scale * y[:, None] * np.cos(theta)[None, :]
-    py = center[1] + scale * y[:, None] * np.sin(theta)[None, :]
-    uhat, _, _ = _sample_u_grad(field, px.ravel(), py.ravel(),
-                                want_grad=False)
-    uhat = uhat.reshape(n_r, n_theta)
+    px = (center[0] + scale * y[:, None] * np.cos(theta)[None, :]).ravel()
+    py = (center[1] + scale * y[:, None] * np.sin(theta)[None, :]).ravel()
+    u0, _, _ = torus_mod._u0_at(field.geometry, px, py, want_grad=False)
+    uhat = (_bilinear_periodic(field.domain, field.v, px, py)
+            + u0).reshape(n_r, n_theta)
     w = field.u - 2.0 * np.log(field.params.epsilon)
     return BlowupProfile(center=(float(center[0]), float(center[1])),
                          scale=float(scale), y=y,
@@ -399,30 +401,21 @@ def rescale_blowup(field, center, scale=None, n_theta=64,
                          w=w, n_theta=int(n_theta))
 
 
-def _min_separation(domain, vortices):
+def _min_separation(geometry):
     """Smallest min-image distance between two vortices, or from one to
     its own periodic image (the shorter period)."""
-    entries = vortices.signed()
-    sep = min(domain.periods)
+    periods = geometry.domain.periods
+    entries = geometry.vortices.signed()
+    sep = min(periods)
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             d = ewald._min_image(np.subtract(entries[i][0], entries[j][0]),
-                                 domain.periods)
+                                 periods)
             sep = min(sep, float(np.hypot(*d)))
     return sep
 
 
-def _compact_mask(domain, vortices, K_radius):
-    X, Y = domain.mesh
-    L1, L2 = domain.periods
-    mask = np.ones(tuple(domain.grid_shape), dtype=bool)
-    for (p, m, sgn) in vortices.signed():
-        mask &= np.hypot(ewald._min_image(X - p[0], L1),
-                         ewald._min_image(Y - p[1], L2)) >= K_radius
-    return mask
-
-
-def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
+def run_sweep(geometry, tau, epsilons, K_radius=None,
               nonlinearity=Nonlinearity.SIGMA_O3, compute_eigen=False,
               ball_radius=None, first_continuation=None, tol_factor=1e-10,
               keep_fields=True):
@@ -430,10 +423,10 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
 
     epsilons must be strictly decreasing.  K is the complement of the
     balls of radius K_radius (default 5 * epsilons[0], fixed across the
-    sweep so the compact set does not shrink with epsilon); it must be
-    nonempty and K_radius below half the minimal vortex separation
-    (periodic images included).  ball_radius (default K_radius) sets
-    the per-vortex diagnostic balls.
+    sweep so the compact set does not shrink with epsilon) around the
+    snapped vortices; it must be nonempty and K_radius below half the
+    minimal vortex separation (periodic images included).  ball_radius
+    (default K_radius) sets the per-vortex diagnostic balls.
 
     The first failed solve aborts with SweepError; later failures are
     recorded on their SweepRecord and the sweep continues from the last
@@ -450,24 +443,28 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
             float(first_continuation[-1]) != eps_list[0]:
         raise ValueError("first_continuation must end at epsilons[0]")
 
-    if len(vortices):
-        min_sep = _min_separation(domain, vortices)
+    if len(geometry.vortices):
+        min_sep = _min_separation(geometry)
         if not K_radius < 0.5 * min_sep:
             raise GeometryError(
                 "K_radius %g must be below half the minimal vortex "
                 "separation %g" % (K_radius, min_sep))
-    mask = _compact_mask(domain, vortices, K_radius)
+    X, Y = geometry.domain.mesh
+    L1, L2 = geometry.domain.periods
+    mask = np.ones(X.shape, dtype=bool)  # K
+    for (p, m, sgn) in geometry.vortices.signed():
+        mask &= np.hypot(ewald._min_image(X - p[0], L1),
+                         ewald._min_image(Y - p[1], L2)) >= K_radius
     if not mask.any():
         raise GeometryError("the compact set K is empty at this K_radius")
 
     records = []
     v_warm = None
-    coverages = {}
     for idx, eps in enumerate(eps_list):
         params = ModelParams(tau=tau, epsilon=eps, nonlinearity=nonlinearity)
         try:
             fld = torus_mod.solve_newton(
-                domain, vortices, params, v_init=v_warm,
+                geometry, params, v_init=v_warm,
                 continuation=first_continuation if idx == 0 else None,
                 tol_factor=tol_factor)
         except (torus_mod.NewtonDivergenceError,
@@ -483,19 +480,16 @@ def run_sweep(domain, vortices, tau, epsilons, K_radius=None,
             continue
         v_warm = fld.v
         records.append(_make_record(fld, mask, K_radius, ball_radius,
-                                    coverages, compute_eigen, keep_fields))
+                                    compute_eigen, keep_fields))
     return records
 
 
-def _make_record(fld, mask, K_radius, ball_radius, coverages,
-                 compute_eigen, keep_fields):
+def _make_record(fld, mask, K_radius, ball_radius, compute_eigen,
+                 keep_fields):
     sigma = fld.ops.sigma
     reports = []
     for k, (p, m, sgn) in enumerate(fld.vortices.signed()):
-        # the balls are fixed across the sweep: validate and cover once
-        if k not in coverages:
-            coverages[k] = _ball(fld, p, ball_radius, k)
-        cov = coverages[k]
+        cov = _ball(fld.geometry, p, ball_radius, k)
         mass = _ball_integral(fld, cov, fld.f)
         poh = _pohozaev_torus(fld, p, m, ball_radius, cov, 1024) \
             if sigma else (float("nan"),) * 3

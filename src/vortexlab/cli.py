@@ -35,9 +35,9 @@ from .stability import (EigenConvergenceError, WeightIndefiniteError,
                         classify_stability, default_torus_margin,
                         principal_eigen_torus, weighted_eigen_radial)
 from .torus import (CapacityError, ConvergenceError, MonotonicityError,
-                    NewtonDivergenceError, build_u0, identity_check,
-                    mass_bound_report, snapped_vortices, solve_monotone,
-                    solve_newton, total_mass)
+                    NewtonDivergenceError, identity_check,
+                    mass_bound_report, solve_monotone, solve_newton,
+                    total_mass)
 
 __all__ = ["main"]
 
@@ -184,18 +184,16 @@ def cmd_beta_curve(args):
 
 
 def _solve_from_config(cfg):
-    domain = cfg.domain()
-    vortices = cfg.vortices()
+    geometry = cfg.geometry()
     solver = cfg.tree["solver"]
     params = cfg.params()
     if solver["method"] == "monotone":
-        vortices = snapped_vortices(domain, vortices)
-        u0 = build_u0(domain, vortices)
-        fld = solve_monotone(domain, vortices, params,
+        u0 = geometry.u0
+        fld = solve_monotone(geometry, params,
                              sub=-u0 - solver["monotone_offset"], super_=-u0,
                              tol_factor=solver["tol_factor"])
     else:
-        fld = solve_newton(domain, vortices, params,
+        fld = solve_newton(geometry, params,
                            continuation=solver["continuation"],
                            max_iter=solver["max_iter"],
                            tol_factor=solver["tol_factor"])
@@ -320,7 +318,7 @@ def cmd_sweep(args):
         raise ConfigError("/sweep/epsilons",
                           "need at least 3 steps to classify a trend")
     model = cfg.tree["model"]
-    records = run_sweep(cfg.domain(), cfg.vortices(), model["tau"],
+    records = run_sweep(cfg.geometry(), model["tau"],
                         block["epsilons"], K_radius=block["K_radius"],
                         nonlinearity=model["nonlinearity"],
                         compute_eigen=block["compute_eigen"],
@@ -381,22 +379,18 @@ def cmd_sweep(args):
 # verify
 
 
-def _auto_ball_radius(fld):
-    """Largest comfortable diagnostic radius: 0.45 of the minimal vortex
-    separation, periodic self-images included."""
-    return 0.45 * asymptotics._min_separation(fld.domain, fld.vortices)
-
-
 def _solver_block(fld):
     """What the solve says of its own validity, from the field's
     diagnostics: the last Newton stage's grid_shape, resolved and
-    h_over_eps (a monotone field's own), and minres_failed; None where
-    the diagnostics lack a key.  Reported beside the rows, not gated."""
+    h_over_eps (a monotone field's own), minres_failed and snap_moves;
+    None where the diagnostics lack a key.  Reported beside the rows,
+    not gated."""
     diag = fld.diagnostics
     last = (diag.get("stages") or [diag])[-1]
     block = {key: last.get(key)
              for key in ("grid_shape", "resolved", "h_over_eps")}
-    block["minres_failed"] = diag.get("minres_failed")
+    block.update((key, diag.get(key)) for key in ("minres_failed",
+                                                  "snap_moves"))
     return jsonable(block)
 
 
@@ -432,7 +426,8 @@ def cmd_verify(args):
 
         r = block["ball_radius"]
         if r is None:
-            r = _auto_ball_radius(fld)
+            # 0.45 of the minimal vortex separation, self-images included
+            r = 0.45 * asymptotics._min_separation(fld.geometry)
         for k in range(len(fld.vortices.signed())):
             _, _, resid = pohozaev_value(fld, vortex_id=k, r=r)
             add("pohozaev_v%d" % k, resid, block["pohozaev_tol"])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, Nonlinearity, VortexSet, eps_schedule
-from .torus import TorusDomain, TorusField
+from .torus import TorusDomain, TorusField, TorusGeometry
 
 __all__ = [
     "ConfigError",
@@ -315,22 +315,20 @@ class ExperimentConfig:
                               "section required by this command")
         return sec
 
-    def domain(self):
-        d = self.tree["domain"]
+    def geometry(self):
+        """The torus and its vortices, snapped: a command's one geometry."""
+        d, v = self.tree["domain"], self.tree["vortices"]
         try:
-            return TorusDomain(periods=tuple(d["periods"]),
-                               grid_shape=tuple(d["grid_shape"]))
+            domain = TorusDomain(periods=tuple(d["periods"]),
+                                 grid_shape=tuple(d["grid_shape"]))
         except ValueError as e:
             raise ConfigError("/domain", str(e))
-
-    def vortices(self):
-        v = self.tree["vortices"]
         try:
-            return VortexSet(
+            return TorusGeometry(domain, VortexSet(
                 positive_vortices=tuple((tuple(e["point"]), e["multiplicity"])
                                         for e in v["positive"]),
                 negative_vortices=tuple((tuple(e["point"]), e["multiplicity"])
-                                        for e in v["negative"]))
+                                        for e in v["negative"])))
         except ValueError as e:
             raise ConfigError("/vortices", str(e))
 
@@ -463,11 +461,12 @@ _SKIP = _Skip()
 
 
 # ---------------------------------------------------------------------------
-# field archive: one .npz with u0, v, and a JSON metadata entry
+# field archive: one .npz with v and a JSON metadata entry; u0 is rebuilt
+# from the geometry the metadata names
 
 
 def save_field(fld, path):
-    """Archive a TorusField as .npz (grids plus JSON metadata)."""
+    """Archive a TorusField as .npz: v plus JSON metadata."""
     meta = {
         "periods": list(fld.domain.periods),
         "grid_shape": list(fld.domain.grid_shape),
@@ -480,14 +479,14 @@ def save_field(fld, path):
     }
     with atomic_path(path) as tmp:
         with open(tmp, "wb") as fh:
-            np.savez(fh, u0=fld.u0, v=fld.v,
+            np.savez(fh, v=fld.v,
                      meta=np.bytes_(dumps_json(meta).encode()))
 
 
 def load_field(path):
-    """Rebuild a TorusField from an archive written by save_field."""
+    """Rebuild a TorusField from an archive written by save_field; its u0
+    is the rebuilt geometry's (older archives' u0 entry is not read)."""
     with np.load(path) as npz:
-        u0 = np.array(npz["u0"], dtype=float)
         v = np.array(npz["v"], dtype=float)
         meta = json.loads(bytes(npz["meta"].tolist()).decode())
     domain = TorusDomain(periods=tuple(meta["periods"]),
@@ -497,7 +496,8 @@ def load_field(path):
         negative_vortices=tuple((tuple(p), m) for p, m in meta["negative"]))
     params = ModelParams(tau=meta["tau"], epsilon=meta["epsilon"],
                          nonlinearity=Nonlinearity(meta["nonlinearity"]))
-    if u0.shape != domain.grid_shape or v.shape != domain.grid_shape:
+    if v.shape != domain.grid_shape:
         raise ValueError("archive grids do not match the stored grid_shape")
-    return TorusField(domain=domain, vortices=vortices, params=params,
-                      u0=u0, v=v, diagnostics=meta.get("diagnostics", {}))
+    return TorusField(geometry=TorusGeometry(domain, vortices),
+                      params=params, v=v,
+                      diagnostics=meta.get("diagnostics", {}))

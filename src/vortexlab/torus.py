@@ -166,78 +166,98 @@ def snap_to_grid(domain, point):
     return (i, j), (i * h1, j * h2)
 
 
-def snapped_vortices(domain, vortices):
-    """VortexSet with every position replaced by the nearest grid point.
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
-    Emits a warning when any vortex actually moves; raises ValueError
-    when two vortices snap to one grid point.
+
+@dataclass(frozen=True)
+class TorusGeometry:
+    """A torus and its vortices, snapped to grid points on construction
+    (a warning when one moves, ValueError when two share a point):
+    vortices is the snapped set, cells their grid indices and snap_moves
+    the (point, grid point) pairs that moved.  c_p, u0 and the regular
+    part of u0 at each vortex are cached read-only on first use, the
+    way TorusDomain caches its symbols; _cached memoizes what the audits
+    derive from them per ball and per ring.
     """
-    h1, h2 = domain.spacings
-    moved = []
-    taken = {}
 
-    def snap_entries(entries):
-        out = []
-        for (p, m) in entries:
-            _, q = snap_to_grid(domain, p)
+    domain: TorusDomain
+    vortices: VortexSet
+    cells: tuple = field(init=False, default=())
+    snap_moves: tuple = field(init=False, default=())
+    _memo: dict = field(init=False, default_factory=dict, repr=False,
+                        compare=False)
+
+    def __post_init__(self):
+        tol = 1e-12 * max(self.domain.spacings)
+        cells, moves, taken, snapped = [], [], {}, {1: [], -1: []}
+        for p, m, sgn in self.vortices.signed():
+            cell, q = snap_to_grid(self.domain, p)
             if q in taken:
                 raise ValueError(
                     "vortices at (%g, %g) and (%g, %g) both snap to the grid "
                     "point (%g, %g); refine the grid to separate them"
                     % (taken[q] + p + q))
             taken[q] = p
-            dx = abs(p[0] - q[0])
-            dy = abs(p[1] - q[1])
-            if max(dx, dy) > 1e-12 * max(h1, h2):
-                moved.append((p, q))
-            out.append((q, m))
-        return tuple(out)
+            if max(abs(p[0] - q[0]), abs(p[1] - q[1])) > tol:
+                moves.append((p, q))
+            cells.append(cell)
+            snapped[sgn].append((q, m))
+        snapped = VortexSet(positive_vortices=snapped[1],
+                            negative_vortices=snapped[-1])
+        if moves:
+            warnings.warn("%d vortex position(s) snapped to the grid"
+                          % len(moves), UserWarning, stacklevel=3)
+        object.__setattr__(self, "vortices", snapped)
+        object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "snap_moves", tuple(moves))
 
-    pos = snap_entries(vortices.positive_vortices)
-    neg = snap_entries(vortices.negative_vortices)
-    if moved:
-        warnings.warn("%d vortex position(s) snapped to the grid" % len(moved),
-                      UserWarning, stacklevel=2)
-    return VortexSet(positive_vortices=pos, negative_vortices=neg)
+    @cached_property
+    def _sources(self):
+        """Points (n, 2) and coefficients c_p = -4pi m sgn of the singular
+        background u0 = sum_p c_p G(. - p)."""
+        entries = self.vortices.signed()
+        points = np.reshape([p for (p, m, sgn) in entries], (-1, 2))
+        c = np.array([-4.0 * np.pi * m * sgn for (p, m, sgn) in entries])
+        return _read_only(points), _read_only(c)
 
+    def _charge_grid(self):
+        """Point charges c_p/(h1 h2) on the vortex cells; built per call
+        and not kept, since u0 and _u0_gradient read it once each."""
+        h1, h2 = self.domain.spacings
+        rho = np.zeros(self.domain.grid_shape)
+        for (i, j), cp in zip(self.cells, self._sources[1]):
+            rho[i, j] += cp / (h1 * h2)
+        return rho
 
-def _sources(vortices):
-    """Points (n, 2) and coefficients c_p = -4pi m sgn of the singular
-    background u0 = sum_p c_p G(. - p), in vortices.signed() order."""
-    entries = vortices.signed()
-    points = np.reshape([p for (p, m, sgn) in entries], (-1, 2))
-    c = np.array([-4.0 * np.pi * m * sgn for (p, m, sgn) in entries])
-    return points, c
+    @cached_property
+    def u0(self):
+        """Singular background u0 = -4pi sum m G(., p+) + 4pi sum m G(., p-),
+        one zero-mean Poisson solve."""
+        # Lap u0 = -c delta: +4pi m at positive vortices, -4pi m at negative
+        rhs = -self._charge_grid() \
+            - 4.0 * np.pi * (self.vortices.N1 - self.vortices.N2) \
+            / self.domain.area
+        return _read_only(poisson_solve(self.domain, rhs))
 
+    @cached_property
+    def u0_regular(self):
+        """lim of u0 -/+ 2m ln|x-p| at each vortex, in vortices.signed()
+        order: c_p gamma(p,p) from the vortex itself plus the full
+        (finite) Green value at p of every other vortex."""
+        L1, L2 = self.domain.periods
+        q, c = self._sources
+        G = ewald.green_value(np.subtract.outer(q[:, 0], q[:, 0]),
+                              np.subtract.outer(q[:, 1], q[:, 1]), L1, L2)
+        np.fill_diagonal(G, ewald.regular_part(L1, L2))
+        return _read_only(G @ c)
 
-def _charges(domain, vortices):
-    """Snapped cells (i, j), coefficients c_p and the grid of point
-    charges c_p/(h1 h2) on those cells, in vortices.signed() order."""
-    h1, h2 = domain.spacings
-    points, c = _sources(vortices)
-    cells = [snap_to_grid(domain, p)[0] for p in points]
-    rho = np.zeros(domain.grid_shape)
-    for (i, j), cp in zip(cells, c):
-        rho[i, j] += cp / (h1 * h2)
-    return cells, c, rho
-
-
-def build_u0(domain, vortices):
-    """Singular background u0 = -4pi sum m G(., p+) + 4pi sum m G(., p-).
-
-    Built with a single zero-mean Poisson solve; vortices are snapped
-    to grid points first.
-    """
-    snapped = snapped_vortices(domain, vortices)
-    # Lap u0 = -c delta: +4pi m at positive vortices, -4pi m at negative
-    rhs = -_charges(domain, snapped)[2] \
-        - 4.0 * np.pi * (snapped.N1 - snapped.N2) / domain.area
-    return poisson_solve(domain, rhs)
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
+    def _cached(self, key, build):
+        """build() once per key: a tuple of arrays, kept read-only."""
+        if key not in self._memo:
+            self._memo[key] = tuple(map(_read_only, build()))
+        return self._memo[key]
 
 
 @dataclass(frozen=True)
@@ -247,18 +267,18 @@ class TorusField:
     It is the one place the equation is written: residual is F(v) and
     potential is -eps^-2 f'(u), so the linearization is -Lap + potential.
     These and the grids the audits share (u, f(u), q(u), F2(u), grad v,
-    |grad u|^2, the regular part of u0 at each vortex) are computed on
-    first use and cached read-only, the way TorusDomain caches its
-    spectral symbols; u0 and v must not change in place once one of
-    them has been read.
+    |grad u|^2) are computed on first use and cached read-only, like the
+    geometry's members (domain, vortices and u0 read through to it); v
+    must not change in place once one of them has been read.
     """
 
-    domain: TorusDomain
-    vortices: VortexSet
+    geometry: TorusGeometry
     params: ModelParams
-    u0: np.ndarray
     v: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+    domain = property(lambda self: self.geometry.domain)
+    vortices = property(lambda self: self.geometry.vortices)
+    u0 = property(lambda self: self.geometry.u0)
 
     @cached_property
     def ops(self):
@@ -300,15 +320,9 @@ class TorusField:
     def grad_u_sq(self):
         """|grad v + grad u0|^2 with the exact grid-Ewald grad u0
         (_u0_gradient); nan on the vortex cells."""
-        gvx, gvy = self.grad_v
-        g0x, g0y = _u0_gradient(self.domain, self.vortices)
-        gx = gvx + g0x
-        gy = gvy + g0y
+        gx, gy = (gv + g0 for gv, g0 in zip(self.grad_v,
+                                            _u0_gradient(self.geometry)))
         return _read_only(gx * gx + gy * gy)
-
-    @cached_property
-    def u0_regular(self):
-        return _read_only(_u0_regular(self.domain, self.vortices))
 
     def residual_norm(self):
         return float(np.max(np.abs(self.residual)))
@@ -366,7 +380,12 @@ def _stage_domain(domain, cells, eps):
     return TorusDomain(periods=domain.periods, grid_shape=(n1 // s, n2 // s))
 
 
-def solve_newton(domain, vortices, params, v_init=None, continuation=None,
+def _snap_record(geometry):
+    """snap_moves as diagnostics: [[x, y], [x', y']] per moved vortex."""
+    return [[list(p), list(q)] for p, q in geometry.snap_moves]
+
+
+def solve_newton(geometry, params, v_init=None, continuation=None,
                  max_iter=60, tol_factor=1e-10):
     """Damped Newton for F(v) = 0, optionally with eps-continuation.
 
@@ -375,59 +394,59 @@ def solve_newton(domain, vortices, params, v_init=None, continuation=None,
     warm-started from the previous solution.  From a cold start
     (v_init None) every stage but the last runs on the coarsest grid
     of the torus that resolves its epsilon and holds every snapped
-    vortex as a grid point (_stage_domain); each stage's solution is
-    resampled spectrally onto the next stage's grid (nested iteration).
-    Each stages entry records its grid_shape, and resolved/h_over_eps
-    for that grid.  Returns the final field, on `domain`; a stage that
-    diverges raises with its last iterate on that stage's grid.  Raises
-    CapacityError before any solve when the schedule's largest epsilon
-    cannot carry the mass identity (_check_capacity).
+    vortex as a grid point (_stage_domain), on its own geometry; each
+    stage's solution is resampled spectrally onto the next stage's grid
+    (nested iteration).  Each stages entry records its grid_shape, and
+    resolved/h_over_eps for that grid.  Returns the final field, on
+    `geometry`; a stage that diverges raises with its last iterate on
+    that stage's grid.  Raises CapacityError before any solve when the
+    schedule's largest epsilon cannot carry the mass identity.
     """
-    snapped = snapped_vortices(domain, vortices)
+    domain = geometry.domain
     if continuation is not None:
         eps_list = eps_schedule(continuation, "continuation schedule")
     else:
         eps_list = [params.epsilon]
-    _check_capacity(domain, snapped, params, eps_list[0])
-    u0 = build_u0(domain, snapped)
+    _check_capacity(domain, geometry.vortices, params, eps_list[0])
 
     v = np.zeros(domain.grid_shape) if v_init is None else np.array(v_init, dtype=float)
     if v.shape != tuple(domain.grid_shape):
         raise ValueError("v_init shape does not match the grid")
     n_coarse = len(eps_list) - 1 if v_init is None else 0
-    cells = _charges(domain, snapped)[0]
 
     stages = []
     failed = 0
     fld = None
-    dom, dom_u0 = domain, u0
+    geo = geometry
     for k, eps in enumerate(eps_list):
         p = replace(params, epsilon=float(eps))
-        stage = _stage_domain(domain, cells, eps) if k < n_coarse else domain
-        if stage != dom:
+        stage = _stage_domain(domain, geometry.cells, eps) \
+            if k < n_coarse else domain
+        if stage != geo.domain:
             # a finer grid only: eps decreases, so stage grids never coarsen
-            dom = stage
-            dom_u0 = u0 if dom is domain else build_u0(dom, snapped)
-            v = np.zeros(dom.grid_shape) if fld is None else dom._resample(v)
-        resolution = _check_resolution(dom, p)
-        fld = _newton_core(dom, snapped, p, dom_u0, v, max_iter, tol_factor)
+            geo = geometry if stage is domain \
+                else TorusGeometry(stage, geometry.vortices)
+            v = np.zeros(stage.grid_shape) if fld is None \
+                else stage._resample(v)
+        resolution = _check_resolution(stage, p)
+        fld = _newton_core(geo, p, v, max_iter, tol_factor)
         v = fld.v
         failed += fld.diagnostics["minres_failed"]
         stages.append({"epsilon": float(eps),
                        "iterations": fld.diagnostics["iterations"],
                        "residual": fld.diagnostics["residual"],
-                       "grid_shape": dom.grid_shape,
+                       "grid_shape": stage.grid_shape,
                        **resolution})
     diagnostics = dict(fld.diagnostics)
     diagnostics["minres_failed"] = failed  # over every stage
     diagnostics["stages"] = stages
+    diagnostics["snap_moves"] = _snap_record(geometry)
     return replace(fld, diagnostics=diagnostics)
 
 
-def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor):
+def _newton_core(geometry, params, v, max_iter, tol_factor):
     tol = _solver_tol(params, tol_factor)
-    fld = TorusField(domain=domain, vortices=vortices, params=params,
-                     u0=u0, v=v)
+    fld = TorusField(geometry=geometry, params=params, v=v)
     res = fld.residual_norm()
     res0 = max(res, tol)
     grow_count = 0
@@ -443,7 +462,8 @@ def _newton_core(domain, vortices, params, u0, v, max_iter, tol_factor):
         c0 = max(float(np.mean(np.maximum(pot, 0.0))),
                  1e-6 * params.epsilon ** -2)
         eta = min(0.1, max(np.sqrt(res / res0) * 1e-2, 1e-10))
-        delta, info = _solve_shifted(domain, pot, c0, fld.residual, eta, 800)
+        delta, info = _solve_shifted(geometry.domain, pot, c0, fld.residual,
+                                     eta, 800)
         failed += info != 0
 
         best = None
@@ -498,7 +518,7 @@ def _solve_shifted(domain, W, c, b, rtol, maxiter):
     return x.reshape(shape), info
 
 
-def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
+def solve_monotone(geometry, params, sub, super_, max_iter=100000,
                    tol_factor=1e-10):
     """Monotone iteration between a sub- and a supersolution.
 
@@ -509,6 +529,7 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     diagnostics, not enforced.  Raises CapacityError before iterating
     when epsilon cannot carry the mass identity (_check_capacity).
     """
+    domain = geometry.domain
     ops = nonlinearity_ops(params.nonlinearity, params.tau)
     # the shift needs the globally bounded SigmaO3 derivative
     ops.require_sigma("monotone iteration")
@@ -519,22 +540,20 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     if np.any(sub > super_):
         raise ValueError("sub must lie below super pointwise")
 
-    snapped = snapped_vortices(domain, vortices)
-    _check_capacity(domain, snapped, params, params.epsilon)
-    u0 = build_u0(domain, snapped)
+    _check_capacity(domain, geometry.vortices, params, params.epsilon)
     resolution = _check_resolution(domain, params)
     tol = _solver_tol(params, tol_factor)
     c = 1.05 * params.epsilon ** -2 * ops.sup_abs_df()
     mult = 1.0 / (c + domain._k2)
 
     # the first iterate is the supersolution: its residual is the bracket's
-    fld = TorusField(domain=domain, vortices=snapped, params=params, u0=u0,
-                     v=super_.copy())
+    fld = TorusField(geometry=geometry, params=params, v=super_.copy())
     diag = {
         "shift": c,
         "sub_residual_min": float(np.min(replace(fld, v=sub).residual)),
         "super_residual_max": float(np.max(fld.residual)),
         **resolution,
+        "snap_moves": _snap_record(geometry),
     }
 
     for it in range(max_iter):
@@ -558,11 +577,11 @@ def solve_monotone(domain, vortices, params, sub, super_, max_iter=100000,
     raise ConvergenceError("monotone iteration exhausted %d steps" % max_iter)
 
 
-def _u0_at(domain, vortices, px, py, want_grad):
+def _u0_at(geometry, px, py, want_grad):
     """u0 and grad u0 (None unless want_grad) at off-grid points: one
     lattice-sum call over every (point, vortex) displacement."""
-    L1, L2 = domain.periods
-    q, c = _sources(vortices)
+    L1, L2 = geometry.domain.periods
+    q, c = geometry._sources
     dx, dy = np.subtract.outer(px, q[:, 0]), np.subtract.outer(py, q[:, 1])
     val = ewald.green_value(dx, dy, L1, L2) @ c
     if not want_grad:
@@ -571,21 +590,7 @@ def _u0_at(domain, vortices, px, py, want_grad):
     return val, gx @ c, gy @ c
 
 
-def _u0_regular(domain, vortices):
-    """lim of u0 -/+ 2m ln|x-p| at each vortex, in vortices.signed() order.
-
-    The self term contributes c_p gamma(p,p); every other vortex
-    contributes its full (finite) Green value at p.
-    """
-    L1, L2 = domain.periods
-    q, c = _sources(vortices)
-    G = ewald.green_value(np.subtract.outer(q[:, 0], q[:, 0]),
-                          np.subtract.outer(q[:, 1], q[:, 1]), L1, L2)
-    np.fill_diagonal(G, ewald.regular_part(L1, L2))
-    return G @ c
-
-
-def _u0_gradient(domain, vortices):
+def _u0_gradient(geometry):
     """grad u0 = sum_p c_p grad G(x - p), c_p = -4pi m sgn, on the grid.
 
     Ewald split with eta set by the grid: the dual Gaussian has fallen
@@ -595,6 +600,7 @@ def _u0_gradient(domain, vortices):
     only 2 _Z_CUT/pi ~ 24 cells: one offset stencil, scattered
     periodically around each vortex.  nan on the vortex cells.
     """
+    domain = geometry.domain
     h1, h2 = domain.spacings
     n1, n2 = domain.grid_shape
     eta2 = (np.pi / max(h1, h2)) ** 2 / (4.0 * ewald._Z_CUT)
@@ -609,13 +615,13 @@ def _u0_gradient(domain, vortices):
         w = ewald._real_weight(dx * dx + dy * dy, eta2)
         wx, wy = w * dx, w * dy
 
-    cells, c, rho = _charges(domain, vortices)
+    rho = geometry._charge_grid()
     smooth = ewald._dual_damping(domain._k2 / (4.0 * np.pi ** 2), eta2) \
         * -domain._inv_lap
     grad = []
     for ik, wk in zip(domain._ik, (wx, wy)):
         g = domain._multiply(ik * smooth, rho)
-        for (i, j), coef in zip(cells, c):
+        for (i, j), coef in zip(geometry.cells, geometry._sources[1]):
             # unbuffered: a stencil wider than the grid folds its
             # periodic images onto one cell
             np.add.at(g, np.ix_((i + a) % n1, (j + b) % n2), coef * wk)
@@ -655,9 +661,10 @@ def identity_check(field, a):
     # vortex (c the regular part of u at p), |grad u|^2 e^u/(a+e^u)^2
     # tends to 4 m^2 e^c / a^2 when m = 1 and to 0 when m >= 2; the
     # mirror statement holds at negative vortices with e^u -> e^-c.
-    cells = _charges(domain, field.vortices)[0]
-    for (i, j), (p, m, sgn), reg in zip(cells, field.vortices.signed(),
-                                        field.u0_regular):
+    geometry = field.geometry
+    for (i, j), (p, m, sgn), reg in zip(geometry.cells,
+                                        geometry.vortices.signed(),
+                                        geometry.u0_regular):
         if m == 1:
             c = sgn * (field.v[i, j] + reg)
             t1[i, j] = (a + 1.0) * 4.0 * np.exp(c) / (a * a if sgn > 0 else 1.0)

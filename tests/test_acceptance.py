@@ -17,8 +17,8 @@ from vortexlab import (
     ModelParams,
     StabilityClass,
     TorusDomain,
+    TorusGeometry,
     VortexSet,
-    build_u0,
     classify_stability,
     compute_beta_curve,
     default_torus_margin,
@@ -27,7 +27,6 @@ from vortexlab import (
     integrate_radial,
     mass_integral,
     principal_eigen_torus,
-    snapped_vortices,
     solve_monotone,
     solve_newton,
     total_mass,
@@ -66,7 +65,8 @@ def sweep256(dom256):
     # shared by the sweep criterion and the small-eps stability check
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_sweep(dom256, ONE_PLUS, 1.0, np.geomspace(0.25, 0.05, 8),
+        return run_sweep(TorusGeometry(dom256, ONE_PLUS),
+                         1.0, np.geomspace(0.25, 0.05, 8),
                          keep_fields=True)
 
 
@@ -129,7 +129,7 @@ def test_criterion_04_total_mass_is_quantized():
         warnings.simplefilter("ignore")
         for pos, neg in configs:
             vs = VortexSet(positive_vortices=pos, negative_vortices=neg)
-            fld = solve_newton(dom, vs, ModelParams(1.0, 0.15),
+            fld = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, 0.15),
                                continuation=[0.2, 0.17, 0.15])
             target = 4.0 * np.pi * (vs.N1 - vs.N2)
             scale = 4.0 * np.pi * max(1, vs.N1 + vs.N2)
@@ -144,7 +144,8 @@ def test_criterion_05_scaling_identity(dom256):
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fld = solve_newton(dom256, ONE_PLUS, ModelParams(1.0, 0.1),
+        fld = solve_newton(TorusGeometry(dom256, ONE_PLUS),
+                           ModelParams(1.0, 0.1),
                            continuation=[0.25, 0.2, 0.15, 0.12, 0.1])
     rels = []
     ok = True
@@ -164,7 +165,8 @@ def test_criterion_06_stability_trichotomy(sweep256):
     dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(64, 64))
     oracle_ok = True
     for tau, eps in ((1.0, 0.5), (2.0, 0.3), (0.5, 0.2)):
-        fld = solve_newton(dom, VortexSet(), ModelParams(tau, eps))
+        fld = solve_newton(TorusGeometry(dom, VortexSet()),
+                           ModelParams(tau, eps))
         res = principal_eigen_torus(fld)
         want = eps ** -2 / (tau + 1.0) ** 3
         oracle_ok &= abs(res.eigenvalue - want) / want < 1e-10
@@ -241,9 +243,10 @@ def test_criterion_09_duality_suite():
     sched = [0.2, 0.17, 0.15]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        a = solve_newton(dom, VortexSet(negative_vortices=(((2.0, 2.0), 1),)),
-                         ModelParams(2.0, 0.15), continuation=sched)
-        b = solve_newton(dom, ONE_PLUS,
+        minus = VortexSet(negative_vortices=(((2.0, 2.0), 1),))
+        a = solve_newton(TorusGeometry(dom, minus), ModelParams(2.0, 0.15),
+                         continuation=sched)
+        b = solve_newton(TorusGeometry(dom, ONE_PLUS),
                          ModelParams(0.5, 0.15 * 2.0 ** 1.5),
                          continuation=[e * 2.0 ** 1.5 for e in sched])
     solver_gap = float(np.max(np.abs(a.u + b.u)))
@@ -258,11 +261,11 @@ def test_criterion_10_cross_solver_agreement():
     dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(128, 128))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        newton = solve_newton(dom, ONE_PLUS, ModelParams(1.0, 0.1),
+        geo = TorusGeometry(dom, ONE_PLUS)
+        newton = solve_newton(geo, ModelParams(1.0, 0.1),
                               continuation=[0.25, 0.2, 0.15, 0.12, 0.1])
-        u0 = build_u0(dom, snapped_vortices(dom, ONE_PLUS))
-        mono = solve_monotone(dom, ONE_PLUS, ModelParams(1.0, 0.1),
-                              sub=-u0 - 25.0, super_=-u0)
+        mono = solve_monotone(geo, ModelParams(1.0, 0.1),
+                              sub=-geo.u0 - 25.0, super_=-geo.u0)
     gap = float(np.max(np.abs(newton.u - mono.u)))
     ok = gap < 1e-8
     assert _report(10, "cross-solver agreement", ok, "max gap %.1e" % gap)

@@ -23,6 +23,7 @@ from vortexlab import (
     SweepRecord,
     TorusDomain,
     TorusField,
+    TorusGeometry,
     UnsupportedKernelError,
     VortexSet,
     classify_alternative,
@@ -39,6 +40,7 @@ from vortexlab import (
     total_mass,
     vortex_mass,
 )
+from vortexlab import ewald
 from vortexlab.asymptotics import _ball_coverage, _disk_corner_area
 
 pytestmark = [
@@ -63,7 +65,8 @@ def one_plus():
 def sweep128(dom128, one_plus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_sweep(dom128, one_plus, 1.0, EPSILONS, keep_fields=True)
+        return run_sweep(TorusGeometry(dom128, one_plus),
+                         1.0, EPSILONS, keep_fields=True)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +74,8 @@ def csh_sweep64(one_plus):
     dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(64, 64))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_sweep(dom, one_plus, 1.0, [0.4, 0.35, 0.3], K_radius=1.0,
+        return run_sweep(TorusGeometry(dom, one_plus),
+                         1.0, [0.4, 0.35, 0.3], K_radius=1.0,
                          nonlinearity=Nonlinearity.CSH)
 
 
@@ -178,16 +182,15 @@ class TestQuantization:
         vs = VortexSet(positive_vortices=(((2.0, 2.0), 2),))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fld = solve_newton(dom, vs, ModelParams(1.0, 0.08),
+            fld = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, 0.08),
                                continuation=list(np.geomspace(0.2, 0.08, 5)))
         q = quantization_value(fld, 0, 1.25)
         assert q == pytest.approx(32.0 * np.pi, rel=5e-2)
 
     def test_csh_rejected(self, dom128, one_plus):
-        fld = TorusField(domain=dom128, vortices=one_plus,
+        fld = TorusField(geometry=TorusGeometry(dom128, one_plus),
                          params=ModelParams(1.0, 0.2,
                                             nonlinearity=Nonlinearity.CSH),
-                         u0=np.zeros(dom128.grid_shape),
                          v=np.zeros(dom128.grid_shape))
         with pytest.raises(UnsupportedKernelError):
             quantization_value(fld, 0, 1.0)
@@ -195,7 +198,8 @@ class TestQuantization:
 
 class TestPohozaevTorus:
     def test_vacuum_field_balances(self, dom128):
-        fld = solve_newton(dom128, VortexSet(), ModelParams(1.0, 0.2))
+        fld = solve_newton(TorusGeometry(dom128, VortexSet()),
+                           ModelParams(1.0, 0.2))
         _, _, resid = pohozaev_value(fld, center=(1.0, 1.0), r=0.8)
         assert resid < 1e-6
 
@@ -209,7 +213,8 @@ class TestPohozaevTorus:
             dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(n, n))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fld = solve_newton(dom, one_plus, ModelParams(1.0, 0.15),
+                fld = solve_newton(TorusGeometry(dom, one_plus),
+                                   ModelParams(1.0, 0.15),
                                    continuation=[0.25, 0.2, 0.15])
             vals.append(pohozaev_value(fld, vortex_id=0, r=1.0)[2])
         assert vals[1] < vals[0] / 2.0
@@ -245,7 +250,8 @@ class TestGeometryGuards:
         vs = VortexSet(positive_vortices=(((1.3, 1.2), 1), ((2.8, 2.9), 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fld = solve_newton(dom128, vs, ModelParams(1.0, 0.15),
+            fld = solve_newton(TorusGeometry(dom128, vs),
+                               ModelParams(1.0, 0.15),
                                continuation=[0.2, 0.17, 0.15])
         # neighbor at min-image distance 2.27; radius 1.2 overlaps it
         with pytest.raises(GeometryError):
@@ -320,17 +326,51 @@ class TestSweepFamily:
 
     def test_schedule_guards(self, dom128, one_plus):
         with pytest.raises(ValueError):
-            run_sweep(dom128, one_plus, 1.0, [0.1, 0.2])
+            run_sweep(TorusGeometry(dom128, one_plus), 1.0, [0.1, 0.2])
         with pytest.raises(ValueError):
-            run_sweep(dom128, one_plus, 1.0, [0.2, 0.1], K_radius=2.5)
+            run_sweep(TorusGeometry(dom128, one_plus),
+                      1.0, [0.2, 0.1], K_radius=2.5)
         with pytest.raises(ValueError):
-            run_sweep(dom128, one_plus, 1.0, [0.2, 0.1],
+            run_sweep(TorusGeometry(dom128, one_plus), 1.0, [0.2, 0.1],
                       first_continuation=[0.3, 0.25])
 
 
 def _rec(eps, sup, inf, error=None):
     return SweepRecord(epsilon=eps, sup_K=sup, inf_K=inf,
                        total_abs_mass=4 * np.pi, error=error)
+
+
+class TestSweepGeometry:
+    def test_K_sits_on_the_snapped_vortices(self, dom128, one_plus):
+        # (2.012, 2.0) snaps to (2, 2) (h = 1/32): K, the balls and the
+        # solution's singularity all sit on the snapped point
+        off = VortexSet(positive_vortices=(((2.012, 2.0), 1),))
+        eps = [0.3, 0.25]
+        got = run_sweep(TorusGeometry(dom128, off), 1.0, eps, K_radius=1.0)
+        want = run_sweep(TorusGeometry(dom128, one_plus), 1.0, eps,
+                         K_radius=1.0)
+        for a, b in zip(got, want):
+            assert (a.sup_K, a.inf_K) == (b.sup_K, b.inf_K)
+            assert a.per_vortex == b.per_vortex
+
+    def test_one_ring_sample_per_sweep(self, one_plus, monkeypatch):
+        # every record reads the same Pohozaev ring: one u0 and one
+        # grad u0 lattice sum for the whole sweep
+        dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(64, 64))
+        calls = []
+        for name in ("green_value", "green_gradient"):
+            fn = getattr(ewald, name)
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ewald, name, counting)
+        records = run_sweep(TorusGeometry(dom, one_plus), 1.0,
+                            [0.3, 0.25, 0.2], K_radius=1.0)
+        assert all(rec.ok for rec in records)
+        assert sorted(calls) == ["green_gradient", "green_value"]
+        assert len({id(rec.field.geometry) for rec in records}) == 1
 
 
 class TestCshSweep:

@@ -21,6 +21,7 @@ from vortexlab import (
     ModelParams,
     Nonlinearity,
     TorusDomain,
+    TorusGeometry,
     VortexSet,
     integrate_radial,
     solve_newton,
@@ -238,7 +239,8 @@ class TestAtomicWrites:
 def small_field():
     dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(64, 64))
     vs = VortexSet(positive_vortices=(((2.0, 2.0), 1),))
-    return solve_newton(dom, vs, ModelParams(tau=1.0, epsilon=0.2),
+    return solve_newton(TorusGeometry(dom, vs),
+                        ModelParams(tau=1.0, epsilon=0.2),
                         continuation=[0.25, 0.2])
 
 
@@ -255,6 +257,21 @@ class TestFieldArchive:
         assert back.domain.grid_shape == small_field.domain.grid_shape
         assert back.diagnostics["iterations"] == \
             small_field.diagnostics["iterations"]
+        # the archive holds v and the metadata; u0 is rebuilt from them
+        with np.load(path) as npz:
+            assert sorted(npz.files) == ["meta", "v"]
+
+    def test_old_archive_with_u0_loads(self, small_field, tmp_path):
+        # archives written before u0 was rebuilt on load carry u0 too
+        path = str(tmp_path / "old.npz")
+        save_field(small_field, path)
+        with np.load(path) as npz:
+            v, meta = npz["v"], npz["meta"]
+        np.savez(path, u0=small_field.u0, v=v, meta=meta)
+        back = load_field(path)
+        assert np.array_equal(back.u0, small_field.u0)
+        assert np.array_equal(back.v, small_field.v)
+        assert back.vortices.signed() == small_field.vortices.signed()
 
     def test_shape_mismatch_rejected(self, tmp_path):
         meta = {
@@ -426,6 +443,24 @@ class TestTorusCommand:
         path = tmp_path / "broken.json"
         path.write_text("{")
         assert main(["torus", "--config", str(path)]) == EXIT_USAGE
+
+    def test_snap_moves_reach_summary_and_verify(self, tmp_path, capsys):
+        # (2.012, 2.0) snaps to the grid point (2, 2) of the 64^2 grid
+        tree = _base_cfg(tmp_path)
+        tree["vortices"]["positive"] = [{"point": [2.012, 2.0]}]
+        tree["model"]["epsilon"] = 0.3
+        tree["solver"].pop("continuation")
+        cfg = _write_cfg(tmp_path, tree)
+        with pytest.warns(UserWarning, match="snapped to the grid"):
+            assert main(["torus", "--config", cfg]) == EXIT_OK
+        move = [[[2.012, 2.0], [2.0, 2.0]]]
+        doc = json.loads((tmp_path / "run_summary.json").read_text())
+        assert doc["diagnostics"]["snap_moves"] == move
+        archive = str(tmp_path / "run_field.npz")
+        main(["verify", "--config", cfg,
+              "--override", "verify.field=%s" % archive])
+        doc = json.loads((tmp_path / "run_verify.json").read_text())
+        assert doc["solver"]["snap_moves"] == move
 
     def test_over_capacity_is_numerical_failure(self, tmp_path, capsys):
         # two vortices need eps < 0.248 on this domain; 0.3 is over capacity
@@ -650,7 +685,7 @@ class TestVerifyCommand:
         # the solve's own validity, from the last continuation stage
         assert doc["solver"] == {
             "grid_shape": [128, 128], "h_over_eps": 0.03125 / 0.15,
-            "minres_failed": 0, "resolved": True}
+            "minres_failed": 0, "resolved": True, "snap_moves": []}
 
     def test_monotone_field_has_no_stage_grid(self, tmp_path, capsys):
         tree = _base_cfg(tmp_path)
@@ -661,7 +696,7 @@ class TestVerifyCommand:
         doc = json.loads((tmp_path / "run_verify.json").read_text())
         assert doc["solver"] == {
             "grid_shape": None, "h_over_eps": 0.0625 / 0.3,
-            "minres_failed": None, "resolved": True}
+            "minres_failed": None, "resolved": True, "snap_moves": []}
 
     def test_identity_battery_fails_on_coarse_grid(self, tmp_path, capsys):
         # 64^2 leaves ~2e-3 discretization error in the integral

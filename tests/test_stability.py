@@ -21,6 +21,7 @@ from vortexlab import (
     StabilityClass,
     TorusDomain,
     TorusField,
+    TorusGeometry,
     VortexSet,
     WeightIndefiniteError,
     classify_stability,
@@ -56,14 +57,14 @@ def vortex_field(dom64):
     vs = VortexSet(positive_vortices=(((2.0, 2.0), 1),))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return solve_newton(dom64, vs, ModelParams(1.0, 0.15),
+        return solve_newton(TorusGeometry(dom64, vs), ModelParams(1.0, 0.15),
                             continuation=[0.25, 0.2, 0.15])
 
 
 def _constant_field(dom, c, eps=0.5, tau=1.0):
-    return TorusField(domain=dom, vortices=VortexSet(),
+    # with no vortices u0 = 0 and u = v exactly
+    return TorusField(geometry=TorusGeometry(dom, VortexSet()),
                       params=ModelParams(tau, eps),
-                      u0=np.zeros(dom.grid_shape),
                       v=np.full(dom.grid_shape, float(c)))
 
 
@@ -222,7 +223,7 @@ class TestWeightGuard:
 class TestCsh:
     def test_torus_eigenvalue_is_finite(self, dom64):
         vs = VortexSet(positive_vortices=(((2.0, 2.0), 1),))
-        fld = solve_newton(dom64, vs,
+        fld = solve_newton(TorusGeometry(dom64, vs),
                            ModelParams(1.0, 0.3, nonlinearity=Nonlinearity.CSH))
         assert np.isfinite(principal_eigen_torus(fld).eigenvalue)
 

@@ -25,9 +25,9 @@ from vortexlab import (
     ResolutionWarning,
     TorusDomain,
     TorusField,
+    TorusGeometry,
     UnsupportedKernelError,
     VortexSet,
-    build_u0,
     cell_integral,
     gradient,
     identity_check,
@@ -36,7 +36,6 @@ from vortexlab import (
     pohozaev_value,
     poisson_solve,
     snap_to_grid,
-    snapped_vortices,
     solve_monotone,
     solve_newton,
     total_mass,
@@ -44,11 +43,9 @@ from vortexlab import (
 from vortexlab import ewald, kernels, torus
 from vortexlab.torus import (
     _apply_shifted,
-    _charges,
     _solve_shifted,
     _u0_at,
     _u0_gradient,
-    _u0_regular,
 )
 
 pytestmark = [
@@ -82,7 +79,8 @@ def fld128(one_plus):
     dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(128, 128))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
-        return solve_newton(dom, one_plus, ModelParams(1.0, 0.15),
+        return solve_newton(TorusGeometry(dom, one_plus),
+                            ModelParams(1.0, 0.15),
                             continuation=[0.25, 0.2, 0.15])
 
 
@@ -199,7 +197,7 @@ class TestSpectralCore:
         vs = VortexSet(positive_vortices=(((1.0, 1.0), 1),),
                        negative_vortices=(((1.02, 0.99), 1),))
         with pytest.raises(ValueError, match="refine the grid") as err:
-            snapped_vortices(dom64, vs)
+            TorusGeometry(dom64, vs)
         msg = str(err.value)
         assert "(1, 1)" in msg and "(1.02, 0.99)" in msg
         assert "pairwise distinct" not in msg
@@ -234,7 +232,7 @@ class TestGreenGrid:
         # spectral u0 and the Ewald sum agree up to the zero-mean shift
         dom = TorusDomain(periods=(1.0, 1.0), grid_shape=(128, 128))
         vs = VortexSet(positive_vortices=(((0.5, 0.5), 1),))
-        u0 = build_u0(dom, vs)
+        u0 = TorusGeometry(dom, vs).u0
         X1, X2 = dom.mesh
         ref = -4.0 * np.pi * ewald.green_value(X1 - 0.5, X2 - 0.5)
         dx = (X1 - 0.5) - np.round(X1 - 0.5)
@@ -244,13 +242,14 @@ class TestGreenGrid:
         assert np.max(np.abs(diff - np.mean(diff))) < 1e-3
 
     def test_u0_zero_mean(self, dom64, one_plus):
-        u0 = build_u0(dom64, one_plus)
+        u0 = TorusGeometry(dom64, one_plus).u0
         assert abs(np.mean(u0)) < 1e-12
 
 
 class TestNewton:
     def test_zero_vortex_vacuum(self, dom64):
-        fld = solve_newton(dom64, VortexSet(), ModelParams(1.0, 0.3))
+        fld = solve_newton(TorusGeometry(dom64, VortexSet()),
+                           ModelParams(1.0, 0.3))
         assert np.max(np.abs(fld.v)) == 0.0
         assert fld.residual_norm() == 0.0
 
@@ -270,7 +269,8 @@ class TestNewton:
         vs = VortexSet(positive_vortices=pos, negative_vortices=neg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # snapping + resolution notes
-            fld = solve_newton(dom64, vs, ModelParams(1.0, 0.15),
+            fld = solve_newton(TorusGeometry(dom64, vs),
+                               ModelParams(1.0, 0.15),
                                continuation=[0.2, 0.17, 0.15])
         target = 4.0 * np.pi * (vs.N1 - vs.N2)
         scale = 4.0 * np.pi * max(1, vs.N1 + vs.N2)
@@ -287,10 +287,12 @@ class TestNewton:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             a = solve_newton(
-                dom64, VortexSet(negative_vortices=(((2.0, 2.0), 1),)),
+                TorusGeometry(
+                    dom64, VortexSet(negative_vortices=(((2.0, 2.0), 1),))),
                 ModelParams(2.0, 0.15), continuation=sched)
             b = solve_newton(
-                dom64, VortexSet(positive_vortices=(((2.0, 2.0), 1),)),
+                TorusGeometry(
+                    dom64, VortexSet(positive_vortices=(((2.0, 2.0), 1),))),
                 ModelParams(0.5, 0.15 * 2.0 ** 1.5),
                 continuation=[e * 2.0 ** 1.5 for e in sched])
         assert np.max(np.abs(a.u + b.u)) < 1e-12
@@ -298,8 +300,8 @@ class TestNewton:
     def test_grid_refinement_shrinks_error(self, one_plus):
         p = ModelParams(1.0, 0.25)
         grids = [(64, 64), (128, 128), (256, 256)]
-        sols = [solve_newton(TorusDomain(periods=(4.0, 4.0), grid_shape=g),
-                             one_plus, p) for g in grids]
+        doms = [TorusDomain(periods=(4.0, 4.0), grid_shape=g) for g in grids]
+        sols = [solve_newton(TorusGeometry(dom, one_plus), p) for dom in doms]
         d12 = np.max(np.abs(sols[1].v[::2, ::2] - sols[0].v))
         d23 = np.max(np.abs(sols[2].v[::2, ::2] - sols[1].v))
         assert d23 < d12 / 3.0
@@ -315,38 +317,43 @@ class TestNewton:
 
     def test_bad_continuation_rejected(self, dom64, one_plus):
         with pytest.raises(ValueError):
-            solve_newton(dom64, one_plus, ModelParams(1.0, 0.15),
+            solve_newton(TorusGeometry(dom64, one_plus),
+                         ModelParams(1.0, 0.15),
                          continuation=[0.15, 0.2])
         with pytest.raises(ValueError):
-            solve_newton(dom64, one_plus, ModelParams(1.0, 0.15),
+            solve_newton(TorusGeometry(dom64, one_plus),
+                         ModelParams(1.0, 0.15),
                          continuation=[0.2, -0.1])
 
     def test_empty_continuation_rejected(self, dom64, one_plus):
         with pytest.raises(ValueError):
-            solve_newton(dom64, one_plus, ModelParams(1.0, 0.15),
+            solve_newton(TorusGeometry(dom64, one_plus),
+                         ModelParams(1.0, 0.15),
                          continuation=[])
 
     def test_bad_v_init_rejected(self, dom64, one_plus):
         with pytest.raises(ValueError):
-            solve_newton(dom64, one_plus, ModelParams(1.0, 0.25),
+            solve_newton(TorusGeometry(dom64, one_plus),
+                         ModelParams(1.0, 0.25),
                          v_init=np.zeros((32, 32)))
 
     def test_iteration_cap_raises(self, dom64, one_plus):
         with pytest.raises((NewtonDivergenceError, ConvergenceError)):
-            solve_newton(dom64, one_plus, ModelParams(1.0, 0.15), max_iter=1)
+            solve_newton(TorusGeometry(dom64, one_plus),
+                         ModelParams(1.0, 0.15), max_iter=1)
 
     def test_over_capacity_diverges(self, dom64):
         # N1 - N2 = 2 needs eps < 0.248 on this domain; 0.3 is unsolvable,
         # and the pre-check says so before any Newton step
         vs = VortexSet(positive_vortices=(((1.3, 1.2), 1), ((2.8, 2.9), 1)))
         with pytest.raises(CapacityError, match=r"epsilon <= 0\.2475"):
-            solve_newton(dom64, vs, ModelParams(1.0, 0.3))
+            solve_newton(TorusGeometry(dom64, vs), ModelParams(1.0, 0.3))
 
     def test_capacity_reads_the_largest_stage(self, dom64, monkeypatch):
         vs = VortexSet(positive_vortices=(((1.3, 1.2), 1), ((2.8, 2.9), 1)))
         monkeypatch.setattr(torus, "_newton_core", None)
         with pytest.raises(CapacityError):
-            solve_newton(dom64, vs, ModelParams(1.0, 0.2),
+            solve_newton(TorusGeometry(dom64, vs), ModelParams(1.0, 0.2),
                          continuation=[0.3, 0.2])
 
     def test_capacity_bound_is_sharp(self, dom64):
@@ -367,7 +374,7 @@ class TestNewton:
 
 class TestCshNewton:
     def test_converges_with_exact_mass(self, dom64, one_plus):
-        fld = solve_newton(dom64, one_plus,
+        fld = solve_newton(TorusGeometry(dom64, one_plus),
                            ModelParams(1.0, 0.3, nonlinearity=Nonlinearity.CSH))
         assert fld.residual_norm() <= 1e-10 * 0.3 ** -2
         assert total_mass(fld) == pytest.approx(4.0 * np.pi, rel=1e-10)
@@ -376,9 +383,9 @@ class TestCshNewton:
 class TestMonotone:
     def test_agrees_with_newton(self, dom64, one_plus):
         p = ModelParams(1.0, 0.3)
-        u0 = build_u0(dom64, snapped_vortices(dom64, one_plus))
-        mono = solve_monotone(dom64, one_plus, p, sub=-u0 - 25.0, super_=-u0)
-        newt = solve_newton(dom64, one_plus, p)
+        geo = TorusGeometry(dom64, one_plus)
+        mono = solve_monotone(geo, p, sub=-geo.u0 - 25.0, super_=-geo.u0)
+        newt = solve_newton(geo, p)
         assert np.max(np.abs(mono.v - newt.v)) < 1e-8
         # the vacuum shift -u0 is an exact discrete supersolution
         assert mono.diagnostics["super_residual_max"] < 1e-9
@@ -387,7 +394,8 @@ class TestMonotone:
 
     def test_one_f_evaluation_per_iterate(self, dom64, one_plus, monkeypatch):
         p = ModelParams(1.0, 0.3)
-        u0 = build_u0(dom64, snapped_vortices(dom64, one_plus))
+        geo = TorusGeometry(dom64, one_plus)
+        u0 = geo.u0
         f_tau = kernels.f_tau
         calls = []
 
@@ -396,7 +404,7 @@ class TestMonotone:
             return f_tau(*args, **kwargs)
 
         monkeypatch.setattr(kernels, "f_tau", counting)
-        mono = solve_monotone(dom64, one_plus, p, sub=-u0 - 25.0, super_=-u0)
+        mono = solve_monotone(geo, p, sub=-u0 - 25.0, super_=-u0)
         monkeypatch.undo()
         # the sub bracket's residual, then one f per iterate; the first
         # iterate's residual is the super bracket's
@@ -407,14 +415,13 @@ class TestMonotone:
         # reference: iterate (Lap - c)^-1 (-c v - eps^-2 f(u) + K), the
         # same map written without the residual
         p = ModelParams(1.0, 0.3)
-        snapped = snapped_vortices(dom64, one_plus)
-        u0 = build_u0(dom64, snapped)
-        mono = solve_monotone(dom64, one_plus, p, sub=-u0 - 25.0, super_=-u0)
+        geo = TorusGeometry(dom64, one_plus)
+        u0 = geo.u0
+        mono = solve_monotone(geo, p, sub=-u0 - 25.0, super_=-u0)
         c = mono.diagnostics["shift"]
-        K = 4.0 * np.pi * (snapped.N1 - snapped.N2) / dom64.area
+        K = 4.0 * np.pi * (geo.vortices.N1 - geo.vortices.N2) / dom64.area
         mult = 1.0 / (-dom64._k2 - c)
-        fld = TorusField(domain=dom64, vortices=snapped, params=p, u0=u0,
-                         v=-u0)
+        fld = TorusField(geometry=geo, params=p, v=-u0)
         it = 0
         while fld.residual_norm() >= 1e-10 * p.epsilon ** -2:
             rhs = -c * fld.v - p.epsilon ** -2 * fld.f + K
@@ -427,27 +434,28 @@ class TestMonotone:
         p = ModelParams(1.0, 0.3)
         zeros = np.zeros(dom64.grid_shape)
         with pytest.raises(ValueError):
-            solve_monotone(dom64, one_plus, p, sub=zeros + 1.0, super_=zeros)
+            solve_monotone(TorusGeometry(dom64, one_plus),
+                           p, sub=zeros + 1.0, super_=zeros)
 
     def test_sub_above_solution_detected(self, dom64, one_plus):
         p = ModelParams(1.0, 0.3)
-        u0 = build_u0(dom64, snapped_vortices(dom64, one_plus))
+        geo = TorusGeometry(dom64, one_plus)
         with pytest.raises(MonotonicityError):
-            solve_monotone(dom64, one_plus, p, sub=-u0 - 1e-3, super_=-u0)
+            solve_monotone(geo, p, sub=-geo.u0 - 1e-3, super_=-geo.u0)
 
     def test_csh_rejected(self, dom64, one_plus):
         p = ModelParams(1.0, 0.3, nonlinearity=Nonlinearity.CSH)
         zeros = np.zeros(dom64.grid_shape)
         with pytest.raises(UnsupportedKernelError):
-            solve_monotone(dom64, one_plus, p, sub=zeros - 25.0,
+            solve_monotone(TorusGeometry(dom64, one_plus), p, sub=zeros - 25.0,
                            super_=zeros)
 
     def test_over_capacity_rejected(self, dom64, one_plus):
         # tau = 1000 caps max f near 2.5e-10: one vortex needs eps <= 1.8e-5
         p = ModelParams(1000.0, 0.3)
-        u0 = build_u0(dom64, snapped_vortices(dom64, one_plus))
+        geo = TorusGeometry(dom64, one_plus)
         with pytest.raises(CapacityError, match=r"epsilon <= 1\.78"):
-            solve_monotone(dom64, one_plus, p, sub=-u0 - 25.0, super_=-u0)
+            solve_monotone(geo, p, sub=-geo.u0 - 25.0, super_=-geo.u0)
 
 
 class TestIdentity:
@@ -477,12 +485,13 @@ class TestIdentity:
         if which == "solved":
             fld = fld128
         else:
-            # u over [-700, 700], both branches and both overflow tails
-            u0 = np.linspace(-700.0, 700.0, dom64.grid_shape[0] ** 2)
-            fld = TorusField(domain=dom64, vortices=VortexSet(),
+            # u over [-700, 700], both branches and both overflow tails;
+            # with no vortices u0 = 0 and u = v exactly
+            u = np.linspace(-700.0, 700.0, dom64.grid_shape[0] ** 2)
+            fld = TorusField(geometry=TorusGeometry(dom64, VortexSet()),
                              params=ModelParams(0.7, 0.3),
-                             u0=u0.reshape(dom64.grid_shape),
-                             v=np.zeros(dom64.grid_shape))
+                             v=u.reshape(dom64.grid_shape))
+            assert np.array_equal(fld.u, fld.v)
         two_sided = kernels._two_sided
         got = []
 
@@ -506,22 +515,22 @@ class TestIdentity:
             identity_check(fld128, -1.0)
 
     def test_csh_rejected(self, dom64, one_plus):
-        fld = TorusField(domain=dom64, vortices=one_plus,
+        fld = TorusField(geometry=TorusGeometry(dom64, one_plus),
                          params=ModelParams(1.0, 0.3,
                                             nonlinearity=Nonlinearity.CSH),
-                         u0=np.zeros(dom64.grid_shape),
                          v=np.zeros(dom64.grid_shape))
         with pytest.raises(UnsupportedKernelError):
             identity_check(fld, 1.0)
 
 
-def _pointwise_u0_gradient(domain, vortices):
+def _pointwise_u0_gradient(geometry):
     """Reference grad u0: one Ewald point evaluation per vortex."""
+    domain = geometry.domain
     X1, X2 = domain.mesh
     L1, L2 = domain.periods
     gx = np.zeros(domain.grid_shape)
     gy = np.zeros(domain.grid_shape)
-    for (p, m, sgn) in vortices.signed():
+    for (p, m, sgn) in geometry.vortices.signed():
         ex, ey = ewald.green_gradient(X1 - p[0], X2 - p[1], L1, L2)
         coef = -4.0 * np.pi * m * sgn
         gx += coef * ex
@@ -529,9 +538,9 @@ def _pointwise_u0_gradient(domain, vortices):
     return gx, gy
 
 
-def _mixed_vortices(domain):
+def _mixed_geometry(domain):
     L1, L2 = domain.periods
-    return snapped_vortices(domain, VortexSet(
+    return TorusGeometry(domain, VortexSet(
         positive_vortices=(((0.3 * L1, 0.2 * L2), 1),
                            ((0.71 * L1, 0.64 * L2), 2)),
         negative_vortices=(((0.1 * L1, 0.85 * L2), 1),
@@ -546,16 +555,17 @@ class TestWrapAroundVortex:
         p = ModelParams(1.0, 0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            fld = solve_newton(dom64, vs, p)
+            fld = solve_newton(TorusGeometry(dom64, vs), p)
             # the same vortex moved by exactly 32 cells in x
-            ref = solve_newton(
-                dom64, VortexSet(positive_vortices=(((2.0, 2.0), 1),)), p)
+            ref = solve_newton(TorusGeometry(
+                dom64, VortexSet(positive_vortices=(((2.0, 2.0), 1),))), p)
         cell = (0, 32)
-        assert _charges(dom64, fld.vortices)[0] == [cell]
+        assert fld.geometry.cells == (cell,)
+        assert fld.vortices.positive_vortices == (((0.0, 2.0), 1),)
         # Lap u0 = 4pi delta - K: the charge sits on cell (0, 32) alone
         h1, h2 = dom64.spacings
         K = 4.0 * np.pi / dom64.area
-        lap = laplacian(dom64, build_u0(dom64, vs)) + K
+        lap = laplacian(dom64, TorusGeometry(dom64, vs).u0) + K
         want = np.zeros(dom64.grid_shape)
         want[cell] = 4.0 * np.pi / (h1 * h2)
         assert np.max(np.abs(lap - want)) <= 1e-9 * abs(want[cell])
@@ -571,6 +581,75 @@ class TestWrapAroundVortex:
         assert np.max(np.abs(fld.v - np.roll(ref.v, -32, axis=0))) < 1e-12
 
 
+class TestGeometry:
+    def test_snaps_and_records_the_moves(self, dom64):
+        # (2.012, 2.0) is 0.012 from the grid point (2, 2) (h = 1/16)
+        vs = VortexSet(positive_vortices=(((2.012, 2.0), 1),),
+                       negative_vortices=(((1.0, 3.0), 1),))
+        with pytest.warns(UserWarning, match="1 vortex position.s. snapped"):
+            geo = TorusGeometry(dom64, vs)
+        assert geo.vortices.signed() == [((2.0, 2.0), 1, 1),
+                                         ((1.0, 3.0), 1, -1)]
+        assert geo.cells == ((32, 32), (16, 48))
+        assert geo.snap_moves == (((2.012, 2.0), (2.0, 2.0)),)
+        # re-snapping a snapped set moves nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = TorusGeometry(dom64, geo.vortices)
+        assert again.snap_moves == () and again.vortices == geo.vortices
+
+    def test_snap_moves_reach_both_solvers(self, dom64):
+        vs = VortexSet(positive_vortices=(((2.012, 2.0), 1),))
+        with pytest.warns(UserWarning, match="snapped to the grid"):
+            geo = TorusGeometry(dom64, vs)
+        p = ModelParams(1.0, 0.3)
+        newt = solve_newton(geo, p)
+        mono = solve_monotone(geo, p, sub=-geo.u0 - 25.0, super_=-geo.u0)
+        for fld in (newt, mono):
+            assert fld.diagnostics["snap_moves"] == [[[2.012, 2.0],
+                                                      [2.0, 2.0]]]
+            assert fld.geometry is geo
+        on_grid = solve_newton(TorusGeometry(dom64, geo.vortices), p)
+        assert on_grid.diagnostics["snap_moves"] == []
+        assert np.array_equal(on_grid.v, newt.v)
+
+    def test_cached_members_are_read_only(self, fld128):
+        geo = replace(fld128).geometry
+        assert geo is fld128.geometry
+        pohozaev_value(fld128, vortex_id=0, r=1.0)  # a ball and a ring
+        assert {key[0] for key in geo._memo} == {"ball", "ring"}
+        arrays = [geo.u0, geo.u0_regular, *geo._sources]
+        for value in geo._memo.values():
+            arrays += value
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
+        with pytest.raises(TypeError):
+            geo.cells[0] = (0, 0)
+        with pytest.raises(AttributeError):
+            geo.u0 = np.zeros(geo.domain.grid_shape)
+        assert np.array_equal(fld128.u, geo.u0 + fld128.v)
+
+    def test_balls_and_rings_are_built_once(self, fld128, monkeypatch):
+        geo = TorusGeometry(fld128.domain, fld128.vortices)
+        fld = replace(fld128, geometry=geo)
+        first = pohozaev_value(fld, vortex_id=0, r=0.75)
+        calls = []
+        green_value = ewald.green_value
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return green_value(*args, **kwargs)
+
+        monkeypatch.setattr(ewald, "green_value", counting)
+        assert pohozaev_value(replace(fld), vortex_id=0, r=0.75) == first
+        assert calls == []
+        # an audit on a fresh geometry reads nothing cached
+        fresh = replace(fld, geometry=TorusGeometry(fld.domain, fld.vortices))
+        assert pohozaev_value(fresh, vortex_id=0, r=0.75) == first
+        assert calls == [1]
+
+
 class TestGridEwald:
     @pytest.mark.parametrize("periods, grid_shape", [
         ((4.0, 4.0), (32, 32)),      # the real-space stencil wraps
@@ -579,9 +658,9 @@ class TestGridEwald:
     ], ids=["wrap32", "rect", "256"])
     def test_matches_pointwise_sum(self, periods, grid_shape):
         dom = TorusDomain(periods=periods, grid_shape=grid_shape)
-        vs = _mixed_vortices(dom)
-        gx, gy = _u0_gradient(dom, vs)
-        rx, ry = _pointwise_u0_gradient(dom, vs)
+        geo = _mixed_geometry(dom)
+        gx, gy = _u0_gradient(geo)
+        rx, ry = _pointwise_u0_gradient(geo)
         finite = np.isfinite(rx) & np.isfinite(ry)
         assert np.array_equal(finite, np.isfinite(gx) & np.isfinite(gy))
         assert np.count_nonzero(~finite) == 4
@@ -595,26 +674,27 @@ class TestGridEwald:
         if which == "solved":
             fld = fld128
         else:
-            vs = _mixed_vortices(dom64)
             X1, _ = dom64.mesh
-            fld = TorusField(domain=dom64, vortices=vs,
+            fld = TorusField(geometry=_mixed_geometry(dom64),
                              params=ModelParams(1.0, 0.3),
-                             u0=build_u0(dom64, vs),
                              v=0.1 * np.cos(2.0 * np.pi * X1 / 4.0))
         grid = [identity_check(fld, a)[2] for a in (0.5, 1.0, 2.0)]
         monkeypatch.setattr(torus, "_u0_gradient", _pointwise_u0_gradient)
-        fresh = replace(fld)  # grad_u_sq is cached on fld
+        # grad_u_sq is cached on fld: the reference is a field on a
+        # freshly built geometry, so nothing it reads was cached before
+        fresh = TorusField(geometry=TorusGeometry(fld.domain, fld.vortices),
+                           params=fld.params, v=fld.v)
         ref = [identity_check(fresh, a)[2] for a in (0.5, 1.0, 2.0)]
         assert grid == pytest.approx(ref, rel=0, abs=1e-14)
 
 
-def _pointwise_u0_at(domain, vortices, px, py):
+def _pointwise_u0_at(geometry, px, py):
     """Reference u0 and grad u0 at points: one Ewald call per vortex."""
-    L1, L2 = domain.periods
+    L1, L2 = geometry.domain.periods
     val = np.zeros(px.shape)
     gx = np.zeros(px.shape)
     gy = np.zeros(px.shape)
-    for (p, m, sgn) in vortices.signed():
+    for (p, m, sgn) in geometry.vortices.signed():
         coef = -4.0 * np.pi * m * sgn
         val += coef * ewald.green_value(px - p[0], py - p[1], L1, L2)
         ex, ey = ewald.green_gradient(px - p[0], py - p[1], L1, L2)
@@ -633,7 +713,8 @@ class TestOffGridU0:
     @pytest.mark.parametrize("which", ["mixed", "none"])
     @pytest.mark.parametrize("points", ["ring", "plane"])
     def test_u0_at_matches_pointwise_sum(self, dom64, which, points):
-        vs = _mixed_vortices(dom64) if which == "mixed" else VortexSet()
+        geo = _mixed_geometry(dom64) if which == "mixed" \
+            else TorusGeometry(dom64, VortexSet())
         if points == "ring":
             # a Pohozaev ring around the first positive vortex
             theta = (np.arange(256) + 0.5) * (2.0 * np.pi / 256)
@@ -644,19 +725,20 @@ class TestOffGridU0:
             X, Y = np.meshgrid(np.linspace(0.03, 3.97, 17),
                                np.linspace(0.01, 3.93, 13), indexing="ij")
             px, py = X.ravel(), Y.ravel()
-        got = _u0_at(dom64, vs, px, py, want_grad=True)
-        want = _pointwise_u0_at(dom64, vs, px, py)
+        got = _u0_at(geo, px, py, want_grad=True)
+        want = _pointwise_u0_at(geo, px, py)
         for g, w in zip(got, want):
             _assert_rel_close(g, w)
-        val, gx, gy = _u0_at(dom64, vs, px, py, want_grad=False)
+        val, gx, gy = _u0_at(geo, px, py, want_grad=False)
         assert np.array_equal(val, got[0])
         assert gx is None and gy is None
 
     @pytest.mark.parametrize("which", ["mixed", "none"])
     def test_u0_regular_matches_pointwise_sum(self, dom64, which):
-        vs = _mixed_vortices(dom64) if which == "mixed" else VortexSet()
+        geo = _mixed_geometry(dom64) if which == "mixed" \
+            else TorusGeometry(dom64, VortexSet())
         L1, L2 = dom64.periods
-        entries = vs.signed()
+        entries = geo.vortices.signed()
         want = []
         for k, (p, m, sgn) in enumerate(entries):
             val = -4.0 * np.pi * m * sgn * ewald.regular_part(L1, L2)
@@ -665,7 +747,7 @@ class TestOffGridU0:
                     val += -4.0 * np.pi * mq * sq * float(
                         ewald.green_value(p[0] - q[0], p[1] - q[1], L1, L2))
             want.append(val)
-        _assert_rel_close(_u0_regular(dom64, vs), np.array(want))
+        _assert_rel_close(geo.u0_regular, np.array(want))
 
 
 class TestAuditGrids:
@@ -674,7 +756,7 @@ class TestAuditGrids:
                        negative_vortices=(((2.0, 3.0), 1),))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            fld = solve_newton(dom64, vs, ModelParams(1.0, 0.2))
+            fld = solve_newton(TorusGeometry(dom64, vs), ModelParams(1.0, 0.2))
         n = len(fld.vortices.signed())
 
         def audits(f):
@@ -695,15 +777,14 @@ class TestAuditGrids:
         # grad v and grad u0, one transform per component, for all
         # three a-values and every Pohozaev ring
         assert len(calls) == 4
-        fresh = TorusField(domain=fld.domain, vortices=fld.vortices,
-                           params=fld.params, u0=fld.u0, v=fld.v)
+        fresh = TorusField(geometry=fld.geometry, params=fld.params, v=fld.v)
         assert got == audits(fresh)
 
     def test_cached_grids_are_read_only(self, fld128):
         fld = replace(fld128)
         assert fld.u is fld.u
         for grid in (fld.u, fld.f, fld.q, fld.F2, fld.residual, fld.potential,
-                     *fld.grad_v, fld.grad_u_sq, fld.u0_regular):
+                     *fld.grad_v, fld.grad_u_sq):
             with pytest.raises(ValueError):
                 grid[(0,) * grid.ndim] = 0.0
         assert np.array_equal(fld.u, fld128.u0 + fld128.v)
@@ -713,7 +794,8 @@ class TestResolutionGuard:
     def test_warns_when_grid_too_coarse(self, one_plus):
         dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(32, 32))
         with pytest.warns(ResolutionWarning):
-            fld = solve_newton(dom, one_plus, ModelParams(1.0, 0.25))
+            fld = solve_newton(TorusGeometry(dom, one_plus),
+                               ModelParams(1.0, 0.25))
         assert fld.diagnostics["stages"][-1]["resolved"] is False
 
     def test_coarser_axis_decides_and_is_recorded(self):
@@ -721,7 +803,7 @@ class TestResolutionGuard:
         dom = TorusDomain(periods=(4.0, 2.0), grid_shape=(64, 64))
         vs = VortexSet(positive_vortices=(((2.0, 1.0), 1),))
         with pytest.warns(ResolutionWarning):
-            fld = solve_newton(dom, vs, ModelParams(1.0, 0.2))
+            fld = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, 0.2))
         stage = fld.diagnostics["stages"][-1]
         assert stage["resolved"] is False
         assert stage["h_over_eps"] == pytest.approx(0.3125, rel=1e-15)
@@ -749,7 +831,7 @@ def _warm_chain(dom, vs, sched):
     # warm-start path never leaves the target grid
     prev = None
     for eps in sched:
-        prev = solve_newton(dom, vs, ModelParams(1.0, eps),
+        prev = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, eps),
                             v_init=None if prev is None else prev.v)
     return prev
 
@@ -775,7 +857,7 @@ class TestCoarseStages:
         dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(128, 128))
         vs = VortexSet(positive_vortices=(((65 * 4.0 / 128, 2.0), 1),))
         sched = [0.25, 0.2, 0.15]
-        fld = solve_newton(dom, vs, ModelParams(1.0, 0.15),
+        fld = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, 0.15),
                            continuation=sched)
         for stage in fld.diagnostics["stages"]:
             assert stage["grid_shape"] == (128, 128)
@@ -789,7 +871,7 @@ class TestCoarseStages:
             positive_vortices=(((8 * q, 12 * q), 1), ((40 * q, 20 * q), 1)),
             negative_vortices=(((20 * q, 44 * q), 1), ((52 * q, 52 * q), 1)))
         sched = [0.25, 0.2, 0.15, 0.12]
-        fld = solve_newton(dom, vs, ModelParams(1.0, 0.12),
+        fld = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, 0.12),
                            continuation=sched)
         stages = fld.diagnostics["stages"]
         assert [st["grid_shape"] for st in stages] == [
