@@ -208,6 +208,14 @@ def _ball(geometry, center, r, self_id):
     return w
 
 
+def _check_n_theta(n_theta):
+    if isinstance(n_theta, bool) \
+            or not isinstance(n_theta, (int, np.integer)) or n_theta < 1:
+        raise ValueError("n_theta must be a positive integer, got %r"
+                         % (n_theta,))
+    return int(n_theta)
+
+
 def _ring(geometry, center, r, n_theta):
     """cos, sin of n_theta midpoint angles, the points of |x - center| = r
     there and u0, grad u0 at them (torus._u0_at), once per geometry."""
@@ -308,7 +316,9 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
     with x the displacement from the center and m the multiplicity.
     The ring is sampled analytically for the singular part (the lattice
     Green function, once per geometry) and bilinearly for the remainder.
+    n_theta, a positive integer, is the number of ring samples.
     """
+    n_theta = _check_n_theta(n_theta)
     if isinstance(obj, RadialSolution):
         return _pohozaev_radial(obj, r)
     obj.ops.require_sigma("the Pohozaev balance")
@@ -373,8 +383,10 @@ def rescale_blowup(field, center, scale=None, n_theta=64,
 
     Samples geometric radii out to the largest min-image ball and
     reports angular mean and variance per radius, plus the shifted grid
-    w = u - 2 ln(eps).  The default scale is eps itself.
+    w = u - 2 ln(eps).  The default scale is eps itself; n_theta, a
+    positive integer, is the number of angles per radius.
     """
+    n_theta = _check_n_theta(n_theta)
     if scale is None:
         scale = field.params.epsilon
     h1, h2 = field.domain.spacings
@@ -398,7 +410,7 @@ def rescale_blowup(field, center, scale=None, n_theta=64,
                          scale=float(scale), y=y,
                          angular_mean=uhat.mean(axis=1),
                          angular_variance=uhat.var(axis=1),
-                         w=w, n_theta=int(n_theta))
+                         w=w, n_theta=n_theta)
 
 
 def _min_separation(geometry):

@@ -63,6 +63,8 @@ def _num(positive=False, nonneg=False, allow_none=False):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(ptr, "expected a number, got %r" % (v,))
         v = float(v)
+        if not math.isfinite(v):
+            raise ConfigError(ptr, "must be finite, got %r" % v)
         if positive and not v > 0:
             raise ConfigError(ptr, "must be > 0, got %r" % v)
         if nonneg and v < 0:

@@ -68,8 +68,8 @@ class TorusDomain:
     def __post_init__(self):
         L1, L2 = self.periods
         n1, n2 = self.grid_shape
-        if not (L1 > 0 and L2 > 0):
-            raise ValueError("periods must be positive")
+        if not (0 < L1 < np.inf and 0 < L2 < np.inf):
+            raise ValueError("periods must be positive and finite")
         if not (_is_pow2(n1) and _is_pow2(n2)) or n1 < 32 or n2 < 32:
             raise ValueError("grid_shape must be powers of two, >= 32")
         object.__setattr__(self, "periods", (float(L1), float(L2)))

@@ -80,6 +80,11 @@ def csh_sweep64(one_plus):
 
 
 @pytest.fixture(scope="module")
+def type_one():
+    return integrate_radial(-1.0, tau=1.0)
+
+
+@pytest.fixture(scope="module")
 def limit_profile():
     return find_topological(1.0, 1.0, (-8.0, 8.0), vortex_sign=1)
 
@@ -265,6 +270,24 @@ class TestGeometryGuards:
     def test_blowup_scale_below_grid(self, sweep128):
         with pytest.raises(ResolutionError):
             rescale_blowup(sweep128[-1].field, (2.0, 2.0), scale=1e-3)
+
+    @pytest.mark.parametrize("n_theta", [0, -3, 2.5, True, None])
+    def test_n_theta_must_be_positive_integer(self, sweep128, type_one,
+                                              n_theta):
+        fld = sweep128[-1].field
+        with pytest.raises(ValueError, match="n_theta"):
+            pohozaev_value(fld, vortex_id=0, r=1.0, n_theta=n_theta)
+        with pytest.raises(ValueError, match="n_theta"):
+            pohozaev_value(type_one, r=10.0, n_theta=n_theta)
+        with pytest.raises(ValueError, match="n_theta"):
+            rescale_blowup(fld, (2.0, 2.0), n_theta=n_theta)
+
+    def test_numpy_integer_n_theta_accepted(self, sweep128):
+        fld = sweep128[-1].field
+        assert pohozaev_value(fld, vortex_id=0, r=1.0, n_theta=np.int64(64)) \
+            == pohozaev_value(fld, vortex_id=0, r=1.0, n_theta=64)
+        bp = rescale_blowup(fld, (2.0, 2.0), n_theta=np.int64(16))
+        assert bp.n_theta == 16 and type(bp.n_theta) is int
 
 
 class TestBlowup:

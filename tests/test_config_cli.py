@@ -101,6 +101,18 @@ class TestSchema:
             validate_config({"model": {"epsilon": -0.1}})
         assert ei.value.pointer == "/model/epsilon"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, bad):
+        with pytest.raises(ConfigError, match="must be finite") as ei:
+            validate_config({"domain": {"periods": [bad, 4.0]}})
+        assert ei.value.pointer == "/domain/periods/0"
+
+    def test_nan_vortex_coordinate_rejected(self):
+        tree = {"vortices": {"positive": [{"point": [math.nan, 1.0]}]}}
+        with pytest.raises(ConfigError, match="must be finite") as ei:
+            validate_config(tree)
+        assert ei.value.pointer == "/vortices/positive/0/point/0"
+
     def test_vortex_entry_needs_point(self):
         with pytest.raises(ConfigError) as ei:
             validate_config({"vortices": {"positive": [{"multiplicity": 2}]}})
@@ -434,6 +446,15 @@ class TestTorusCommand:
         cfg = _write_cfg(tmp_path, tree)
         assert main(["torus", "--config", cfg]) == EXIT_USAGE
         assert "/model/epsilon" in capsys.readouterr().err
+
+    def test_infinite_period_is_a_usage_error(self, tmp_path, capsys):
+        # json.dumps writes Infinity, which json.loads reads back
+        tree = _base_cfg(tmp_path)
+        tree["domain"]["periods"] = [math.inf, 4.0]
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run_summary.json").exists()
 
     def test_unreadable_config(self, tmp_path, capsys):
         rc = main(["torus", "--config", str(tmp_path / "absent.json")])

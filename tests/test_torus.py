@@ -62,6 +62,25 @@ GOLDEN_G = {
 }
 GOLDEN_GAMMA = -0.2085777932435013836842
 GOLDEN_GRAD = (-0.3185740206801011567092, -0.122360311995998631299)
+# rectangular tori (L1, L2): G at points, gamma, and grad G at one point
+GOLDEN_RECT = {
+    (1.0, 3.0): {
+        "G": {(0.5, 1.5): -0.1250256864179933539085,
+              (0.2, 0.7): -0.01773823651101925015891,
+              (0.45, -1.3): -0.1183797234976333898256},
+        "gamma": -0.04250721784131373915549,
+        "grad": ((0.2, 0.7),
+                 (-0.01178543433975628382502, -0.2703432560577777716544)),
+    },
+    (4.0, 1.5): {
+        "G": {(2.0, 0.75): -0.1111843030538913382993,
+              (0.6, 0.3): 0.05576149981762953560033,
+              (-1.7, 0.5): -0.10368064454223230904},
+        "gamma": -0.005753204651780853991477,
+        "grad": ((0.6, 0.3),
+                 (-0.2462063662531255581497, -0.05369487104717587895169)),
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +124,60 @@ class TestEwaldGoldens:
 
     def test_infinite_at_source(self):
         assert ewald.green_value(0.0, 0.0) == np.inf
+
+    @pytest.mark.parametrize("periods", sorted(GOLDEN_RECT))
+    def test_rectangular_torus(self, periods):
+        gold = GOLDEN_RECT[periods]
+        for (x, y), want in gold["G"].items():
+            assert ewald.green_value(x, y, *periods) == pytest.approx(
+                want, rel=1e-13)
+        assert ewald.regular_part(*periods) == pytest.approx(
+            gold["gamma"], rel=1e-13)
+        (x, y), (wx, wy) = gold["grad"]
+        gx, gy = ewald.green_gradient(x, y, *periods)
+        assert gx == pytest.approx(wx, rel=1e-12)
+        assert gy == pytest.approx(wy, rel=1e-12)
+
+    @pytest.mark.parametrize("periods", [(np.inf, 1.0), (1.0, -np.inf),
+                                         (np.nan, 1.0), (0.0, 1.0)])
+    def test_periods_must_be_positive_and_finite(self, periods):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ewald.green_value(0.1, 0.2, *periods)
+        with pytest.raises(ValueError, match="positive and finite"):
+            TorusDomain(periods=periods, grid_shape=(32, 32))
+
+
+class TestEwaldWindows:
+    """_setup keeps exactly the terms that reach e^-_Z_CUT somewhere."""
+
+    @pytest.mark.parametrize("periods", [(4.0, 4.0), (1.0, 3.0), (3.0, 1.0)])
+    def test_windows_are_closed(self, periods):
+        L1, L2 = periods
+        _, eta2, images, duals = ewald._setup(L1, L2)
+        kept_n, kept_m = set(images), set(duals)
+        assert len(kept_n) == len(images) and len(kept_m) == len(duals)
+        for i in range(-12, 13):
+            for j in range(-12, 13):
+                # minimum-image displacements fill the box
+                # [-L1/2, L1/2] x [-L2/2, L2/2]; the point of the box
+                # nearest the image is its closest approach
+                n1, n2 = i * L1, j * L2
+                near = (np.clip(n1, -L1 / 2, L1 / 2) - n1) ** 2 \
+                    + (np.clip(n2, -L2 / 2, L2 / 2) - n2) ** 2
+                assert ((i, j) in kept_n) == (eta2 * near <= ewald._Z_CUT), \
+                    (i, j)
+        for i in range(-48, 49):
+            for j in range(-48, 49):
+                if (i, j) == (0, 0):
+                    assert (i, j) not in kept_m
+                    continue
+                damped = np.pi ** 2 * ((i / L1) ** 2 + (j / L2) ** 2) / eta2
+                assert ((i, j) in kept_m) == (damped <= ewald._Z_CUT), (i, j)
+
+    def test_square_term_counts(self):
+        _, eta2, images, duals = ewald._setup(4.0, 4.0)
+        assert eta2 == 2.0 * np.pi / 16.0
+        assert (len(images), len(duals)) == (25, 68)
 
 
 class TestEwaldStructure:
