@@ -304,7 +304,8 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
             = 2 pi [ (R v')^2 / 2 + c_log (R v') + R^2 F2(u(R)) ],
 
     with u = c_log ln r + v; r selects the quadrature radius (nearest
-    grid point, default the last).
+    grid point, default the last).  vortex_id and center are torus-only
+    and raise ValueError here.
 
     For a torus field the ball sits at vortex #vortex_id (or at an
     explicit center with no enclosed vortex) and the identity reads
@@ -320,6 +321,8 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
     """
     n_theta = _check_n_theta(n_theta)
     if isinstance(obj, RadialSolution):
+        if vortex_id is not None or center is not None:
+            raise ValueError("vortex_id and center apply only on the torus")
         return _pohozaev_radial(obj, r)
     obj.ops.require_sigma("the Pohozaev balance")
     if r is None:

@@ -25,8 +25,8 @@ import numpy as np
 from . import asymptotics
 from .asymptotics import (SweepError, classify_alternative, export_sweep_csv,
                           pohozaev_value, run_sweep, squared_ratio_test)
-from .config import (ConfigError, atomic_path, dumps_json, jsonable,
-                     load_config, load_field, save_field, write_json)
+from .config import (ConfigError, atomic_path, dumps_json, load_config,
+                     load_field, save_field, write_json)
 from .model import Nonlinearity, UnsupportedKernelError, check_hypotheses
 from .radial import (BracketError, IntegrationFailureError,
                      compute_beta_curve, export_curve_csv,
@@ -69,7 +69,7 @@ def _fmt(x):
 
 def _emit(args, summary, lines):
     if args.json:
-        print(dumps_json(jsonable(summary)))
+        print(dumps_json(summary))
     else:
         for line in lines:
             print(line)
@@ -126,7 +126,7 @@ def cmd_shoot(args):
         "vortex_sign": sol.vortex_sign, "kernel": kernel.value,
         "beta": sol.beta, "bc_type": sol.bc_type.value,
         "c_log": sol.c_log, "grid_points": int(sol.grid.shape[0]),
-        "diagnostics": jsonable(sol.diagnostics),
+        "diagnostics": sol.diagnostics,
         "profile_csv": out_csv,
     }
     write_json(out_json, summary)
@@ -217,7 +217,7 @@ def _field_summary(cfg, fld):
         "u_min": float(np.min(fld.u)),
         "u_max": float(np.max(fld.u)),
         "hypotheses": {"h1": rep.h1_holds, "h2": rep.h2_holds},
-        "diagnostics": jsonable(fld.diagnostics),
+        "diagnostics": fld.diagnostics,
     }
 
 
@@ -260,15 +260,20 @@ def cmd_stability(args):
             margin = default_torus_margin(fld.params)
         extra = {"epsilon": fld.params.epsilon, "tau": fld.params.tau}
     else:
-        if block["find_topological"] and block["bracket"] is None:
-            raise ConfigError("/stability/bracket",
-                              "required with find_topological")
-        if block["find_topological"] and block["r_max"] is not None:
-            raise ConfigError("/stability/r_max",
-                              "does not apply with find_topological")
-        if not block["find_topological"] and block["s"] is None:
+        if block["find_topological"]:
+            if block["bracket"] is None:
+                raise ConfigError("/stability/bracket",
+                                  "required with find_topological")
+            for key in ("s", "r_max"):
+                if block[key] is not None:
+                    raise ConfigError("/stability/" + key,
+                                      "does not apply with find_topological")
+        elif block["s"] is None:
             raise ConfigError("/stability/s",
                               "required unless find_topological is set")
+        elif block["bracket"] is not None:
+            raise ConfigError("/stability/bracket",
+                              "only applies with find_topological")
         model = cfg.section("model")
         tau = model["tau"] if block["tau"] is None else block["tau"]
         sol = _profile(block["find_topological"], block["s"], block["bracket"],
@@ -293,7 +298,7 @@ def cmd_stability(args):
         "iterations": result.iterations,
         "margin": margin,
         "classification": cls.value,
-        "diagnostics": jsonable(result.diagnostics),
+        "diagnostics": result.diagnostics,
     })
     out_json = _outpath(cfg, "_stability.json")
     write_json(out_json, summary)
@@ -347,8 +352,8 @@ def cmd_sweep(args):
         "n_steps": len(records),
         "n_failed": sum(0 if rec.ok else 1 for rec in records),
         "verdict": verdict.kind.value,
-        "evidence": jsonable(verdict.evidence),
-        "squared_ratio": jsonable(ratio),
+        "evidence": verdict.evidence,
+        "squared_ratio": ratio,
         "sweep_csv": out_csv,
     }
     write_json(out_json, summary)
@@ -391,7 +396,7 @@ def _solver_block(fld):
              for key in ("grid_shape", "resolved", "h_over_eps")}
     block.update((key, diag.get(key)) for key in ("minres_failed",
                                                   "snap_moves"))
-    return jsonable(block)
+    return block
 
 
 def cmd_verify(args):

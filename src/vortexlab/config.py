@@ -266,17 +266,15 @@ def apply_overrides(raw, overrides):
         for i, part in enumerate(parts[:-1]):
             ptr = "/" + "/".join(parts[:i + 1])
             if isinstance(node, list):
-                node = _list_step(node, part, ptr)
-            else:
-                if not isinstance(node, dict):
-                    raise ConfigError(ptr, "cannot descend into %r"
-                                      % (node,))
+                node = node[_list_index(node, part, ptr)]
+            elif isinstance(node, dict):
                 node = node.setdefault(part, {})
+            else:
+                raise ConfigError(ptr, "cannot descend into %r" % (node,))
         last = parts[-1]
         ptr = "/" + "/".join(parts)
         if isinstance(node, list):
-            idx = _list_index(node, last, ptr)
-            node[idx] = value
+            node[_list_index(node, last, ptr)] = value
         elif isinstance(node, dict):
             node[last] = value
         else:
@@ -293,10 +291,6 @@ def _list_index(node, part, ptr):
         raise ConfigError(ptr, "index %d out of range (length %d)"
                           % (idx, len(node)))
     return idx
-
-
-def _list_step(node, part, ptr):
-    return node[_list_index(node, part, ptr)]
 
 
 @dataclass(frozen=True)
@@ -401,22 +395,30 @@ def _json_scalar(v):
     raise TypeError("not JSON-serializable: %r" % (v,))
 
 
+def _small(v):
+    return not (isinstance(v, np.ndarray) and v.size > 64)
+
+
 def dumps_json(obj, _indent=0):
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    numpy scalars are written as numbers and arrays as lists; a dict or
+    list leaves out an array of more than 64 entries (with its key).  Any
+    other type raises TypeError.
+    """
     pad = "  " * _indent
     inner = "  " * (_indent + 1)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         parts = ["%s%s: %s" % (inner, json.dumps(str(k)),
                                dumps_json(obj[k], _indent + 1))
-                 for k in sorted(obj, key=str)]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+                 for k in sorted(obj, key=str) if _small(obj[k])]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}" if parts else "{}"
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        parts = ["%s%s" % (inner, dumps_json(x, _indent + 1)) for x in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        parts = ["%s%s" % (inner, dumps_json(x, _indent + 1))
+                 for x in obj if _small(x)]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]" if parts else "[]"
     return _json_scalar(obj)
 
 
@@ -428,38 +430,6 @@ def write_text(path, text):
 
 def write_json(path, obj):
     write_text(path, dumps_json(obj) + "\n")
-
-
-def jsonable(obj):
-    """Best-effort reduction of diagnostics to JSON-clean scalars."""
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
-            r = jsonable(v)
-            if r is not _SKIP:
-                out[str(k)] = r
-        return out
-    if isinstance(obj, (list, tuple)):
-        vals = [jsonable(v) for v in obj]
-        return [v for v in vals if v is not _SKIP]
-    if isinstance(obj, np.ndarray):
-        if obj.size > 64:
-            return _SKIP
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
-
-
-class _Skip:
-    pass
-
-
-_SKIP = _Skip()
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +447,7 @@ def save_field(fld, path):
         "nonlinearity": fld.params.nonlinearity.value,
         "positive": [[list(p), m] for p, m in fld.vortices.positive_vortices],
         "negative": [[list(p), m] for p, m in fld.vortices.negative_vortices],
-        "diagnostics": jsonable(fld.diagnostics),
+        "diagnostics": fld.diagnostics,
     }
     with atomic_path(path) as tmp:
         with open(tmp, "wb") as fh:

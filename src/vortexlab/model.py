@@ -12,7 +12,11 @@ the one validator of epsilon schedules.
 """
 
 import enum
+import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import kernels
 
@@ -43,9 +47,9 @@ class ModelParams:
 
     Parameters
     ----------
-    tau : positive float
+    tau : finite positive real (not bool)
         Shape parameter of the sigma-model nonlinearity.
-    epsilon : positive float
+    epsilon : finite positive real (not bool)
         Coupling scale; the equation carries the factor epsilon^-2.
     nonlinearity : Nonlinearity
         SIGMA_O3 (default) or the CSH alternate e^u(1-e^u).  In CSH
@@ -58,12 +62,16 @@ class ModelParams:
     nonlinearity: Nonlinearity = Nonlinearity.SIGMA_O3
 
     def __post_init__(self):
-        if not (isinstance(self.tau, (int, float)) and self.tau > 0):
-            raise ValueError("tau must be > 0, got %r" % (self.tau,))
-        if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
-            raise ValueError("epsilon must be > 0, got %r" % (self.epsilon,))
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        for name in ("tau", "epsilon"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError("%s: expected a number, got %r" % (name, v))
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError("%s must be finite, got %r" % (name, v))
+            if not v > 0:
+                raise ValueError("%s must be > 0, got %r" % (name, v))
+            object.__setattr__(self, name, v)
         if not isinstance(self.nonlinearity, Nonlinearity):
             object.__setattr__(
                 self, "nonlinearity", Nonlinearity(self.nonlinearity)
@@ -167,79 +175,30 @@ def check_hypotheses(vortices, params):
     return HypothesisReport(h1_holds=h1, h2_holds=h2, detail=detail)
 
 
-class _SigmaOps:
-    """Kernel bundle for the sigma-model nonlinearity at fixed tau."""
-
-    sigma = True
-
-    def __init__(self, tau):
-        self.tau = tau
-
-    def require_sigma(self, what):
-        pass
-
-    def f(self, u):
-        return kernels.f_tau(u, self.tau)
-
-    def df(self, u):
-        return kernels.df_tau(u, self.tau)
-
-    def F1(self, u):
-        return kernels.F1_tau(u, self.tau)
-
-    def F2(self, u):
-        return kernels.F2_tau(u, self.tau)
-
-    def q(self, u):
-        return kernels.q_tau(u, self.tau)
-
-    def sup_abs_df(self):
-        return kernels.sup_abs_df_tau(self.tau)
-
-    def f_extrema(self):
-        return kernels.f_extrema_tau(self.tau)
+def _refuse(message):
+    def refuse(*args):
+        raise UnsupportedKernelError(message)
+    return refuse
 
 
-class _CshOps:
-    """Kernel bundle for the Chern-Simons-Higgs alternate nonlinearity.
+@dataclass(frozen=True)
+class _Ops:
+    """Kernel bundle of one nonlinearity; sigma tells whether the
+    tau-dependent operations exist (CSH's fields for them raise)."""
 
-    tau-dependent operations are undefined here and raise.
-    """
-
-    sigma = False
-
-    def __init__(self):
-        self.tau = None
+    sigma: bool
+    f: Callable
+    df: Callable
+    F1: Callable
+    F2: Callable
+    q: Callable
+    sup_abs_df: Callable
+    f_extrema: Callable
 
     def require_sigma(self, what):
-        raise UnsupportedKernelError(
-            "%s is only defined for the SigmaO3 kernel" % what)
-
-    def f(self, u):
-        return kernels.f_csh(u)
-
-    def df(self, u):
-        return kernels.df_csh(u)
-
-    def F1(self, u):
-        return kernels.F1_csh(u)
-
-    def F2(self, u):
-        raise UnsupportedKernelError("F2 is undefined for the CSH nonlinearity")
-
-    def q(self, u):
-        raise UnsupportedKernelError(
-            "quantization density is undefined for the CSH nonlinearity"
-        )
-
-    def sup_abs_df(self):
-        raise UnsupportedKernelError(
-            "df is unbounded for the CSH nonlinearity; no finite sup exists"
-        )
-
-    def f_extrema(self):
-        # e^u (1 - e^u) peaks at 1/4 (e^u = 1/2) and is unbounded below
-        return float("-inf"), 0.25
+        if not self.sigma:
+            raise UnsupportedKernelError(
+                "%s is only defined for the SigmaO3 kernel" % what)
 
 
 def nonlinearity_ops(nonlinearity, tau):
@@ -248,11 +207,22 @@ def nonlinearity_ops(nonlinearity, tau):
     This is the one place that dispatches on Nonlinearity; a string
     selector ("SigmaO3"/"CSH") is coerced.  bundle.sigma tells whether
     the tau-dependent operations exist, and bundle.require_sigma(what)
-    raises UnsupportedKernelError when they do not.
+    raises UnsupportedKernelError when they do not.  The bundle binds
+    the kernels module's functions as they are at this call, so a
+    wrapper installed over them (a tracer's) is seen by later bundles.
     """
     if Nonlinearity(nonlinearity) is Nonlinearity.SIGMA_O3:
-        return _SigmaOps(tau)
-    return _CshOps()
+        return _Ops(True, *(partial(k, tau=tau) for k in (
+            kernels.f_tau, kernels.df_tau, kernels.F1_tau, kernels.F2_tau,
+            kernels.q_tau, kernels.sup_abs_df_tau, kernels.f_extrema_tau)))
+    return _Ops(
+        False, kernels.f_csh, kernels.df_csh, kernels.F1_csh,
+        _refuse("F2 is undefined for the CSH nonlinearity"),
+        _refuse("quantization density is undefined for the CSH nonlinearity"),
+        _refuse("df is unbounded for the CSH nonlinearity; no finite sup "
+                "exists"),
+        # e^u (1 - e^u) peaks at 1/4 (e^u = 1/2) and is unbounded below
+        lambda: (float("-inf"), 0.25))
 
 
 def eps_schedule(epsilons, what):

@@ -203,19 +203,12 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
                             points_per_decade=int(points_per_decade))
 
     if bc_type is BCType.UNDETERMINED and _retry:
-        result = _reshoot(result, r_max * 100.0,
-                          divergence_stop=divergence_stop, _retry=False)
+        # the same shot once more, out to 100 r_max
+        result = integrate_radial(s, nu, tau, r_max * 100.0, tol,
+                                  vortex_sign, nonlinearity, divergence_stop,
+                                  points_per_decade, _retry=False)
         result.diagnostics["retried"] = True
     return result
-
-
-def _reshoot(sol, r_max, **kw):
-    """sol's shot again, out to r_max, with its own s, nu, tau, vortex_sign,
-    nonlinearity, tol and points_per_decade; kw goes to integrate_radial."""
-    return integrate_radial(sol.s, sol.nu, sol.tau, r_max, sol.tol,
-                            vortex_sign=sol.vortex_sign,
-                            nonlinearity=sol.nonlinearity,
-                            points_per_decade=sol.points_per_decade, **kw)
 
 
 def _radii(r_max, points_per_decade):

@@ -239,6 +239,12 @@ class TestPohozaevRadial:
             resids.append(pohozaev_value(sol, r=10.0)[2])
         assert resids[1] < resids[0] / 2.0
 
+    @pytest.mark.parametrize("torus_only", [{"vortex_id": 7},
+                                            {"center": (9.0, 9.0)}])
+    def test_torus_only_arguments_rejected(self, type_one, torus_only):
+        with pytest.raises(ValueError, match="only on the torus"):
+            pohozaev_value(type_one, r=10.0, n_theta=3, **torus_only)
+
     def test_truncated_volume_tends_to_pi_beta_sq(self):
         # the full-plane balance: 2 pi int 2 F2 r dr -> pi beta^2
         sol = integrate_radial(-1.0, tau=1.0)

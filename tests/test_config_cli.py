@@ -34,7 +34,6 @@ from vortexlab.config import (
     apply_overrides,
     atomic_path,
     dumps_json,
-    jsonable,
     load_field,
     save_field,
     validate_config,
@@ -218,8 +217,9 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             dumps_json({"x": {1, 2}})
 
-    def test_jsonable_drops_large_arrays(self):
-        out = jsonable({"big": np.zeros(65), "small": np.arange(3)})
+    def test_drops_large_arrays(self):
+        out = json.loads(dumps_json({"big": np.zeros(65),
+                                     "small": np.arange(3)}))
         assert "big" not in out
         assert out["small"] == [0, 1, 2]
 
@@ -637,6 +637,21 @@ class TestStabilityCommand:
         cfg = _write_cfg(tmp_path, tree)
         assert main(["stability", "--config", cfg]) == EXIT_USAGE
         assert "/stability/r_max" in capsys.readouterr().err
+        assert not (tmp_path / "st_stability.json").exists()
+
+    @pytest.mark.parametrize("block, pointer", [
+        ({"find_topological": True, "bracket": [-8.0, 8.0], "nu": 1.0,
+          "s": -1.0}, "/stability/s"),
+        ({"s": -1.0, "bracket": [5.0, 1.0]}, "/stability/bracket"),
+    ])
+    def test_s_and_bracket_are_exclusive(self, tmp_path, capsys, block,
+                                         pointer):
+        # as shoot refuses --s with --bracket or --find-topological
+        tree = {"stability": dict(block, target="radial"),
+                "output": {"dir": str(tmp_path), "prefix": "st"}}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["stability", "--config", cfg]) == EXIT_USAGE
+        assert pointer in capsys.readouterr().err
         assert not (tmp_path / "st_stability.json").exists()
 
 

@@ -310,6 +310,24 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(tau=1.0, epsilon=-1.0)
 
+    @pytest.mark.parametrize("tau, epsilon, match", [
+        (float("inf"), 0.1, "tau must be finite"),
+        (float("nan"), 0.1, "tau must be finite"),
+        (1.0, float("inf"), "epsilon must be finite"),
+        (True, 0.1, "tau: expected a number"),
+        (1.0, False, "epsilon: expected a number"),
+        (np.bool_(True), 0.1, "tau: expected a number"),
+        ("1.0", 0.1, "tau: expected a number"),
+    ])
+    def test_rejects_bool_and_non_finite(self, tau, epsilon, match):
+        with pytest.raises(ValueError, match=match):
+            ModelParams(tau=tau, epsilon=epsilon)
+
+    def test_numpy_real_scalars_accepted(self):
+        p = ModelParams(tau=np.float32(2.0), epsilon=np.int64(1))
+        assert (p.tau, p.epsilon) == (2.0, 1.0)
+        assert type(p.tau) is float and type(p.epsilon) is float
+
     def test_nonlinearity_coercion(self):
         p = ModelParams(tau=1.0, epsilon=0.1, nonlinearity="CSH")
         assert p.nonlinearity is Nonlinearity.CSH
