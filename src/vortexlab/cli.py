@@ -67,12 +67,17 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-def _emit(args, summary, lines):
+def _finish(args, summary, lines, out_json, wrote=(), code=EXIT_OK):
+    """Every command's end: write summary to out_json, print it (--json)
+    or the text lines and the files written, and return the exit code."""
+    write_json(out_json, summary)
     if args.json:
         print(dumps_json(summary))
     else:
         for line in lines:
             print(line)
+        print("wrote %s" % ", ".join((*wrote, out_json)))
+    return code
 
 
 def _outpath(cfg, suffix):
@@ -85,40 +90,41 @@ def _outpath(cfg, suffix):
 # shoot
 
 
-def _profile(topological, s, bracket, nu, tau, r_max, tol, vortex_sign,
-             points_per_decade, nonlinearity=Nonlinearity.SIGMA_O3):
+def _profile(req, refuse):
     """The radial profile of shoot and of the radial stability target:
-    the topological one bisected in bracket, or shot from s to r_max
-    (None: _DEFAULT_RMAX).  Bisection sets its own radius, so the callers
-    refuse an r_max with topological."""
-    if topological:
-        return find_topological(nu, tau, tuple(bracket), tol=tol,
-                                vortex_sign=vortex_sign,
-                                nonlinearity=nonlinearity,
-                                points_per_decade=points_per_decade)
-    if r_max is None:
-        r_max = _DEFAULT_RMAX
-    return integrate_radial(s, nu=nu, tau=tau, r_max=r_max, tol=tol,
-                            vortex_sign=vortex_sign, nonlinearity=nonlinearity,
-                            points_per_decade=points_per_decade)
+    the topological one bisected in req["bracket"], or shot from req["s"]
+    to req["r_max"] (None: _DEFAULT_RMAX).  Bisection sets its own
+    radius.  refuse(key, text) raises the caller's error for a request
+    that breaks a rule."""
+    if req["find_topological"]:
+        if req["bracket"] is None:
+            refuse("bracket", "required with find_topological")
+        for key in ("s", "r_max"):
+            if req[key] is not None:
+                refuse(key, "does not apply with find_topological")
+    elif req["s"] is None:
+        refuse("s", "required unless find_topological is set")
+    elif req["bracket"] is not None:
+        refuse("bracket", "only applies with find_topological")
+    shot = {key: req[key] for key in ("nu", "tau", "tol", "vortex_sign",
+                                      "nonlinearity", "points_per_decade")}
+    if req["find_topological"]:
+        return find_topological(bracket=tuple(req["bracket"]), **shot)
+    r_max = _DEFAULT_RMAX if req["r_max"] is None else req["r_max"]
+    return integrate_radial(req["s"], r_max=r_max, **shot)
+
+
+def _refuse_flag(key, text):
+    raise _UsageError("shoot: --%s %s" % (
+        key.replace("_", ""),
+        text.replace("find_topological", "--find-topological")))
 
 
 def cmd_shoot(args):
     kernel = Nonlinearity(args.kernel)
-    if args.s is not None and args.bracket is not None:
-        raise _UsageError("shoot: --bracket only applies with "
-                          "--find-topological")
-    if args.find_topological and args.bracket is None:
-        raise _UsageError("shoot: --find-topological requires --bracket")
-    if args.find_topological and args.rmax is not None:
-        raise _UsageError("shoot: --rmax does not apply with "
-                          "--find-topological")
-    sol = _profile(args.find_topological, args.s, args.bracket, args.nu,
-                   args.tau, args.rmax, args.tol, args.vortex_sign,
-                   args.points_per_decade, kernel)
-
+    sol = _profile(dict(vars(args), r_max=args.rmax, nonlinearity=kernel),
+                   _refuse_flag)
     out_csv = args.out + ".csv"
-    out_json = args.out + ".json"
     with atomic_path(out_csv) as tmp:
         export_profile_csv(sol, tmp)
     summary = {
@@ -129,16 +135,13 @@ def cmd_shoot(args):
         "diagnostics": sol.diagnostics,
         "profile_csv": out_csv,
     }
-    write_json(out_json, summary)
-    _emit(args, summary, [
+    return _finish(args, summary, [
         "s = %s" % _fmt(sol.s),
         "beta = %s" % _fmt(sol.beta),
         "bc_type = %s" % sol.bc_type.value,
         "first_integral_residual = %s"
         % _fmt(sol.diagnostics.get("first_integral_residual", float("nan"))),
-        "wrote %s, %s" % (out_csv, out_json),
-    ])
-    return EXIT_OK
+    ], args.out + ".json", wrote=(out_csv,))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,6 @@ def cmd_beta_curve(args):
                                tol=args.tol,
                                nonlinearity=Nonlinearity(args.kernel))
     out_csv = args.out + ".csv"
-    out_json = args.out + ".json"
     with atomic_path(out_csv) as tmp:
         export_curve_csv(curve, tmp)
     summary = {
@@ -167,37 +169,34 @@ def cmd_beta_curve(args):
         "failures": [{"s": s, "message": msg} for s, msg in curve.failures],
         "curve_csv": out_csv,
     }
-    write_json(out_json, summary)
-    _emit(args, summary, [
+    failed = args.strict and (curve.monotone_violations or curve.failures)
+    return _finish(args, summary, [
         "samples = %d" % len(curve.samples),
         "monotone_violations = %d" % curve.monotone_violations,
         "failures = %d" % len(curve.failures),
-        "wrote %s, %s" % (out_csv, out_json),
-    ])
-    if args.strict and (curve.monotone_violations or curve.failures):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    ], args.out + ".json", wrote=(out_csv,),
+        code=EXIT_NUMERICAL if failed else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
 # torus
 
 
-def _solve_from_config(cfg):
+def _field(cfg, path=None):
+    """The field archive at path, else the config's own solve."""
+    if path is not None:
+        return load_field(path)
     geometry = cfg.geometry()
     solver = cfg.tree["solver"]
     params = cfg.params()
     if solver["method"] == "monotone":
         u0 = geometry.u0
-        fld = solve_monotone(geometry, params,
-                             sub=-u0 - solver["monotone_offset"], super_=-u0,
-                             tol_factor=solver["tol_factor"])
-    else:
-        fld = solve_newton(geometry, params,
-                           continuation=solver["continuation"],
-                           max_iter=solver["max_iter"],
-                           tol_factor=solver["tol_factor"])
-    return fld
+        return solve_monotone(geometry, params,
+                              sub=-u0 - solver["monotone_offset"], super_=-u0,
+                              tol_factor=solver["tol_factor"])
+    return solve_newton(geometry, params, continuation=solver["continuation"],
+                        max_iter=solver["max_iter"],
+                        tol_factor=solver["tol_factor"])
 
 
 def _field_summary(cfg, fld):
@@ -223,22 +222,18 @@ def _field_summary(cfg, fld):
 
 def cmd_torus(args):
     cfg = load_config(args.config, args.override)
-    fld = _solve_from_config(cfg)
+    fld = _field(cfg)
     out_npz = _outpath(cfg, "_field.npz")
-    out_json = _outpath(cfg, "_summary.json")
     save_field(fld, out_npz)
     summary = _field_summary(cfg, fld)
     summary["field_archive"] = out_npz
-    write_json(out_json, summary)
-    _emit(args, summary, [
+    return _finish(args, summary, [
         "epsilon = %s" % _fmt(fld.params.epsilon),
         "residual_sup = %s" % _fmt(summary["residual_sup"]),
         "total_mass = %s" % _fmt(summary["total_mass"]),
         "u_min = %s" % _fmt(summary["u_min"]),
         "u_max = %s" % _fmt(summary["u_max"]),
-        "wrote %s, %s" % (out_npz, out_json),
-    ])
-    return EXIT_OK
+    ], _outpath(cfg, "_summary.json"), wrote=(out_npz,))
 
 
 # ---------------------------------------------------------------------------
@@ -250,36 +245,20 @@ def cmd_stability(args):
     block = cfg.section("stability", required=True)
 
     if block["target"] == "torus":
-        if block["field"] is not None:
-            fld = load_field(block["field"])
-        else:
-            fld = _solve_from_config(cfg)
+        fld = _field(cfg, block["field"])
         result = principal_eigen_torus(fld)
         margin = block["margin"]
         if margin is None:
             margin = default_torus_margin(fld.params)
         extra = {"epsilon": fld.params.epsilon, "tau": fld.params.tau}
     else:
-        if block["find_topological"]:
-            if block["bracket"] is None:
-                raise ConfigError("/stability/bracket",
-                                  "required with find_topological")
-            for key in ("s", "r_max"):
-                if block[key] is not None:
-                    raise ConfigError("/stability/" + key,
-                                      "does not apply with find_topological")
-        elif block["s"] is None:
-            raise ConfigError("/stability/s",
-                              "required unless find_topological is set")
-        elif block["bracket"] is not None:
-            raise ConfigError("/stability/bracket",
-                              "only applies with find_topological")
-        model = cfg.section("model")
+        def refuse(key, text):
+            raise ConfigError("/stability/" + key, text)
+
+        model = cfg.tree["model"]
         tau = model["tau"] if block["tau"] is None else block["tau"]
-        sol = _profile(block["find_topological"], block["s"], block["bracket"],
-                       block["nu"], tau, block["r_max"], block["tol"],
-                       block["vortex_sign"], block["points_per_decade"],
-                       Nonlinearity(model["nonlinearity"]))
+        sol = _profile(dict(block, tau=tau, nonlinearity=Nonlinearity(
+            model["nonlinearity"])), refuse)
         result = weighted_eigen_radial(sol)
         margin = block["margin"]
         if margin is None:
@@ -300,16 +279,12 @@ def cmd_stability(args):
         "classification": cls.value,
         "diagnostics": result.diagnostics,
     })
-    out_json = _outpath(cfg, "_stability.json")
-    write_json(out_json, summary)
-    _emit(args, summary, [
+    return _finish(args, summary, [
         "eigenvalue = %s" % _fmt(result.eigenvalue),
         "residual_norm = %s" % _fmt(result.residual_norm),
         "margin = %s" % _fmt(margin),
         "classification = %s" % cls.value,
-        "wrote %s" % out_json,
-    ])
-    return EXIT_OK
+    ], _outpath(cfg, "_stability.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +318,6 @@ def cmd_sweep(args):
         ratio = {"passed": passed, "detail": detail}
 
     out_csv = _outpath(cfg, "_sweep.csv")
-    out_json = _outpath(cfg, "_verdict.json")
     with atomic_path(out_csv) as tmp:
         export_sweep_csv(records, tmp)
     summary = {
@@ -356,8 +330,6 @@ def cmd_sweep(args):
         "squared_ratio": ratio,
         "sweep_csv": out_csv,
     }
-    write_json(out_json, summary)
-
     lines = []
     for rec in records:
         if not rec.ok:
@@ -375,9 +347,8 @@ def cmd_sweep(args):
     if ratio is not None:
         state = {True: "pass", False: "fail", None: "inconclusive"}
         lines.append("squared_ratio = %s" % state[ratio["passed"]])
-    lines.append("wrote %s, %s" % (out_csv, out_json))
-    _emit(args, summary, lines)
-    return EXIT_OK
+    return _finish(args, summary, lines, _outpath(cfg, "_verdict.json"),
+                   wrote=(out_csv,))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +373,7 @@ def _solver_block(fld):
 def cmd_verify(args):
     cfg = load_config(args.config, args.override)
     block = cfg.tree["verify"]
-    if block["field"] is not None:
-        fld = load_field(block["field"])
-        source = block["field"]
-    else:
-        fld = _solve_from_config(cfg)
-        source = "solved from config"
+    fld = _field(cfg, block["field"])
 
     rows = []
 
@@ -443,7 +409,8 @@ def cmd_verify(args):
     all_passed = all(row["passed"] for row in rows)
     summary = {
         "seed": cfg.seed,
-        "field": source,
+        "field": ("solved from config" if block["field"] is None
+                  else block["field"]),
         "epsilon": fld.params.epsilon,
         "tau": fld.params.tau,
         "nonlinearity": fld.params.nonlinearity.value,
@@ -451,9 +418,6 @@ def cmd_verify(args):
         "all_passed": all_passed,
         "solver": _solver_block(fld),
     }
-    out_json = _outpath(cfg, "_verify.json")
-    write_json(out_json, summary)
-
     width = max((len(row["name"]) for row in rows), default=4)
     lines = []
     for row in rows:
@@ -461,9 +425,8 @@ def cmd_verify(args):
                      % ("PASS" if row["passed"] else "FAIL", width,
                         row["name"], _fmt(row["value"]), _fmt(row["tol"])))
     lines.append("all_passed = %s" % ("true" if all_passed else "false"))
-    lines.append("wrote %s" % out_json)
-    _emit(args, summary, lines)
-    return EXIT_OK if all_passed else EXIT_VERIFY
+    return _finish(args, summary, lines, _outpath(cfg, "_verify.json"),
+                   code=EXIT_OK if all_passed else EXIT_VERIFY)
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +502,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    # ConfigError and BracketError are ValueErrors, so the order matters
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print("usage error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
+    except (_UsageError, UnsupportedKernelError) as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as e:
@@ -556,9 +515,6 @@ def main(argv=None):
     except _NUMERICAL as e:
         print("numerical failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERICAL
-    except UnsupportedKernelError as e:
-        print("usage error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -52,8 +53,9 @@ class ConfigError(ValueError):
 #
 # Every checker takes (value, pointer) and returns the canonical value
 # or raises ConfigError.  The schema itself is a nested dict of
-# (checker, required, default) triples; sections absent from the file
-# are filled from their defaults so accessors never need fallbacks.
+# (checker, required, default) triples.  A section absent from the file
+# is filled from its {} default so accessors never need fallbacks;
+# sweep and stability, whose required keys have no defaults, stay None.
 
 
 def _num(positive=False, nonneg=False, allow_none=False):
@@ -124,7 +126,8 @@ def _list(item, min_len=0, exact_len=None, allow_none=False):
 
 
 def _object(fields):
-    """fields: name -> (checker, required, default)."""
+    """fields: name -> (checker, required, default); an absent key's
+    default, unless None, goes through its checker too."""
     def check(v, ptr):
         if not isinstance(v, dict):
             raise ConfigError(ptr, "expected an object, got %r" % (v,))
@@ -140,7 +143,7 @@ def _object(fields):
             elif required:
                 raise ConfigError(kptr, "required key is missing")
             else:
-                out[key] = default
+                out[key] = None if default is None else checker(default, kptr)
         return out
     return check
 
@@ -170,23 +173,23 @@ _SCHEMA = {
     "domain": (_object({
         "periods": (_list(_num(positive=True), exact_len=2), False, [1.0, 1.0]),
         "grid_shape": (_list(_int(min_value=2), exact_len=2), False, [256, 256]),
-    }), False, None),
+    }), False, {}),
     "model": (_object({
         "tau": (_num(positive=True), False, 1.0),
         "epsilon": (_num(positive=True, allow_none=True), False, None),
         "nonlinearity": (_str(choices=("SigmaO3", "CSH")), False, "SigmaO3"),
-    }), False, None),
+    }), False, {}),
     "vortices": (_object({
         "positive": (_list(_VORTEX), False, []),
         "negative": (_list(_VORTEX), False, []),
-    }), False, None),
+    }), False, {}),
     "solver": (_object({
         "method": (_str(choices=("newton", "monotone")), False, "newton"),
         "continuation": (_decreasing_or_none, False, None),
         "max_iter": (_int(min_value=1), False, 60),
         "tol_factor": (_num(positive=True), False, 1e-10),
         "monotone_offset": (_num(positive=True), False, 25.0),
-    }), False, None),
+    }), False, {}),
     "sweep": (_object({
         "epsilons": (_decreasing_positive, True, None),
         "K_radius": (_num(positive=True, allow_none=True), False, None),
@@ -219,27 +222,17 @@ _SCHEMA = {
         "residual_factor": (_num(positive=True), False, 50.0),
         "ball_radius": (_num(positive=True, allow_none=True), False, None),
         "pohozaev_tol": (_num(positive=True), False, 1e-3),
-    }), False, None),
+    }), False, {}),
     "output": (_object({
         "dir": (_str(), False, "."),
         "prefix": (_str(), False, "run"),
-    }), False, None),
+    }), False, {}),
 }
-
-# sections that, when absent, are filled with their own defaults so the
-# canonical tree always carries them; sweep and stability stay None
-# when absent because their required keys have no sensible defaults
-_AUTOFILL = ("domain", "model", "vortices", "solver", "verify", "output")
 
 
 def validate_config(raw):
     """Canonicalize a raw config tree, raising ConfigError on violation."""
-    tree = _object(_SCHEMA)(raw, "")
-    for name in _AUTOFILL:
-        if tree[name] is None:
-            checker, _, _ = _SCHEMA[name]
-            tree[name] = checker({}, "/%s" % name)
-    return tree
+    return _object(_SCHEMA)(raw, "")
 
 
 def apply_overrides(raw, overrides):
@@ -457,19 +450,25 @@ def save_field(fld, path):
 
 def load_field(path):
     """Rebuild a TorusField from an archive written by save_field; its u0
-    is the rebuilt geometry's (older archives' u0 entry is not read)."""
-    with np.load(path) as npz:
-        v = np.array(npz["v"], dtype=float)
-        meta = json.loads(bytes(npz["meta"].tolist()).decode())
-    domain = TorusDomain(periods=tuple(meta["periods"]),
-                         grid_shape=tuple(meta["grid_shape"]))
-    vortices = VortexSet(
-        positive_vortices=tuple((tuple(p), m) for p, m in meta["positive"]),
-        negative_vortices=tuple((tuple(p), m) for p, m in meta["negative"]))
-    params = ModelParams(tau=meta["tau"], epsilon=meta["epsilon"],
-                         nonlinearity=Nonlinearity(meta["nonlinearity"]))
-    if v.shape != domain.grid_shape:
-        raise ValueError("archive grids do not match the stored grid_shape")
-    return TorusField(geometry=TorusGeometry(domain, vortices),
-                      params=params, v=v,
-                      diagnostics=meta.get("diagnostics", {}))
+    is the rebuilt geometry's (older archives' u0 entry is not read).  A
+    bad zip, a missing entry or a missing or mistyped meta key raises
+    one ValueError that names the archive."""
+    try:
+        with np.load(path) as npz:
+            v = np.array(npz["v"], dtype=float)
+            meta = json.loads(bytes(npz["meta"].tolist()).decode())
+        domain = TorusDomain(periods=tuple(meta["periods"]),
+                             grid_shape=tuple(meta["grid_shape"]))
+        pos, neg = (tuple((tuple(p), m) for p, m in meta[key])
+                    for key in ("positive", "negative"))
+        vortices = VortexSet(positive_vortices=pos, negative_vortices=neg)
+        params = ModelParams(tau=meta["tau"], epsilon=meta["epsilon"],
+                             nonlinearity=Nonlinearity(meta["nonlinearity"]))
+        if v.shape != domain.grid_shape:
+            raise ValueError("grids do not match the stored grid_shape")
+        return TorusField(geometry=TorusGeometry(domain, vortices),
+                          params=params, v=v,
+                          diagnostics=meta.get("diagnostics", {}))
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+        raise ValueError("malformed field archive %s (%s: %s)"
+                         % (path, type(e).__name__, e)) from e

@@ -30,8 +30,10 @@ R0 = 1e-6
 TOPOLOGICAL_TOL_U = 1e-6
 TOPOLOGICAL_TOL_SLOPE = 1e-4
 
-# |u| level at which a run is terminated and classified as divergent
+# |u| level at which a run is terminated and classified as divergent;
+# bisection probes and the bisected profile stop at the lower level
 DIVERGENCE_STOP = 1e4
+BISECT_DIVERGENCE_STOP = 30.0
 
 # |u| level beyond which the tail is called nontopological even
 # without an early-stop event
@@ -160,7 +162,7 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
         classified as divergent.
     points_per_decade : int
         Density of the geometric output grid (also the quadrature grid
-        of mass_integral).
+        of mass_integral), >= 10.
 
     Returns
     -------
@@ -168,6 +170,7 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
     """
     if r_max < 10.0:
         raise ValueError("r_max must be >= 10, got %r" % (r_max,))
+    _check_points_per_decade(points_per_decade)
     nonlinearity = Nonlinearity(nonlinearity)
     c_log = 2.0 * vortex_sign * nu
     (rr, uu, duu, dvv, ii), event_kind, nfev = _shoot(
@@ -209,6 +212,12 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
                                   points_per_decade, _retry=False)
         result.diagnostics["retried"] = True
     return result
+
+
+def _check_points_per_decade(points_per_decade):
+    if not points_per_decade >= 10:
+        raise ValueError("points_per_decade must be >= 10, got %r"
+                         % (points_per_decade,))
 
 
 def _radii(r_max, points_per_decade):
@@ -384,13 +393,14 @@ def _tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
     the topological corridor out to r_end; returns (sign, nfev, reshot).
 
     The sign is that of the full-grid shot integrate_radial(s, ..., r_end,
-    divergence_stop=30, _retry=False): its class, else the side of
-    u(r_end).  The probe samples only r_end (or the event point).  Only
-    when that one row classifies Undetermined is it shot again (reshot),
-    sampled on the last decade of the default 200-per-decade grid, the
-    rows the hysteresis test of _classify reads.
+    divergence_stop=BISECT_DIVERGENCE_STOP, _retry=False): its class,
+    else the side of u(r_end).  The probe samples only r_end (or the
+    event point).  Only when that one row classifies Undetermined is it
+    shot again (reshot), sampled on the last decade of the default
+    200-per-decade grid, the rows the hysteresis test of _classify reads.
     """
-    shot = (s, nu, tau, r_end, tol, vortex_sign, nonlinearity, 30.0)
+    shot = (s, nu, tau, r_end, tol, vortex_sign, nonlinearity,
+            BISECT_DIVERGENCE_STOP)
     (rr, uu, duu, _, _), event_kind, nfev = _shoot(*shot, np.array([r_end]))
     bc_type = _classify(rr, uu, duu, event_kind)
     reshot = bc_type is BCType.UNDETERMINED
@@ -426,6 +436,7 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     hold; its diagnostics add bisect_probes, bisect_reshots (probes shot
     again for the hysteresis test) and bisect_nfev (their summed nfev).
     """
+    _check_points_per_decade(points_per_decade)
     if nu > 0:
         nonlinearity_ops(nonlinearity, tau).require_sigma("singular mode")
     s_lo, s_hi = float(bracket[0]), float(bracket[1])
@@ -474,7 +485,7 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     sol = integrate_radial(s_star, nu, tau, r_bisect, tol,
                            vortex_sign=vortex_sign,
                            nonlinearity=nonlinearity,
-                           divergence_stop=30.0,
+                           divergence_stop=BISECT_DIVERGENCE_STOP,
                            points_per_decade=points_per_decade,
                            _retry=False)
     sol = _truncate_topological(sol)

@@ -299,6 +299,55 @@ class TestFieldArchive:
             load_field(str(path))
 
 
+def _archive_without_meta(path):
+    np.savez(path, v=np.zeros((8, 8)))
+
+
+def _archive_bad_zip(path):
+    path.write_bytes(b"PK\x03\x04garbage")
+
+
+def _archive_meta(meta):
+    def write(path):
+        np.savez(path, v=np.zeros((8, 8)),
+                 meta=np.bytes_(dumps_json(meta).encode()))
+    return write
+
+
+_MALFORMED_ARCHIVES = {
+    "no_meta": _archive_without_meta,
+    "bad_zip": _archive_bad_zip,
+    "missing_key": _archive_meta({"periods": [1, 1]}),
+    "mistyped_key": _archive_meta({
+        "periods": [4.0, 4.0], "grid_shape": [8, 8], "tau": 1.0,
+        "epsilon": 0.2, "nonlinearity": "SigmaO3", "positive": 5,
+        "negative": []}),
+}
+
+
+class TestMalformedArchive:
+    @pytest.mark.parametrize("kind", sorted(_MALFORMED_ARCHIVES))
+    def test_load_field_names_the_archive(self, tmp_path, kind):
+        path = tmp_path / "bad.npz"
+        _MALFORMED_ARCHIVES[kind](path)
+        with pytest.raises(ValueError, match="malformed field archive") as ei:
+            load_field(str(path))
+        assert str(path) in str(ei.value)
+
+    @pytest.mark.parametrize("kind", sorted(_MALFORMED_ARCHIVES))
+    def test_verify_exits_one(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad.npz"
+        _MALFORMED_ARCHIVES[kind](path)
+        cfg = _write_cfg(tmp_path, {
+            "verify": {"field": str(path)},
+            "output": {"dir": str(tmp_path), "prefix": "run"}})
+        assert main(["verify", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed field archive %s" % path)
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run_verify.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # shoot and beta-curve commands
 
@@ -374,6 +423,73 @@ class TestShootCommand:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("ppd", ["0", "-3", "9"])
+    @pytest.mark.parametrize("mode", [
+        ["--s", "-1", "--rmax", "1e3"],
+        ["--find-topological", "--nu", "1", "--bracket", "-8", "8"]],
+        ids=["shot", "bisection"])
+    def test_points_per_decade_below_ten_is_an_error(self, tmp_path, capsys,
+                                                     ppd, mode):
+        rc = main(["shoot", "--tau", "1", *mode, "--points-per-decade", ppd,
+                   "--out", str(tmp_path / "p")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: points_per_decade must be >= 10")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_last_line_names_what_was_written(self, tmp_path, capsys):
+        out = str(tmp_path / "p")
+        assert main(["shoot", "--tau", "1", "--s", "-1", "--rmax", "1e3",
+                     "--out", out]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "wrote %s.csv, %s.json" % (out, out)
+
+
+# the four rules of a radial-profile request, as shoot flags and as the
+# stability block: (shoot arguments, flag named, stability block, pointer)
+_RADIAL_REQUEST_CONFLICTS = {
+    "bracket_required": (
+        ["--find-topological"], "--bracket",
+        {"find_topological": True}, "/stability/bracket"),
+    "s_with_topological": (
+        ["--find-topological", "--bracket", "-8", "8", "--s", "-1"], "--s",
+        {"find_topological": True, "bracket": [-8.0, 8.0], "s": -1.0},
+        "/stability/s"),
+    "r_max_with_topological": (
+        ["--find-topological", "--bracket", "-8", "8", "--rmax", "1e6"],
+        "--rmax",
+        {"find_topological": True, "bracket": [-8.0, 8.0], "r_max": 1e6},
+        "/stability/r_max"),
+    "s_required": ([], "--s", {}, "/stability/s"),
+    "bracket_without_topological": (
+        ["--s", "-1", "--bracket", "-8", "8"], "--bracket",
+        {"s": -1.0, "bracket": [-8.0, 8.0]}, "/stability/bracket"),
+}
+
+
+class TestRadialRequestConflicts:
+    @pytest.mark.parametrize("name", sorted(_RADIAL_REQUEST_CONFLICTS))
+    def test_shoot_names_the_flag(self, tmp_path, capsys, name):
+        flags, flag, _, _ = _RADIAL_REQUEST_CONFLICTS[name]
+        rc = main(["shoot", "--tau", "1", "--nu", "1", *flags,
+                   "--out", str(tmp_path / "p")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flag in err
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(_RADIAL_REQUEST_CONFLICTS))
+    def test_stability_names_the_pointer(self, tmp_path, capsys, name):
+        _, _, block, pointer = _RADIAL_REQUEST_CONFLICTS[name]
+        tree = {"stability": dict(block, target="radial", nu=1.0),
+                "output": {"dir": str(tmp_path), "prefix": "st"}}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["stability", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "(at %s)" % pointer in err
+        assert not (tmp_path / "st_stability.json").exists()
 
 
 class TestBetaCurveCommand:
@@ -743,6 +859,17 @@ class TestVerifyCommand:
         assert "FAIL" in out
         doc = json.loads((tmp_path / "run_verify.json").read_text())
         assert doc["all_passed"] is False
+
+    def test_last_lines_name_what_was_written(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, _base_cfg(tmp_path))
+        assert main(["torus", "--config", cfg]) == EXIT_OK
+        archive = str(tmp_path / "run_field.npz")
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "wrote %s, %s" % (archive, tmp_path / "run_summary.json")
+        main(["verify", "--config", cfg,
+              "--override", "verify.field=%s" % archive])
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "wrote %s" % (tmp_path / "run_verify.json")
 
     def test_verify_loads_field_archive(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, _base_cfg(tmp_path, grid=128))

@@ -159,6 +159,17 @@ class TestSingularTopological:
         with pytest.raises(BracketError):
             find_topological(1.0, 1.0, (-8.0, -7.0))
 
+    @pytest.mark.parametrize("ppd", [9, 0, -3])
+    def test_points_per_decade_below_ten_rejected_before_a_shot(
+            self, ppd, monkeypatch):
+        def no_shot(*args):
+            raise AssertionError("shot taken")
+        monkeypatch.setattr(radial, "_shoot", no_shot)
+        with pytest.raises(ValueError, match="points_per_decade"):
+            integrate_radial(-1.0, r_max=1e3, points_per_decade=ppd)
+        with pytest.raises(ValueError, match="points_per_decade"):
+            find_topological(1.0, 1.0, (-8.0, 8.0), points_per_decade=ppd)
+
     def test_type_one_f2_mass_approaches_half_pi_beta_sq(self):
         # Pohozaev limit: 2 pi int 2 F2 r dr -> pi beta^2 on type-I
         sol = integrate_radial(-1.0, tau=1.0)
@@ -169,7 +180,8 @@ class TestSingularTopological:
 def _full_grid_tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
     """Reference probe: the whole 200-per-decade shot and its sign rule."""
     sol = integrate_radial(s, nu, tau, r_end, tol, vortex_sign=vortex_sign,
-                           nonlinearity=nonlinearity, divergence_stop=30.0,
+                           nonlinearity=nonlinearity,
+                           divergence_stop=radial.BISECT_DIVERGENCE_STOP,
                            _retry=False)
     if sol.bc_type is BCType.NONTOPOLOGICAL_I:
         sign = -1

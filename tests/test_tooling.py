@@ -1,23 +1,33 @@
-"""The benchmark's per-layer tracer still finds every target it reads.
+"""Tooling guards: the benchmark's tracer and the CLI exit-code map.
 
 bench/layertrace.py reads each per-layer metric from named functions of
 the package (solve_newton, laplacian, _pohozaev_torus, load_field,
 save_field, run_sweep, ...), and reports a metric whose target is gone
-as missing instead of failing.  This test installs the tracer over the
+as missing instead of failing.  One test installs the tracer over the
 imported package, requires that nothing is missing, and uninstalls it
 again; a second one requires that the kernel counters see the radial
 shooter's scalar calls and Newton's array calls.  They only read bench/.
+
+The last test raises every exception class the package defines from a
+stubbed command and requires cli.main to map it to exit 1 or 2 with one
+line on stderr, so a new failure type cannot escape as a traceback.
 """
 
+import importlib
 import importlib.util
+import inspect
 import os
+import pkgutil
 import warnings
 
 import numpy as np
+import pytest
 
-import vortexlab.cli  # noqa: F401  (the cli layer is not imported by vortexlab)
+import vortexlab
+import vortexlab.cli as cli
 from vortexlab import ModelParams, TorusDomain, TorusGeometry, VortexSet
 from vortexlab import radial, torus
+from vortexlab.model import UnsupportedKernelError
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -63,3 +73,49 @@ def test_tracer_counts_kernel_calls_of_both_paths():
         tracer.uninstall()
     assert scalar > 0
     assert counters["kernels.array_points"] > 0
+
+
+def _package_exceptions():
+    """Every Exception subclass defined in a vortexlab module; warnings
+    are issued, never raised, so they are left out."""
+    found = []
+    for info in pkgutil.iter_modules(vortexlab.__path__):
+        module = importlib.import_module("vortexlab." + info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == module.__name__
+                    and issubclass(cls, Exception)
+                    and not issubclass(cls, Warning)):
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__module__ + cls.__name__)
+
+
+_EXCEPTIONS = _package_exceptions()
+
+
+def test_exception_classes_are_collected():
+    names = {cls.__name__ for cls in _EXCEPTIONS}
+    assert {"ConfigError", "BracketError", "IntegrationFailureError",
+            "SweepError", "UnsupportedKernelError",
+            "_UsageError"} <= names
+
+
+@pytest.mark.parametrize("cls", _EXCEPTIONS,
+                         ids=[cls.__name__ for cls in _EXCEPTIONS])
+def test_every_package_exception_maps_to_an_exit_code(cls, monkeypatch,
+                                                      capsys):
+    # ConfigError and IntegrationFailureError take two arguments
+    init = cls.__init__
+    n_args = (len(inspect.signature(init).parameters) - 1
+              if inspect.isfunction(init) else 1)
+
+    def command(args):
+        raise cls(*["stubbed failure"] * n_args)
+
+    monkeypatch.setattr(cli, "cmd_shoot", command)
+    rc = cli.main(["shoot", "--tau", "1", "--s", "-1"])
+    err = capsys.readouterr().err
+    assert rc in (cli.EXIT_USAGE, cli.EXIT_NUMERICAL)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "stubbed failure" in err
+    if issubclass(cls, RuntimeError) and cls is not UnsupportedKernelError:
+        assert rc == cli.EXIT_NUMERICAL
