@@ -26,6 +26,16 @@ from .model import ModelParams, Nonlinearity, eps_schedule
 from .radial import RadialSolution
 from .stability import principal_eigen_torus
 
+# rescale_blowup's innermost radius and its radii per decade
+_Y_MIN = 1e-2
+_POINTS_PER_DECADE = 40
+# squared_ratio_test pairs ratios within 2 * _PAIR_TOL of 2 and tests the
+# last _N_LAST records against _FIT_SLACK times the fitted constant
+_PAIR_TOL = 0.1
+_N_LAST = 3
+_FIT_SLACK = 2.0
+
+
 class GeometryError(ValueError):
     """Ball does not fit the fundamental domain or overlaps a sibling."""
 
@@ -35,7 +45,7 @@ class ResolutionError(ValueError):
 
 
 class SweepError(RuntimeError):
-    """The first solve of a sweep failed; nothing to warm-start from."""
+    """A sweep's first solve failed, or too few solved for a verdict."""
 
 
 class Alternative(enum.Enum):
@@ -380,8 +390,7 @@ def _pohozaev_torus(field, center, mult, r, cov, n_theta):
     return float(volume), float(boundary), float(residual)
 
 
-def rescale_blowup(field, center, scale=None, n_theta=64,
-                   y_min=1e-2, points_per_decade=40):
+def rescale_blowup(field, center, scale=None, n_theta=64):
     """Blow-up view u-hat(y) = u(center + scale * y), radially sampled.
 
     Samples geometric radii out to the largest min-image ball and
@@ -398,10 +407,10 @@ def rescale_blowup(field, center, scale=None, n_theta=64,
             "rescaling scale %g is below the grid spacing %g"
             % (scale, max(h1, h2)))
     y_max = 0.45 * min(field.domain.periods) / scale
-    if y_max <= y_min:
+    if y_max <= _Y_MIN:
         raise ValueError("scale too large: no radii between y_min and y_max")
-    n_r = max(int(points_per_decade * np.log10(y_max / y_min)), 8) + 1
-    y = np.geomspace(y_min, y_max, n_r)
+    n_r = max(int(_POINTS_PER_DECADE * np.log10(y_max / _Y_MIN)), 8) + 1
+    y = np.geomspace(_Y_MIN, y_max, n_r)
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
     px = (center[0] + scale * y[:, None] * np.cos(theta)[None, :]).ravel()
     py = (center[1] + scale * y[:, None] * np.sin(theta)[None, :]).ravel()
@@ -584,15 +593,14 @@ def classify_alternative(records, zero_tol=1e-2, away_threshold=0.25):
     return AlternativeVerdict(kind=kind, evidence=evidence)
 
 
-def squared_ratio_test(epsilons, values, n_last=3, fit_slack=2.0,
-                       pair_tol=0.1):
+def squared_ratio_test(epsilons, values):
     """Proxy for faster-than-any-power decay: value(eps/2) <= C value(eps)^2.
 
     Pairs each record with the one at roughly half its epsilon (ratio
-    within pair_tol of 2), fits C on the pairs landing before the last
-    n_last records, and tests the rest against fit_slack * C.  Returns
-    (passed, detail); passed is None when the schedule offers no usable
-    pairs on one of the two sides.
+    within 2 * _PAIR_TOL of 2), fits C on the pairs landing before the
+    last _N_LAST records, and tests the rest against _FIT_SLACK * C.
+    Returns (passed, detail); passed is None when the schedule offers no
+    usable pairs on one of the two sides.
     """
     eps = np.asarray(epsilons, dtype=float)
     val = np.abs(np.asarray(values, dtype=float))
@@ -601,14 +609,14 @@ def squared_ratio_test(epsilons, values, n_last=3, fit_slack=2.0,
     pairs = []
     for j in range(eps.size):
         ratios = eps[:j] / eps[j]
-        good = np.nonzero(np.abs(ratios - 2.0) <= 2.0 * pair_tol)[0]
+        good = np.nonzero(np.abs(ratios - 2.0) <= 2.0 * _PAIR_TOL)[0]
         if good.size:
             i = int(good[np.argmin(np.abs(ratios[good] - 2.0))])
             pairs.append((i, j))
-    fit = [(i, j) for (i, j) in pairs if j < eps.size - n_last]
-    test = [(i, j) for (i, j) in pairs if j >= eps.size - n_last]
+    fit = [(i, j) for (i, j) in pairs if j < eps.size - _N_LAST]
+    test = [(i, j) for (i, j) in pairs if j >= eps.size - _N_LAST]
     detail = {"pairs": pairs, "fit_pairs": fit, "test_pairs": test,
-              "fit_slack": float(fit_slack)}
+              "fit_slack": _FIT_SLACK}
     if not test:
         detail["reason"] = "no half-epsilon pairs land in the tested window"
         return None, detail
@@ -621,8 +629,8 @@ def squared_ratio_test(epsilons, values, n_last=3, fit_slack=2.0,
         return None, detail
     C = max(cs)
     detail["C"] = float(C)
-    passed = all(val[j] <= fit_slack * C * val[i] ** 2 for (i, j) in test)
-    detail["margins"] = [float(fit_slack * C * val[i] ** 2 - val[j])
+    passed = all(val[j] <= _FIT_SLACK * C * val[i] ** 2 for (i, j) in test)
+    detail["margins"] = [float(_FIT_SLACK * C * val[i] ** 2 - val[j])
                          for (i, j) in test]
     return bool(passed), detail
 

@@ -242,7 +242,7 @@ def cmd_torus(args):
 
 def cmd_stability(args):
     cfg = load_config(args.config, args.override)
-    block = cfg.section("stability", required=True)
+    block = cfg.section("stability")
 
     if block["target"] == "torus":
         fld = _field(cfg, block["field"])
@@ -293,7 +293,7 @@ def cmd_stability(args):
 
 def cmd_sweep(args):
     cfg = load_config(args.config, args.override)
-    block = cfg.section("sweep", required=True)
+    block = cfg.section("sweep")
     if len(block["epsilons"]) < 3:
         raise ConfigError("/sweep/epsilons",
                           "need at least 3 steps to classify a trend")
@@ -306,25 +306,28 @@ def cmd_sweep(args):
                         first_continuation=block["first_continuation"],
                         tol_factor=cfg.tree["solver"]["tol_factor"],
                         keep_fields=False)
+    out_csv = _outpath(cfg, "_sweep.csv")
+    with atomic_path(out_csv) as tmp:
+        export_sweep_csv(records, tmp)
+    ok = [rec for rec in records if rec.ok]
+    if len(ok) < 3:
+        raise SweepError("%d of %d steps solved, need 3 for a verdict; see %s"
+                         % (len(ok), len(records), out_csv))
     verdict = classify_alternative(records, zero_tol=block["zero_tol"],
                                    away_threshold=block["away_threshold"])
 
     ratio = None
     if verdict.kind is asymptotics.Alternative.A_UNIFORM_ZERO:
-        ok = [rec for rec in records if rec.ok]
         eps = [rec.epsilon for rec in ok]
         vals = [max(abs(rec.sup_K), abs(rec.inf_K)) for rec in ok]
         passed, detail = squared_ratio_test(eps, vals)
         ratio = {"passed": passed, "detail": detail}
 
-    out_csv = _outpath(cfg, "_sweep.csv")
-    with atomic_path(out_csv) as tmp:
-        export_sweep_csv(records, tmp)
     summary = {
         "seed": cfg.seed,
         "tau": model["tau"],
         "n_steps": len(records),
-        "n_failed": sum(0 if rec.ok else 1 for rec in records),
+        "n_failed": len(records) - len(ok),
         "verdict": verdict.kind.value,
         "evidence": verdict.evidence,
         "squared_ratio": ratio,

@@ -291,18 +291,17 @@ class ExperimentConfig:
     """Validated config tree with typed accessors for the solver objects."""
 
     tree: dict
-    path: str = None
 
     @property
     def seed(self):
         return self.tree["seed"]
 
-    def section(self, name, required=False):
-        sec = self.tree.get(name)
-        if sec is None and required:
+    def section(self, name):
+        """An optional section the command needs: ConfigError if absent."""
+        if self.tree[name] is None:
             raise ConfigError("/%s" % name,
                               "section required by this command")
-        return sec
+        return self.tree[name]
 
     def geometry(self):
         """The torus and its vortices, snapped: a command's one geometry."""
@@ -322,12 +321,17 @@ class ExperimentConfig:
             raise ConfigError("/vortices", str(e))
 
     def params(self):
-        """ModelParams at the last continuation stage, else model.epsilon."""
+        """ModelParams at the last continuation stage, else model.epsilon;
+        when both are set they must agree."""
         m = self.tree["model"]
         continuation = self.tree["solver"]["continuation"]
         eps = m["epsilon"] if continuation is None else continuation[-1]
         if eps is None:
             raise ConfigError("/model/epsilon", "required by this command")
+        if m["epsilon"] not in (None, eps):
+            raise ConfigError("/model/epsilon", "%r differs from the last "
+                              "solver.continuation stage %r"
+                              % (m["epsilon"], eps))
         try:
             return ModelParams(tau=m["tau"], epsilon=eps,
                                nonlinearity=Nonlinearity(m["nonlinearity"]))
@@ -346,7 +350,7 @@ def load_config(path, overrides=()):
         raise ConfigError("/", "config is not valid JSON: %s" % e)
     if overrides:
         raw = apply_overrides(raw, overrides)
-    return ExperimentConfig(tree=validate_config(raw), path=os.fspath(path))
+    return ExperimentConfig(tree=validate_config(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,10 @@ class EigenResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
+_EIGEN_TOL = 1e-9  # LOBPCG's tol and the residual gate
+
+
+def principal_eigen_torus(fld, max_iter=60):
     """Smallest eigenvalue of -Lap - eps^-2 f_tau'(u) on the torus grid.
 
     One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517-541)
@@ -62,8 +65,8 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
     (c - Lap)^-1 with c = max potential - min potential + 1, from the
     constant start (nonzero overlap with the positive principal
     eigenfunction).  The result is accepted only if its L2(domain)
-    residual is at most tol * max(1, |mu|) and the eigenvector has one
-    sign, since the ground state cannot change sign; otherwise
+    residual is at most _EIGEN_TOL * max(1, |mu|) and the eigenvector
+    has one sign, since the ground state cannot change sign; otherwise
     EigenConvergenceError carries the Rayleigh quotient.  The
     eigenvector is returned L2(domain)-normalized and oriented positive;
     iterations counts the preconditioned LOBPCG steps.
@@ -90,14 +93,14 @@ def principal_eigen_torus(fld, tol=1e-9, max_iter=60):
         # of the rescaled one, so its tol is at least as strict as the
         # gate below, which decides in place of lobpcg's miss warning
         warnings.simplefilter("ignore", UserWarning)
-        _, X = lobpcg(apply, np.ones((pot.size, 1)), M=precondition, tol=tol,
-                      maxiter=max_iter, largest=False)
+        _, X = lobpcg(apply, np.ones((pot.size, 1)), M=precondition,
+                      tol=_EIGEN_TOL, maxiter=max_iter, largest=False)
     x = X[:, 0].reshape(shape)
     x = x / float(np.sqrt(cellw * np.sum(x * x)))
     Lx = torus_mod._apply_shifted(domain, pot, x)
     rho = cellw * float(np.sum(x * Lx))
     res = float(np.sqrt(cellw * np.sum((Lx - rho * x) ** 2)))
-    if not res <= tol * max(1.0, abs(rho)):
+    if not res <= _EIGEN_TOL * max(1.0, abs(rho)):
         raise EigenConvergenceError(
             "LOBPCG reached residual %.3e in %d steps" % (res, steps),
             rayleigh=rho)

@@ -176,10 +176,10 @@ class TorusGeometry:
     """A torus and its vortices, snapped to grid points on construction
     (a warning when one moves, ValueError when two share a point):
     vortices is the snapped set, cells their grid indices and snap_moves
-    the (point, grid point) pairs that moved.  c_p, u0 and the regular
-    part of u0 at each vortex are cached read-only on first use, the
-    way TorusDomain caches its symbols; _cached memoizes what the audits
-    derive from them per ball and per ring.
+    the (point, grid point) pairs that moved by minimum image.  c_p, u0
+    and the regular part of u0 at each vortex are cached read-only on
+    first use, the way TorusDomain caches its symbols; _cached memoizes
+    what the audits derive from them per ball and per ring.
     """
 
     domain: TorusDomain
@@ -200,7 +200,8 @@ class TorusGeometry:
                     "point (%g, %g); refine the grid to separate them"
                     % (taken[q] + p + q))
             taken[q] = p
-            if max(abs(p[0] - q[0]), abs(p[1] - q[1])) > tol:
+            if np.max(np.abs(ewald._min_image(np.subtract(p, q),
+                                              self.domain.periods))) > tol:
                 moves.append((p, q))
             cells.append(cell)
             snapped[sgn].append((q, m))
@@ -518,8 +519,10 @@ def _solve_shifted(domain, W, c, b, rtol, maxiter):
     return x.reshape(shape), info
 
 
-def solve_monotone(geometry, params, sub, super_, max_iter=100000,
-                   tol_factor=1e-10):
+_MONOTONE_MAX_ITER = 100000
+
+
+def solve_monotone(geometry, params, sub, super_, tol_factor=1e-10):
     """Monotone iteration between a sub- and a supersolution.
 
     Starts from the supersolution and decreases pointwise toward the
@@ -556,7 +559,7 @@ def solve_monotone(geometry, params, sub, super_, max_iter=100000,
         "snap_moves": _snap_record(geometry),
     }
 
-    for it in range(max_iter):
+    for it in range(_MONOTONE_MAX_ITER):
         res = fld.residual_norm()
         if res < tol:
             diag["iterations"] = it
@@ -574,7 +577,8 @@ def solve_monotone(geometry, params, sub, super_, max_iter=100000,
             raise MonotonicityError(
                 "iterate fell below the subsolution at step %d" % it)
         fld = replace(fld, v=v_new)
-    raise ConvergenceError("monotone iteration exhausted %d steps" % max_iter)
+    raise ConvergenceError("monotone iteration exhausted %d steps"
+                           % _MONOTONE_MAX_ITER)
 
 
 def _u0_at(geometry, px, py, want_grad):

@@ -24,6 +24,7 @@ from vortexlab import (
     TorusGeometry,
     VortexSet,
     integrate_radial,
+    pohozaev_value,
     solve_newton,
     torus,
     weighted_eigen_radial,
@@ -31,6 +32,7 @@ from vortexlab import (
 from vortexlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from vortexlab.config import (
     ConfigError,
+    ExperimentConfig,
     apply_overrides,
     atomic_path,
     dumps_json,
@@ -563,6 +565,36 @@ class TestTorusCommand:
         assert main(["torus", "--config", cfg]) == EXIT_USAGE
         assert "/model/epsilon" in capsys.readouterr().err
 
+    def test_epsilon_must_match_the_continuation(self, tmp_path, capsys):
+        tree = _base_cfg(tmp_path)
+        tree["model"]["epsilon"] = 0.3
+        tree["solver"]["continuation"] = [0.3, 0.25]
+        with pytest.raises(ConfigError) as ei:
+            ExperimentConfig(tree=validate_config(tree)).params()
+        assert ei.value.pointer == "/model/epsilon"
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 0.3 differs from the last "
+                              "solver.continuation stage 0.25")
+        assert "/model/epsilon" in err
+        assert not (tmp_path / "run_summary.json").exists()
+
+    def test_growing_newton_residual_is_numerical_failure(self, tmp_path,
+                                                          capsys):
+        # a cold start at eps = 0.34 leaves an iterate the 0.25 stage's
+        # damped steps cannot shrink
+        tree = _base_cfg(tmp_path)
+        tree["model"]["epsilon"] = 0.25
+        tree["solver"]["continuation"] = [0.34, 0.25]
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: Newton residual grew "
+                                 "for 5 consecutive damped steps")
+        assert not (tmp_path / "run_summary.json").exists()
+
     def test_infinite_period_is_a_usage_error(self, tmp_path, capsys):
         # json.dumps writes Infinity, which json.loads reads back
         tree = _base_cfg(tmp_path)
@@ -817,6 +849,43 @@ class TestSweepCommand:
                                                "prefix": "sw"}})
         assert main(["sweep", "--config", cfg]) == EXIT_USAGE
 
+    @staticmethod
+    def _coarse_sweep(tmp_path, epsilons):
+        # eps of a few 1e-3 is far below the 32^2 grid: Newton's damped
+        # steps grow the residual there and the step is recorded as failed
+        return _write_cfg(tmp_path, {
+            "domain": {"periods": [4.0, 4.0], "grid_shape": [32, 32]},
+            "vortices": {"positive": [{"point": [2.0, 2.0]}]},
+            "sweep": {"epsilons": epsilons},
+            "output": {"dir": str(tmp_path), "prefix": "sw"},
+        })
+
+    def test_too_few_solved_steps_keep_their_csv(self, tmp_path, capsys):
+        cfg = self._coarse_sweep(tmp_path, [0.3, 0.25, 0.003, 0.002])
+        assert main(["sweep", "--config", cfg]) == EXIT_NUMERICAL
+        csv = tmp_path / "sw_sweep.csv"
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: 2 of 4 steps solved, need 3 for a verdict; "
+            "see %s" % csv]
+        header, *rows = csv.read_text().splitlines()
+        assert header.endswith("v0_quantization") and len(rows) == 4
+        for row in rows:
+            cells = row.split(",")
+            failed = float(cells[0]) < 0.01
+            assert cells[4].startswith("Newton residual grew") == failed
+            assert (cells[-6:] == [""] * 6) == failed
+        assert not (tmp_path / "sw_verdict.json").exists()
+
+    def test_one_failed_step_is_reported(self, tmp_path, capsys):
+        cfg = self._coarse_sweep(tmp_path, [0.3, 0.25, 0.2, 0.003])
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].startswith("eps = 0.0030000000000000001  FAILED: "
+                                   "Newton residual grew")
+        doc = json.loads((tmp_path / "sw_verdict.json").read_text())
+        assert doc["n_steps"] == 4 and doc["n_failed"] == 1
+        assert doc["evidence"]["n_failed"] == 1
+
 
 # ---------------------------------------------------------------------------
 # verify command
@@ -883,6 +952,37 @@ class TestVerifyCommand:
         assert doc["field"] == archive
         assert doc["all_passed"] is True
         assert doc["solver"]["grid_shape"] == [128, 128]
+
+    def test_vortex_free_field_gets_the_center_row(self, tmp_path, capsys):
+        tree = _base_cfg(tmp_path)
+        tree["vortices"] = {}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["verify", "--config", cfg]) == EXIT_OK
+        doc = json.loads((tmp_path / "run_verify.json").read_text())
+        assert [row["name"] for row in doc["rows"]] == [
+            "residual_sup", "mass_identity", "identity_a=0.5",
+            "identity_a=1", "identity_a=2", "pohozaev_center"]
+        assert doc["all_passed"] is True
+
+    def test_default_ball_radius_reads_the_pair_separation(self, tmp_path,
+                                                           capsys):
+        # the pair is 2 apart on the 4 x 4 torus: r = 0.45 * 2
+        tree = _base_cfg(tmp_path)
+        tree["vortices"] = {"positive": [{"point": [1.0, 2.0]}],
+                            "negative": [{"point": [3.0, 2.0]}]}
+        tree["model"]["epsilon"] = 0.3
+        tree["solver"] = {}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_OK
+        archive = str(tmp_path / "run_field.npz")
+        assert main(["verify", "--config", cfg,
+                     "--override", "verify.field=%s" % archive]) == EXIT_OK
+        rows = {row["name"]: row["value"] for row in json.loads(
+            (tmp_path / "run_verify.json").read_text())["rows"]}
+        fld = load_field(archive)
+        for k in (0, 1):
+            assert rows["pohozaev_v%d" % k] == \
+                pohozaev_value(fld, vortex_id=k, r=0.9)[2]
 
     def test_csh_battery_skips_sigma_rows(self, tmp_path, capsys):
         tree = _base_cfg(tmp_path)

@@ -8,11 +8,15 @@ imported package, requires that nothing is missing, and uninstalls it
 again; a second one requires that the kernel counters see the radial
 shooter's scalar calls and Newton's array calls.  They only read bench/.
 
-The last test raises every exception class the package defines from a
-stubbed command and requires cli.main to map it to exit 1 or 2 with one
-line on stderr, so a new failure type cannot escape as a traceback.
+The exit-code tests raise every exception class the package defines
+from a stubbed command and require cli.main to map it to exit 1 or 2
+with one line on stderr, so a new failure type cannot escape as a
+traceback.  The last test requires that every defaulted parameter of a
+public function is set by some call in the repository: an option no
+caller sets is a module constant.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -119,3 +123,67 @@ def test_every_package_exception_maps_to_an_exit_code(cls, monkeypatch,
     assert "stubbed failure" in err
     if issubclass(cls, RuntimeError) and cls is not UnsupportedKernelError:
         assert rc == cli.EXIT_NUMERICAL
+
+
+ROOT = os.path.dirname(BENCH)
+
+
+def _public_functions():
+    """(name, positional parameters, defaulted parameters) of every public
+    function and public method of a public class in vortexlab; a
+    method's self is dropped from its positional parameters."""
+    package = os.path.join(ROOT, "src", "vortexlab")
+    for module in sorted(os.listdir(package)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(package, module)) as fh:
+            body = ast.parse(fh.read()).body
+        defs = [(fn, 0) for fn in body if isinstance(fn, ast.FunctionDef)]
+        for cls in body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defs += [(fn, 1) for fn in cls.body
+                         if isinstance(fn, ast.FunctionDef)]
+        for fn, skip in defs:
+            if not fn.name.startswith("_"):
+                a = fn.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [p.arg for p, d in zip(a.kwonlyargs,
+                                                    a.kw_defaults)
+                              if d is not None]
+                yield fn.name, positional[skip:], defaulted
+
+
+def _calls_by_name():
+    """Every call in src/, tests/, demos/ and bench/, keyed by the called
+    name (the attribute for a method call)."""
+    calls = {}
+    for top in ("src", "tests", "demos", "bench"):
+        for directory, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in (n for n in files if n.endswith(".py")):
+                with open(os.path.join(directory, name)) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Call):
+                        key = getattr(node.func, "id",
+                                      getattr(node.func, "attr", None))
+                        calls.setdefault(key, []).append(node)
+    return calls
+
+
+def _sets(call, param, positional):
+    """call sets param by keyword, by position, or by a * or ** expansion."""
+    return (any(kw.arg in (None, param) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or (param in positional
+                and positional.index(param) < len(call.args)))
+
+
+def test_every_default_is_set_by_some_caller():
+    calls = _calls_by_name()
+    unset = ["%s(%s=)" % (name, param)
+             for name, positional, defaulted in _public_functions()
+             for param in defaulted
+             if not any(_sets(call, param, positional)
+                        for call in calls.get(name, []))]
+    assert unset == []

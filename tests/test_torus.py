@@ -671,6 +671,22 @@ class TestGeometry:
             again = TorusGeometry(dom64, geo.vortices)
         assert again.snap_moves == () and again.vortices == geo.vortices
 
+    @pytest.mark.parametrize("point, cell", [((4.0, 2.0), (0, 32)),
+                                             ((-1.0, 1.0), (48, 16))])
+    def test_a_whole_period_away_is_no_move(self, dom64, point, cell):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geo = TorusGeometry(dom64, VortexSet(
+                positive_vortices=((point, 1),)))
+        assert geo.snap_moves == () and geo.cells == (cell,)
+
+    def test_a_move_across_the_seam_is_recorded(self, dom64):
+        # 3.99 is 0.01 short of the period: it snaps to x = 0
+        with pytest.warns(UserWarning, match="1 vortex position.s. snapped"):
+            geo = TorusGeometry(dom64, VortexSet(
+                positive_vortices=(((3.99, 2.0), 1),)))
+        assert geo.snap_moves == (((3.99, 2.0), (0.0, 2.0)),)
+
     def test_snap_moves_reach_both_solvers(self, dom64):
         vs = VortexSet(positive_vortices=(((2.012, 2.0), 1),))
         with pytest.warns(UserWarning, match="snapped to the grid"):
