@@ -24,7 +24,7 @@ from . import ewald
 from . import torus as torus_mod
 from .model import ModelParams, Nonlinearity, eps_schedule
 from .radial import RadialSolution
-from .stability import principal_eigen_torus
+from .stability import EigenConvergenceError, principal_eigen_torus
 
 # rescale_blowup's innermost radius and its radii per decade
 _Y_MIN = 1e-2
@@ -45,7 +45,8 @@ class ResolutionError(ValueError):
 
 
 class SweepError(RuntimeError):
-    """A sweep's first solve failed, or too few solved for a verdict."""
+    """A sweep's first solve failed, too few solved for a verdict, or
+    an eigen solve failed."""
 
 
 class Alternative(enum.Enum):
@@ -79,7 +80,9 @@ class SweepRecord:
     resolved and h_over_eps come from the last Newton stage (resolved
     means h <= eps/4), minres_failed counts the Newton steps whose
     inner MINRES solve hit maxiter; all three are None/NaN on a failed
-    step.
+    step.  eigen is the step's principal eigenvalue result when the sweep
+    computes it; when that solve raised EigenConvergenceError, eigen is
+    None, eigen_error holds its message and the solve's values stay.
     """
 
     epsilon: float
@@ -95,6 +98,7 @@ class SweepRecord:
     resolved: bool = None
     h_over_eps: float = float("nan")
     minres_failed: int = None
+    eigen_error: str = None
 
     @property
     def ok(self):
@@ -454,7 +458,8 @@ def run_sweep(geometry, tau, epsilons, K_radius=None,
 
     The first failed solve aborts with SweepError; later failures are
     recorded on their SweepRecord and the sweep continues from the last
-    good iterate.
+    good iterate.  A failed eigen solve (compute_eigen) is recorded as
+    the record's eigen_error and ends nothing.
     """
     eps_list = eps_schedule(epsilons, "epsilons")
     if K_radius is None:
@@ -523,7 +528,12 @@ def _make_record(fld, mask, K_radius, ball_radius, compute_eigen,
             multiplicity=int(m), sign=int(sgn), mass=mass,
             beta_proxy=-mass / (4.0 * np.pi) - m,
             pohozaev=poh, quantization=quant))
-    eig = principal_eigen_torus(fld) if compute_eigen else None
+    eig = eig_error = None
+    if compute_eigen:
+        try:
+            eig = principal_eigen_torus(fld)
+        except EigenConvergenceError as e:
+            eig_error = str(e)
     stage = fld.diagnostics["stages"][-1]
     return SweepRecord(
         epsilon=fld.params.epsilon,
@@ -537,7 +547,8 @@ def _make_record(fld, mask, K_radius, ball_radius, compute_eigen,
         ball_radius=ball_radius,
         resolved=stage["resolved"],
         h_over_eps=stage["h_over_eps"],
-        minres_failed=fld.diagnostics["minres_failed"])
+        minres_failed=fld.diagnostics["minres_failed"],
+        eigen_error=eig_error)
 
 
 def classify_alternative(records, zero_tol=1e-2, away_threshold=0.25):
@@ -636,10 +647,12 @@ def squared_ratio_test(epsilons, values):
 
 
 def export_sweep_csv(records, path):
-    """Write sweep records as CSV, per-vortex columns flattened."""
+    """Write sweep records as CSV, per-vortex columns flattened; mu and
+    eigen_iterations are empty on a step without an eigen result."""
     n_v = max((len(rec.per_vortex) for rec in records), default=0)
     cols = ["epsilon", "sup_K", "inf_K", "total_abs_mass", "error",
-            "resolved", "h_over_eps", "minres_failed"]
+            "resolved", "h_over_eps", "minres_failed", "mu",
+            "eigen_iterations"]
     for k in range(n_v):
         cols += ["v%d_mass" % k, "v%d_beta_proxy" % k,
                  "v%d_pohozaev_volume" % k, "v%d_pohozaev_boundary" % k,
@@ -654,6 +667,8 @@ def export_sweep_csv(records, path):
                    "%.17g" % rec.h_over_eps,
                    "" if rec.minres_failed is None
                    else "%d" % rec.minres_failed]
+            row += ["", ""] if rec.eigen is None else [
+                "%.17g" % rec.eigen.eigenvalue, "%d" % rec.eigen.iterations]
             for k in range(n_v):
                 if k < len(rec.per_vortex):
                     vr = rec.per_vortex[k]

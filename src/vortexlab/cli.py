@@ -313,6 +313,11 @@ def cmd_sweep(args):
     if len(ok) < 3:
         raise SweepError("%d of %d steps solved, need 3 for a verdict; see %s"
                          % (len(ok), len(records), out_csv))
+    no_eigen = ["eps = %s: %s" % (_fmt(rec.epsilon), rec.eigen_error)
+                for rec in ok if rec.eigen_error]
+    if no_eigen:
+        raise SweepError("eigen solve failed at %s; see %s"
+                         % ("; ".join(no_eigen), out_csv))
     verdict = classify_alternative(records, zero_tol=block["zero_tol"],
                                    away_threshold=block["away_threshold"])
 

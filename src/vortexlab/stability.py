@@ -6,7 +6,11 @@ stability means mu_eps > 0), and on radial entire profiles the
 weighted eigenvalue mu* of (-Lap_r - f_tau'(u)) psi = mu (1-e^u) psi,
 whose negativity certifies instability of type-I solutions.
 
-The torus solve is one LOBPCG call preconditioned by (c - Lap)^-1.
+The torus solve is one LOBPCG call preconditioned by (c - Lap)^-1,
+c = sqrt(R) with R = max W - min W + 1 the range of the potential W
+plus one: the operator shifted by the certified lower bound min W - 1
+has symbol k^2 + W - min W + 1 with 1 <= W - min W + 1 <= R, and this
+c keeps its ratio to k^2 + c within a factor sqrt(R) of 1 either way.
 The radial problem is assembled in flux (P1 finite element) form on
 the shooter's geometric grid with mass lumping, reduced to a symmetric
 tridiagonal problem, and solved directly.  Dirichlet truncation at
@@ -62,8 +66,9 @@ def principal_eigen_torus(fld, max_iter=60):
 
     One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517-541)
     of the field's linearization -Lap + potential, preconditioned by
-    (c - Lap)^-1 with c = max potential - min potential + 1, from the
-    constant start (nonzero overlap with the positive principal
+    (c - Lap)^-1 with c = sqrt(max potential - min potential + 1), the
+    geometric mean of the shifted potential's range (module docstring),
+    from the constant start (nonzero overlap with the positive principal
     eigenfunction).  The result is accepted only if its L2(domain)
     residual is at most _EIGEN_TOL * max(1, |mu|) and the eigenvector
     has one sign, since the ground state cannot change sign; otherwise
@@ -76,7 +81,8 @@ def principal_eigen_torus(fld, max_iter=60):
     h1, h2 = domain.spacings
     cellw = h1 * h2
     pot = fld.potential
-    pre = 1.0 / (float(pot.max()) - float(pot.min()) + 1.0 + domain._k2)
+    pre = 1.0 / (np.sqrt(float(pot.max()) - float(pot.min()) + 1.0)
+                 + domain._k2)
     steps = 0
 
     def apply(X):

@@ -18,13 +18,16 @@ import pytest
 
 from test_stability import FROZEN_TOPOLOGICAL
 from vortexlab import (
+    EigenConvergenceError,
     ModelParams,
     Nonlinearity,
     TorusDomain,
     TorusGeometry,
     VortexSet,
+    asymptotics,
     integrate_radial,
     pohozaev_value,
+    run_sweep,
     solve_newton,
     torus,
     weighted_eigen_radial,
@@ -885,6 +888,75 @@ class TestSweepCommand:
         doc = json.loads((tmp_path / "sw_verdict.json").read_text())
         assert doc["n_steps"] == 4 and doc["n_failed"] == 1
         assert doc["evidence"]["n_failed"] == 1
+
+    @staticmethod
+    def _csv_rows(tmp_path):
+        header, *rows = (tmp_path / "sw_sweep.csv").read_text().splitlines()
+        return header.split(","), [row.split(",") for row in rows]
+
+    @staticmethod
+    def _coarse_records():
+        # the library sweep of _coarse_sweep(tmp_path, [0.3, 0.25, 0.2])
+        geo = TorusGeometry(TorusDomain((4.0, 4.0), (32, 32)),
+                            VortexSet(positive_vortices=(((2.0, 2.0), 1),)))
+        return run_sweep(geo, 1.0, [0.3, 0.25, 0.2], compute_eigen=True)
+
+    def test_csv_carries_the_eigenvalue(self, tmp_path, capsys):
+        cfg = self._coarse_sweep(tmp_path, [0.3, 0.25, 0.2])
+        eigen_on = ["sweep", "--config", cfg,
+                    "--override", "sweep.compute_eigen=true"]
+        assert main(eigen_on) == EXIT_OK
+        mus = [line.rsplit("mu = ", 1)[1]
+               for line in capsys.readouterr().out.splitlines()
+               if " mu = " in line]
+        header, rows = self._csv_rows(tmp_path)
+        assert header[7:10] == ["minres_failed", "mu", "eigen_iterations"]
+        assert [row[8] for row in rows] == mus and len(mus) == 3
+        records = self._coarse_records()
+        assert [row[8] for row in rows] == [
+            "%.17g" % rec.eigen.eigenvalue for rec in records]
+        assert [row[9] for row in rows] == [
+            "%d" % rec.eigen.iterations for rec in records]
+        first = (tmp_path / "sw_sweep.csv").read_bytes()
+        assert main(eigen_on) == EXIT_OK
+        assert (tmp_path / "sw_sweep.csv").read_bytes() == first
+
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        header, rows = self._csv_rows(tmp_path)
+        assert header[8:10] == ["mu", "eigen_iterations"]
+        assert [row[8:10] for row in rows] == [["", ""]] * 3
+
+    def test_failed_eigen_solve_keeps_the_sweep(self, tmp_path, capsys,
+                                                monkeypatch):
+        solve = asymptotics.principal_eigen_torus
+
+        def fail_at_025(fld):
+            if fld.params.epsilon == 0.25:
+                raise EigenConvergenceError("stalled", rayleigh=1.0)
+            return solve(fld)
+
+        monkeypatch.setattr(asymptotics, "principal_eigen_torus", fail_at_025)
+        cfg = self._coarse_sweep(tmp_path, [0.3, 0.25, 0.2])
+        assert main(["sweep", "--config", cfg,
+                     "--override", "sweep.compute_eigen=true"]) \
+            == EXIT_NUMERICAL
+        csv = tmp_path / "sw_sweep.csv"
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: eigen solve failed at eps = 0.25: stalled; "
+            "see %s" % csv]
+        _, rows = self._csv_rows(tmp_path)
+        assert [row[4] for row in rows] == ["", "", ""]
+        assert [row[8] == "" for row in rows] == [False, True, False]
+        assert [row[9] == "" for row in rows] == [False, True, False]
+        assert all("" not in row[10:] for row in rows)
+        assert not (tmp_path / "sw_verdict.json").exists()
+
+        records = self._coarse_records()
+        assert [rec.ok for rec in records] == [True] * 3
+        assert [rec.eigen_error for rec in records] == [None, "stalled", None]
+        assert records[1].eigen is None
+        assert np.isfinite(records[1].sup_K)
+        assert records[1].per_vortex[0].mass > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The torus solver is checked against the constant-coefficient oracle
 (where the ground state is the constant mode and the eigenvalue is
-known in closed form) and Rayleigh minimality; the radial solver
+known in closed form), Rayleigh minimality and an independent LOBPCG
+at a slower preconditioner shift; the radial solver
 against frozen values whose residuals were verified when they were
 recorded, and its half-radius sensitivity probe.
 """
@@ -12,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import lobpcg
 
 from vortexlab import (
     EigenConvergenceError,
@@ -136,6 +138,78 @@ class TestTorusVortexField:
         res = principal_eigen_torus(vortex_field)
         eps = vortex_field.params.epsilon
         assert eps ** 2 * res.eigenvalue >= -sup_abs_df_tau(1.0)
+
+    def test_preconditioner_iteration_guard(self, vortex_field):
+        # 9 steps at the sqrt(range) shift; the range shift itself took 16
+        assert principal_eigen_torus(vortex_field).iterations <= 10
+
+
+def _lobpcg_range_shift(fld, max_iter):
+    """mu from LOBPCG preconditioned by (R - Lap)^-1, R the potential's
+    range plus one: an independent solve at a slower shift."""
+    dom = fld.domain
+    shape = dom.grid_shape
+    pot = fld.potential
+    pre = 1.0 / (float(pot.max()) - float(pot.min()) + 1.0 + dom._k2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _, X = lobpcg(
+            lambda X: _apply_shifted(dom, pot, X.reshape(shape)).reshape(-1, 1),
+            np.ones((pot.size, 1)),
+            M=lambda R: dom._multiply(pre, R.reshape(shape)).reshape(-1, 1),
+            tol=1e-9, maxiter=max_iter, largest=False)
+    return rayleigh_quotient_torus(fld, X[:, 0].reshape(shape))
+
+
+class TestTorusResolvedField:
+    """tau 0.3, eps 0.07 at 256^2 (h/eps 0.22): the range shift
+    (R - Lap)^-1 stalled at residual 8.5e-7 in 60 steps here."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(256, 256))
+        vs = VortexSet(positive_vortices=(((2.0, 2.0), 1),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return solve_newton(TorusGeometry(dom, vs), ModelParams(0.3, 0.07),
+                                continuation=[0.2, 0.15, 0.12, 0.1, 0.08,
+                                              0.07])
+
+    def test_converges(self, field):
+        res = principal_eigen_torus(field)
+        assert res.eigenvalue == pytest.approx(93.08224037437563, rel=1e-12)
+        assert res.iterations <= 30
+        assert res.residual_norm <= 1e-9 * res.eigenvalue
+        assert np.min(res.eigenvector) > 0.0
+
+    def test_matches_range_shift_given_more_steps(self, field):
+        mu = principal_eigen_torus(field).eigenvalue
+        assert _lobpcg_range_shift(field, 200) == pytest.approx(mu, rel=1e-12)
+
+
+class TestTorusNontopological:
+    """The second branch: Newton from the constant v = ln(4 pi eps^2 /
+    int e^u0) (small-eps mass identity with f ~ e^u / tau^3) lands on a
+    field whose potential is negative everywhere."""
+
+    @pytest.mark.parametrize("eps, mu", [(0.04, -0.8517428327),
+                                         (0.02, -0.8574831198)])
+    def test_unstable(self, dom64, eps, mu):
+        geo = TorusGeometry(dom64, VortexSet(
+            positive_vortices=(((2.0, 2.0), 1),)))
+        h1, h2 = dom64.spacings
+        c = np.log(4.0 * np.pi * eps ** 2
+                   / (h1 * h2 * float(np.sum(np.exp(geo.u0)))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fld = solve_newton(geo, ModelParams(1.0, eps),
+                               v_init=np.full(dom64.grid_shape, c))
+        assert float(fld.potential.max()) < 0.0
+        res = principal_eigen_torus(fld)
+        assert res.eigenvalue == pytest.approx(mu, abs=1e-10)
+        assert np.min(res.eigenvector) > 0.0
+        assert classify_stability(res, default_torus_margin(fld.params)) is \
+            StabilityClass.UNSTABLE
 
 
 class TestRadialTypeOne:
