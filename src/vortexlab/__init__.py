@@ -27,7 +27,7 @@ from .radial import (BCType, BetaCurve, BracketError,
 from .stability import (EigenConvergenceError, EigenResult, StabilityClass,
                         WeightIndefiniteError, classify_stability,
                         default_torus_margin, principal_eigen_torus,
-                        rayleigh_quotient_torus, weighted_eigen_radial)
+                        weighted_eigen_radial)
 from .torus import (CapacityError, ConvergenceError, MonotonicityError,
                     NewtonDivergenceError, ResolutionWarning, TorusDomain,
                     TorusField, TorusGeometry, cell_integral, gradient,
@@ -58,7 +58,7 @@ __all__ = [
     "CapacityError", "ResolutionWarning",
     # stability
     "principal_eigen_torus", "weighted_eigen_radial",
-    "rayleigh_quotient_torus", "classify_stability", "default_torus_margin",
+    "classify_stability", "default_torus_margin",
     "StabilityClass", "EigenResult", "WeightIndefiniteError",
     "EigenConvergenceError",
     # asymptotics

@@ -31,9 +31,13 @@ TOPOLOGICAL_TOL_U = 1e-6
 TOPOLOGICAL_TOL_SLOPE = 1e-4
 
 # |u| level at which a run is terminated and classified as divergent;
-# bisection probes and the bisected profile stop at the lower level
+# the bisected profile stops at the lower level
 DIVERGENCE_STOP = 1e4
 BISECT_DIVERGENCE_STOP = 30.0
+
+# _shoot's divergence_stop for a bisection probe: stop where the tail
+# sign is certified (see _tail_sign), not at a |u| level
+_CERTIFY = object()
 
 # |u| level beyond which the tail is called nontopological even
 # without an early-stop event
@@ -234,9 +238,13 @@ def _shoot(s, nu, tau, r_max, tol, vortex_sign, nonlinearity,
     steps do not depend on them, so a shot sampled at fewer radii gives
     the same values there and only builds dense output where it samples.
     Returns ((r, u, u', v', I) arrays, event_kind, nfev), u = c ln r + v
-    the full solution: event_kind is "up" or "down" when a divergence
-    event at |u| = divergence_stop ended the run, whose point is then
-    appended if it lies past the last sample.
+    the full solution: event_kind is "up" or "down" when a terminal
+    event ended the run, whose point is then appended if it lies past
+    the last sample.  The events are |u| = divergence_stop, or, with
+    divergence_stop _CERTIFY, the tail-sign certificate of _tail_sign:
+    u >= TOPOLOGICAL_TOL_U with u' >= 0 ("up") or its mirror ("down").
+    Events do not change the steps either, so a run stopped by either
+    kind holds the same state as an unstopped one up to its event.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3], got %r" % (tol,))
@@ -259,16 +267,23 @@ def _shoot(s, nu, tau, r_max, tol, vortex_sign, nonlinearity,
 
     # directional events: the singular mode starts at large |u| and
     # transits toward 0, which must not count as divergence
-    def hit_upper(r, y):
-        return c_log * np.log(r) + y[0] - divergence_stop
+    if divergence_stop is _CERTIFY:
+        def hit_upper(r, y):
+            return min(c_log * np.log(r) + y[0] - TOPOLOGICAL_TOL_U,
+                       c_log / r + y[1])
 
-    hit_upper.terminal = True
+        def hit_lower(r, y):
+            return max(c_log * np.log(r) + y[0] + TOPOLOGICAL_TOL_U,
+                       c_log / r + y[1])
+    else:
+        def hit_upper(r, y):
+            return c_log * np.log(r) + y[0] - divergence_stop
+
+        def hit_lower(r, y):
+            return c_log * np.log(r) + y[0] + divergence_stop
+
+    hit_upper.terminal = hit_lower.terminal = True
     hit_upper.direction = 1.0
-
-    def hit_lower(r, y):
-        return c_log * np.log(r) + y[0] + divergence_stop
-
-    hit_lower.terminal = True
     hit_lower.direction = -1.0
 
     sol = solve_ivp(rhs, (R0, r_max), y0, method="DOP853", rtol=tol,
@@ -394,13 +409,19 @@ def _tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
 
     The sign is that of the full-grid shot integrate_radial(s, ..., r_end,
     divergence_stop=BISECT_DIVERGENCE_STOP, _retry=False): its class,
-    else the side of u(r_end).  The probe samples only r_end (or the
-    event point).  Only when that one row classifies Undetermined is it
-    shot again (reshot), sampled on the last decade of the default
-    200-per-decade grid, the rows the hysteresis test of _classify reads.
+    else the side of u(r_end).  The probe stops where that sign is
+    certified.  Both kernels satisfy u f(u) <= 0, and the equation is
+    (r u')' = -r f(u), in singular mode too (c ln r is harmonic); so a
+    profile that reaches u >= TOPOLOGICAL_TOL_U with u' > 0 rises from
+    then on, and one that reaches u <= -TOPOLOGICAL_TOL_U with u' < 0
+    falls.  Every branch of the sign rule then gives +1, resp. -1, and
+    _shoot's certificate events end the probe there.  A probe that
+    reaches r_end uncommitted samples only r_end; only when that one
+    row classifies Undetermined is it shot again (reshot), sampled on
+    the last decade of the default 200-per-decade grid, the rows the
+    hysteresis test of _classify reads.
     """
-    shot = (s, nu, tau, r_end, tol, vortex_sign, nonlinearity,
-            BISECT_DIVERGENCE_STOP)
+    shot = (s, nu, tau, r_end, tol, vortex_sign, nonlinearity, _CERTIFY)
     (rr, uu, duu, _, _), event_kind, nfev = _shoot(*shot, np.array([r_end]))
     bc_type = _classify(rr, uu, duu, event_kind)
     reshot = bc_type is BCType.UNDETERMINED
@@ -428,13 +449,17 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
 
     bracket = (s_lo, s_hi) must straddle the connecting value: the two
     endpoint profiles have to diverge to opposite sides.  Each bisection
-    probe (_tail_sign) shoots out to r_bisect and samples only r_end, or
-    the last decade of the default 200-per-decade grid when the tail
-    needs the hysteresis test, whatever points_per_decade is; that sets
-    the grid of the returned profile alone.  Returns the profile
-    truncated at the last radius where both topological tail tolerances
-    hold; its diagnostics add bisect_probes, bisect_reshots (probes shot
-    again for the hysteresis test) and bisect_nfev (their summed nfev).
+    probe (_tail_sign) shoots toward r_bisect and stops where its tail
+    sign is certified (|u| >= TOPOLOGICAL_TOL_U, moving away from 0);
+    a probe that reaches r_bisect uncommitted samples only r_end, or the
+    last decade of the default 200-per-decade grid when the tail needs
+    the hysteresis test, whatever points_per_decade is; that sets the
+    grid of the returned profile alone, whose own shot stops at
+    |u| = BISECT_DIVERGENCE_STOP.  Returns the profile truncated at the
+    last radius where both topological tail tolerances hold; its
+    diagnostics add bisect_probes, bisect_reshots (uncommitted probes
+    shot again for the hysteresis test) and bisect_nfev (their summed
+    nfev).
     """
     _check_points_per_decade(points_per_decade)
     if nu > 0:

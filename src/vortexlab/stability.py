@@ -122,14 +122,6 @@ def principal_eigen_torus(fld, max_iter=60):
                                     "tau": fld.params.tau})
 
 
-def rayleigh_quotient_torus(fld, phi):
-    """Quotient (int |grad phi|^2 - eps^-2 f' phi^2) / int phi^2."""
-    Lphi = torus_mod._apply_shifted(fld.domain, fld.potential, phi)
-    num = float(np.sum(phi * Lphi))
-    den = float(np.sum(phi * phi))
-    return num / den
-
-
 def weighted_eigen_radial(sol, _sensitivity=True):
     """Smallest mu with (-Lap_r - f'(u)) psi = mu (1 - e^u) psi.
 

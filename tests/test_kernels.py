@@ -214,6 +214,23 @@ def test_F1_nonpositive_property(u):
         assert kernels.F1_tau(u, tau) <= 0.0
 
 
+@pytest.mark.parametrize("tau", [0.01, 0.5, 1.0, 2.0, 100.0])
+@pytest.mark.parametrize("nonlinearity", list(Nonlinearity))
+def test_u_f_nonpositive(nonlinearity, tau):
+    """u f(u) <= 0 and f(0) = 0 for every nonlinearity.
+
+    This is the certificate of radial._tail_sign: (r u')' = -r f(u), so a
+    profile past u = TOPOLOGICAL_TOL_U with u' > 0 rises for good (and
+    its mirror falls), and a bisection probe stops there.  A kernel that
+    breaks this sign rule must restrict that early stop.
+    """
+    f = nonlinearity_ops(nonlinearity, tau).f
+    mag = np.logspace(-300.0, np.log10(700.0), 2001)
+    u = np.concatenate([-mag[::-1], mag])
+    assert np.all(u * f(u) <= 0.0)
+    assert f(0.0) == 0.0
+
+
 class TestCshKernels:
     def test_values(self):
         assert kernels.f_csh(0.0) == 0.0

@@ -197,21 +197,32 @@ def _full_grid_tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
 class TestBisectionProbe:
     R_BISECT = max(200.0, 60.0 * 2.0 ** 1.5 * 2.0)  # nu = 1, tau = 1
 
-    @pytest.mark.parametrize("nu,tau", [(1.0, 1.0), (1.0, 0.5)])
-    def test_full_grid_probes_give_the_same_profile(self, nu, tau, request,
-                                                    monkeypatch):
-        if (nu, tau) == (1.0, 1.0):
-            real = request.getfixturevalue("topological")
-        else:
-            real = find_topological(nu, tau, (-8.0, 8.0))
+    @pytest.mark.parametrize("nu,tau,bracket,vortex_sign", [
+        pytest.param(1.0, 1.0, (-8.0, 8.0), -1, id="1.0-1.0"),
+        pytest.param(1.0, 0.5, (-8.0, 8.0), -1, id="1.0-0.5"),
+        pytest.param(2.0, 1.0, (-16.0, 16.0), -1, id="2.0-1.0"),
+        pytest.param(1.0, 1.0, (-8.0, 8.0), 1, id="1.0-1.0-plus"),
+    ])
+    def test_full_grid_probes_give_the_same_profile(self, nu, tau, bracket,
+                                                    vortex_sign, monkeypatch):
+        real_signs = []
         calls = []
+
+        def recording(*args):
+            probe = real_tail_sign(*args)
+            real_signs.append(probe[0])
+            return probe
+
+        real_tail_sign = radial._tail_sign
 
         def reference(*args):
             calls.append(_full_grid_tail_sign(*args))
             return calls[-1]
 
+        monkeypatch.setattr(radial, "_tail_sign", recording)
+        real = find_topological(nu, tau, bracket, vortex_sign=vortex_sign)
         monkeypatch.setattr(radial, "_tail_sign", reference)
-        ref = find_topological(nu, tau, (-8.0, 8.0))
+        ref = find_topological(nu, tau, bracket, vortex_sign=vortex_sign)
         assert real.s == ref.s
         assert real.beta == ref.beta
         assert real.grid.tobytes() == ref.grid.tobytes()
@@ -220,14 +231,16 @@ class TestBisectionProbe:
         assert real.diagnostics["bisect_probes"] == len(calls)
         assert ref.diagnostics["bisect_reshots"] == 0
         assert ref.diagnostics["bisect_nfev"] == sum(c[1] for c in calls)
-        assert 0 < real.diagnostics["bisect_reshots"] < len(calls)
-        assert 0 < real.diagnostics["bisect_nfev"] < \
-            ref.diagnostics["bisect_nfev"]
+        assert real_signs == [c[0] for c in calls]
+        # every probe stops at its certificate, short of r_end
+        assert real.diagnostics["bisect_reshots"] == 0
+        assert real.diagnostics["bisect_nfev"] < \
+            0.6 * ref.diagnostics["bisect_nfev"]
 
     @pytest.mark.parametrize("s,shots", [
-        (-8.0, 2),  # no event and |u(r_end)| < 25: the hysteresis test
-        (3.3, 1),   # the event fires before r_end, no sample is reached
-        (4.0, 1),   # u(r_end) > 25 decides on the one row
+        (-8.0, 1),  # falls past -TOL_U: the full-grid hysteresis case
+        (3.3, 1),   # turns up above TOL_U: the full-grid |u| = 30 event
+        (4.0, 1),   # rises past TOL_U: the full-grid u(r_end) > 25 case
     ])
     def test_probe_sign_and_shots(self, s, shots, monkeypatch):
         args = (s, 1.0, 1.0, self.R_BISECT, 1e-10, -1,
@@ -247,6 +260,19 @@ class TestBisectionProbe:
         assert reshot is (shots == 2)
         assert calls[0] == 1
         assert nfev > 0
+
+    # a bisected s* for (nu, tau) = (1, 1): the profile stays near the
+    # corridor past r = 40, so a probe to 20 or 40 reaches r_end uncommitted
+    @pytest.mark.parametrize("r_end,sign,reshot", [
+        (20.0, 1, True),    # u(20) > TOL_U: the hysteresis re-shot, then
+                            # the side of u(r_end)
+        (40.0, 0, False),   # the r_end row lies in the corridor
+    ])
+    def test_uncommitted_probe_keeps_the_row_rule(self, r_end, sign, reshot):
+        args = (3.2781023384423125, 1.0, 1.0, r_end, 1e-10, -1,
+                Nonlinearity.SIGMA_O3)
+        assert radial._tail_sign(*args)[::2] == (sign, reshot)
+        assert _full_grid_tail_sign(*args)[0] == sign
 
 
 class TestBetaCurve:
