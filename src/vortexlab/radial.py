@@ -242,9 +242,11 @@ def _shoot(s, nu, tau, r_max, tol, vortex_sign, nonlinearity,
     event ended the run, whose point is then appended if it lies past
     the last sample.  The events are |u| = divergence_stop, or, with
     divergence_stop _CERTIFY, the tail-sign certificate of _tail_sign:
-    u >= TOPOLOGICAL_TOL_U with u' >= 0 ("up") or its mirror ("down").
-    Events do not change the steps either, so a run stopped by either
-    kind holds the same state as an unstopped one up to its event.
+    u >= TOPOLOGICAL_TOL_U with u' >= 0 ("up") or its mirror ("down");
+    a start that already meets the certificate returns its R0 row with
+    that event_kind and nfev 0, unshot.  Events do not change the steps
+    either, so a run stopped by either kind holds the same state as an
+    unstopped one up to its event.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3], got %r" % (tol,))
@@ -285,6 +287,16 @@ def _shoot(s, nu, tau, r_max, tol, vortex_sign, nonlinearity,
     hit_upper.terminal = hit_lower.terminal = True
     hit_upper.direction = 1.0
     hit_lower.direction = -1.0
+
+    # an event never fires on a start that already meets it: in regular
+    # mode u'(R0) has the sign of s, so |s| > TOPOLOGICAL_TOL_U holds the
+    # certificate at R0, and such a probe is decided there unshot
+    if divergence_stop is _CERTIFY and (hit_upper(R0, y0) >= 0.0
+                                        or hit_lower(R0, y0) <= 0.0):
+        rr, (vv, dvv, ii) = np.array([R0]), np.array(y0)[:, None]
+        event_kind = "up" if hit_upper(R0, y0) >= 0.0 else "down"
+        return (rr, c_log * np.log(rr) + vv, c_log / rr + dvv, dvv, ii), \
+            event_kind, 0
 
     sol = solve_ivp(rhs, (R0, r_max), y0, method="DOP853", rtol=tol,
                     atol=tol * 1e-2, t_eval=radii,
@@ -415,7 +427,10 @@ def _tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
     profile that reaches u >= TOPOLOGICAL_TOL_U with u' > 0 rises from
     then on, and one that reaches u <= -TOPOLOGICAL_TOL_U with u' < 0
     falls.  Every branch of the sign rule then gives +1, resp. -1, and
-    _shoot's certificate events end the probe there.  A probe that
+    _shoot's certificate events end the probe there; a regular-mode
+    probe with |s| > TOPOLOGICAL_TOL_U holds it at R0 and is not shot,
+    where the full-grid shot of a CSH profile with s > 0 can fail in
+    its finite-r blow-up before |u| = 30.  A probe that
     reaches r_end uncommitted samples only r_end; only when that one
     row classifies Undetermined is it shot again (reshot), sampled on
     the last decade of the default 200-per-decade grid, the rows the
@@ -450,7 +465,8 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     bracket = (s_lo, s_hi) must straddle the connecting value: the two
     endpoint profiles have to diverge to opposite sides.  Each bisection
     probe (_tail_sign) shoots toward r_bisect and stops where its tail
-    sign is certified (|u| >= TOPOLOGICAL_TOL_U, moving away from 0);
+    sign is certified (|u| >= TOPOLOGICAL_TOL_U, moving away from 0;
+    at R0 already in regular mode when |s| > TOPOLOGICAL_TOL_U);
     a probe that reaches r_bisect uncommitted samples only r_end, or the
     last decade of the default 200-per-decade grid when the tail needs
     the hysteresis test, whatever points_per_decade is; that sets the

@@ -202,6 +202,7 @@ class TestBisectionProbe:
         pytest.param(1.0, 0.5, (-8.0, 8.0), -1, id="1.0-0.5"),
         pytest.param(2.0, 1.0, (-16.0, 16.0), -1, id="2.0-1.0"),
         pytest.param(1.0, 1.0, (-8.0, 8.0), 1, id="1.0-1.0-plus"),
+        pytest.param(0.0, 1.0, (-1.0, 2.0), -1, id="0.0-1.0"),
     ])
     def test_full_grid_probes_give_the_same_profile(self, nu, tau, bracket,
                                                     vortex_sign, monkeypatch):
@@ -260,6 +261,53 @@ class TestBisectionProbe:
         assert reshot is (shots == 2)
         assert calls[0] == 1
         assert nfev > 0
+
+    def test_regular_mode_csh_probes(self, monkeypatch):
+        """At nu = 0 a probe with |s| > TOL_U holds its certificate at R0
+        and is decided unshot.  CSH profiles with s > 0 blow up at finite
+        r, where the full-grid shot can fail before |u| = 30: those
+        probes must be the rising side, the rest match the reference."""
+        probes = []
+
+        def recording(*args):
+            probe = real_tail_sign(*args)
+            probes.append((args, probe))
+            return probe
+
+        real_tail_sign = radial._tail_sign
+        monkeypatch.setattr(radial, "_tail_sign", recording)
+        sol = find_topological(0.0, 1.0, (-1.0, 2.0),
+                               nonlinearity=Nonlinearity.CSH)
+        assert abs(sol.s) < 1e-13  # the vacuum u = 0
+        failed = 0
+        for args, (sign, nfev, reshot) in probes:
+            assert not reshot
+            assert (nfev == 0) is (abs(args[0]) > radial.TOPOLOGICAL_TOL_U)
+            try:
+                want = _full_grid_tail_sign(*args)[0]
+            except radial.IntegrationFailureError:
+                failed += 1
+                assert args[0] > 0 and sign == 1
+                continue
+            assert sign == want
+        assert 0 < failed < len(probes) // 2
+
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(kw["t_eval"].size)
+            return real_solve_ivp(*a, **kw)
+
+        real_solve_ivp = radial.solve_ivp
+        monkeypatch.setattr(radial, "solve_ivp", counting)
+        for s, sign in ((2.0, 1), (-1.0, -1)):
+            args = (s, 0.0, 1.0, 200.0, 1e-10, -1, Nonlinearity.CSH)
+            assert real_tail_sign(*args) == (sign, 0, False)
+        assert calls == []
+        # the full-grid shot reaches |u| = 30 on s = 2, with the same sign
+        monkeypatch.setattr(radial, "solve_ivp", real_solve_ivp)
+        assert _full_grid_tail_sign(2.0, 0.0, 1.0, 200.0, 1e-10, -1,
+                                    Nonlinearity.CSH)[0] == 1
 
     # a bisected s* for (nu, tau) = (1, 1): the profile stays near the
     # corridor past r = 40, so a probe to 20 or 40 reaches r_end uncommitted
