@@ -16,9 +16,8 @@ from .asymptotics import (Alternative, AlternativeVerdict, BlowupProfile,
                           squared_ratio_test, vortex_mass)
 from .config import (ConfigError, ExperimentConfig, load_config, load_field,
                      save_field)
-from .kernels import F2_tau, df_csh, df_tau, f_csh, f_tau, q_tau
-from .model import (HypothesisReport, ModelParams, Nonlinearity,
-                    UnsupportedKernelError, VortexSet, check_hypotheses)
+from .kernels import F2_tau, df_tau, f_tau, q_tau
+from .model import HypothesisReport, ModelParams, VortexSet, check_hypotheses
 from .radial import (BCType, BetaCurve, BracketError,
                      IntegrationFailureError, MassKind, RadialSolution,
                      compute_beta_curve, export_curve_csv,
@@ -40,10 +39,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # kernels
-    "f_tau", "df_tau", "F2_tau", "q_tau", "f_csh", "df_csh",
+    "f_tau", "df_tau", "F2_tau", "q_tau",
     # model
-    "ModelParams", "VortexSet", "Nonlinearity", "HypothesisReport",
-    "check_hypotheses", "UnsupportedKernelError",
+    "ModelParams", "VortexSet", "HypothesisReport", "check_hypotheses",
     # radial
     "integrate_radial", "find_topological", "compute_beta_curve",
     "mass_integral", "RadialSolution", "BetaCurve", "BCType", "MassKind",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ewald
 from . import torus as torus_mod
-from .model import ModelParams, Nonlinearity, eps_schedule
+from .model import ModelParams, eps_schedule
 from .radial import RadialSolution
 from .stability import EigenConvergenceError, principal_eigen_torus
 
@@ -338,7 +338,6 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
         if vortex_id is not None or center is not None:
             raise ValueError("vortex_id and center apply only on the torus")
         return _pohozaev_radial(obj, r)
-    obj.ops.require_sigma("the Pohozaev balance")
     if r is None:
         raise ValueError("ball radius r is required on the torus")
     if vortex_id is None:
@@ -354,7 +353,6 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
 
 
 def _pohozaev_radial(sol, r_cut):
-    sol.ops.require_sigma("the Pohozaev balance")
     rr = sol.r
     if r_cut is None:
         k = rr.size - 1
@@ -443,8 +441,7 @@ def _min_separation(geometry):
     return sep
 
 
-def run_sweep(geometry, tau, epsilons, K_radius=None,
-              nonlinearity=Nonlinearity.SIGMA_O3, compute_eigen=False,
+def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
               ball_radius=None, first_continuation=None, tol_factor=1e-10,
               keep_fields=True):
     """Warm-started epsilon sweep with per-step diagnostics.
@@ -490,7 +487,7 @@ def run_sweep(geometry, tau, epsilons, K_radius=None,
     records = []
     v_warm = None
     for idx, eps in enumerate(eps_list):
-        params = ModelParams(tau=tau, epsilon=eps, nonlinearity=nonlinearity)
+        params = ModelParams(tau=tau, epsilon=eps)
         try:
             fld = torus_mod.solve_newton(
                 geometry, params, v_init=v_warm,
@@ -515,14 +512,12 @@ def run_sweep(geometry, tau, epsilons, K_radius=None,
 
 def _make_record(fld, mask, K_radius, ball_radius, compute_eigen,
                  keep_fields):
-    sigma = fld.ops.sigma
     reports = []
     for k, (p, m, sgn) in enumerate(fld.vortices.signed()):
         cov = _ball(fld.geometry, p, ball_radius, k)
         mass = _ball_integral(fld, cov, fld.f)
-        poh = _pohozaev_torus(fld, p, m, ball_radius, cov, 1024) \
-            if sigma else (float("nan"),) * 3
-        quant = _ball_integral(fld, cov, fld.q) if sigma else float("nan")
+        poh = _pohozaev_torus(fld, p, m, ball_radius, cov, 1024)
+        quant = _ball_integral(fld, cov, fld.q)
         reports.append(VortexReport(
             vortex=k, point=(float(p[0]), float(p[1])),
             multiplicity=int(m), sign=int(sgn), mass=mass,

@@ -27,7 +27,7 @@ from .asymptotics import (SweepError, classify_alternative, export_sweep_csv,
                           pohozaev_value, run_sweep, squared_ratio_test)
 from .config import (ConfigError, atomic_path, dumps_json, load_config,
                      load_field, save_field, write_json)
-from .model import Nonlinearity, UnsupportedKernelError, check_hypotheses
+from .model import check_hypotheses
 from .radial import (BracketError, IntegrationFailureError,
                      compute_beta_curve, export_curve_csv,
                      export_profile_csv, find_topological, integrate_radial)
@@ -107,7 +107,7 @@ def _profile(req, refuse):
     elif req["bracket"] is not None:
         refuse("bracket", "only applies with find_topological")
     shot = {key: req[key] for key in ("nu", "tau", "tol", "vortex_sign",
-                                      "nonlinearity", "points_per_decade")}
+                                      "points_per_decade")}
     if req["find_topological"]:
         return find_topological(bracket=tuple(req["bracket"]), **shot)
     r_max = _DEFAULT_RMAX if req["r_max"] is None else req["r_max"]
@@ -121,15 +121,13 @@ def _refuse_flag(key, text):
 
 
 def cmd_shoot(args):
-    kernel = Nonlinearity(args.kernel)
-    sol = _profile(dict(vars(args), r_max=args.rmax, nonlinearity=kernel),
-                   _refuse_flag)
+    sol = _profile(dict(vars(args), r_max=args.rmax), _refuse_flag)
     out_csv = args.out + ".csv"
     with atomic_path(out_csv) as tmp:
         export_profile_csv(sol, tmp)
     summary = {
         "s": sol.s, "nu": sol.nu, "tau": sol.tau,
-        "vortex_sign": sol.vortex_sign, "kernel": kernel.value,
+        "vortex_sign": sol.vortex_sign,
         "beta": sol.beta, "bc_type": sol.bc_type.value,
         "c_log": sol.c_log, "grid_points": int(sol.grid.shape[0]),
         "diagnostics": sol.diagnostics,
@@ -156,8 +154,7 @@ def cmd_beta_curve(args):
     s_values = [s for s in np.linspace(args.s_min, args.s_max, args.n)
                 if s != 0.0]
     curve = compute_beta_curve(args.tau, s_values, r_max=args.rmax,
-                               tol=args.tol,
-                               nonlinearity=Nonlinearity(args.kernel))
+                               tol=args.tol)
     out_csv = args.out + ".csv"
     with atomic_path(out_csv) as tmp:
         export_curve_csv(curve, tmp)
@@ -205,7 +202,6 @@ def _field_summary(cfg, fld):
         "seed": cfg.seed,
         "tau": fld.params.tau,
         "epsilon": fld.params.epsilon,
-        "nonlinearity": fld.params.nonlinearity.value,
         "periods": list(fld.domain.periods),
         "grid_shape": list(fld.domain.grid_shape),
         "N1": fld.vortices.N1,
@@ -257,8 +253,7 @@ def cmd_stability(args):
 
         model = cfg.tree["model"]
         tau = model["tau"] if block["tau"] is None else block["tau"]
-        sol = _profile(dict(block, tau=tau, nonlinearity=Nonlinearity(
-            model["nonlinearity"])), refuse)
+        sol = _profile(dict(block, tau=tau), refuse)
         result = weighted_eigen_radial(sol)
         margin = block["margin"]
         if margin is None:
@@ -300,7 +295,6 @@ def cmd_sweep(args):
     model = cfg.tree["model"]
     records = run_sweep(cfg.geometry(), model["tau"],
                         block["epsilons"], K_radius=block["K_radius"],
-                        nonlinearity=model["nonlinearity"],
                         compute_eigen=block["compute_eigen"],
                         ball_radius=block["ball_radius"],
                         first_continuation=block["first_continuation"],
@@ -398,21 +392,20 @@ def cmd_verify(args):
     add("mass_identity", abs(total_mass(fld) - target) / scale,
         block["mass_tol"])
 
-    if fld.ops.sigma:
-        for a in block["a_values"]:
-            _, _, rel = identity_check(fld, a)
-            add("identity_a=%s" % ("%g" % a), rel, block["identity_tol"])
+    for a in block["a_values"]:
+        _, _, rel = identity_check(fld, a)
+        add("identity_a=%s" % ("%g" % a), rel, block["identity_tol"])
 
-        r = block["ball_radius"]
-        if r is None:
-            # 0.45 of the minimal vortex separation, self-images included
-            r = 0.45 * asymptotics._min_separation(fld.geometry)
-        for k in range(len(fld.vortices.signed())):
-            _, _, resid = pohozaev_value(fld, vortex_id=k, r=r)
-            add("pohozaev_v%d" % k, resid, block["pohozaev_tol"])
-        if not len(fld.vortices):
-            _, _, resid = pohozaev_value(fld, r=r)
-            add("pohozaev_center", resid, block["pohozaev_tol"])
+    r = block["ball_radius"]
+    if r is None:
+        # 0.45 of the minimal vortex separation, self-images included
+        r = 0.45 * asymptotics._min_separation(fld.geometry)
+    for k in range(len(fld.vortices.signed())):
+        _, _, resid = pohozaev_value(fld, vortex_id=k, r=r)
+        add("pohozaev_v%d" % k, resid, block["pohozaev_tol"])
+    if not len(fld.vortices):
+        _, _, resid = pohozaev_value(fld, r=r)
+        add("pohozaev_center", resid, block["pohozaev_tol"])
 
     all_passed = all(row["passed"] for row in rows)
     summary = {
@@ -421,7 +414,6 @@ def cmd_verify(args):
                   else block["field"]),
         "epsilon": fld.params.epsilon,
         "tau": fld.params.tau,
-        "nonlinearity": fld.params.nonlinearity.value,
         "rows": rows,
         "all_passed": all_passed,
         "solver": _solver_block(fld),
@@ -470,7 +462,6 @@ def build_parser():
                    % _DEFAULT_RMAX)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--vortex-sign", type=int, choices=(-1, 1), default=-1)
-    p.add_argument("--kernel", choices=("SigmaO3", "CSH"), default="SigmaO3")
     p.add_argument("--points-per-decade", type=int, default=200)
     p.add_argument("--out", default="shoot", help="output prefix")
     p.add_argument("--json", action="store_true")
@@ -483,7 +474,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rmax", type=float, default=_DEFAULT_RMAX)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--kernel", choices=("SigmaO3", "CSH"), default="SigmaO3")
     p.add_argument("--out", default="beta", help="output prefix")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 on monotonicity violations or failures")
@@ -514,7 +504,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, UnsupportedKernelError) as e:
+    except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as e:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Nonlinearity, VortexSet, eps_schedule
+from .model import ModelParams, VortexSet, eps_schedule
 from .torus import TorusDomain, TorusField, TorusGeometry
 
 __all__ = [
@@ -177,7 +177,6 @@ _SCHEMA = {
     "model": (_object({
         "tau": (_num(positive=True), False, 1.0),
         "epsilon": (_num(positive=True, allow_none=True), False, None),
-        "nonlinearity": (_str(choices=("SigmaO3", "CSH")), False, "SigmaO3"),
     }), False, {}),
     "vortices": (_object({
         "positive": (_list(_VORTEX), False, []),
@@ -333,8 +332,7 @@ class ExperimentConfig:
                               "solver.continuation stage %r"
                               % (m["epsilon"], eps))
         try:
-            return ModelParams(tau=m["tau"], epsilon=eps,
-                               nonlinearity=Nonlinearity(m["nonlinearity"]))
+            return ModelParams(tau=m["tau"], epsilon=eps)
         except ValueError as e:
             raise ConfigError("/model", str(e))
 
@@ -441,7 +439,6 @@ def save_field(fld, path):
         "grid_shape": list(fld.domain.grid_shape),
         "tau": fld.params.tau,
         "epsilon": fld.params.epsilon,
-        "nonlinearity": fld.params.nonlinearity.value,
         "positive": [[list(p), m] for p, m in fld.vortices.positive_vortices],
         "negative": [[list(p), m] for p, m in fld.vortices.negative_vortices],
         "diagnostics": fld.diagnostics,
@@ -455,19 +452,22 @@ def save_field(fld, path):
 def load_field(path):
     """Rebuild a TorusField from an archive written by save_field; its u0
     is the rebuilt geometry's (older archives' u0 entry is not read).  A
-    bad zip, a missing entry or a missing or mistyped meta key raises
-    one ValueError that names the archive."""
+    bad zip, a missing entry, a missing or mistyped meta key, or an older
+    archive's "nonlinearity" entry other than "SigmaO3" raises one
+    ValueError that names the archive."""
     try:
         with np.load(path) as npz:
             v = np.array(npz["v"], dtype=float)
             meta = json.loads(bytes(npz["meta"].tolist()).decode())
+        if "nonlinearity" in meta and meta["nonlinearity"] != "SigmaO3":
+            raise ValueError("nonlinearity %r is not this model's SigmaO3"
+                             % (meta["nonlinearity"],))
         domain = TorusDomain(periods=tuple(meta["periods"]),
                              grid_shape=tuple(meta["grid_shape"]))
         pos, neg = (tuple((tuple(p), m) for p, m in meta[key])
                     for key in ("positive", "negative"))
         vortices = VortexSet(positive_vortices=pos, negative_vortices=neg)
-        params = ModelParams(tau=meta["tau"], epsilon=meta["epsilon"],
-                             nonlinearity=Nonlinearity(meta["nonlinearity"]))
+        params = ModelParams(tau=meta["tau"], epsilon=meta["epsilon"])
         if v.shape != domain.grid_shape:
             raise ValueError("grids do not match the stored grid_shape")
         return TorusField(geometry=TorusGeometry(domain, vortices),

@@ -5,9 +5,7 @@ The model nonlinearity is
     f_tau(u) = e^u (1 - e^u) / (tau + e^u)^3,   tau > 0,
 
 together with its derivative df_tau and two antiderivatives F1_tau and
-F2_tau (normalized so that F1_tau(0) = 0 and F2_tau(-inf) = 0).  The
-Chern-Simons-Higgs kernel e^u(1 - e^u) is available as an alternate
-nonlinearity for cross-checks; it has only the F1-type antiderivative.
+F2_tau (normalized so that F1_tau(0) = 0 and F2_tau(-inf) = 0).
 
 Every kernel is evaluated through the substitution t = e^u on u <= 0 and
 s = e^-u on u > 0, so all intermediates stay in [0, 1] and nothing
@@ -47,9 +45,6 @@ __all__ = [
     "F1_tau",
     "F2_tau",
     "q_tau",
-    "f_csh",
-    "df_csh",
-    "F1_csh",
     "sup_abs_df_tau",
     "f_extrema_tau",
 ]
@@ -60,20 +55,6 @@ def _check_tau(tau):
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be a finite positive real, got %r" % (tau,))
     return tau
-
-
-def _checked_u(u):
-    # Scalars stay scalars on output; see _restore.
-    arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite input to kernel evaluation")
-    return arr
-
-
-def _restore(result, u):
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(result)
-    return result
 
 
 def _two_sided(u, neg, pos):
@@ -94,10 +75,14 @@ def _two_sided(u, neg, pos):
         a = -abs(u)
         e, m = np.exp(a), -np.expm1(a)
         return float(pos(e, m) if u > 0.0 else neg(e, m))
-    arr = _checked_u(u)
+    arr = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite input to kernel evaluation")
     e = np.exp(-np.abs(arr))
     m = -np.expm1(-np.abs(arr))
-    return _restore(np.where(arr > 0.0, pos(e, m), neg(e, m)), u)
+    out = np.where(arr > 0.0, pos(e, m), neg(e, m))
+    # a scalar (a 0-d array included) comes back as a float
+    return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
 
 
 def f_tau(u, tau):
@@ -174,34 +159,6 @@ def q_tau(u, tau):
     # (1 - e^u)/(tau + e^u) = (s - 1)/(tau s + 1) after multiplying by s/s
     return _two_sided(u, lambda e, m: (m / (tau + e)) ** 2,
                       lambda e, m: (m / (tau * e + 1.0)) ** 2)
-
-
-def _csh(u, form):
-    # form(t) at t = e^u; where e^u overflows the value is -inf
-    arr = _checked_u(u)
-    with np.errstate(over="ignore"):
-        t = np.exp(arr)
-        out = np.where(np.isinf(t), -np.inf, form(t))
-    return _restore(out, u)
-
-
-def f_csh(u):
-    """Chern-Simons-Higgs alternate kernel e^u (1 - e^u).
-
-    Unbounded below as u -> +inf; intended for u <= 0 profiles.  The
-    value overflows IEEE range for u > ~355 and is returned as -inf.
-    """
-    return _csh(u, lambda t: t * (1.0 - t))
-
-
-def df_csh(u):
-    """Derivative e^u (1 - 2 e^u) of the Chern-Simons-Higgs kernel."""
-    return _csh(u, lambda t: t * (1.0 - 2.0 * t))
-
-
-def F1_csh(u):
-    """Antiderivative -(1 - e^u)^2 / 2 of the Chern-Simons-Higgs kernel."""
-    return _csh(u, lambda t: -0.5 * (1.0 - t) ** 2)
 
 
 def _df_critical_points(tau):

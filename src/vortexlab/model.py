@@ -1,17 +1,14 @@
 """Model parameters, vortex configurations, and hypothesis checks.
 
-Value types shared by every solver: ModelParams (tau, epsilon,
-nonlinearity selector), VortexSet (signed vortex points with integer
-multiplicities), and HypothesisReport (the two standing structural
-assumptions on the vortex data).  All types are immutable and safe to
-share between threads.
+Value types shared by every solver: ModelParams (tau, epsilon),
+VortexSet (signed vortex points with integer multiplicities), and
+HypothesisReport (the two standing structural assumptions on the vortex
+data).  All types are immutable and safe to share between threads.
 
-nonlinearity_ops is the one dispatch from a Nonlinearity selector to
-its kernels, including which operations CSH refuses; eps_schedule is
-the one validator of epsilon schedules.
+nonlinearity_ops is the one place that binds the kernels at a tau;
+eps_schedule is the one validator of epsilon schedules.
 """
 
-import enum
 import math
 import numbers
 from collections.abc import Callable
@@ -21,24 +18,17 @@ from functools import partial
 from . import kernels
 
 __all__ = [
-    "Nonlinearity",
     "ModelParams",
     "VortexSet",
     "HypothesisReport",
     "check_hypotheses",
-    "UnsupportedKernelError",
     "nonlinearity_ops",
     "eps_schedule",
 ]
 
 
-class UnsupportedKernelError(RuntimeError):
-    """Raised when an operation is undefined for the active nonlinearity."""
-
-
-class Nonlinearity(enum.Enum):
-    SIGMA_O3 = "SigmaO3"
-    CSH = "CSH"
+def _real(x):
+    return not isinstance(x, bool) and isinstance(x, numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -51,20 +41,15 @@ class ModelParams:
         Shape parameter of the sigma-model nonlinearity.
     epsilon : finite positive real (not bool)
         Coupling scale; the equation carries the factor epsilon^-2.
-    nonlinearity : Nonlinearity
-        SIGMA_O3 (default) or the CSH alternate e^u(1-e^u).  In CSH
-        mode the tau-dependent operations (F2 and friends) are
-        rejected.
     """
 
     tau: float
     epsilon: float
-    nonlinearity: Nonlinearity = Nonlinearity.SIGMA_O3
 
     def __post_init__(self):
         for name in ("tau", "epsilon"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            if not _real(v):
                 raise ValueError("%s: expected a number, got %r" % (name, v))
             v = float(v)
             if not math.isfinite(v):
@@ -72,10 +57,24 @@ class ModelParams:
             if not v > 0:
                 raise ValueError("%s must be > 0, got %r" % (name, v))
             object.__setattr__(self, name, v)
-        if not isinstance(self.nonlinearity, Nonlinearity):
-            object.__setattr__(
-                self, "nonlinearity", Nonlinearity(self.nonlinearity)
-            )
+
+
+def _vortex(entry):
+    """One validated ((x, y), m) entry of a VortexSet, as floats and int."""
+    point, m = entry
+    try:
+        x, y = point
+    except (TypeError, ValueError):
+        raise ValueError("vortex points are planar, got %r" % (point,)) \
+            from None
+    if not all(_real(c) and math.isfinite(c) for c in (x, y)):
+        raise ValueError("vortex point coordinates must be finite reals, "
+                         "got %r" % (point,))
+    if not (_real(m) and float(m).is_integer()):
+        raise ValueError("multiplicity must be an integer, got %r" % (m,))
+    if m < 0:
+        raise ValueError("multiplicity must be >= 0, got %d" % m)
+    return (float(x), float(y)), int(m)
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,8 @@ class VortexSet:
     """Signed vortex points with multiplicities.
 
     positive_vortices and negative_vortices are tuples of
-    ((x, y), m) entries with integer multiplicity m >= 0.  Points must
+    ((x, y), m) entries: x and y finite reals, m an integer >= 0 (an
+    integral float is taken, a bool or a fraction is not).  Points must
     be pairwise distinct across both lists.  N1 and N2 are the total
     multiplicities of each sign and are recomputed from the tuples, so
     they are always consistent.
@@ -93,13 +93,8 @@ class VortexSet:
     negative_vortices: tuple = field(default=())
 
     def __post_init__(self):
-        pos = tuple((tuple(map(float, p)), int(m)) for p, m in self.positive_vortices)
-        neg = tuple((tuple(map(float, p)), int(m)) for p, m in self.negative_vortices)
-        for p, m in pos + neg:
-            if len(p) != 2:
-                raise ValueError("vortex points are planar, got %r" % (p,))
-            if m < 0:
-                raise ValueError("multiplicity must be >= 0, got %d" % m)
+        pos = tuple(map(_vortex, self.positive_vortices))
+        neg = tuple(map(_vortex, self.negative_vortices))
         points = [p for p, _ in pos + neg]
         if len(set(points)) != len(points):
             raise ValueError("vortex points must be pairwise distinct")
@@ -153,18 +148,10 @@ def check_hypotheses(vortices, params):
     return HypothesisReport(h1_holds=n1 != n2, h2_holds=h2)
 
 
-def _refuse(message):
-    def refuse(*args):
-        raise UnsupportedKernelError(message)
-    return refuse
-
-
 @dataclass(frozen=True)
 class _Ops:
-    """Kernel bundle of one nonlinearity; sigma tells whether the
-    tau-dependent operations exist (CSH's fields for them raise)."""
+    """The kernels of f_tau at one tau."""
 
-    sigma: bool
     f: Callable
     df: Callable
     F1: Callable
@@ -173,34 +160,17 @@ class _Ops:
     sup_abs_df: Callable
     f_extrema: Callable
 
-    def require_sigma(self, what):
-        if not self.sigma:
-            raise UnsupportedKernelError(
-                "%s is only defined for the SigmaO3 kernel" % what)
 
+def nonlinearity_ops(tau):
+    """Return the kernel bundle (f, df, F1, F2, q, ...) of f_tau at tau.
 
-def nonlinearity_ops(nonlinearity, tau):
-    """Return the kernel bundle (f, df, F1, F2, q) of a nonlinearity.
-
-    This is the one place that dispatches on Nonlinearity; a string
-    selector ("SigmaO3"/"CSH") is coerced.  bundle.sigma tells whether
-    the tau-dependent operations exist, and bundle.require_sigma(what)
-    raises UnsupportedKernelError when they do not.  The bundle binds
-    the kernels module's functions as they are at this call, so a
-    wrapper installed over them (a tracer's) is seen by later bundles.
+    The bundle binds the kernels module's functions as they are at this
+    call, so a wrapper installed over them (a tracer's) is seen by later
+    bundles.
     """
-    if Nonlinearity(nonlinearity) is Nonlinearity.SIGMA_O3:
-        return _Ops(True, *(partial(k, tau=tau) for k in (
-            kernels.f_tau, kernels.df_tau, kernels.F1_tau, kernels.F2_tau,
-            kernels.q_tau, kernels.sup_abs_df_tau, kernels.f_extrema_tau)))
-    return _Ops(
-        False, kernels.f_csh, kernels.df_csh, kernels.F1_csh,
-        _refuse("F2 is undefined for the CSH nonlinearity"),
-        _refuse("quantization density is undefined for the CSH nonlinearity"),
-        _refuse("df is unbounded for the CSH nonlinearity; no finite sup "
-                "exists"),
-        # e^u (1 - e^u) peaks at 1/4 (e^u = 1/2) and is unbounded below
-        lambda: (float("-inf"), 0.25))
+    return _Ops(*(partial(k, tau=tau) for k in (
+        kernels.f_tau, kernels.df_tau, kernels.F1_tau, kernels.F2_tau,
+        kernels.q_tau, kernels.sup_abs_df_tau, kernels.f_extrema_tau)))
 
 
 def eps_schedule(epsilons, what):

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_ivp, simpson
 
-from .model import Nonlinearity, nonlinearity_ops
+from .model import nonlinearity_ops
 
 # start radius for the series expansion that removes the 1/r singularity
 R0 = 1e-6
@@ -90,13 +90,12 @@ class RadialSolution:
     bc_type: BCType
     diagnostics: dict = field(default_factory=dict)
     vortex_sign: int = -1
-    nonlinearity: Nonlinearity = Nonlinearity.SIGMA_O3
     tol: float = 1e-10
     points_per_decade: int = _POINTS_PER_DECADE
 
     @cached_property
     def ops(self):
-        return nonlinearity_ops(self.nonlinearity, self.tau)
+        return nonlinearity_ops(self.tau)
 
     @property
     def r(self):
@@ -140,8 +139,7 @@ def _series_start(s, c_log, f, nu):
 
 
 def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
-                     vortex_sign=-1, nonlinearity=Nonlinearity.SIGMA_O3,
-                     divergence_stop=DIVERGENCE_STOP,
+                     vortex_sign=-1, divergence_stop=DIVERGENCE_STOP,
                      points_per_decade=_POINTS_PER_DECADE, _retry=True):
     """Integrate the radial profile from R0 out to r_max.
 
@@ -175,10 +173,9 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
     if r_max < 10.0:
         raise ValueError("r_max must be >= 10, got %r" % (r_max,))
     _check_points_per_decade(points_per_decade)
-    nonlinearity = Nonlinearity(nonlinearity)
     c_log = 2.0 * vortex_sign * nu
     (rr, uu, duu, dvv, ii), event_kind, nfev = _shoot(
-        s, nu, tau, r_max, tol, vortex_sign, nonlinearity, divergence_stop,
+        s, nu, tau, r_max, tol, vortex_sign, divergence_stop,
         _radii(r_max, points_per_decade))
     grid = np.column_stack([rr, uu, duu])
 
@@ -205,14 +202,13 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
     result = RadialSolution(s=float(s), nu=float(nu), tau=float(tau),
                             grid=grid, beta=float(beta), bc_type=bc_type,
                             diagnostics=diagnostics,
-                            vortex_sign=int(vortex_sign),
-                            nonlinearity=nonlinearity, tol=float(tol),
+                            vortex_sign=int(vortex_sign), tol=float(tol),
                             points_per_decade=int(points_per_decade))
 
     if bc_type is BCType.UNDETERMINED and _retry:
         # the same shot once more, out to 100 r_max
         result = integrate_radial(s, nu, tau, r_max * 100.0, tol,
-                                  vortex_sign, nonlinearity, divergence_stop,
+                                  vortex_sign, divergence_stop,
                                   points_per_decade, _retry=False)
         result.diagnostics["retried"] = True
     return result
@@ -230,8 +226,7 @@ def _radii(r_max, points_per_decade):
     return np.geomspace(R0, r_max, n_pts)
 
 
-def _shoot(s, nu, tau, r_max, tol, vortex_sign, nonlinearity,
-           divergence_stop, radii):
+def _shoot(s, nu, tau, r_max, tol, vortex_sign, divergence_stop, radii):
     """One DOP853 run of the regular part [v, v', I] from R0 to r_max.
 
     The state is sampled at radii (sorted, inside [R0, r_max]); DOP853's
@@ -254,11 +249,7 @@ def _shoot(s, nu, tau, r_max, tol, vortex_sign, nonlinearity,
         raise ValueError("nu must be nonnegative")
     if vortex_sign not in (-1, 1):
         raise ValueError("vortex_sign must be -1 or +1")
-    ops = nonlinearity_ops(nonlinearity, tau)
-    if nu > 0:
-        ops.require_sigma("singular mode")
-
-    f = ops.f
+    f = nonlinearity_ops(tau).f
     c_log = 2.0 * vortex_sign * nu
     y0 = _series_start(s, c_log, f, nu)
 
@@ -380,8 +371,7 @@ def _classify(rr, uu, duu, event_kind):
     return BCType.UNDETERMINED
 
 
-def compute_beta_curve(tau, s_values, r_max=1e6, tol=1e-10,
-                       nonlinearity=Nonlinearity.SIGMA_O3):
+def compute_beta_curve(tau, s_values, r_max=1e6, tol=1e-10):
     """Sample beta(s) over a sorted list of nonzero initial values.
 
     Integration failures are collected per sample instead of aborting
@@ -398,8 +388,7 @@ def compute_beta_curve(tau, s_values, r_max=1e6, tol=1e-10,
     failures = []
     for s in s_values:
         try:
-            sol = integrate_radial(s, 0.0, tau, r_max, tol,
-                                   nonlinearity=nonlinearity)
+            sol = integrate_radial(s, 0.0, tau, r_max, tol)
         except IntegrationFailureError as exc:
             failures.append((s, str(exc)))
             continue
@@ -415,28 +404,26 @@ def compute_beta_curve(tau, s_values, r_max=1e6, tol=1e-10,
                      monotone_violations=violations, failures=failures)
 
 
-def _tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
+def _tail_sign(s, nu, tau, r_end, tol, vortex_sign):
     """Which way the profile diverges: -1, +1, or 0 if it never left
     the topological corridor out to r_end; returns (sign, nfev, reshot).
 
     The sign is that of the full-grid shot integrate_radial(s, ..., r_end,
     divergence_stop=BISECT_DIVERGENCE_STOP, _retry=False): its class,
     else the side of u(r_end).  The probe stops where that sign is
-    certified.  Both kernels satisfy u f(u) <= 0, and the equation is
+    certified.  The kernel satisfies u f(u) <= 0, and the equation is
     (r u')' = -r f(u), in singular mode too (c ln r is harmonic); so a
     profile that reaches u >= TOPOLOGICAL_TOL_U with u' > 0 rises from
     then on, and one that reaches u <= -TOPOLOGICAL_TOL_U with u' < 0
     falls.  Every branch of the sign rule then gives +1, resp. -1, and
     _shoot's certificate events end the probe there; a regular-mode
-    probe with |s| > TOPOLOGICAL_TOL_U holds it at R0 and is not shot,
-    where the full-grid shot of a CSH profile with s > 0 can fail in
-    its finite-r blow-up before |u| = 30.  A probe that
-    reaches r_end uncommitted samples only r_end; only when that one
-    row classifies Undetermined is it shot again (reshot), sampled on
-    the last decade of the default 200-per-decade grid, the rows the
-    hysteresis test of _classify reads.
+    probe with |s| > TOPOLOGICAL_TOL_U holds it at R0 and is not shot.
+    A probe that reaches r_end uncommitted samples only r_end; only when
+    that one row classifies Undetermined is it shot again (reshot),
+    sampled on the last decade of the default 200-per-decade grid, the
+    rows the hysteresis test of _classify reads.
     """
-    shot = (s, nu, tau, r_end, tol, vortex_sign, nonlinearity, _CERTIFY)
+    shot = (s, nu, tau, r_end, tol, vortex_sign, _CERTIFY)
     (rr, uu, duu, _, _), event_kind, nfev = _shoot(*shot, np.array([r_end]))
     bc_type = _classify(rr, uu, duu, event_kind)
     reshot = bc_type is BCType.UNDETERMINED
@@ -458,7 +445,6 @@ def _tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
 
 
 def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
-                     nonlinearity=Nonlinearity.SIGMA_O3,
                      points_per_decade=_POINTS_PER_DECADE):
     """Bisect the shooting parameter to the topological profile.
 
@@ -478,8 +464,6 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     nfev).
     """
     _check_points_per_decade(points_per_decade)
-    if nu > 0:
-        nonlinearity_ops(nonlinearity, tau).require_sigma("singular mode")
     s_lo, s_hi = float(bracket[0]), float(bracket[1])
     if not s_lo < s_hi:
         raise ValueError("bracket must satisfy s_lo < s_hi")
@@ -491,8 +475,7 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     probes = {"bisect_probes": 0, "bisect_reshots": 0, "bisect_nfev": 0}
 
     def tail_sign(s):
-        sign, nfev, reshot = _tail_sign(s, nu, tau, r_bisect, tol,
-                                        vortex_sign, nonlinearity)
+        sign, nfev, reshot = _tail_sign(s, nu, tau, r_bisect, tol, vortex_sign)
         probes["bisect_probes"] += 1
         probes["bisect_reshots"] += int(reshot)
         probes["bisect_nfev"] += nfev
@@ -525,7 +508,6 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
 
     sol = integrate_radial(s_star, nu, tau, r_bisect, tol,
                            vortex_sign=vortex_sign,
-                           nonlinearity=nonlinearity,
                            divergence_stop=BISECT_DIVERGENCE_STOP,
                            points_per_decade=points_per_decade,
                            _retry=False)
@@ -556,8 +538,6 @@ def mass_integral(sol, kind):
 
     Composite Simpson quadrature plus an O(r0^2) origin correction.
     Undetermined profiles still produce a value but emit a warning.
-    Kernels the profile's nonlinearity lacks (CSH: F2 and the
-    quantization density) raise UnsupportedKernelError.
     """
     kern = {MassKind.FLUX: sol.ops.f, MassKind.F1_MASS: sol.ops.F1,
             MassKind.F2_MASS: sol.ops.F2,

@@ -16,6 +16,7 @@ the general driver (damped, optionally eps-continued); solve_monotone
 is the classical sub/supersolution scheme for the stable branch.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -52,7 +53,8 @@ class CapacityError(RuntimeError):
 
 
 def _is_pow2(n):
-    return n >= 1 and (n & (n - 1)) == 0
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) \
+        and n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,17 @@ class TorusDomain:
     grid_shape: tuple = (256, 256)
 
     def __post_init__(self):
-        L1, L2 = self.periods
-        n1, n2 = self.grid_shape
-        if not (0 < L1 < np.inf and 0 < L2 < np.inf):
+        try:
+            (L1, L2), (n1, n2) = self.periods, self.grid_shape
+        except (TypeError, ValueError):
+            raise ValueError("a torus has two periods and two grid sizes, "
+                             "got %r and %r" % (self.periods, self.grid_shape)
+                             ) from None
+        if not all(isinstance(L, numbers.Real) and not isinstance(L, bool)
+                   and 0 < L < np.inf for L in (L1, L2)):
             raise ValueError("periods must be positive and finite")
         if not (_is_pow2(n1) and _is_pow2(n2)) or n1 < 32 or n2 < 32:
-            raise ValueError("grid_shape must be powers of two, >= 32")
+            raise ValueError("grid_shape must be integer powers of two, >= 32")
         object.__setattr__(self, "periods", (float(L1), float(L2)))
         object.__setattr__(self, "grid_shape", (int(n1), int(n2)))
 
@@ -283,7 +290,7 @@ class TorusField:
 
     @cached_property
     def ops(self):
-        return nonlinearity_ops(self.params.nonlinearity, self.params.tau)
+        return nonlinearity_ops(self.params.tau)
 
     @cached_property
     def u(self):
@@ -355,8 +362,7 @@ def _check_capacity(domain, vortices, params, eps):
     charge = vortices.N1 - vortices.N2
     if charge == 0:
         return
-    f_min, f_max = nonlinearity_ops(params.nonlinearity,
-                                    params.tau).f_extrema()
+    f_min, f_max = nonlinearity_ops(params.tau).f_extrema()
     room = domain.area * (f_max if charge > 0 else -f_min)
     need = 4.0 * np.pi * abs(charge)
     if eps ** -2 * room < need:
@@ -533,9 +539,6 @@ def solve_monotone(geometry, params, sub, super_, tol_factor=1e-10):
     when epsilon cannot carry the mass identity (_check_capacity).
     """
     domain = geometry.domain
-    ops = nonlinearity_ops(params.nonlinearity, params.tau)
-    # the shift needs the globally bounded SigmaO3 derivative
-    ops.require_sigma("monotone iteration")
     sub = np.asarray(sub, dtype=float)
     super_ = np.asarray(super_, dtype=float)
     if sub.shape != tuple(domain.grid_shape) or super_.shape != sub.shape:
@@ -546,7 +549,8 @@ def solve_monotone(geometry, params, sub, super_, tol_factor=1e-10):
     _check_capacity(domain, geometry.vortices, params, params.epsilon)
     resolution = _check_resolution(domain, params)
     tol = _solver_tol(params, tol_factor)
-    c = 1.05 * params.epsilon ** -2 * ops.sup_abs_df()
+    c = (1.05 * params.epsilon ** -2
+         * nonlinearity_ops(params.tau).sup_abs_df())
     mult = 1.0 / (c + domain._k2)
 
     # the first iterate is the supersolution: its residual is the bracket's
@@ -649,7 +653,6 @@ def identity_check(field, a):
     if a <= 0:
         raise ValueError("a must be positive")
     params = field.params
-    field.ops.require_sigma("the a-identity")
     domain = field.domain
     tau = params.tau
     # e^u/(a+e^u)^2 and e^u(1-e^u)^2/((tau+e^u)^3(a+e^u)), overflow-free

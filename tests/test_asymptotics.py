@@ -18,13 +18,10 @@ from vortexlab import (
     Alternative,
     GeometryError,
     ModelParams,
-    Nonlinearity,
     ResolutionError,
     SweepRecord,
     TorusDomain,
-    TorusField,
     TorusGeometry,
-    UnsupportedKernelError,
     VortexSet,
     classify_alternative,
     export_sweep_csv,
@@ -67,16 +64,6 @@ def sweep128(dom128, one_plus):
         warnings.simplefilter("ignore")
         return run_sweep(TorusGeometry(dom128, one_plus),
                          1.0, EPSILONS, keep_fields=True)
-
-
-@pytest.fixture(scope="module")
-def csh_sweep64(one_plus):
-    dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(64, 64))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_sweep(TorusGeometry(dom, one_plus),
-                         1.0, [0.4, 0.35, 0.3], K_radius=1.0,
-                         nonlinearity=Nonlinearity.CSH)
 
 
 @pytest.fixture(scope="module")
@@ -191,14 +178,6 @@ class TestQuantization:
                                continuation=list(np.geomspace(0.2, 0.08, 5)))
         q = quantization_value(fld, 0, 1.25)
         assert q == pytest.approx(32.0 * np.pi, rel=5e-2)
-
-    def test_csh_rejected(self, dom128, one_plus):
-        fld = TorusField(geometry=TorusGeometry(dom128, one_plus),
-                         params=ModelParams(1.0, 0.2,
-                                            nonlinearity=Nonlinearity.CSH),
-                         v=np.zeros(dom128.grid_shape))
-        with pytest.raises(UnsupportedKernelError):
-            quantization_value(fld, 0, 1.0)
 
 
 class TestPohozaevTorus:
@@ -400,24 +379,6 @@ class TestSweepGeometry:
         assert all(rec.ok for rec in records)
         assert sorted(calls) == ["green_gradient", "green_value"]
         assert len({id(rec.field.geometry) for rec in records}) == 1
-
-
-class TestCshSweep:
-    def test_mass_finite_tau_diagnostics_nan(self, csh_sweep64):
-        assert [rec.epsilon for rec in csh_sweep64] == [0.4, 0.35, 0.3]
-        for rec in csh_sweep64:
-            assert rec.ok
-            (vr,) = rec.per_vortex
-            assert np.isfinite(vr.mass)
-            assert np.all(np.isnan(vr.pohozaev))
-            assert np.isnan(vr.quantization)
-
-    def test_pohozaev_rejected(self, csh_sweep64):
-        with pytest.raises(UnsupportedKernelError):
-            pohozaev_value(csh_sweep64[-1].field, vortex_id=0, r=1.0)
-        sol = integrate_radial(-1.0, nonlinearity=Nonlinearity.CSH)
-        with pytest.raises(UnsupportedKernelError):
-            pohozaev_value(sol, r=10.0)
 
 
 class TestVerdictBranches:

@@ -20,7 +20,6 @@ from test_stability import FROZEN_TOPOLOGICAL
 from vortexlab import (
     EigenConvergenceError,
     ModelParams,
-    Nonlinearity,
     TorusDomain,
     TorusGeometry,
     VortexSet,
@@ -319,6 +318,15 @@ def _archive_meta(meta):
     return write
 
 
+def _archive_csh(path):
+    # whole and well typed, but of the retired Chern-Simons-Higgs kernel
+    np.savez(path, v=np.zeros((32, 32)), meta=np.bytes_(dumps_json({
+        "periods": [4.0, 4.0], "grid_shape": [32, 32], "tau": 1.0,
+        "epsilon": 0.3, "nonlinearity": "CSH",
+        "positive": [[[2.0, 2.0], 1]], "negative": [],
+        "diagnostics": {}}).encode()))
+
+
 _MALFORMED_ARCHIVES = {
     "no_meta": _archive_without_meta,
     "bad_zip": _archive_bad_zip,
@@ -327,6 +335,7 @@ _MALFORMED_ARCHIVES = {
         "periods": [4.0, 4.0], "grid_shape": [8, 8], "tau": 1.0,
         "epsilon": 0.2, "nonlinearity": "SigmaO3", "positive": 5,
         "negative": []}),
+    "csh_kernel": _archive_csh,
 }
 
 
@@ -351,6 +360,12 @@ class TestMalformedArchive:
         assert err.startswith("error: malformed field archive %s" % path)
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "run_verify.json").exists()
+
+    def test_retired_kernel_is_named(self, tmp_path):
+        path = tmp_path / "csh.npz"
+        _archive_csh(path)
+        with pytest.raises(ValueError, match="nonlinearity 'CSH' is not"):
+            load_field(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +536,18 @@ class TestBetaCurveCommand:
         assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--tau", "1.0", "--s", "-1.0"],
+    ["beta-curve", "--tau", "1.0", "--s-min", "-2.0", "--s-max", "-1.0",
+     "--n", "3"],
+])
+def test_kernel_flag_is_gone(argv, tmp_path, capsys):
+    rc = main(argv + ["--out", str(tmp_path / "o"), "--kernel", "SigmaO3"])
+    assert rc == EXIT_USAGE
+    assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # torus command
 
@@ -683,13 +710,13 @@ class TestTorusCommand:
         snaps = [w for w in caught if "snapped to the grid" in str(w.message)]
         assert len(snaps) == 1
 
-    def test_csh_monotone_is_usage_error(self, tmp_path, capsys):
+    def test_retired_kernel_key_is_unknown(self, tmp_path, capsys):
         tree = _base_cfg(tmp_path)
-        tree["model"].update(nonlinearity="CSH", epsilon=0.3)
-        tree["solver"] = {"method": "monotone"}
+        tree["model"]["nonlinearity"] = "SigmaO3"
         cfg = _write_cfg(tmp_path, tree)
         assert main(["torus", "--config", cfg]) == EXIT_USAGE
-        assert "SigmaO3" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "config error: unknown key (at /model/nonlinearity)\n"
         assert not (tmp_path / "run_summary.json").exists()
 
 
@@ -746,15 +773,6 @@ class TestStabilityCommand:
         assert doc["tau"] == 1
         assert doc["eigenvalue"] == pytest.approx(-0.012767050113463,
                                                   rel=1e-6)
-
-    def test_radial_profile_reads_the_model_kernel(self, tmp_path, capsys):
-        tree = {"model": {"nonlinearity": "CSH"},
-                "stability": {"target": "radial", "s": -1.0},
-                "output": {"dir": str(tmp_path), "prefix": "st"}}
-        cfg = _write_cfg(tmp_path, tree)
-        assert main(["stability", "--config", cfg]) == EXIT_OK
-        doc = json.loads((tmp_path / "st_stability.json").read_text())
-        assert doc["eigenvalue"] == pytest.approx(-0.0614619563, rel=1e-6)
 
     def test_torus_target_from_archive(self, small_field, tmp_path, capsys):
         archive = str(tmp_path / "field.npz")
@@ -1056,16 +1074,27 @@ class TestVerifyCommand:
             assert rows["pohozaev_v%d" % k] == \
                 pohozaev_value(fld, vortex_id=k, r=0.9)[2]
 
-    def test_csh_battery_skips_sigma_rows(self, tmp_path, capsys):
+    def test_older_archive_with_sigma_o3_entry_verifies(self, tmp_path,
+                                                         capsys):
+        # archives written while a kernel selector existed name their
+        # kernel in the metadata; "SigmaO3" is this model's
         tree = _base_cfg(tmp_path)
-        tree["model"].update(nonlinearity="CSH", epsilon=0.3)
-        tree["solver"].pop("continuation")
+        tree["model"]["epsilon"] = 0.3
+        tree["solver"] = {}
         cfg = _write_cfg(tmp_path, tree)
-        assert main(["verify", "--config", cfg]) == EXIT_OK
-        rows = [line.split()[:2] for line in
-                capsys.readouterr().out.splitlines()
-                if line.startswith(("PASS", "FAIL"))]
-        assert rows == [["PASS", "residual_sup"], ["PASS", "mass_identity"]]
+        assert main(["torus", "--config", cfg]) == EXIT_OK
+        archive = tmp_path / "run_field.npz"
+        with np.load(archive) as npz:
+            v = npz["v"]
+            meta = json.loads(bytes(npz["meta"].tolist()).decode())
+        assert "nonlinearity" not in meta
+        meta["nonlinearity"] = "SigmaO3"
+        np.savez(archive, v=v, meta=np.bytes_(dumps_json(meta).encode()))
+        assert main(["verify", "--config", cfg,
+                     "--override", "verify.field=%s" % archive]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "identity_a=1" in out and "pohozaev_v0" in out
+        assert "all_passed = true" in out
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from vortexlab import kernels
 from vortexlab.model import (
     ModelParams,
-    Nonlinearity,
-    UnsupportedKernelError,
     VortexSet,
     check_hypotheses,
     nonlinearity_ops,
@@ -154,8 +152,6 @@ class TestStructure:
                     fn(bad, 1.0)
         with pytest.raises(ValueError):
             kernels.f_tau(np.array([0.0, np.nan]), 1.0)
-        with pytest.raises(ValueError):
-            kernels.f_csh(np.inf)
 
     def test_bad_tau_rejected(self):
         for bad in (0.0, -1.0, np.nan):
@@ -215,37 +211,18 @@ def test_F1_nonpositive_property(u):
 
 
 @pytest.mark.parametrize("tau", [0.01, 0.5, 1.0, 2.0, 100.0])
-@pytest.mark.parametrize("nonlinearity", list(Nonlinearity))
-def test_u_f_nonpositive(nonlinearity, tau):
-    """u f(u) <= 0 and f(0) = 0 for every nonlinearity.
+def test_u_f_nonpositive(tau):
+    """u f_tau(u) <= 0 and f_tau(0) = 0.
 
     This is the certificate of radial._tail_sign: (r u')' = -r f(u), so a
     profile past u = TOPOLOGICAL_TOL_U with u' > 0 rises for good (and
     its mirror falls), and a bisection probe stops there.  A kernel that
     breaks this sign rule must restrict that early stop.
     """
-    f = nonlinearity_ops(nonlinearity, tau).f
     mag = np.logspace(-300.0, np.log10(700.0), 2001)
     u = np.concatenate([-mag[::-1], mag])
-    assert np.all(u * f(u) <= 0.0)
-    assert f(0.0) == 0.0
-
-
-class TestCshKernels:
-    def test_values(self):
-        assert kernels.f_csh(0.0) == 0.0
-        t = np.exp(-1.0)
-        assert kernels.f_csh(-1.0) == pytest.approx(t * (1 - t), rel=1e-15)
-        assert kernels.F1_csh(0.0) == 0.0
-        assert kernels.F1_csh(-40.0) == pytest.approx(-0.5, rel=1e-15)
-
-    def test_antiderivative(self):
-        us = np.linspace(-10.0, 2.0, 25)
-        d = (kernels.F1_csh(us + 1e-6) - kernels.F1_csh(us - 1e-6)) / 2e-6
-        assert np.allclose(d, kernels.f_csh(us), rtol=1e-5, atol=1e-10)
-
-    def test_huge_argument_is_minus_inf(self):
-        assert kernels.f_csh(400.0) == -np.inf
+    assert np.all(u * kernels.f_tau(u, tau) <= 0.0)
+    assert kernels.f_tau(0.0, tau) == 0.0
 
 
 def _bits(x):
@@ -293,14 +270,6 @@ class TestScalarPath:
             with pytest.raises(ValueError):
                 k(0.5, tau)
 
-    @pytest.mark.parametrize("name", ["f_csh", "df_csh", "F1_csh"])
-    def test_csh_float_matches_0d(self, name):
-        k = getattr(kernels, name)
-        for x in self.US:
-            got = k(float(x))
-            assert type(got) is float
-            assert _bits(got) == _bits(k(np.array(x)))
-
 
 class TestExtrema:
     def test_f_extrema_match_scan(self):
@@ -312,11 +281,6 @@ class TestExtrema:
             assert f_min == pytest.approx(f.min(), rel=1e-7)
             assert f_max == pytest.approx(f.max(), rel=1e-7)
             assert f_min <= f.min() and f_max >= f.max()
-
-    def test_csh_extrema(self):
-        f_min, f_max = nonlinearity_ops("CSH", 1.0).f_extrema()
-        assert f_min == -np.inf
-        assert f_max == kernels.f_csh(np.log(0.5)) == 0.25
 
 
 class TestModelParams:
@@ -345,19 +309,8 @@ class TestModelParams:
         assert (p.tau, p.epsilon) == (2.0, 1.0)
         assert type(p.tau) is float and type(p.epsilon) is float
 
-    def test_nonlinearity_coercion(self):
-        p = ModelParams(tau=1.0, epsilon=0.1, nonlinearity="CSH")
-        assert p.nonlinearity is Nonlinearity.CSH
-
-    def test_csh_ops_reject_tau_dependent(self):
-        ops = nonlinearity_ops("CSH", 1.0)
-        with pytest.raises(UnsupportedKernelError):
-            ops.F2(0.0)
-        with pytest.raises(UnsupportedKernelError):
-            ops.q(0.0)
-
     def test_sigma_ops_dispatch(self):
-        ops = nonlinearity_ops(Nonlinearity.SIGMA_O3, 2.0)
+        ops = nonlinearity_ops(2.0)
         assert ops.f(-1.0) == kernels.f_tau(-1.0, 2.0)
         assert ops.F2(0.5) == kernels.F2_tau(0.5, 2.0)
 
@@ -380,8 +333,31 @@ class TestVortexSet:
             )
 
     def test_negative_multiplicity_rejected(self):
-        with pytest.raises(ValueError):
-            VortexSet(positive_vortices=(((0.1, 0.1), -1),))
+        # and every multiplicity that is not an integer, and every point
+        # that is not two finite reals
+        for entry, match in [
+                (((0.1, 0.1), -1), "multiplicity must be >= 0"),
+                (((0.1, 0.1), 1.5), "multiplicity must be an integer"),
+                (((0.1, 0.1), True), "multiplicity must be an integer"),
+                (((0.1, 0.1), "2"), "multiplicity must be an integer"),
+                (((0.1, 0.1), float("nan")),
+                 "multiplicity must be an integer"),
+                (((float("nan"), 0.1), 1), "finite reals"),
+                (((0.1, float("inf")), 1), "finite reals"),
+                (((0.1, "0.2"), 1), "finite reals"),
+                (((0.1, 0.2, 0.3), 1), "planar"),
+                ((0.1, 1), "planar")]:
+            with pytest.raises(ValueError, match=match):
+                VortexSet(positive_vortices=(entry,))
+            with pytest.raises(ValueError, match=match):
+                VortexSet(negative_vortices=(entry,))
+
+    def test_integral_multiplicities_kept(self):
+        vs = VortexSet(positive_vortices=(((0.1, 0.1), np.int64(2)),),
+                       negative_vortices=(((0.5, 0.5), 3.0),))
+        assert (vs.N1, vs.N2) == (2, 3)
+        assert all(type(m) is int for _, m in vs.positive_vortices
+                   + vs.negative_vortices)
 
 
 class TestHypotheses:

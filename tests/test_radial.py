@@ -15,8 +15,6 @@ from vortexlab import (
     BCType,
     BracketError,
     MassKind,
-    Nonlinearity,
-    UnsupportedKernelError,
     compute_beta_curve,
     export_curve_csv,
     export_profile_csv,
@@ -177,10 +175,9 @@ class TestSingularTopological:
         assert 2.0 * f2 == pytest.approx(np.pi * sol.beta ** 2, rel=1e-4)
 
 
-def _full_grid_tail_sign(s, nu, tau, r_end, tol, vortex_sign, nonlinearity):
+def _full_grid_tail_sign(s, nu, tau, r_end, tol, vortex_sign):
     """Reference probe: the whole 200-per-decade shot and its sign rule."""
     sol = integrate_radial(s, nu, tau, r_end, tol, vortex_sign=vortex_sign,
-                           nonlinearity=nonlinearity,
                            divergence_stop=radial.BISECT_DIVERGENCE_STOP,
                            _retry=False)
     if sol.bc_type is BCType.NONTOPOLOGICAL_I:
@@ -244,8 +241,7 @@ class TestBisectionProbe:
         (4.0, 1),   # rises past TOL_U: the full-grid u(r_end) > 25 case
     ])
     def test_probe_sign_and_shots(self, s, shots, monkeypatch):
-        args = (s, 1.0, 1.0, self.R_BISECT, 1e-10, -1,
-                Nonlinearity.SIGMA_O3)
+        args = (s, 1.0, 1.0, self.R_BISECT, 1e-10, -1)
         want = _full_grid_tail_sign(*args)[0]
         calls = []
 
@@ -262,11 +258,9 @@ class TestBisectionProbe:
         assert calls[0] == 1
         assert nfev > 0
 
-    def test_regular_mode_csh_probes(self, monkeypatch):
+    def test_regular_mode_probes(self, monkeypatch):
         """At nu = 0 a probe with |s| > TOL_U holds its certificate at R0
-        and is decided unshot.  CSH profiles with s > 0 blow up at finite
-        r, where the full-grid shot can fail before |u| = 30: those
-        probes must be the rising side, the rest match the reference."""
+        and is decided unshot, with the sign of the full-grid shot."""
         probes = []
 
         def recording(*args):
@@ -276,21 +270,12 @@ class TestBisectionProbe:
 
         real_tail_sign = radial._tail_sign
         monkeypatch.setattr(radial, "_tail_sign", recording)
-        sol = find_topological(0.0, 1.0, (-1.0, 2.0),
-                               nonlinearity=Nonlinearity.CSH)
+        sol = find_topological(0.0, 1.0, (-1.0, 2.0))
         assert abs(sol.s) < 1e-13  # the vacuum u = 0
-        failed = 0
         for args, (sign, nfev, reshot) in probes:
             assert not reshot
             assert (nfev == 0) is (abs(args[0]) > radial.TOPOLOGICAL_TOL_U)
-            try:
-                want = _full_grid_tail_sign(*args)[0]
-            except radial.IntegrationFailureError:
-                failed += 1
-                assert args[0] > 0 and sign == 1
-                continue
-            assert sign == want
-        assert 0 < failed < len(probes) // 2
+            assert sign == _full_grid_tail_sign(*args)[0]
 
         calls = []
 
@@ -301,13 +286,12 @@ class TestBisectionProbe:
         real_solve_ivp = radial.solve_ivp
         monkeypatch.setattr(radial, "solve_ivp", counting)
         for s, sign in ((2.0, 1), (-1.0, -1)):
-            args = (s, 0.0, 1.0, 200.0, 1e-10, -1, Nonlinearity.CSH)
+            args = (s, 0.0, 1.0, 200.0, 1e-10, -1)
             assert real_tail_sign(*args) == (sign, 0, False)
         assert calls == []
-        # the full-grid shot reaches |u| = 30 on s = 2, with the same sign
+        # the full-grid shot on s = 2 has the same sign
         monkeypatch.setattr(radial, "solve_ivp", real_solve_ivp)
-        assert _full_grid_tail_sign(2.0, 0.0, 1.0, 200.0, 1e-10, -1,
-                                    Nonlinearity.CSH)[0] == 1
+        assert _full_grid_tail_sign(2.0, 0.0, 1.0, 200.0, 1e-10, -1)[0] == 1
 
     # a bisected s* for (nu, tau) = (1, 1): the profile stays near the
     # corridor past r = 40, so a probe to 20 or 40 reaches r_end uncommitted
@@ -317,8 +301,7 @@ class TestBisectionProbe:
         (40.0, 0, False),   # the r_end row lies in the corridor
     ])
     def test_uncommitted_probe_keeps_the_row_rule(self, r_end, sign, reshot):
-        args = (3.2781023384423125, 1.0, 1.0, r_end, 1e-10, -1,
-                Nonlinearity.SIGMA_O3)
+        args = (3.2781023384423125, 1.0, 1.0, r_end, 1e-10, -1)
         assert radial._tail_sign(*args)[::2] == (sign, reshot)
         assert _full_grid_tail_sign(*args)[0] == sign
 
@@ -354,27 +337,6 @@ class TestCsvExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "s,beta,bc_type"
         assert lines[1].endswith("NonTopologicalI")
-
-
-class TestCshKernel:
-    def test_regular_profile_runs(self):
-        sol = integrate_radial(-1.0, nonlinearity=Nonlinearity.CSH)
-        assert sol.bc_type is BCType.NONTOPOLOGICAL_I
-        assert sol.diagnostics["first_integral_residual"] < 1e-6
-
-    def test_tau_specific_masses_rejected(self):
-        sol = integrate_radial(-1.0, nonlinearity=Nonlinearity.CSH)
-        with pytest.raises(UnsupportedKernelError):
-            mass_integral(sol, MassKind.F2_MASS)
-        with pytest.raises(UnsupportedKernelError):
-            mass_integral(sol, MassKind.QUANTIZATION)
-
-    def test_singular_mode_rejected(self):
-        with pytest.raises(UnsupportedKernelError):
-            integrate_radial(-1.0, nu=1.0, nonlinearity=Nonlinearity.CSH)
-        with pytest.raises(UnsupportedKernelError):
-            find_topological(1.0, 1.0, (-8.0, 8.0),
-                             nonlinearity=Nonlinearity.CSH)
 
 
 class TestProperties:

@@ -19,7 +19,6 @@ from vortexlab import (
     EigenConvergenceError,
     EigenResult,
     ModelParams,
-    Nonlinearity,
     StabilityClass,
     TorusDomain,
     TorusField,
@@ -299,18 +298,6 @@ class TestWeightGuard:
         sol = find_topological(1.0, 1.0, (-8.0, 8.0), vortex_sign=-1)
         with pytest.raises(WeightIndefiniteError):
             weighted_eigen_radial(sol)
-
-
-class TestCsh:
-    def test_torus_eigenvalue_is_finite(self, dom64):
-        vs = VortexSet(positive_vortices=(((2.0, 2.0), 1),))
-        fld = solve_newton(TorusGeometry(dom64, vs),
-                           ModelParams(1.0, 0.3, nonlinearity=Nonlinearity.CSH))
-        assert np.isfinite(principal_eigen_torus(fld).eigenvalue)
-
-    def test_radial_mu_star_is_finite(self):
-        sol = integrate_radial(-1.0, nonlinearity=Nonlinearity.CSH)
-        assert np.isfinite(weighted_eigen_radial(sol).eigenvalue)
 
 
 class TestClassification:

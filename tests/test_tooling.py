@@ -11,9 +11,10 @@ shooter's scalar calls and Newton's array calls.  They only read bench/.
 The exit-code tests raise every exception class the package defines
 from a stubbed command and require cli.main to map it to exit 1 or 2
 with one line on stderr, so a new failure type cannot escape as a
-traceback.  The last test requires that every defaulted parameter of a
+traceback.  The next test requires that every defaulted parameter of a
 public function is set by some call in the repository: an option no
-caller sets is a module constant.
+caller sets is a module constant.  The last one requires that the
+README's config table lists exactly the keys of the config schema.
 """
 
 import ast
@@ -22,6 +23,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import warnings
 
 import numpy as np
@@ -30,8 +32,7 @@ import pytest
 import vortexlab
 import vortexlab.cli as cli
 from vortexlab import ModelParams, TorusDomain, TorusGeometry, VortexSet
-from vortexlab import radial, torus
-from vortexlab.model import UnsupportedKernelError
+from vortexlab import config, radial, torus
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -99,8 +100,7 @@ _EXCEPTIONS = _package_exceptions()
 def test_exception_classes_are_collected():
     names = {cls.__name__ for cls in _EXCEPTIONS}
     assert {"ConfigError", "BracketError", "IntegrationFailureError",
-            "SweepError", "UnsupportedKernelError",
-            "_UsageError"} <= names
+            "SweepError", "_UsageError"} <= names
 
 
 @pytest.mark.parametrize("cls", _EXCEPTIONS,
@@ -121,7 +121,7 @@ def test_every_package_exception_maps_to_an_exit_code(cls, monkeypatch,
     assert rc in (cli.EXIT_USAGE, cli.EXIT_NUMERICAL)
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "stubbed failure" in err
-    if issubclass(cls, RuntimeError) and cls is not UnsupportedKernelError:
+    if issubclass(cls, RuntimeError):
         assert rc == cli.EXIT_NUMERICAL
 
 
@@ -187,3 +187,38 @@ def test_every_default_is_set_by_some_caller():
              if not any(_sets(call, param, positional)
                         for call in calls.get(name, []))]
     assert unset == []
+
+
+def _schema_keys():
+    """(section, key) of every config key; ("seed", "") for the one
+    top-level key that is not a section."""
+    pairs = set()
+    for section, (checker, _, _) in config._SCHEMA.items():
+        fields = inspect.getclosurevars(checker).nonlocals.get("fields")
+        pairs.update((section, key) for key in fields or [""])
+    return pairs
+
+
+def _readme_table_keys():
+    """(section, key) of every row of the README's config table; a row
+    with an empty section cell continues the one above."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    table = text.split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
+    pairs, section = set(), None
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            continue
+        cells = line.strip("|").split("|")
+        names = re.findall(r"`(\w+)`", cells[0])
+        if names:
+            (section,) = names
+        elif cells[0].strip():
+            continue  # the header and the rule under it
+        pairs.update((section, key)
+                     for key in re.findall(r"`(\w+)`", cells[1]) or [""])
+    return pairs
+
+
+def test_readme_config_table_matches_the_schema():
+    assert _readme_table_keys() == _schema_keys()

@@ -21,12 +21,10 @@ from vortexlab import (
     ModelParams,
     MonotonicityError,
     NewtonDivergenceError,
-    Nonlinearity,
     ResolutionWarning,
     TorusDomain,
     TorusField,
     TorusGeometry,
-    UnsupportedKernelError,
     VortexSet,
     cell_integral,
     gradient,
@@ -264,6 +262,16 @@ class TestSpectralCore:
             TorusDomain(periods=(1.0, 1.0), grid_shape=(100, 64))
         with pytest.raises(ValueError):
             TorusDomain(periods=(-1.0, 1.0), grid_shape=(64, 64))
+        with pytest.raises(ValueError, match="integer powers of two"):
+            TorusDomain(periods=(4.0, 4.0), grid_shape=(256.0, 256.0))
+        with pytest.raises(ValueError, match="integer powers of two"):
+            TorusDomain(periods=(4.0, 4.0), grid_shape=(True, 64))
+        with pytest.raises(ValueError, match="two grid sizes"):
+            TorusDomain(periods=(4.0, 4.0), grid_shape=(64, 64, 64))
+        with pytest.raises(ValueError, match="two periods"):
+            TorusDomain(periods=(4.0,), grid_shape=(64, 64))
+        with pytest.raises(ValueError, match="periods must be positive"):
+            TorusDomain(periods=(True, 4.0), grid_shape=(64, 64))
 
     def test_snap_collision_names_both_points(self, dom64):
         # two distinct vortices within h/2 of one grid point (h = 1/16)
@@ -440,17 +448,6 @@ class TestNewton:
         with pytest.raises(CapacityError):
             torus._check_capacity(dom64, vs, ModelParams(1.0, 1.0001 * bound),
                                   1.0001 * bound)
-        # CSH is unbounded below: any eps carries a negative excess
-        csh = ModelParams(1.0, 10.0, nonlinearity=Nonlinearity.CSH)
-        torus._check_capacity(dom64, vs, csh, 10.0)
-
-
-class TestCshNewton:
-    def test_converges_with_exact_mass(self, dom64, one_plus):
-        fld = solve_newton(TorusGeometry(dom64, one_plus),
-                           ModelParams(1.0, 0.3, nonlinearity=Nonlinearity.CSH))
-        assert fld.residual_norm() <= 1e-10 * 0.3 ** -2
-        assert total_mass(fld) == pytest.approx(4.0 * np.pi, rel=1e-10)
 
 
 class TestMonotone:
@@ -516,13 +513,6 @@ class TestMonotone:
         with pytest.raises(MonotonicityError):
             solve_monotone(geo, p, sub=-geo.u0 - 1e-3, super_=-geo.u0)
 
-    def test_csh_rejected(self, dom64, one_plus):
-        p = ModelParams(1.0, 0.3, nonlinearity=Nonlinearity.CSH)
-        zeros = np.zeros(dom64.grid_shape)
-        with pytest.raises(UnsupportedKernelError):
-            solve_monotone(TorusGeometry(dom64, one_plus), p, sub=zeros - 25.0,
-                           super_=zeros)
-
     def test_over_capacity_rejected(self, dom64, one_plus):
         # tau = 1000 caps max f near 2.5e-10: one vortex needs eps <= 1.8e-5
         p = ModelParams(1000.0, 0.3)
@@ -586,14 +576,6 @@ class TestIdentity:
             identity_check(fld128, 0.0)
         with pytest.raises(ValueError):
             identity_check(fld128, -1.0)
-
-    def test_csh_rejected(self, dom64, one_plus):
-        fld = TorusField(geometry=TorusGeometry(dom64, one_plus),
-                         params=ModelParams(1.0, 0.3,
-                                            nonlinearity=Nonlinearity.CSH),
-                         v=np.zeros(dom64.grid_shape))
-        with pytest.raises(UnsupportedKernelError):
-            identity_check(fld, 1.0)
 
 
 def _pointwise_u0_gradient(geometry):
