@@ -34,6 +34,10 @@ _POINTS_PER_DECADE = 40
 _PAIR_TOL = 0.1
 _N_LAST = 3
 _FIT_SLACK = 2.0
+# classify_alternative's gates: |sup_K|, |inf_K| below _ZERO_TOL for A,
+# sup_K <= -_AWAY_THRESHOLD on every record for B (inf_K mirrored for C)
+_ZERO_TOL = 1e-2
+_AWAY_THRESHOLD = 0.25
 
 
 class GeometryError(ValueError):
@@ -94,7 +98,6 @@ class SweepRecord:
     field: object = None
     error: str = None
     K_radius: float = float("nan")
-    ball_radius: float = float("nan")
     resolved: bool = None
     h_over_eps: float = float("nan")
     minres_failed: int = None
@@ -442,16 +445,15 @@ def _min_separation(geometry):
 
 
 def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
-              ball_radius=None, first_continuation=None, tol_factor=1e-10,
-              keep_fields=True):
+              first_continuation=None, keep_fields=True):
     """Warm-started epsilon sweep with per-step diagnostics.
 
     epsilons must be strictly decreasing.  K is the complement of the
     balls of radius K_radius (default 5 * epsilons[0], fixed across the
     sweep so the compact set does not shrink with epsilon) around the
     snapped vortices; it must be nonempty and K_radius below half the
-    minimal vortex separation (periodic images included).  ball_radius
-    (default K_radius) sets the per-vortex diagnostic balls.
+    minimal vortex separation (periodic images included).  The
+    per-vortex diagnostic balls have radius K_radius too.
 
     The first failed solve aborts with SweepError; later failures are
     recorded on their SweepRecord and the sweep continues from the last
@@ -462,9 +464,6 @@ def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
     if K_radius is None:
         K_radius = 5.0 * eps_list[0]
     K_radius = float(K_radius)
-    if ball_radius is None:
-        ball_radius = K_radius
-    ball_radius = float(ball_radius)
     if first_continuation is not None and \
             float(first_continuation[-1]) != eps_list[0]:
         raise ValueError("first_continuation must end at epsilons[0]")
@@ -491,8 +490,7 @@ def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
         try:
             fld = torus_mod.solve_newton(
                 geometry, params, v_init=v_warm,
-                continuation=first_continuation if idx == 0 else None,
-                tol_factor=tol_factor)
+                continuation=first_continuation if idx == 0 else None)
         except (torus_mod.NewtonDivergenceError,
                 torus_mod.ConvergenceError, torus_mod.CapacityError) as e:
             if idx == 0:
@@ -502,21 +500,20 @@ def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
             nan = float("nan")
             records.append(SweepRecord(
                 epsilon=eps, sup_K=nan, inf_K=nan, total_abs_mass=nan,
-                error=str(e), K_radius=K_radius, ball_radius=ball_radius))
+                error=str(e), K_radius=K_radius))
             continue
         v_warm = fld.v
-        records.append(_make_record(fld, mask, K_radius, ball_radius,
-                                    compute_eigen, keep_fields))
+        records.append(_make_record(fld, mask, K_radius, compute_eigen,
+                                    keep_fields))
     return records
 
 
-def _make_record(fld, mask, K_radius, ball_radius, compute_eigen,
-                 keep_fields):
+def _make_record(fld, mask, K_radius, compute_eigen, keep_fields):
     reports = []
     for k, (p, m, sgn) in enumerate(fld.vortices.signed()):
-        cov = _ball(fld.geometry, p, ball_radius, k)
+        cov = _ball(fld.geometry, p, K_radius, k)
         mass = _ball_integral(fld, cov, fld.f)
-        poh = _pohozaev_torus(fld, p, m, ball_radius, cov, 1024)
+        poh = _pohozaev_torus(fld, p, m, K_radius, cov, 1024)
         quant = _ball_integral(fld, cov, fld.q)
         reports.append(VortexReport(
             vortex=k, point=(float(p[0]), float(p[1])),
@@ -539,19 +536,18 @@ def _make_record(fld, mask, K_radius, ball_radius, compute_eigen,
         eigen=eig,
         field=fld if keep_fields else None,
         K_radius=K_radius,
-        ball_radius=ball_radius,
         resolved=stage["resolved"],
         h_over_eps=stage["h_over_eps"],
         minres_failed=fld.diagnostics["minres_failed"],
         eigen_error=eig_error)
 
 
-def classify_alternative(records, zero_tol=1e-2, away_threshold=0.25):
+def classify_alternative(records):
     """Trend verdict over a sweep: which alternative the family realizes.
 
     A needs both sup_K and inf_K tending to zero (non-increasing |.|
-    over the last three records, final value below zero_tol); B needs
-    sup_K <= -away_threshold on every record, C symmetrically.
+    over the last three records, final value below _ZERO_TOL); B needs
+    sup_K <= -_AWAY_THRESHOLD on every record, C symmetrically.
     Anything else is Mixed/Inconclusive.  The evidence counts the
     successful records whose grid did not resolve eps (n_underresolved);
     they still enter the verdict.
@@ -565,18 +561,18 @@ def classify_alternative(records, zero_tol=1e-2, away_threshold=0.25):
 
     def to_zero(x):
         # non-increasing |.| over the last three records, except that
-        # values already at the floor (0.1 * zero_tol) need not order
+        # values already at the floor (0.1 * _ZERO_TOL) need not order
         a = np.abs(x)
         tail = a[-3:]
         slack = 1e-15 * (1.0 + float(tail.max()))
         trend = np.all(np.diff(tail) <= slack) or \
-            np.all(tail <= 0.1 * zero_tol)
-        return bool(trend and tail[-1] <= zero_tol)
+            np.all(tail <= 0.1 * _ZERO_TOL)
+        return bool(trend and tail[-1] <= _ZERO_TOL)
 
     sup_zero = to_zero(sup)
     inf_zero = to_zero(inf)
-    sup_below = bool(np.all(sup <= -away_threshold))
-    inf_above = bool(np.all(inf >= away_threshold))
+    sup_below = bool(np.all(sup <= -_AWAY_THRESHOLD))
+    inf_above = bool(np.all(inf >= _AWAY_THRESHOLD))
     if sup_zero and inf_zero:
         kind = Alternative.A_UNIFORM_ZERO
     elif sup_below:
@@ -593,8 +589,8 @@ def classify_alternative(records, zero_tol=1e-2, away_threshold=0.25):
         "inf_first": float(inf[0]), "inf_last": float(inf[-1]),
         "sup_to_zero": sup_zero, "inf_to_zero": inf_zero,
         "sup_all_below": sup_below, "inf_all_above": inf_above,
-        "zero_tol": float(zero_tol),
-        "away_threshold": float(away_threshold),
+        "zero_tol": _ZERO_TOL,
+        "away_threshold": _AWAY_THRESHOLD,
     }
     return AlternativeVerdict(kind=kind, evidence=evidence)
 

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics
+from . import asymptotics, torus
 from .asymptotics import (SweepError, classify_alternative, export_sweep_csv,
                           pohozaev_value, run_sweep, squared_ratio_test)
 from .config import (ConfigError, atomic_path, dumps_json, load_config,
@@ -50,8 +50,18 @@ _NUMERICAL = (IntegrationFailureError, BracketError, NewtonDivergenceError,
               ConvergenceError, MonotonicityError, CapacityError,
               EigenConvergenceError, WeightIndefiniteError, SweepError)
 
-_DEFAULT_RADIAL_MARGIN = 1e-8
+_RADIAL_MARGIN = 1e-8
 _DEFAULT_RMAX = 1e6
+# the monotone bracket: subsolution -u0 - _MONOTONE_OFFSET, supersolution -u0
+_MONOTONE_OFFSET = 25.0
+# verify's gates: residual_sup at _RESIDUAL_FACTOR times the solvers'
+# residual gate, the mass identity relative to 4 pi max(1, N1 + N2), the
+# a-identities at each of _A_VALUES, and every Pohozaev balance
+_RESIDUAL_FACTOR = 50.0
+_MASS_TOL = 1e-6
+_A_VALUES = (0.5, 1.0, 2.0)
+_IDENTITY_TOL = 1e-3
+_POHOZAEV_TOL = 1e-3
 
 
 class _UsageError(Exception):
@@ -106,7 +116,7 @@ def _profile(req, refuse):
         refuse("s", "required unless find_topological is set")
     elif req["bracket"] is not None:
         refuse("bracket", "only applies with find_topological")
-    shot = {key: req[key] for key in ("nu", "tau", "tol", "vortex_sign",
+    shot = {key: req[key] for key in ("nu", "tau", "vortex_sign",
                                       "points_per_decade")}
     if req["find_topological"]:
         return find_topological(bracket=tuple(req["bracket"]), **shot)
@@ -153,8 +163,7 @@ def cmd_beta_curve(args):
         raise _UsageError("beta-curve: need --n >= 2")
     s_values = [s for s in np.linspace(args.s_min, args.s_max, args.n)
                 if s != 0.0]
-    curve = compute_beta_curve(args.tau, s_values, r_max=args.rmax,
-                               tol=args.tol)
+    curve = compute_beta_curve(args.tau, s_values, r_max=args.rmax)
     out_csv = args.out + ".csv"
     with atomic_path(out_csv) as tmp:
         export_curve_csv(curve, tmp)
@@ -188,12 +197,9 @@ def _field(cfg, path=None):
     params = cfg.params()
     if solver["method"] == "monotone":
         u0 = geometry.u0
-        return solve_monotone(geometry, params,
-                              sub=-u0 - solver["monotone_offset"], super_=-u0,
-                              tol_factor=solver["tol_factor"])
-    return solve_newton(geometry, params, continuation=solver["continuation"],
-                        max_iter=solver["max_iter"],
-                        tol_factor=solver["tol_factor"])
+        return solve_monotone(geometry, params, sub=-u0 - _MONOTONE_OFFSET,
+                              super_=-u0)
+    return solve_newton(geometry, params, continuation=solver["continuation"])
 
 
 def _field_summary(cfg, fld):
@@ -240,24 +246,25 @@ def cmd_stability(args):
     cfg = load_config(args.config, args.override)
     block = cfg.section("stability")
 
+    def refuse(key, text):
+        raise ConfigError("/stability/" + key, text)
+
     if block["target"] == "torus":
+        for key in ("tau", "s", "find_topological", "bracket", "r_max"):
+            if block[key] is not None and block[key] is not False:
+                refuse(key, "does not apply to the torus target")
         fld = _field(cfg, block["field"])
         result = principal_eigen_torus(fld)
-        margin = block["margin"]
-        if margin is None:
-            margin = default_torus_margin(fld.params)
+        margin = default_torus_margin(fld.params)
         extra = {"epsilon": fld.params.epsilon, "tau": fld.params.tau}
     else:
-        def refuse(key, text):
-            raise ConfigError("/stability/" + key, text)
-
+        if block["field"] is not None:
+            refuse("field", "does not apply to the radial target")
         model = cfg.tree["model"]
         tau = model["tau"] if block["tau"] is None else block["tau"]
         sol = _profile(dict(block, tau=tau), refuse)
         result = weighted_eigen_radial(sol)
-        margin = block["margin"]
-        if margin is None:
-            margin = _DEFAULT_RADIAL_MARGIN
+        margin = _RADIAL_MARGIN
         extra = {"s": sol.s, "nu": sol.nu, "tau": sol.tau,
                  "bc_type": sol.bc_type.value}
 
@@ -293,12 +300,8 @@ def cmd_sweep(args):
         raise ConfigError("/sweep/epsilons",
                           "need at least 3 steps to classify a trend")
     model = cfg.tree["model"]
-    records = run_sweep(cfg.geometry(), model["tau"],
-                        block["epsilons"], K_radius=block["K_radius"],
+    records = run_sweep(cfg.geometry(), model["tau"], block["epsilons"],
                         compute_eigen=block["compute_eigen"],
-                        ball_radius=block["ball_radius"],
-                        first_continuation=block["first_continuation"],
-                        tol_factor=cfg.tree["solver"]["tol_factor"],
                         keep_fields=False)
     out_csv = _outpath(cfg, "_sweep.csv")
     with atomic_path(out_csv) as tmp:
@@ -312,8 +315,7 @@ def cmd_sweep(args):
     if no_eigen:
         raise SweepError("eigen solve failed at %s; see %s"
                          % ("; ".join(no_eigen), out_csv))
-    verdict = classify_alternative(records, zero_tol=block["zero_tol"],
-                                   away_threshold=block["away_threshold"])
+    verdict = classify_alternative(records)
 
     ratio = None
     if verdict.kind is asymptotics.Alternative.A_UNIFORM_ZERO:
@@ -383,29 +385,25 @@ def cmd_verify(args):
         rows.append({"name": name, "value": float(value), "tol": float(tol),
                      "passed": bool(value <= tol)})
 
-    res_tol = (block["residual_factor"] * cfg.tree["solver"]["tol_factor"]
-               * fld.params.epsilon ** -2)
-    add("residual_sup", fld.residual_norm(), res_tol)
+    add("residual_sup", fld.residual_norm(),
+        torus._solver_tol(fld.params, _RESIDUAL_FACTOR))
 
     target = 4.0 * np.pi * (fld.vortices.N1 - fld.vortices.N2)
     scale = 4.0 * np.pi * max(1, fld.vortices.N1 + fld.vortices.N2)
-    add("mass_identity", abs(total_mass(fld) - target) / scale,
-        block["mass_tol"])
+    add("mass_identity", abs(total_mass(fld) - target) / scale, _MASS_TOL)
 
-    for a in block["a_values"]:
+    for a in _A_VALUES:
         _, _, rel = identity_check(fld, a)
-        add("identity_a=%s" % ("%g" % a), rel, block["identity_tol"])
+        add("identity_a=%g" % a, rel, _IDENTITY_TOL)
 
-    r = block["ball_radius"]
-    if r is None:
-        # 0.45 of the minimal vortex separation, self-images included
-        r = 0.45 * asymptotics._min_separation(fld.geometry)
+    # 0.45 of the minimal vortex separation, self-images included
+    r = 0.45 * asymptotics._min_separation(fld.geometry)
     for k in range(len(fld.vortices.signed())):
         _, _, resid = pohozaev_value(fld, vortex_id=k, r=r)
-        add("pohozaev_v%d" % k, resid, block["pohozaev_tol"])
+        add("pohozaev_v%d" % k, resid, _POHOZAEV_TOL)
     if not len(fld.vortices):
         _, _, resid = pohozaev_value(fld, r=r)
-        add("pohozaev_center", resid, block["pohozaev_tol"])
+        add("pohozaev_center", resid, _POHOZAEV_TOL)
 
     all_passed = all(row["passed"] for row in rows)
     summary = {
@@ -460,7 +458,6 @@ def build_parser():
     p.add_argument("--rmax", type=float,
                    help="outer radius of an --s shot (default %g)"
                    % _DEFAULT_RMAX)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--vortex-sign", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--points-per-decade", type=int, default=200)
     p.add_argument("--out", default="shoot", help="output prefix")
@@ -473,7 +470,6 @@ def build_parser():
     p.add_argument("--s-max", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rmax", type=float, default=_DEFAULT_RMAX)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default="beta", help="output prefix")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 on monotonicity violations or failures")

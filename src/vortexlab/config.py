@@ -185,22 +185,13 @@ _SCHEMA = {
     "solver": (_object({
         "method": (_str(choices=("newton", "monotone")), False, "newton"),
         "continuation": (_decreasing_or_none, False, None),
-        "max_iter": (_int(min_value=1), False, 60),
-        "tol_factor": (_num(positive=True), False, 1e-10),
-        "monotone_offset": (_num(positive=True), False, 25.0),
     }), False, {}),
     "sweep": (_object({
         "epsilons": (_decreasing_positive, True, None),
-        "K_radius": (_num(positive=True, allow_none=True), False, None),
-        "ball_radius": (_num(positive=True, allow_none=True), False, None),
         "compute_eigen": (_bool(), False, False),
-        "first_continuation": (_decreasing_or_none, False, None),
-        "zero_tol": (_num(positive=True), False, 1e-2),
-        "away_threshold": (_num(positive=True), False, 0.25),
     }), False, None),
     "stability": (_object({
         "target": (_str(choices=("torus", "radial")), True, None),
-        "margin": (_num(positive=True, allow_none=True), False, None),
         "field": (_str(allow_none=True), False, None),
         "tau": (_num(positive=True, allow_none=True), False, None),
         "nu": (_num(nonneg=True), False, 0.0),
@@ -209,18 +200,10 @@ _SCHEMA = {
         "bracket": (_list(_num(), exact_len=2, allow_none=True), False, None),
         "vortex_sign": (_int(choices=(-1, 1)), False, -1),
         "r_max": (_num(positive=True, allow_none=True), False, None),
-        "tol": (_num(positive=True), False, 1e-10),
         "points_per_decade": (_int(min_value=10), False, 200),
     }), False, None),
     "verify": (_object({
         "field": (_str(allow_none=True), False, None),
-        "a_values": (_list(_num(positive=True), min_len=1), False,
-                     [0.5, 1.0, 2.0]),
-        "identity_tol": (_num(positive=True), False, 1e-3),
-        "mass_tol": (_num(positive=True), False, 1e-6),
-        "residual_factor": (_num(positive=True), False, 50.0),
-        "ball_radius": (_num(positive=True, allow_none=True), False, None),
-        "pohozaev_tol": (_num(positive=True), False, 1e-3),
     }), False, {}),
     "output": (_object({
         "dir": (_str(), False, "."),

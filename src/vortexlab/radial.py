@@ -14,6 +14,7 @@ or Undetermined.
 """
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -44,6 +45,8 @@ _CERTIFY = object()
 CLASSIFY_DIVERGED = 25.0
 
 _POINTS_PER_DECADE = 200
+# DOP853's relative tolerance (absolute: 1e-2 of it) unless a shot sets tol
+_TOL = 1e-10
 
 
 class BCType(enum.Enum):
@@ -90,7 +93,7 @@ class RadialSolution:
     bc_type: BCType
     diagnostics: dict = field(default_factory=dict)
     vortex_sign: int = -1
-    tol: float = 1e-10
+    tol: float = _TOL
     points_per_decade: int = _POINTS_PER_DECADE
 
     @cached_property
@@ -138,7 +141,7 @@ def _series_start(s, c_log, f, nu):
     return [v, dv, i0]
 
 
-def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
+def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=_TOL,
                      vortex_sign=-1, divergence_stop=DIVERGENCE_STOP,
                      points_per_decade=_POINTS_PER_DECADE, _retry=True):
     """Integrate the radial profile from R0 out to r_max.
@@ -147,13 +150,14 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
     ----------
     s : float
         Initial value u(0) (regular mode) or regular-part value v(0)
-        (singular mode, nu > 0).
+        (singular mode, nu > 0); finite.
     nu : float
-        Vortex strength at the origin; 0 disables the singular split.
+        Vortex strength at the origin, finite and >= 0; 0 disables the
+        singular split.
     tau : float
         Kernel parameter.
     r_max : float
-        Outer integration radius, >= 10.
+        Outer integration radius, at least 10 and finite.
     tol : float
         Relative tolerance of the adaptive integrator, in (0, 1e-3].
     vortex_sign : int
@@ -170,8 +174,8 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=1e-10,
     -------
     RadialSolution
     """
-    if r_max < 10.0:
-        raise ValueError("r_max must be >= 10, got %r" % (r_max,))
+    if not 10.0 <= r_max < math.inf:
+        raise ValueError("r_max must be finite and >= 10, got %r" % (r_max,))
     _check_points_per_decade(points_per_decade)
     c_log = 2.0 * vortex_sign * nu
     (rr, uu, duu, dvv, ii), event_kind, nfev = _shoot(
@@ -245,8 +249,10 @@ def _shoot(s, nu, tau, r_max, tol, vortex_sign, divergence_stop, radii):
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3], got %r" % (tol,))
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    if not math.isfinite(s):
+        raise ValueError("s must be finite, got %r" % (s,))
+    if not 0.0 <= nu < math.inf:
+        raise ValueError("nu must be finite and nonnegative, got %r" % (nu,))
     if vortex_sign not in (-1, 1):
         raise ValueError("vortex_sign must be -1 or +1")
     f = nonlinearity_ops(tau).f
@@ -371,7 +377,7 @@ def _classify(rr, uu, duu, event_kind):
     return BCType.UNDETERMINED
 
 
-def compute_beta_curve(tau, s_values, r_max=1e6, tol=1e-10):
+def compute_beta_curve(tau, s_values, r_max=1e6):
     """Sample beta(s) over a sorted list of nonzero initial values.
 
     Integration failures are collected per sample instead of aborting
@@ -388,7 +394,7 @@ def compute_beta_curve(tau, s_values, r_max=1e6, tol=1e-10):
     failures = []
     for s in s_values:
         try:
-            sol = integrate_radial(s, 0.0, tau, r_max, tol)
+            sol = integrate_radial(s, 0.0, tau, r_max)
         except IntegrationFailureError as exc:
             failures.append((s, str(exc)))
             continue
@@ -444,7 +450,7 @@ def _tail_sign(s, nu, tau, r_end, tol, vortex_sign):
     return sign, nfev, reshot
 
 
-def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
+def find_topological(nu, tau, bracket, vortex_sign=-1,
                      points_per_decade=_POINTS_PER_DECADE):
     """Bisect the shooting parameter to the topological profile.
 
@@ -475,7 +481,8 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
     probes = {"bisect_probes": 0, "bisect_reshots": 0, "bisect_nfev": 0}
 
     def tail_sign(s):
-        sign, nfev, reshot = _tail_sign(s, nu, tau, r_bisect, tol, vortex_sign)
+        sign, nfev, reshot = _tail_sign(s, nu, tau, r_bisect, _TOL,
+                                        vortex_sign)
         probes["bisect_probes"] += 1
         probes["bisect_reshots"] += int(reshot)
         probes["bisect_nfev"] += nfev
@@ -506,7 +513,7 @@ def find_topological(nu, tau, bracket, tol=1e-10, vortex_sign=-1,
                 s_hi = mid
         s_star = 0.5 * (s_lo + s_hi)
 
-    sol = integrate_radial(s_star, nu, tau, r_bisect, tol,
+    sol = integrate_radial(s_star, nu, tau, r_bisect, _TOL,
                            vortex_sign=vortex_sign,
                            divergence_stop=BISECT_DIVERGENCE_STOP,
                            points_per_decade=points_per_decade,

@@ -336,8 +336,10 @@ class TorusField:
         return float(np.max(np.abs(self.residual)))
 
 
-def _solver_tol(params, tol_factor):
-    return tol_factor * params.epsilon ** -2
+def _solver_tol(params, factor=1.0):
+    """The solvers' residual gate, sup |F| <= 1e-10 eps^-2, times factor
+    (verify's residual_sup row gates at 50 times it)."""
+    return factor * 1e-10 * params.epsilon ** -2
 
 
 def _check_resolution(domain, params):
@@ -393,7 +395,7 @@ def _snap_record(geometry):
 
 
 def solve_newton(geometry, params, v_init=None, continuation=None,
-                 max_iter=60, tol_factor=1e-10):
+                 max_iter=60):
     """Damped Newton for F(v) = 0, optionally with eps-continuation.
 
     continuation, when given, is a decreasing sequence of epsilon
@@ -436,7 +438,7 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
             v = np.zeros(stage.grid_shape) if fld is None \
                 else stage._resample(v)
         resolution = _check_resolution(stage, p)
-        fld = _newton_core(geo, p, v, max_iter, tol_factor)
+        fld = _newton_core(geo, p, v, max_iter)
         v = fld.v
         failed += fld.diagnostics["minres_failed"]
         stages.append({"epsilon": float(eps),
@@ -451,8 +453,8 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
     return replace(fld, diagnostics=diagnostics)
 
 
-def _newton_core(geometry, params, v, max_iter, tol_factor):
-    tol = _solver_tol(params, tol_factor)
+def _newton_core(geometry, params, v, max_iter):
+    tol = _solver_tol(params)
     fld = TorusField(geometry=geometry, params=params, v=v)
     res = fld.residual_norm()
     res0 = max(res, tol)
@@ -528,7 +530,7 @@ def _solve_shifted(domain, W, c, b, rtol, maxiter):
 _MONOTONE_MAX_ITER = 100000
 
 
-def solve_monotone(geometry, params, sub, super_, tol_factor=1e-10):
+def solve_monotone(geometry, params, sub, super_):
     """Monotone iteration between a sub- and a supersolution.
 
     Starts from the supersolution and decreases pointwise toward the
@@ -548,7 +550,7 @@ def solve_monotone(geometry, params, sub, super_, tol_factor=1e-10):
 
     _check_capacity(domain, geometry.vortices, params, params.epsilon)
     resolution = _check_resolution(domain, params)
-    tol = _solver_tol(params, tol_factor)
+    tol = _solver_tol(params)
     c = (1.05 * params.epsilon ** -2
          * nonlinearity_ops(params.tau).sup_abs_df())
     mult = 1.0 / (c + domain._k2)

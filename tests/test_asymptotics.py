@@ -134,12 +134,12 @@ class TestLocalMass:
     def test_report_matches_direct_call(self, sweep128):
         rec = sweep128[-1]
         rep = rec.per_vortex[0]
-        direct = vortex_mass(rec.field, 0, rec.ball_radius)
+        direct = vortex_mass(rec.field, 0, rec.K_radius)
         assert rep.mass == direct
         assert rep.quantization == quantization_value(rec.field, 0,
-                                                      rec.ball_radius)
+                                                      rec.K_radius)
         assert rep.pohozaev == pohozaev_value(rec.field, vortex_id=0,
-                                              r=rec.ball_radius)
+                                              r=rec.K_radius)
 
     def test_mass_concentrates_to_full_flux(self, sweep128):
         masses = [rec.per_vortex[0].mass for rec in sweep128]

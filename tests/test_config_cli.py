@@ -79,7 +79,7 @@ class TestSchema:
         assert tree["domain"]["grid_shape"] == [256, 256]
         assert tree["model"]["epsilon"] is None
         assert tree["solver"]["method"] == "newton"
-        assert tree["verify"]["a_values"] == [0.5, 1.0, 2.0]
+        assert tree["verify"] == {"field": None}
         # sections whose required keys have no defaults stay absent
         assert tree["sweep"] is None
         assert tree["stability"] is None
@@ -440,6 +440,18 @@ class TestShootCommand:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["shoot", "--tau", "1", "--s", "-1"],
+        ["beta-curve", "--tau", "1", "--s-min", "-2", "--s-max", "-1",
+         "--n", "3"]], ids=["shoot", "beta-curve"])
+    def test_infinite_rmax_is_an_error(self, tmp_path, capsys, argv):
+        # an infinite radius once overflowed the output grid's size
+        rc = main(argv + ["--rmax", "inf", "--out", str(tmp_path / "p")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: r_max must be finite and >= 10, got inf")
+        assert not (tmp_path / "p.json").exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
@@ -545,6 +557,18 @@ def test_kernel_flag_is_gone(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path / "o"), "--kernel", "SigmaO3"])
     assert rc == EXIT_USAGE
     assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--tau", "1.0", "--s", "-1.0"],
+    ["beta-curve", "--tau", "1.0", "--s-min", "-2.0", "--s-max", "-1.0",
+     "--n", "3"],
+], ids=["shoot", "beta-curve"])
+def test_tol_flag_is_gone(argv, tmp_path, capsys):
+    rc = main(argv + ["--out", str(tmp_path / "o"), "--tol", "1e-9"])
+    assert rc == EXIT_USAGE
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
 
 
@@ -720,6 +744,27 @@ class TestTorusCommand:
         assert not (tmp_path / "run_summary.json").exists()
 
 
+    # (section, key) of each config key that no config set, now a
+    # constant; the value is never read
+    @pytest.mark.parametrize("section, key", [
+        ("solver", "max_iter"), ("solver", "tol_factor"),
+        ("solver", "monotone_offset"), ("sweep", "K_radius"),
+        ("sweep", "ball_radius"), ("sweep", "first_continuation"),
+        ("sweep", "zero_tol"), ("sweep", "away_threshold"),
+        ("stability", "margin"), ("stability", "tol"),
+        ("verify", "a_values"), ("verify", "identity_tol"),
+        ("verify", "mass_tol"), ("verify", "residual_factor"),
+        ("verify", "ball_radius"), ("verify", "pohozaev_tol")])
+    def test_retired_key_is_unknown(self, tmp_path, capsys, section, key):
+        tree = _base_cfg(tmp_path)
+        tree.setdefault(section, {})[key] = 1.0
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "config error: unknown key (at /%s/%s)\n" % (section, key)
+        assert not (tmp_path / "run_summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # stability command
 
@@ -821,6 +866,44 @@ class TestStabilityCommand:
         cfg = _write_cfg(tmp_path, tree)
         assert main(["stability", "--config", cfg]) == EXIT_USAGE
         assert pointer in capsys.readouterr().err
+        assert not (tmp_path / "st_stability.json").exists()
+
+
+    def test_points_per_decade_below_ten_is_an_error(self, tmp_path, capsys):
+        # as shoot refuses --points-per-decade 9
+        tree = {"stability": {"target": "radial", "s": -1.0,
+                              "points_per_decade": 9},
+                "output": {"dir": str(tmp_path), "prefix": "st"}}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["stability", "--config", cfg]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: must be >= 10, " \
+            "got 9 (at /stability/points_per_decade)\n"
+        assert not (tmp_path / "st_stability.json").exists()
+
+    @pytest.mark.parametrize("block, pointer", [
+        ({"target": "radial", "s": -1.0, "field": "missing.npz"},
+         "/stability/field"),
+        ({"target": "torus", "tau": 1.0}, "/stability/tau"),
+        ({"target": "torus", "s": -1.0}, "/stability/s"),
+        ({"target": "torus", "find_topological": True},
+         "/stability/find_topological"),
+        ({"target": "torus", "bracket": [-8.0, 8.0]}, "/stability/bracket"),
+        ({"target": "torus", "r_max": 1e6}, "/stability/r_max"),
+    ], ids=["radial-field", "torus-tau", "torus-s", "torus-find_topological",
+            "torus-bracket", "torus-r_max"])
+    def test_other_targets_key_is_refused(self, small_field, tmp_path,
+                                          capsys, block, pointer):
+        if block["target"] == "torus":
+            archive = str(tmp_path / "field.npz")
+            save_field(small_field, archive)
+            block = dict(block, field=archive)
+        tree = {"stability": block,
+                "output": {"dir": str(tmp_path), "prefix": "st"}}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["stability", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: does not apply to the ")
+        assert err.endswith("(at %s)\n" % pointer)
         assert not (tmp_path / "st_stability.json").exists()
 
 

@@ -168,6 +168,29 @@ class TestSingularTopological:
         with pytest.raises(ValueError, match="points_per_decade"):
             find_topological(1.0, 1.0, (-8.0, 8.0), points_per_decade=ppd)
 
+    @pytest.mark.parametrize("shot, name", [
+        (lambda: integrate_radial(-1.0, r_max=np.inf), "r_max"),
+        (lambda: integrate_radial(-1.0, r_max=np.nan), "r_max"),
+        (lambda: integrate_radial(-1.0, r_max=5.0), "r_max"),
+        (lambda: integrate_radial(-1.0, nu=np.nan, r_max=1e3), "nu"),
+        (lambda: integrate_radial(-1.0, nu=np.inf, r_max=1e3), "nu"),
+        (lambda: integrate_radial(-1.0, nu=-1.0, r_max=1e3), "nu"),
+        (lambda: integrate_radial(np.nan, r_max=1e3), "s"),
+        (lambda: integrate_radial(np.inf, r_max=1e3), "s"),
+        (lambda: integrate_radial(-np.inf, nu=1.0, r_max=1e3), "s"),
+        (lambda: find_topological(np.inf, 1.0, (-8.0, 8.0)), "nu"),
+        (lambda: find_topological(np.nan, 1.0, (-8.0, 8.0)), "nu"),
+    ], ids=["r_max-inf", "r_max-nan", "r_max-5", "nu-nan", "nu-inf",
+            "nu-negative", "s-nan", "s-inf", "s-minus-inf",
+            "bisection-nu-inf", "bisection-nu-nan"])
+    def test_bad_input_is_named_before_integrating(self, shot, name,
+                                                   monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integration started")
+        monkeypatch.setattr(radial, "solve_ivp", no_integration)
+        with pytest.raises(ValueError, match="^%s must be " % name):
+            shot()
+
     def test_type_one_f2_mass_approaches_half_pi_beta_sq(self):
         # Pohozaev limit: 2 pi int 2 F2 r dr -> pi beta^2 on type-I
         sol = integrate_radial(-1.0, tau=1.0)

@@ -13,8 +13,10 @@ from a stubbed command and require cli.main to map it to exit 1 or 2
 with one line on stderr, so a new failure type cannot escape as a
 traceback.  The next test requires that every defaulted parameter of a
 public function is set by some call in the repository: an option no
-caller sets is a module constant.  The last one requires that the
-README's config table lists exactly the keys of the config schema.
+caller sets is a module constant.  Its twin requires the same of the
+config schema: every key is set by some config in tests/, demos/ or
+bench/.  The last one requires that the README's config table lists
+exactly the keys of the config schema.
 """
 
 import ast
@@ -197,6 +199,58 @@ def _schema_keys():
         fields = inspect.getclosurevars(checker).nonlocals.get("fields")
         pairs.update((section, key) for key in fields or [""])
     return pairs
+
+
+def _text(node):
+    """The string of a str constant node, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _config_settings(node):
+    """(section, key) pairs an AST node sets in a config: a key of a dict
+    literal nested under a section key (a top-level key with any other
+    value gives (key, "")), a tree["section"]["key"] = ... assignment,
+    or a "section.key=..." override string."""
+    if isinstance(node, ast.Dict):
+        for k, v in zip(node.keys, node.values):
+            section = _text(k)
+            if section is None:
+                continue
+            if isinstance(v, ast.Dict):
+                yield from ((section, key) for key in map(_text, v.keys)
+                            if key is not None)
+            else:
+                yield section, ""
+    elif isinstance(node, ast.Assign):
+        for target in node.targets:
+            if isinstance(target, ast.Subscript) and \
+                    isinstance(target.value, ast.Subscript):
+                section, key = _text(target.value.slice), _text(target.slice)
+                if section is not None and key is not None:
+                    yield section, key
+    else:
+        match = re.match(r"(\w+)\.(\w+)=", _text(node) or "")
+        if match:
+            yield match.groups()
+
+
+def test_every_config_key_is_set_by_some_config():
+    # a JSON config parses as a Python dict literal; this file holds no
+    # config, only the guards
+    found = set()
+    for top in ("tests", "demos", "bench"):
+        for directory, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in files:
+                if name == "test_tooling.py" or \
+                        not name.endswith((".py", ".json")):
+                    continue
+                with open(os.path.join(directory, name)) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    found.update(_config_settings(node))
+    assert sorted(_schema_keys() - found) == []
 
 
 def _readme_table_keys():
