@@ -67,7 +67,8 @@ def _two_sided(u, neg, pos):
     A float u (np.float64 included) takes the scalar path of the module
     docstring: only u's form runs, in numpy scalars, and a Python float
     comes back.  Anything else, a 0-d array included, takes np.where
-    over both forms.
+    over both forms; an array of one or more dimensions does so in
+    blocks of _BLOCK elements.
     """
     if isinstance(u, float):
         if not math.isfinite(u):
@@ -78,11 +79,28 @@ def _two_sided(u, neg, pos):
     arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite input to kernel evaluation")
-    e = np.exp(-np.abs(arr))
-    m = -np.expm1(-np.abs(arr))
-    out = np.where(arr > 0.0, pos(e, m), neg(e, m))
-    # a scalar (a 0-d array included) comes back as a float
-    return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
+    if arr.ndim == 0:
+        # a scalar (a 0-d array included) comes back as a float
+        return float(_where(arr, pos, neg))
+    out = np.empty(arr.shape)
+    flat, dest = arr.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        dest[block] = _where(flat[block], pos, neg)
+    return out
+
+
+# Array kernels run in blocks of this many elements, so that a form's
+# temporaries stay in cache.  It is a multiple of every SIMD width, so
+# each element keeps its lane position and the values are those of one
+# pass over the whole array, bit for bit.
+_BLOCK = 8192
+
+
+def _where(a, pos, neg):
+    e = np.exp(-np.abs(a))
+    m = -np.expm1(-np.abs(a))
+    return np.where(a > 0.0, pos(e, m), neg(e, m))
 
 
 def f_tau(u, tau):

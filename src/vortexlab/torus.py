@@ -127,9 +127,18 @@ class TorusDomain:
         k2[..., -1] = 0.0
         return 1j * k1, 1j * k2
 
+    @cached_property
+    def _spectrum(self):
+        # _multiply's half-spectrum work buffer, reused by every call
+        n1, n2 = self.grid_shape
+        return np.empty((n1, n2 // 2 + 1), dtype=complex)
+
     def _multiply(self, symbol, g):
-        """Apply a Fourier multiplier given on the half spectrum."""
-        return np.fft.irfft2(symbol * np.fft.rfft2(g), s=self.grid_shape)
+        """Apply a Fourier multiplier given on the half spectrum; the
+        result is a fresh array, never a view of the work buffer."""
+        spec = np.fft.rfft2(g, out=self._spectrum)
+        spec *= symbol
+        return np.fft.irfft2(spec, s=self.grid_shape)
 
     def _resample(self, g):
         """Trigonometric interpolation of g from a coarser grid of this
@@ -521,8 +530,9 @@ def _solve_shifted(domain, W, c, b, rtol, maxiter):
     def psolve(x):
         return domain._multiply(pre, x.reshape(shape)).ravel()
 
-    op = LinearOperator((n, n), matvec=matvec)
-    M = LinearOperator((n, n), matvec=psolve)
+    # an explicit dtype: without one scipy probes it with a full matvec
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    M = LinearOperator((n, n), matvec=psolve, dtype=float)
     x, info = minres(op, b.ravel(), M=M, rtol=rtol, maxiter=maxiter)
     return x.reshape(shape), info
 

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexlab import kernels
+from vortexlab import (
+    TorusDomain,
+    TorusField,
+    TorusGeometry,
+    identity_check,
+    kernels,
+)
 from vortexlab.model import (
     ModelParams,
     VortexSet,
@@ -269,6 +275,73 @@ class TestScalarPath:
         for tau in (np.nan, np.inf, -np.inf, 0.0, -1.0):
             with pytest.raises(ValueError):
                 k(0.5, tau)
+
+
+def _one_pass(u, pos, neg):
+    # _two_sided's array path as one np.where over the whole array
+    e = np.exp(-np.abs(u))
+    m = -np.expm1(-np.abs(u))
+    return np.where(u > 0.0, pos(e, m), neg(e, m))
+
+
+def _forms(monkeypatch, evaluate):
+    """The (pos, neg) pairs that evaluate() hands to _two_sided."""
+    seen, two_sided = [], kernels._two_sided
+
+    def spy(u, neg, pos):
+        seen.append((pos, neg))
+        return two_sided(u, neg, pos)
+
+    monkeypatch.setattr(kernels, "_two_sided", spy)
+    with np.errstate(all="ignore"):
+        evaluate()
+    monkeypatch.undo()
+    return seen
+
+
+class TestBlockedArrays:
+    # array kernels run in blocks of kernels._BLOCK elements; the blocks
+    # must reproduce one pass over the whole array bit for bit, at every
+    # block boundary and in a short last block
+    SHAPES = [(1,), (7,), (8191,), (8192,), (8193,), (3 * 8192 + 5,),
+              (96, 257)]
+
+    @staticmethod
+    def _data(shape):
+        rng = np.random.default_rng(int(np.prod(shape)))
+        u = np.where(rng.random(shape) < 0.5,
+                     rng.normal(0.0, 3.0, shape),
+                     rng.uniform(-745.0, 745.0, shape))
+        u.flat[:14] = TestScalarPath.US[-14:][:u.size]
+        return u
+
+    def _check(self, pos, neg):
+        for shape in self.SHAPES:
+            u = self._data(shape)
+            with np.errstate(all="ignore"):
+                got = kernels._two_sided(u, neg, pos)
+                want = _one_pass(u, pos, neg)
+            assert got.shape == want.shape == shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("name", SIGMA_KERNELS)
+    @pytest.mark.parametrize("tau", [1e-300, 0.5, 1.0, 1e103])
+    def test_kernel_forms(self, name, tau, monkeypatch):
+        [(pos, neg)] = _forms(
+            monkeypatch, lambda: getattr(kernels, name)(np.zeros(2), tau))
+        self._check(pos, neg)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_identity_weights(self, a, monkeypatch):
+        geometry = TorusGeometry(
+            TorusDomain(periods=(4.0, 4.0), grid_shape=(32, 32)),
+            VortexSet(positive_vortices=(((2.0, 2.0), 1),)))
+        fld = TorusField(geometry, ModelParams(1.0, 0.5), np.zeros((32, 32)))
+        forms = _forms(monkeypatch,
+                       lambda: identity_check(fld, a))
+        assert len(forms) == 2
+        for pos, neg in forms:
+            self._check(pos, neg)
 
 
 class TestExtrema:

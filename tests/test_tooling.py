@@ -191,6 +191,27 @@ def test_every_default_is_set_by_some_caller():
     assert unset == []
 
 
+def test_every_linear_operator_declares_its_dtype():
+    # without a dtype, scipy infers one by applying the operator to a
+    # zero vector: a full spectral multiply thrown away per solve
+    package = os.path.join(ROOT, "src", "vortexlab")
+    undeclared, seen = [], 0
+    for module in sorted(os.listdir(package)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(package, module)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "LinearOperator" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                seen += 1
+                if not any(kw.arg == "dtype" for kw in node.keywords):
+                    undeclared.append("%s:%d" % (module, node.lineno))
+    assert seen > 0
+    assert undeclared == []
+
+
 def _schema_keys():
     """(section, key) of every config key; ("seed", "") for the one
     top-level key that is not a section."""

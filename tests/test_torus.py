@@ -253,6 +253,24 @@ class TestSpectralCore:
         assert np.all(gx == 0.0)
         assert np.all(gy == 0.0)
 
+    @pytest.mark.parametrize("symbol", ["_k2", "_ik"])
+    def test_multiply_returns_fresh_arrays(self, dom64, symbol):
+        # _multiply transforms into one reused half-spectrum buffer; its
+        # outputs must never alias that buffer or one another
+        sym = getattr(dom64, symbol)
+        sym = sym[0] if symbol == "_ik" else sym
+        rng = np.random.default_rng(3)
+        g1, g2 = rng.normal(size=(2, *dom64.grid_shape))
+        a = dom64._multiply(sym, g1)
+        a_copy = a.copy()
+        b = dom64._multiply(sym, g2)
+        assert not np.shares_memory(a, b)
+        for out in (a, b):
+            assert not np.shares_memory(out, dom64._spectrum)
+        assert np.array_equal(a, a_copy)
+        assert np.array_equal(a, np.fft.irfft2(sym * np.fft.rfft2(g1),
+                                               s=dom64.grid_shape))
+
     def test_cell_integral_of_ones(self, dom64):
         assert cell_integral(dom64, np.ones(dom64.grid_shape)) == \
             pytest.approx(16.0, rel=1e-15)
@@ -306,6 +324,39 @@ class TestShiftedSolve:
         assert np.linalg.norm(r) <= 10.0 * rtol * np.linalg.norm(b)
         _, info = _solve_shifted(dom64, W, 2.0, b, 1e-12, 1)
         assert info != 0
+
+    def test_one_operator_call_per_iteration(self, dom64, monkeypatch):
+        # with explicit dtypes MINRES never probes an operator: k
+        # iterations make k matvecs and k + 1 preconditioner solves
+        count = {"matvec": 0, "multiply": 0, "iterations": 0}
+        apply, multiply, minres = (torus._apply_shifted,
+                                   TorusDomain._multiply, torus.minres)
+
+        def counted_apply(*args):
+            count["matvec"] += 1
+            return apply(*args)
+
+        def counted_multiply(self, symbol, g):
+            count["multiply"] += 1
+            return multiply(self, symbol, g)
+
+        def counted_minres(*args, **kwargs):
+            def step(xk):
+                count["iterations"] += 1
+            return minres(*args, callback=step, **kwargs)
+
+        monkeypatch.setattr(torus, "_apply_shifted", counted_apply)
+        monkeypatch.setattr(TorusDomain, "_multiply", counted_multiply)
+        monkeypatch.setattr(torus, "minres", counted_minres)
+        X1, X2 = dom64.mesh
+        W = 2.0 + np.cos(np.pi * X1 / 2.0) * np.sin(np.pi * X2 / 2.0)
+        b = np.exp(np.sin(np.pi * X1 / 2.0))
+        _, info = _solve_shifted(dom64, W, 2.0, b, 1e-10, 500)
+        k = count["iterations"]
+        assert info == 0 and k > 0
+        assert count["matvec"] == k
+        # each matvec's Laplacian is one multiply, the rest are psolves
+        assert count["multiply"] - count["matvec"] == k + 1
 
 
 class TestGreenGrid:
