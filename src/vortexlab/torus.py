@@ -403,6 +403,12 @@ def _snap_record(geometry):
     return [[list(p), list(q)] for p, q in geometry.snap_moves]
 
 
+# Every continuation stage but the last stops at this multiple of the
+# solver gate: its field only starts the next stage, whose first Newton
+# step corrects far more than that; the last stage meets the gate itself.
+_STAGE_GATE = 1e5
+
+
 def solve_newton(geometry, params, v_init=None, continuation=None,
                  max_iter=60):
     """Damped Newton for F(v) = 0, optionally with eps-continuation.
@@ -410,13 +416,18 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
     continuation, when given, is a decreasing sequence of epsilon
     values ending at params.epsilon's replacement; each stage is
     warm-started from the previous solution.  From a cold start
-    (v_init None) every stage but the last runs on the coarsest grid
-    of the torus that resolves its epsilon and holds every snapped
+    (v_init None) every epsilon, the last included, runs on the
+    coarsest grid of the torus that resolves it and holds every snapped
     vortex as a grid point (_stage_domain), on its own geometry; each
     stage's solution is resampled spectrally onto the next stage's grid
-    (nested iteration).  Each stages entry records its grid_shape, and
-    resolved/h_over_eps for that grid.  Returns the final field, on
-    `geometry`; a stage that diverges raises with its last iterate on
+    (nested iteration), and when the last epsilon's grid is coarser than
+    the target, one more stage at that epsilon polishes the resampled
+    field on the target grid.  A warm start keeps every stage on the
+    target grid.  Every stage but the last stops at _STAGE_GATE times
+    the solver gate.  Each stages entry records its epsilon, iterations,
+    residual, grid_shape, and resolved/h_over_eps for that grid; the
+    last entry is always the target grid's.  Returns the final field,
+    on `geometry`; a stage that diverges raises with its last iterate on
     that stage's grid.  Raises CapacityError before any solve when the
     schedule's largest epsilon cannot carry the mass identity.
     """
@@ -430,16 +441,20 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
     v = np.zeros(domain.grid_shape) if v_init is None else np.array(v_init, dtype=float)
     if v.shape != tuple(domain.grid_shape):
         raise ValueError("v_init shape does not match the grid")
-    n_coarse = len(eps_list) - 1 if v_init is None else 0
+    if v_init is None:
+        plan = [(eps, _stage_domain(domain, geometry.cells, eps))
+                for eps in eps_list]
+        if plan[-1][1] != domain:
+            plan.append((eps_list[-1], domain))
+    else:
+        plan = [(eps, domain) for eps in eps_list]
 
     stages = []
     failed = 0
     fld = None
     geo = geometry
-    for k, eps in enumerate(eps_list):
+    for k, (eps, stage) in enumerate(plan):
         p = replace(params, epsilon=float(eps))
-        stage = _stage_domain(domain, geometry.cells, eps) \
-            if k < n_coarse else domain
         if stage != geo.domain:
             # a finer grid only: eps decreases, so stage grids never coarsen
             geo = geometry if stage is domain \
@@ -447,7 +462,8 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
             v = np.zeros(stage.grid_shape) if fld is None \
                 else stage._resample(v)
         resolution = _check_resolution(stage, p)
-        fld = _newton_core(geo, p, v, max_iter)
+        gate = 1.0 if k == len(plan) - 1 else _STAGE_GATE
+        fld = _newton_core(geo, p, v, max_iter, gate)
         v = fld.v
         failed += fld.diagnostics["minres_failed"]
         stages.append({"epsilon": float(eps),
@@ -462,8 +478,9 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
     return replace(fld, diagnostics=diagnostics)
 
 
-def _newton_core(geometry, params, v, max_iter):
-    tol = _solver_tol(params)
+def _newton_core(geometry, params, v, max_iter, gate):
+    """Newton from v until sup |F| <= _solver_tol(params, gate)."""
+    tol = _solver_tol(params, gate)
     fld = TorusField(geometry=geometry, params=params, v=v)
     res = fld.residual_norm()
     res0 = max(res, tol)

@@ -948,19 +948,31 @@ def _trig(domain):
             + 0.5 * np.cos(7 * k1 * x - 12 * k2 * y))
 
 
-def _warm_chain(dom, vs, sched):
-    # one solve per stage on dom, each warm-started from the last: the
-    # warm-start path never leaves the target grid
-    prev = None
-    for eps in sched:
-        prev = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, eps),
-                            v_init=None if prev is None else prev.v)
-    return prev
+def _warm_chain(dom, vs, sched, gate=1.0):
+    # one Newton solve per stage on dom, each warm-started from the last,
+    # so nothing leaves the target grid; every link but the last stops at
+    # gate times the solver gate, the last at the solver gate
+    geo = TorusGeometry(dom, vs)
+    v = np.zeros(dom.grid_shape)
+    for k, eps in enumerate(sched):
+        fld = torus._newton_core(geo, ModelParams(1.0, eps), v, 60,
+                                 1.0 if k == len(sched) - 1 else gate)
+        v = fld.v
+    return fld
+
+
+def _four_vortices():
+    q = 4.0 / 64  # every vortex is a point of the 64^2 grid
+    return VortexSet(
+        positive_vortices=(((8 * q, 12 * q), 1), ((40 * q, 20 * q), 1)),
+        negative_vortices=(((20 * q, 44 * q), 1), ((52 * q, 52 * q), 1)))
 
 
 class TestCoarseStages:
-    """Cold continuation runs every stage but the last on the coarsest
-    resolving grid that holds every vortex, then finishes on the target."""
+    """A cold start runs every epsilon, the last included, on the
+    coarsest resolving grid that holds every vortex, then polishes the
+    last epsilon once on the target grid when that grid is finer; every
+    stage but the last stops at _STAGE_GATE times the solver gate."""
 
     def test_resample_is_exact_for_band_limited_data(self):
         coarse = TorusDomain(periods=(4.0, 2.0), grid_shape=(64, 64))
@@ -983,15 +995,15 @@ class TestCoarseStages:
                            continuation=sched)
         for stage in fld.diagnostics["stages"]:
             assert stage["grid_shape"] == (128, 128)
-        # the same path as a stage-by-stage warm-started chain
-        assert np.array_equal(fld.v, _warm_chain(dom, vs, sched).v)
+        # the same path as a stage-by-stage warm-started chain whose
+        # intermediate links stop at the same looser gate
+        oracle = _warm_chain(dom, vs, sched, torus._STAGE_GATE)
+        assert np.array_equal(fld.v, oracle.v)
 
     def test_matches_target_grid_chain(self):
+        # the last epsilon needs the target grid itself: no polish
         dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(256, 256))
-        q = 4.0 / 64  # every vortex is a point of the 64^2 grid
-        vs = VortexSet(
-            positive_vortices=(((8 * q, 12 * q), 1), ((40 * q, 20 * q), 1)),
-            negative_vortices=(((20 * q, 44 * q), 1), ((52 * q, 52 * q), 1)))
+        vs = _four_vortices()
         sched = [0.25, 0.2, 0.15, 0.12]
         fld = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, 0.12),
                            continuation=sched)
@@ -1003,3 +1015,34 @@ class TestCoarseStages:
         oracle = _warm_chain(dom, vs, sched)
         assert np.max(np.abs(fld.v - oracle.v)) <= 1e-10
         assert fld.residual_norm() <= 1e-10 * 0.12 ** -2
+
+    def test_last_epsilon_polished_on_target_grid(self):
+        dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(256, 256))
+        vs = _four_vortices()
+        sched = [0.25, 0.2, 0.15]
+        fld = solve_newton(TorusGeometry(dom, vs), ModelParams(1.0, 0.15),
+                           continuation=sched)
+        stages = fld.diagnostics["stages"]
+        assert [(st["epsilon"], st["grid_shape"]) for st in stages] == [
+            (0.25, (64, 64)), (0.2, (128, 128)), (0.15, (128, 128)),
+            (0.15, (256, 256))]
+        for st in stages[:-1]:
+            assert st["residual"] <= torus._STAGE_GATE * 1e-10 \
+                * st["epsilon"] ** -2
+        # oracle: every stage on the target grid at the solver gate
+        oracle = _warm_chain(dom, vs, sched)
+        assert np.max(np.abs(fld.v - oracle.v)) <= 1e-10
+        assert fld.residual_norm() <= 1e-10 * 0.15 ** -2
+
+    def test_single_epsilon_plan(self, one_plus):
+        dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(128, 128))
+        geo = TorusGeometry(dom, one_plus)
+        p = ModelParams(1.0, 0.25)
+        cold = solve_newton(geo, p)
+        assert [st["grid_shape"] for st in cold.diagnostics["stages"]] == [
+            (64, 64), (128, 128)]
+        assert cold.residual_norm() <= 1e-10 * 0.25 ** -2
+        # a warm start never leaves the target grid
+        warm = solve_newton(geo, p, v_init=cold.v)
+        assert [st["grid_shape"] for st in warm.diagnostics["stages"]] == [
+            (128, 128)]
