@@ -57,6 +57,20 @@ def _check_tau(tau):
     return tau
 
 
+# Array kernels run in blocks of this many elements, so that a form's
+# temporaries stay in cache.  It is a multiple of every SIMD width, so
+# each element keeps its lane position and the values are those of one
+# pass over the whole array, bit for bit.
+_BLOCK = 8192
+
+
+def _where(a, pos, neg):
+    """Both forms over the array a, each element taking its side's."""
+    e = np.exp(-np.abs(a))
+    m = -np.expm1(-np.abs(a))
+    return np.where(a > 0.0, pos(e, m), neg(e, m))
+
+
 def _two_sided(u, neg, pos):
     """Evaluate a kernel from its two overflow-free forms.
 
@@ -88,19 +102,6 @@ def _two_sided(u, neg, pos):
         block = slice(start, start + _BLOCK)
         dest[block] = _where(flat[block], pos, neg)
     return out
-
-
-# Array kernels run in blocks of this many elements, so that a form's
-# temporaries stay in cache.  It is a multiple of every SIMD width, so
-# each element keeps its lane position and the values are those of one
-# pass over the whole array, bit for bit.
-_BLOCK = 8192
-
-
-def _where(a, pos, neg):
-    e = np.exp(-np.abs(a))
-    m = -np.expm1(-np.abs(a))
-    return np.where(a > 0.0, pos(e, m), neg(e, m))
 
 
 def f_tau(u, tau):

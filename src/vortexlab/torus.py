@@ -134,8 +134,9 @@ class TorusDomain:
         return np.empty((n1, n2 // 2 + 1), dtype=complex)
 
     def _multiply(self, symbol, g):
-        """Apply a Fourier multiplier given on the half spectrum; the
-        result is a fresh array, never a view of the work buffer."""
+        """Apply a Fourier multiplier given on the half spectrum: a fresh
+        array, never a view of the shared work buffer, which makes two
+        threads calling on one domain at once unsafe."""
         spec = np.fft.rfft2(g, out=self._spectrum)
         spec *= symbol
         return np.fft.irfft2(spec, s=self.grid_shape)
@@ -441,13 +442,11 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
     v = np.zeros(domain.grid_shape) if v_init is None else np.array(v_init, dtype=float)
     if v.shape != tuple(domain.grid_shape):
         raise ValueError("v_init shape does not match the grid")
-    if v_init is None:
-        plan = [(eps, _stage_domain(domain, geometry.cells, eps))
-                for eps in eps_list]
-        if plan[-1][1] != domain:
-            plan.append((eps_list[-1], domain))
-    else:
-        plan = [(eps, domain) for eps in eps_list]
+    plan = [(eps, domain if v_init is not None
+             else _stage_domain(domain, geometry.cells, eps))
+            for eps in eps_list]
+    if plan[-1][1] != domain:
+        plan.append((eps_list[-1], domain))  # the polish on the target
 
     stages = []
     failed = 0

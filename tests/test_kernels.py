@@ -337,8 +337,7 @@ class TestBlockedArrays:
             TorusDomain(periods=(4.0, 4.0), grid_shape=(32, 32)),
             VortexSet(positive_vortices=(((2.0, 2.0), 1),)))
         fld = TorusField(geometry, ModelParams(1.0, 0.5), np.zeros((32, 32)))
-        forms = _forms(monkeypatch,
-                       lambda: identity_check(fld, a))
+        forms = _forms(monkeypatch, lambda: identity_check(fld, a))
         assert len(forms) == 2
         for pos, neg in forms:
             self._check(pos, neg)
