@@ -454,6 +454,7 @@ def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
     snapped vortices; it must be nonempty and K_radius below half the
     minimal vortex separation (periodic images included).  The
     per-vortex diagnostic balls have radius K_radius too.
+    first_continuation is the first step's solve_newton continuation.
 
     The first failed solve aborts with SweepError; later failures are
     recorded on their SweepRecord and the sweep continues from the last
@@ -464,9 +465,6 @@ def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
     if K_radius is None:
         K_radius = 5.0 * eps_list[0]
     K_radius = float(K_radius)
-    if first_continuation is not None and \
-            float(first_continuation[-1]) != eps_list[0]:
-        raise ValueError("first_continuation must end at epsilons[0]")
 
     if len(geometry.vortices):
         min_sep = _min_separation(geometry)

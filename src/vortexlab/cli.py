@@ -28,7 +28,7 @@ from .asymptotics import (SweepError, classify_alternative, export_sweep_csv,
 from .config import (ConfigError, atomic_path, dumps_json, load_config,
                      load_field, save_field, write_json)
 from .model import check_hypotheses
-from .radial import (BracketError, IntegrationFailureError,
+from .radial import (R_MAX, BracketError, IntegrationFailureError,
                      compute_beta_curve, export_curve_csv,
                      export_profile_csv, find_topological, integrate_radial)
 from .stability import (EigenConvergenceError, WeightIndefiniteError,
@@ -51,7 +51,9 @@ _NUMERICAL = (IntegrationFailureError, BracketError, NewtonDivergenceError,
               EigenConvergenceError, WeightIndefiniteError, SweepError)
 
 _RADIAL_MARGIN = 1e-8
-_DEFAULT_RMAX = 1e6
+# the shot settings of a radial profile request: shoot's flags and the
+# stability section's keys; None leaves the shooter's default
+_SHOT_KEYS = ("tau", "nu", "vortex_sign", "r_max", "points_per_decade")
 # the monotone bracket: subsolution -u0 - _MONOTONE_OFFSET, supersolution -u0
 _MONOTONE_OFFSET = 25.0
 # verify's gates: residual_sup at _RESIDUAL_FACTOR times the solvers'
@@ -102,8 +104,9 @@ def _outpath(cfg, suffix):
 
 def _profile(req, refuse):
     """The radial profile of shoot and of the radial stability target:
-    the topological one bisected in req["bracket"], or shot from req["s"]
-    to req["r_max"] (None: _DEFAULT_RMAX).  Bisection sets its own
+    the topological one bisected in req["bracket"], or shot from req["s"];
+    only the _SHOT_KEYS the request sets are passed on, and a bisection
+    without nu is the regular mode (nu 0).  Bisection sets its own
     radius.  refuse(key, text) raises the caller's error for a request
     that breaks a rule."""
     if req["find_topological"]:
@@ -116,12 +119,11 @@ def _profile(req, refuse):
         refuse("s", "required unless find_topological is set")
     elif req["bracket"] is not None:
         refuse("bracket", "only applies with find_topological")
-    shot = {key: req[key] for key in ("nu", "tau", "vortex_sign",
-                                      "points_per_decade")}
+    shot = {key: req[key] for key in _SHOT_KEYS if req[key] is not None}
     if req["find_topological"]:
-        return find_topological(bracket=tuple(req["bracket"]), **shot)
-    r_max = _DEFAULT_RMAX if req["r_max"] is None else req["r_max"]
-    return integrate_radial(req["s"], r_max=r_max, **shot)
+        return find_topological(shot.pop("nu", 0.0),
+                                bracket=tuple(req["bracket"]), **shot)
+    return integrate_radial(req["s"], **shot)
 
 
 def _refuse_flag(key, text):
@@ -250,7 +252,7 @@ def cmd_stability(args):
         raise ConfigError("/stability/" + key, text)
 
     if block["target"] == "torus":
-        for key in ("tau", "s", "find_topological", "bracket", "r_max"):
+        for key in ("s", "find_topological", "bracket") + _SHOT_KEYS:
             if block[key] is not None and block[key] is not False:
                 refuse(key, "does not apply to the torus target")
         fld = _field(cfg, block["field"])
@@ -274,7 +276,6 @@ def cmd_stability(args):
         "seed": cfg.seed,
         "target": block["target"],
         "eigenvalue": result.eigenvalue,
-        "rayleigh": result.rayleigh,
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "margin": margin,
@@ -454,12 +455,11 @@ def build_parser():
     g.add_argument("--find-topological", action="store_true",
                    help="bisect --bracket for the connecting profile")
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--nu", type=float, default=0.0)
+    p.add_argument("--nu", type=float)
     p.add_argument("--rmax", type=float,
-                   help="outer radius of an --s shot (default %g)"
-                   % _DEFAULT_RMAX)
-    p.add_argument("--vortex-sign", type=int, choices=(-1, 1), default=-1)
-    p.add_argument("--points-per-decade", type=int, default=200)
+                   help="outer radius of an --s shot (default %g)" % R_MAX)
+    p.add_argument("--vortex-sign", type=int, choices=(-1, 1))
+    p.add_argument("--points-per-decade", type=int)
     p.add_argument("--out", default="shoot", help="output prefix")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_shoot)
@@ -469,7 +469,7 @@ def build_parser():
     p.add_argument("--s-min", type=float, required=True)
     p.add_argument("--s-max", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rmax", type=float, default=_DEFAULT_RMAX)
+    p.add_argument("--rmax", type=float, default=R_MAX)
     p.add_argument("--out", default="beta", help="output prefix")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 on monotonicity violations or failures")

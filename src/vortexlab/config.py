@@ -75,8 +75,10 @@ def _num(positive=False, nonneg=False, allow_none=False):
     return check
 
 
-def _int(min_value=None, choices=None):
+def _int(min_value=None, choices=None, allow_none=False):
     def check(v, ptr):
+        if v is None and allow_none:
+            return None
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(ptr, "expected an integer, got %r" % (v,))
         if min_value is not None and v < min_value:
@@ -194,13 +196,14 @@ _SCHEMA = {
         "target": (_str(choices=("torus", "radial")), True, None),
         "field": (_str(allow_none=True), False, None),
         "tau": (_num(positive=True, allow_none=True), False, None),
-        "nu": (_num(nonneg=True), False, 0.0),
+        "nu": (_num(nonneg=True, allow_none=True), False, None),
         "s": (_num(allow_none=True), False, None),
         "find_topological": (_bool(), False, False),
         "bracket": (_list(_num(), exact_len=2, allow_none=True), False, None),
-        "vortex_sign": (_int(choices=(-1, 1)), False, -1),
+        "vortex_sign": (_int(choices=(-1, 1), allow_none=True), False, None),
         "r_max": (_num(positive=True, allow_none=True), False, None),
-        "points_per_decade": (_int(min_value=10), False, 200),
+        "points_per_decade": (_int(min_value=10, allow_none=True), False,
+                              None),
     }), False, None),
     "verify": (_object({
         "field": (_str(allow_none=True), False, None),

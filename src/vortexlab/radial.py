@@ -44,8 +44,11 @@ _CERTIFY = object()
 # without an early-stop event
 CLASSIFY_DIVERGED = 25.0
 
+# the shooter's defaults: outer radius and output grid density
+R_MAX = 1e6
 _POINTS_PER_DECADE = 200
-# DOP853's relative tolerance (absolute: 1e-2 of it) unless a shot sets tol
+# DOP853's relative tolerance (absolute: 1e-2 of it); Hairer, Norsett and
+# Wanner, Solving Ordinary Differential Equations I, 2nd ed. (1993), II.10
 _TOL = 1e-10
 
 
@@ -82,7 +85,7 @@ class RadialSolution:
     grid holds (r, u, u') rows for the full solution u; in singular
     mode u includes the c ln r part.  beta is the extrapolated flux,
     diagnostics carries integrator statistics and consistency residuals.
-    tol and points_per_decade record the shot; ops is the kernel bundle.
+    ops is the kernel bundle.
     """
 
     s: float
@@ -93,8 +96,6 @@ class RadialSolution:
     bc_type: BCType
     diagnostics: dict = field(default_factory=dict)
     vortex_sign: int = -1
-    tol: float = _TOL
-    points_per_decade: int = _POINTS_PER_DECADE
 
     @cached_property
     def ops(self):
@@ -141,7 +142,7 @@ def _series_start(s, c_log, f, nu):
     return [v, dv, i0]
 
 
-def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=_TOL,
+def integrate_radial(s, nu=0.0, tau=1.0, r_max=R_MAX,
                      vortex_sign=-1, divergence_stop=DIVERGENCE_STOP,
                      points_per_decade=_POINTS_PER_DECADE, _retry=True):
     """Integrate the radial profile from R0 out to r_max.
@@ -158,8 +159,6 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=_TOL,
         Kernel parameter.
     r_max : float
         Outer integration radius, at least 10 and finite.
-    tol : float
-        Relative tolerance of the adaptive integrator, in (0, 1e-3].
     vortex_sign : int
         Sign of the point source: -1 gives u = -2 nu ln r + v (u -> +inf
         at the origin), +1 the mirror orientation.
@@ -179,7 +178,7 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=_TOL,
     _check_points_per_decade(points_per_decade)
     c_log = 2.0 * vortex_sign * nu
     (rr, uu, duu, dvv, ii), event_kind, nfev = _shoot(
-        s, nu, tau, r_max, tol, vortex_sign, divergence_stop,
+        s, nu, tau, r_max, vortex_sign, divergence_stop,
         _radii(r_max, points_per_decade))
     grid = np.column_stack([rr, uu, duu])
 
@@ -206,12 +205,11 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=1e6, tol=_TOL,
     result = RadialSolution(s=float(s), nu=float(nu), tau=float(tau),
                             grid=grid, beta=float(beta), bc_type=bc_type,
                             diagnostics=diagnostics,
-                            vortex_sign=int(vortex_sign), tol=float(tol),
-                            points_per_decade=int(points_per_decade))
+                            vortex_sign=int(vortex_sign))
 
     if bc_type is BCType.UNDETERMINED and _retry:
         # the same shot once more, out to 100 r_max
-        result = integrate_radial(s, nu, tau, r_max * 100.0, tol,
+        result = integrate_radial(s, nu, tau, r_max * 100.0,
                                   vortex_sign, divergence_stop,
                                   points_per_decade, _retry=False)
         result.diagnostics["retried"] = True
@@ -230,7 +228,7 @@ def _radii(r_max, points_per_decade):
     return np.geomspace(R0, r_max, n_pts)
 
 
-def _shoot(s, nu, tau, r_max, tol, vortex_sign, divergence_stop, radii):
+def _shoot(s, nu, tau, r_max, vortex_sign, divergence_stop, radii):
     """One DOP853 run of the regular part [v, v', I] from R0 to r_max.
 
     The state is sampled at radii (sorted, inside [R0, r_max]); DOP853's
@@ -247,8 +245,6 @@ def _shoot(s, nu, tau, r_max, tol, vortex_sign, divergence_stop, radii):
     either, so a run stopped by either kind holds the same state as an
     unstopped one up to its event.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3], got %r" % (tol,))
     if not math.isfinite(s):
         raise ValueError("s must be finite, got %r" % (s,))
     if not 0.0 <= nu < math.inf:
@@ -295,8 +291,8 @@ def _shoot(s, nu, tau, r_max, tol, vortex_sign, divergence_stop, radii):
         return (rr, c_log * np.log(rr) + vv, c_log / rr + dvv, dvv, ii), \
             event_kind, 0
 
-    sol = solve_ivp(rhs, (R0, r_max), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, t_eval=radii,
+    sol = solve_ivp(rhs, (R0, r_max), y0, method="DOP853", rtol=_TOL,
+                    atol=_TOL * 1e-2, t_eval=radii,
                     events=(hit_upper, hit_lower))
     # sol.t and sol.y are empty lists when no sample radius was reached
     if sol.status == -1:
@@ -377,7 +373,7 @@ def _classify(rr, uu, duu, event_kind):
     return BCType.UNDETERMINED
 
 
-def compute_beta_curve(tau, s_values, r_max=1e6):
+def compute_beta_curve(tau, s_values, r_max=R_MAX):
     """Sample beta(s) over a sorted list of nonzero initial values.
 
     Integration failures are collected per sample instead of aborting
@@ -410,7 +406,7 @@ def compute_beta_curve(tau, s_values, r_max=1e6):
                      monotone_violations=violations, failures=failures)
 
 
-def _tail_sign(s, nu, tau, r_end, tol, vortex_sign):
+def _tail_sign(s, nu, tau, r_end, vortex_sign):
     """Which way the profile diverges: -1, +1, or 0 if it never left
     the topological corridor out to r_end; returns (sign, nfev, reshot).
 
@@ -429,7 +425,7 @@ def _tail_sign(s, nu, tau, r_end, tol, vortex_sign):
     sampled on the last decade of the default 200-per-decade grid, the
     rows the hysteresis test of _classify reads.
     """
-    shot = (s, nu, tau, r_end, tol, vortex_sign, _CERTIFY)
+    shot = (s, nu, tau, r_end, vortex_sign, _CERTIFY)
     (rr, uu, duu, _, _), event_kind, nfev = _shoot(*shot, np.array([r_end]))
     bc_type = _classify(rr, uu, duu, event_kind)
     reshot = bc_type is BCType.UNDETERMINED
@@ -481,8 +477,7 @@ def find_topological(nu, tau, bracket, vortex_sign=-1,
     probes = {"bisect_probes": 0, "bisect_reshots": 0, "bisect_nfev": 0}
 
     def tail_sign(s):
-        sign, nfev, reshot = _tail_sign(s, nu, tau, r_bisect, _TOL,
-                                        vortex_sign)
+        sign, nfev, reshot = _tail_sign(s, nu, tau, r_bisect, vortex_sign)
         probes["bisect_probes"] += 1
         probes["bisect_reshots"] += int(reshot)
         probes["bisect_nfev"] += nfev
@@ -513,7 +508,7 @@ def find_topological(nu, tau, bracket, vortex_sign=-1,
                 s_hi = mid
         s_star = 0.5 * (s_lo + s_hi)
 
-    sol = integrate_radial(s_star, nu, tau, r_bisect, _TOL,
+    sol = integrate_radial(s_star, nu, tau, r_bisect,
                            vortex_sign=vortex_sign,
                            divergence_stop=BISECT_DIVERGENCE_STOP,
                            points_per_decade=points_per_decade,

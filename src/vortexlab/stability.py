@@ -52,7 +52,6 @@ class EigenConvergenceError(RuntimeError):
 class EigenResult:
     eigenvalue: float
     eigenvector: np.ndarray
-    rayleigh: float
     residual_norm: float
     iterations: int
     diagnostics: dict = field(default_factory=dict)
@@ -116,7 +115,7 @@ def principal_eigen_torus(fld, max_iter=60):
             rayleigh=rho)
     if float(np.mean(x)) < 0:
         x = -x
-    return EigenResult(eigenvalue=rho, eigenvector=x, rayleigh=rho,
+    return EigenResult(eigenvalue=rho, eigenvector=x,
                        residual_norm=res, iterations=steps,
                        diagnostics={"epsilon": fld.params.epsilon,
                                     "tau": fld.params.tau})
@@ -208,7 +207,7 @@ def weighted_eigen_radial(sol, _sensitivity=True):
                 warnings.warn(
                     "mu* moved %.1f%% when r_max was halved; flagged "
                     "unreliable" % (100 * sens), UserWarning, stacklevel=2)
-    return EigenResult(eigenvalue=mu, eigenvector=psi, rayleigh=mu,
+    return EigenResult(eigenvalue=mu, eigenvector=psi,
                        residual_norm=res_norm, iterations=1,
                        diagnostics=diag_info)
 

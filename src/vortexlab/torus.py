@@ -352,11 +352,16 @@ def _solver_tol(params, factor=1.0):
     return factor * 1e-10 * params.epsilon ** -2
 
 
+def _resolves(h, eps):
+    """The resolution rule: a grid spacing h resolves eps when h <= eps/4."""
+    return h <= eps / 4.0
+
+
 def _check_resolution(domain, params):
-    """Warn when the coarser spacing exceeds eps/4; the verdict as
+    """Warn when the coarser spacing fails _resolves; the verdict as
     diagnostics fields {"resolved", "h_over_eps"}."""
     h = max(domain.spacings)
-    resolved = h <= params.epsilon / 4.0
+    resolved = _resolves(h, params.epsilon)
     if not resolved:
         warnings.warn(
             "grid spacing h=%.3g does not resolve epsilon=%.3g (want h <= eps/4)"
@@ -385,13 +390,13 @@ def _check_capacity(domain, vortices, params, eps):
 
 
 def _stage_domain(domain, cells, eps):
-    """The coarsest grid of `domain`'s torus that resolves eps (spacing
-    <= eps/4, both axes >= 32) and holds every vortex cell in `cells`
+    """The coarsest grid of `domain`'s torus that _resolves eps (both
+    axes >= 32) and holds every vortex cell in `cells`
     (target-grid indices) as one of its points."""
     n1, n2 = domain.grid_shape
     h = max(domain.spacings)
     s = 1  # halving a power-of-two grid doubles its spacings exactly
-    while (min(n1, n2) // (2 * s) >= 32 and 2 * s * h <= eps / 4.0
+    while (min(n1, n2) // (2 * s) >= 32 and _resolves(2 * s * h, eps)
            and not any(i % (2 * s) or j % (2 * s) for (i, j) in cells)):
         s *= 2
     if s == 1:
@@ -415,7 +420,7 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
     """Damped Newton for F(v) = 0, optionally with eps-continuation.
 
     continuation, when given, is a decreasing sequence of epsilon
-    values ending at params.epsilon's replacement; each stage is
+    values ending at params.epsilon (else ValueError); each stage is
     warm-started from the previous solution.  From a cold start
     (v_init None) every epsilon, the last included, runs on the
     coarsest grid of the torus that resolves it and holds every snapped
@@ -435,6 +440,9 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
     domain = geometry.domain
     if continuation is not None:
         eps_list = eps_schedule(continuation, "continuation schedule")
+        if eps_list[-1] != params.epsilon:
+            raise ValueError("continuation schedule ends at %r, not at "
+                             "epsilon %r" % (eps_list[-1], params.epsilon))
     else:
         eps_list = [params.epsilon]
     _check_capacity(domain, geometry.vortices, params, eps_list[0])

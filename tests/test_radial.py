@@ -141,17 +141,16 @@ class TestSingularTopological:
         assert sol.diagnostics["r_end"] == 1000.0
 
     def test_retried_shot_records_its_settings(self):
-        sol = integrate_radial(-1e-3, r_max=10.0, tol=1e-9,
-                               points_per_decade=50)
+        # the retry out to 100 r_max keeps the shot's grid density
+        sol = integrate_radial(-1e-3, r_max=10.0, points_per_decade=50)
         assert sol.diagnostics["retried"] is True
-        assert sol.tol == 1e-9
-        assert sol.points_per_decade == 50
+        assert sol.r[-1] == 1000.0
+        assert np.allclose(1.0 / np.diff(np.log10(sol.r)), 50.0, rtol=1e-2)
 
     def test_truncation_keeps_the_shot_settings(self):
         sol = find_topological(1.0, 1.0, (-8.0, 8.0), points_per_decade=100)
         assert sol.diagnostics["truncated"] is True
-        assert sol.points_per_decade == 100
-        assert sol.tol == 1e-10
+        assert np.allclose(1.0 / np.diff(np.log10(sol.r)), 100.0, rtol=1e-2)
 
     def test_same_side_bracket_raises(self):
         with pytest.raises(BracketError):
@@ -198,9 +197,9 @@ class TestSingularTopological:
         assert 2.0 * f2 == pytest.approx(np.pi * sol.beta ** 2, rel=1e-4)
 
 
-def _full_grid_tail_sign(s, nu, tau, r_end, tol, vortex_sign):
+def _full_grid_tail_sign(s, nu, tau, r_end, vortex_sign):
     """Reference probe: the whole 200-per-decade shot and its sign rule."""
-    sol = integrate_radial(s, nu, tau, r_end, tol, vortex_sign=vortex_sign,
+    sol = integrate_radial(s, nu, tau, r_end, vortex_sign=vortex_sign,
                            divergence_stop=radial.BISECT_DIVERGENCE_STOP,
                            _retry=False)
     if sol.bc_type is BCType.NONTOPOLOGICAL_I:
@@ -264,7 +263,7 @@ class TestBisectionProbe:
         (4.0, 1),   # rises past TOL_U: the full-grid u(r_end) > 25 case
     ])
     def test_probe_sign_and_shots(self, s, shots, monkeypatch):
-        args = (s, 1.0, 1.0, self.R_BISECT, 1e-10, -1)
+        args = (s, 1.0, 1.0, self.R_BISECT, -1)
         want = _full_grid_tail_sign(*args)[0]
         calls = []
 
@@ -309,12 +308,12 @@ class TestBisectionProbe:
         real_solve_ivp = radial.solve_ivp
         monkeypatch.setattr(radial, "solve_ivp", counting)
         for s, sign in ((2.0, 1), (-1.0, -1)):
-            args = (s, 0.0, 1.0, 200.0, 1e-10, -1)
+            args = (s, 0.0, 1.0, 200.0, -1)
             assert real_tail_sign(*args) == (sign, 0, False)
         assert calls == []
         # the full-grid shot on s = 2 has the same sign
         monkeypatch.setattr(radial, "solve_ivp", real_solve_ivp)
-        assert _full_grid_tail_sign(2.0, 0.0, 1.0, 200.0, 1e-10, -1)[0] == 1
+        assert _full_grid_tail_sign(2.0, 0.0, 1.0, 200.0, -1)[0] == 1
 
     # a bisected s* for (nu, tau) = (1, 1): the profile stays near the
     # corridor past r = 40, so a probe to 20 or 40 reaches r_end uncommitted
@@ -324,7 +323,7 @@ class TestBisectionProbe:
         (40.0, 0, False),   # the r_end row lies in the corridor
     ])
     def test_uncommitted_probe_keeps_the_row_rule(self, r_end, sign, reshot):
-        args = (3.2781023384423125, 1.0, 1.0, r_end, 1e-10, -1)
+        args = (3.2781023384423125, 1.0, 1.0, r_end, -1)
         assert radial._tail_sign(*args)[::2] == (sign, reshot)
         assert _full_grid_tail_sign(*args)[0] == sign
 

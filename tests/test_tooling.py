@@ -15,14 +15,18 @@ traceback.  The next test requires that every defaulted parameter of a
 public function is set by some call in the repository: an option no
 caller sets is a module constant.  Its twin requires the same of the
 config schema: every key is set by some config in tests/, demos/ or
-bench/.  The last one requires that the README's config table lists
-exactly the keys of the config schema.
+bench/.  The README's config table must list exactly the keys of the
+config schema.  The last two keep the radial-profile keys of the
+stability section in step with the shoot flags, and require the torus
+target to refuse each of them at its pointer.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -297,3 +301,37 @@ def _readme_table_keys():
 
 def test_readme_config_table_matches_the_schema():
     assert _readme_table_keys() == _schema_keys()
+
+
+def _stability_radial_keys():
+    """The stability section's radial-profile keys: all but the target
+    and the torus target's field archive."""
+    return sorted(key for section, key in _schema_keys()
+                  if section == "stability" and key not in ("target", "field"))
+
+
+def test_radial_keys_match_the_shoot_flags():
+    parser = cli.build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    flags = {action.dest for action in subparsers.choices["shoot"]._actions}
+    flags -= {"help", "out", "json"}
+    assert sorted("r_max" if flag == "rmax" else flag for flag in flags) \
+        == _stability_radial_keys()
+
+
+# a schema-valid setting of each radial key
+_RADIAL_SETTINGS = {"tau": 1.0, "nu": 1.0, "s": -1.0,
+                    "find_topological": True, "bracket": [-8.0, 8.0],
+                    "vortex_sign": 1, "r_max": 1e6, "points_per_decade": 50}
+
+
+@pytest.mark.parametrize("key", _stability_radial_keys())
+def test_torus_target_refuses_every_radial_key(key, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "stability": {"target": "torus", key: _RADIAL_SETTINGS[key]},
+        "output": {"dir": str(tmp_path)}}))
+    assert cli.main(["stability", "--config", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "config error: does not apply to " \
+        "the torus target (at /stability/%s)\n" % key

@@ -457,6 +457,14 @@ class TestNewton:
                          ModelParams(1.0, 0.15),
                          continuation=[0.2, -0.1])
 
+    def test_continuation_must_end_at_epsilon(self, dom64, one_plus,
+                                              monkeypatch):
+        # refused before any stage is solved, not solved at eps = 0.2
+        monkeypatch.setattr(torus, "_newton_core", None)
+        with pytest.raises(ValueError, match="ends at 0.2, not at epsilon"):
+            solve_newton(TorusGeometry(dom64, one_plus),
+                         ModelParams(1.0, 0.1), continuation=[0.3, 0.2])
+
     def test_empty_continuation_rejected(self, dom64, one_plus):
         with pytest.raises(ValueError):
             solve_newton(TorusGeometry(dom64, one_plus),
