@@ -54,7 +54,7 @@ def main():
         print("   at 256^2 every margin clears zero)")
 
     # zoom into the core of the last field at scale eps
-    limit = find_topological(1.0, 1.0, (-8.0, 8.0), vortex_sign=1)
+    limit = find_topological((-8.0, 8.0), nu=1.0, tau=1.0, vortex_sign=1)
     bp = rescale_blowup(records[-1].field, (2.0, 2.0))
     sel = bp.y <= 3.0
     ref = np.interp(np.log(bp.y[sel]), np.log(limit.r), limit.u)

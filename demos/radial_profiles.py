@@ -38,7 +38,7 @@ def main():
     print()
     print("= vacuum-connecting profile with a unit vortex at the origin =")
     # bisect the series coefficient of the log-singular local expansion
-    sol = find_topological(1.0, 1.0, (-8.0, 8.0))
+    sol = find_topological((-8.0, 8.0), nu=1.0, tau=1.0)
     q = mass_integral(sol, MassKind.QUANTIZATION)
     print("  separatrix coefficient s* = %.12f" % sol.s)
     print("  quantization integral      = %.8f" % q)

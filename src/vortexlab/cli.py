@@ -105,10 +105,9 @@ def _outpath(cfg, suffix):
 def _profile(req, refuse):
     """The radial profile of shoot and of the radial stability target:
     the topological one bisected in req["bracket"], or shot from req["s"];
-    only the _SHOT_KEYS the request sets are passed on, and a bisection
-    without nu is the regular mode (nu 0).  Bisection sets its own
-    radius.  refuse(key, text) raises the caller's error for a request
-    that breaks a rule."""
+    only the _SHOT_KEYS the request sets are passed on.  Bisection sets
+    its own radius.  refuse(key, text) raises the caller's error for a
+    request that breaks a rule."""
     if req["find_topological"]:
         if req["bracket"] is None:
             refuse("bracket", "required with find_topological")
@@ -121,8 +120,7 @@ def _profile(req, refuse):
         refuse("bracket", "only applies with find_topological")
     shot = {key: req[key] for key in _SHOT_KEYS if req[key] is not None}
     if req["find_topological"]:
-        return find_topological(shot.pop("nu", 0.0),
-                                bracket=tuple(req["bracket"]), **shot)
+        return find_topological(tuple(req["bracket"]), **shot)
     return integrate_radial(req["s"], **shot)
 
 

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp, simpson
+from scipy.optimize import brentq
 
 from .model import nonlinearity_ops
 
@@ -173,8 +174,7 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=R_MAX,
     -------
     RadialSolution
     """
-    if not 10.0 <= r_max < math.inf:
-        raise ValueError("r_max must be finite and >= 10, got %r" % (r_max,))
+    _check_r_max(r_max)
     _check_points_per_decade(points_per_decade)
     c_log = 2.0 * vortex_sign * nu
     (rr, uu, duu, dvv, ii), event_kind, nfev = _shoot(
@@ -214,6 +214,11 @@ def integrate_radial(s, nu=0.0, tau=1.0, r_max=R_MAX,
                                   points_per_decade, _retry=False)
         result.diagnostics["retried"] = True
     return result
+
+
+def _check_r_max(r_max):
+    if not 10.0 <= r_max < math.inf:
+        raise ValueError("r_max must be finite and >= 10, got %r" % (r_max,))
 
 
 def _check_points_per_decade(points_per_decade):
@@ -376,6 +381,13 @@ def _classify(rr, uu, duu, event_kind):
 def compute_beta_curve(tau, s_values, r_max=R_MAX):
     """Sample beta(s) over a sorted list of nonzero initial values.
 
+    Each sample equals integrate_radial(s, 0.0, tau, r_max)'s beta and
+    bc_type.  Its shot samples only the rows of that grid which
+    _extrapolate_beta and _classify read: R0, the first radii at or past
+    r_max/100 and r_max/10, and r_max; DOP853's steps do not depend on
+    them (_shoot), so these rows are the full grid's.  A sample whose shot
+    ends at an event, or whose rows classify Undetermined (the hysteresis
+    test needs the whole last decade), is shot again by integrate_radial.
     Integration failures are collected per sample instead of aborting
     the sweep.  monotone_violations counts adjacent same-sign pairs
     where beta fails to increase strictly (noise tolerance 1e-6).
@@ -385,16 +397,27 @@ def compute_beta_curve(tau, s_values, r_max=R_MAX):
         raise ValueError("s_values must be nonzero")
     if any(b <= a for a, b in zip(s_values, s_values[1:])):
         raise ValueError("s_values must be strictly increasing")
+    _check_r_max(r_max)
+    radii = _radii(r_max, _POINTS_PER_DECADE)
+    rows = radii[[0, *np.searchsorted(radii, [r_max / 100.0, r_max / 10.0]),
+                  -1]]
 
     samples = []
     failures = []
     for s in s_values:
         try:
-            sol = integrate_radial(s, 0.0, tau, r_max)
+            (rr, uu, duu, dvv, _), event_kind, _ = _shoot(
+                s, 0.0, tau, r_max, -1, DIVERGENCE_STOP, rows)
+            bc_type = _classify(rr, uu, duu, event_kind)
+            if event_kind is None and bc_type is not BCType.UNDETERMINED:
+                beta = float(_extrapolate_beta(rr, dvv)[0])
+            else:
+                sol = integrate_radial(s, 0.0, tau, r_max)
+                beta, bc_type = sol.beta, sol.bc_type
         except IntegrationFailureError as exc:
             failures.append((s, str(exc)))
             continue
-        samples.append((s, sol.beta, sol.bc_type))
+        samples.append((s, beta, bc_type))
 
     violations = 0
     for (s_a, b_a, _), (s_b, b_b, _) in zip(samples, samples[1:]):
@@ -408,7 +431,8 @@ def compute_beta_curve(tau, s_values, r_max=R_MAX):
 
 def _tail_sign(s, nu, tau, r_end, vortex_sign):
     """Which way the profile diverges: -1, +1, or 0 if it never left
-    the topological corridor out to r_end; returns (sign, nfev, reshot).
+    the topological corridor out to r_end; returns (sign, nfev, reshot,
+    r_c), r_c the radius where the probe stopped.
 
     The sign is that of the full-grid shot integrate_radial(s, ..., r_end,
     divergence_stop=BISECT_DIVERGENCE_STOP, _retry=False): its class,
@@ -443,10 +467,71 @@ def _tail_sign(s, nu, tau, r_end, vortex_sign):
         sign = 0
     else:
         sign = -1 if uu[-1] < 0 else 1
-    return sign, nfev, reshot
+    return sign, nfev, reshot, float(rr[-1])
 
 
-def find_topological(nu, tau, bracket, vortex_sign=-1,
+# find_topological's model probes: they start once the bisection bracket
+# is narrower than _MODEL_WIDTH, and a rate fit counts only within
+# _MODEL_RATE_TOL of 2 kappa.  Their margin starts at _MODEL_MARGIN times
+# the nearest probe's distance from the prediction; it halves (down to
+# _MODEL_MARGIN_MIN) after a round that certifies both sides and doubles
+# (back up to _MODEL_MARGIN) after one that does not.  Model probes run
+# at most _MODEL_CREDIT ahead of the midpoints they let the loop skip,
+# and stop where that distance falls below _MODEL_FLOOR: deeper, the
+# certificate's |u| >= TOPOLOGICAL_TOL_U bends the law they follow.
+_MODEL_WIDTH = 1e-3
+_MODEL_RATE_TOL = 0.05
+_MODEL_MARGIN = 0.1
+_MODEL_MARGIN_MIN = 0.005
+_MODEL_CREDIT = 2
+_MODEL_FLOOR = 1e-11
+
+
+def _model_s_star(sides, rate, a, b):
+    """Predict s* inside (a, b) from the shot probes on either side.
+
+    sides holds, per side, the (s, r_c) pairs of its certified probes in
+    their order of approach to s*, r_c the radius where _tail_sign's
+    probe stopped.  That radius follows |s - s*| = D exp(-k r_c) with k
+    near rate = 2 kappa, kappa = (1 + tau)^(-3/2): the probe stops where
+    the growing mode exp(kappa r) of the linearization overtakes the
+    decaying profile exp(-kappa r).  A side's last three probes
+    (s1, r1), (s2, r2), (s3, r3) fix k, and then
+    s* = s3 + rho (s3 - s2) / (1 - rho), rho = exp(-k (r3 - r2)).
+    A side counts only if r_c grows along the three and k lies within
+    _MODEL_RATE_TOL of rate.  Of two such sides the faster one is taken:
+    on the other, profile and deviation have opposite signs, so the
+    probe must also cross the far edge of the corridor
+    |u| < TOPOLOGICAL_TOL_U, which slows the law as the profile decays.
+    Returns (s*, its distance from s3), or None.
+    """
+    best = None
+    for probes in sides:
+        if len(probes) < 3:
+            continue
+        (s1, r1), (s2, r2), (s3, r3) = probes[-3:]
+        if not r1 < r2 < r3:
+            continue
+        ratio = (s3 - s2) / (s2 - s1)
+
+        def excess(k):
+            # (s3 - s2) / (s2 - s1) under the law, minus the measured one
+            return (math.exp(-k * (r2 - r1)) * math.expm1(-k * (r3 - r2))
+                    / math.expm1(-k * (r2 - r1)) - ratio)
+
+        k_min = rate * (1.0 - _MODEL_RATE_TOL)
+        k_max = rate * (1.0 + _MODEL_RATE_TOL)
+        if excess(k_min) * excess(k_max) > 0.0:
+            continue
+        k = brentq(excess, k_min, k_max)
+        rho = math.exp(-k * (r3 - r2))
+        guess = s3 + rho * (s3 - s2) / (1.0 - rho)
+        if a < guess < b and (best is None or k > best[0]):
+            best = (k, guess, abs(guess - s3))
+    return None if best is None else best[1:]
+
+
+def find_topological(bracket, nu=0.0, tau=1.0, vortex_sign=-1,
                      points_per_decade=_POINTS_PER_DECADE):
     """Bisect the shooting parameter to the topological profile.
 
@@ -459,11 +544,25 @@ def find_topological(nu, tau, bracket, vortex_sign=-1,
     last decade of the default 200-per-decade grid when the tail needs
     the hysteresis test, whatever points_per_decade is; that sets the
     grid of the returned profile alone, whose own shot stops at
-    |u| = BISECT_DIVERGENCE_STOP.  Returns the profile truncated at the
-    last radius where both topological tail tolerances hold; its
-    diagnostics add bisect_probes, bisect_reshots (uncommitted probes
-    shot again for the hysteresis test) and bisect_nfev (their summed
-    nfev).
+    |u| = BISECT_DIVERGENCE_STOP.
+
+    The loop keeps plain bisection's dyadic midpoints and stop rule, and
+    an interval [a, b] that holds s*: every shot probe at or below a
+    diverged like s_lo, every one at or above b like s_hi.  A midpoint
+    outside [a, b] takes its side's sign unshot (bisect_skipped), which
+    on the one crossing that bisection assumes is the sign its shot
+    would give; so s* and the profile are plain bisection's.  Once the
+    bracket is narrower than _MODEL_WIDTH, a midpoint inside (a, b) is
+    preceded by a round of two model probes, at the predicted s* (see
+    _model_s_star) minus and plus a margin, each trusted only on the
+    side it was sent to.  A model probe of sign 0 ends the model phase, and the loop
+    finishes as plain bisection, [a, b] the bracket.
+
+    Returns the profile truncated at the last radius where both
+    topological tail tolerances hold; its diagnostics add bisect_probes
+    (shot probes, model probes included), bisect_reshots (uncommitted
+    probes shot again for the hysteresis test), bisect_nfev (their
+    summed nfev) and bisect_skipped.
     """
     _check_points_per_decade(points_per_decade)
     s_lo, s_hi = float(bracket[0]), float(bracket[1])
@@ -473,18 +572,20 @@ def find_topological(nu, tau, bracket, vortex_sign=-1,
     # the linearization decays on scale (tau+1)^(3/2); integrate far
     # enough that double-precision shooting errors have amplified
     r_bisect = max(200.0, 60.0 * (tau + 1.0) ** 1.5 * (1.0 + nu))
+    rate = 2.0 * (1.0 + tau) ** -1.5
 
-    probes = {"bisect_probes": 0, "bisect_reshots": 0, "bisect_nfev": 0}
+    probes = {"bisect_probes": 0, "bisect_reshots": 0, "bisect_nfev": 0,
+              "bisect_skipped": 0}
 
     def tail_sign(s):
-        sign, nfev, reshot = _tail_sign(s, nu, tau, r_bisect, vortex_sign)
+        sign, nfev, reshot, r_c = _tail_sign(s, nu, tau, r_bisect,
+                                             vortex_sign)
         probes["bisect_probes"] += 1
         probes["bisect_reshots"] += int(reshot)
         probes["bisect_nfev"] += nfev
-        return sign
+        return sign, r_c
 
-    sgn_lo = tail_sign(s_lo)
-    sgn_hi = tail_sign(s_hi)
+    (sgn_lo, r_lo), (sgn_hi, r_hi) = tail_sign(s_lo), tail_sign(s_hi)
     s_star = None
     if sgn_lo == 0:
         s_star = s_lo
@@ -495,13 +596,57 @@ def find_topological(nu, tau, bracket, vortex_sign=-1,
             "bracket endpoints diverge to the same side (%+d)" % sgn_lo)
 
     if s_star is None:
+        a, b = s_lo, s_hi
+        sides = {sgn_lo: [(s_lo, r_lo)], sgn_hi: [(s_hi, r_hi)]}
+
+        def certify(s, sign, r_c):
+            nonlocal a, b
+            sides[sign].append((s, r_c))
+            if sign == sgn_lo:
+                a = s
+            else:
+                b = s
+
+        margin = _MODEL_MARGIN
+        model_probes = 0
+        modeling = True
         for _ in range(200):
             mid = 0.5 * (s_lo + s_hi)
             if mid == s_lo or mid == s_hi or s_hi - s_lo < 1e-13:
                 break
-            sgn_mid = tail_sign(mid)
-            if sgn_mid == 0:
-                break
+            guess = None
+            if (modeling and a < mid < b and s_hi - s_lo < _MODEL_WIDTH
+                    and model_probes <= probes["bisect_skipped"]
+                    + _MODEL_CREDIT):
+                guess = _model_s_star(sides.values(), rate, a, b)
+            if guess is not None and guess[1] < _MODEL_FLOOR:
+                modeling = False
+            elif guess is not None:
+                s_model, width = guess[0], margin * guess[1]
+                for s, want in ((s_model - width, sgn_lo),
+                                (s_model + width, sgn_hi)):
+                    if not a < s < b:
+                        continue
+                    model_probes += 1
+                    sign, r_c = tail_sign(s)
+                    if sign == 0:
+                        modeling = False
+                        a, b = s_lo, s_hi
+                        break
+                    if sign == want:
+                        certify(s, sign, r_c)
+                if a >= s_model - width and b <= s_model + width:
+                    margin = max(0.5 * margin, _MODEL_MARGIN_MIN)
+                else:
+                    margin = min(2.0 * margin, _MODEL_MARGIN)
+            if mid <= a or mid >= b:
+                sgn_mid = sgn_lo if mid <= a else sgn_hi
+                probes["bisect_skipped"] += 1
+            else:
+                sgn_mid, r_c = tail_sign(mid)
+                if sgn_mid == 0:
+                    break
+                certify(mid, sgn_mid, r_c)
             if sgn_mid == sgn_lo:
                 s_lo = mid
             else:

@@ -106,7 +106,7 @@ def test_criterion_03_radial_quantization():
     for nu, tau, bracket in ((1.0, 1.0, (-8.0, 8.0)),
                              (2.0, 1.0, (-16.0, 16.0)),
                              (1.0, 0.5, (-8.0, 8.0))):
-        sol = find_topological(nu, tau, bracket)
+        sol = find_topological(bracket, nu=nu, tau=tau)
         got = mass_integral(sol, MassKind.QUANTIZATION)
         want = 4.0 * (tau + 1.0) * np.pi * nu ** 2
         rel = abs(got - want) / want
@@ -220,7 +220,8 @@ def test_criterion_07_epsilon_sweep(sweep256):
 def test_criterion_08_pohozaev_residuals():
     resids = []
     for ppd in (200, 400):
-        sol = find_topological(1.0, 1.0, (-8.0, 8.0), points_per_decade=ppd)
+        sol = find_topological((-8.0, 8.0), nu=1.0, tau=1.0,
+                               points_per_decade=ppd)
         resids.append(pohozaev_value(sol, r=10.0)[2])
     ok = resids[0] < 1e-4 and resids[1] <= resids[0] / 2.0
     assert _report(8, "pohozaev balance", ok,

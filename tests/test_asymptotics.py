@@ -73,7 +73,7 @@ def type_one():
 
 @pytest.fixture(scope="module")
 def limit_profile():
-    return find_topological(1.0, 1.0, (-8.0, 8.0), vortex_sign=1)
+    return find_topological((-8.0, 8.0), nu=1.0, tau=1.0, vortex_sign=1)
 
 
 def _corner_area_brute(X, Y):

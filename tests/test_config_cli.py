@@ -433,6 +433,20 @@ class TestShootCommand:
         assert 0 <= diag["bisect_reshots"] <= diag["bisect_probes"]
         assert diag["bisect_nfev"] > diag["nfev"]
 
+    def test_unset_nu_is_the_bisections_default(self, tmp_path, capsys):
+        # without --nu, find_topological's own default (0) applies
+        docs = []
+        for name, extra in (("unset", []), ("zero", ["--nu", "0"])):
+            out = tmp_path / name
+            assert main(["shoot", "--tau", "1", "--find-topological",
+                         "--bracket", "-1", "2", *extra,
+                         "--out", str(out)]) == EXIT_OK
+            doc = json.loads((tmp_path / (name + ".json")).read_text())
+            assert doc.pop("profile_csv") == str(out) + ".csv"
+            docs.append((doc, (tmp_path / (name + ".csv")).read_bytes()))
+        assert docs[0] == docs[1]
+        assert docs[0][0]["nu"] == 0.0
+
     def test_same_side_bracket_is_numerical_failure(self, tmp_path, capsys):
         rc = main(["shoot", "--tau", "1.0", "--find-topological",
                    "--nu", "1.0", "--bracket", "-8", "-7",

@@ -106,7 +106,7 @@ class TestFirstIntegral:
 def topological():
     # one bisection shared by the tests below; no library call changes
     # a profile in place
-    return find_topological(1.0, 1.0, (-8.0, 8.0))
+    return find_topological((-8.0, 8.0), nu=1.0, tau=1.0)
 
 
 class TestSingularTopological:
@@ -148,13 +148,14 @@ class TestSingularTopological:
         assert np.allclose(1.0 / np.diff(np.log10(sol.r)), 50.0, rtol=1e-2)
 
     def test_truncation_keeps_the_shot_settings(self):
-        sol = find_topological(1.0, 1.0, (-8.0, 8.0), points_per_decade=100)
+        sol = find_topological((-8.0, 8.0), nu=1.0, tau=1.0,
+                               points_per_decade=100)
         assert sol.diagnostics["truncated"] is True
         assert np.allclose(1.0 / np.diff(np.log10(sol.r)), 100.0, rtol=1e-2)
 
     def test_same_side_bracket_raises(self):
         with pytest.raises(BracketError):
-            find_topological(1.0, 1.0, (-8.0, -7.0))
+            find_topological((-8.0, -7.0), nu=1.0, tau=1.0)
 
     @pytest.mark.parametrize("ppd", [9, 0, -3])
     def test_points_per_decade_below_ten_rejected_before_a_shot(
@@ -165,7 +166,8 @@ class TestSingularTopological:
         with pytest.raises(ValueError, match="points_per_decade"):
             integrate_radial(-1.0, r_max=1e3, points_per_decade=ppd)
         with pytest.raises(ValueError, match="points_per_decade"):
-            find_topological(1.0, 1.0, (-8.0, 8.0), points_per_decade=ppd)
+            find_topological((-8.0, 8.0), nu=1.0, tau=1.0,
+                             points_per_decade=ppd)
 
     @pytest.mark.parametrize("shot, name", [
         (lambda: integrate_radial(-1.0, r_max=np.inf), "r_max"),
@@ -177,11 +179,15 @@ class TestSingularTopological:
         (lambda: integrate_radial(np.nan, r_max=1e3), "s"),
         (lambda: integrate_radial(np.inf, r_max=1e3), "s"),
         (lambda: integrate_radial(-np.inf, nu=1.0, r_max=1e3), "s"),
-        (lambda: find_topological(np.inf, 1.0, (-8.0, 8.0)), "nu"),
-        (lambda: find_topological(np.nan, 1.0, (-8.0, 8.0)), "nu"),
+        (lambda: find_topological((-8.0, 8.0), nu=np.inf, tau=1.0), "nu"),
+        (lambda: find_topological((-8.0, 8.0), nu=np.nan, tau=1.0), "nu"),
+        (lambda: compute_beta_curve(1.0, [-1.0], r_max=np.inf), "r_max"),
+        (lambda: compute_beta_curve(1.0, [-1.0], r_max=5.0), "r_max"),
+        (lambda: compute_beta_curve(1.0, [-np.inf, -1.0]), "s"),
     ], ids=["r_max-inf", "r_max-nan", "r_max-5", "nu-nan", "nu-inf",
             "nu-negative", "s-nan", "s-inf", "s-minus-inf",
-            "bisection-nu-inf", "bisection-nu-nan"])
+            "bisection-nu-inf", "bisection-nu-nan", "beta-curve-r_max-inf",
+            "beta-curve-r_max-5", "beta-curve-s-minus-inf"])
     def test_bad_input_is_named_before_integrating(self, shot, name,
                                                    monkeypatch):
         def no_integration(*args, **kwargs):
@@ -210,7 +216,7 @@ def _full_grid_tail_sign(s, nu, tau, r_end, vortex_sign):
         sign = 0
     else:
         sign = -1 if sol.u[-1] < 0 else 1
-    return sign, sol.diagnostics["nfev"], False
+    return sign, sol.diagnostics["nfev"], False, float(sol.r[-1])
 
 
 class TestBisectionProbe:
@@ -225,37 +231,33 @@ class TestBisectionProbe:
     ])
     def test_full_grid_probes_give_the_same_profile(self, nu, tau, bracket,
                                                     vortex_sign, monkeypatch):
-        real_signs = []
-        calls = []
+        probes = []
 
         def recording(*args):
             probe = real_tail_sign(*args)
-            real_signs.append(probe[0])
+            probes.append((args, probe))
             return probe
 
         real_tail_sign = radial._tail_sign
-
-        def reference(*args):
-            calls.append(_full_grid_tail_sign(*args))
-            return calls[-1]
-
         monkeypatch.setattr(radial, "_tail_sign", recording)
-        real = find_topological(nu, tau, bracket, vortex_sign=vortex_sign)
-        monkeypatch.setattr(radial, "_tail_sign", reference)
-        ref = find_topological(nu, tau, bracket, vortex_sign=vortex_sign)
+        real = find_topological(bracket, nu=nu, tau=tau,
+                                vortex_sign=vortex_sign)
+        monkeypatch.setattr(radial, "_tail_sign", _full_grid_tail_sign)
+        ref = find_topological(bracket, nu=nu, tau=tau,
+                               vortex_sign=vortex_sign)
         assert real.s == ref.s
         assert real.beta == ref.beta
         assert real.grid.tobytes() == ref.grid.tobytes()
-        # the same bisection path, probe for probe
-        assert ref.diagnostics["bisect_probes"] == len(calls)
-        assert real.diagnostics["bisect_probes"] == len(calls)
-        assert ref.diagnostics["bisect_reshots"] == 0
-        assert ref.diagnostics["bisect_nfev"] == sum(c[1] for c in calls)
-        assert real_signs == [c[0] for c in calls]
+        # every shot probe, model probes included, has the sign of the
+        # full-grid shot at its s
+        assert real.diagnostics["bisect_probes"] == len(probes)
+        for args, (sign, _, _, _) in probes:
+            assert sign == _full_grid_tail_sign(*args)[0]
         # every probe stops at its certificate, short of r_end
         assert real.diagnostics["bisect_reshots"] == 0
+        assert ref.diagnostics["bisect_reshots"] == 0
         assert real.diagnostics["bisect_nfev"] < \
-            0.6 * ref.diagnostics["bisect_nfev"]
+            0.45 * ref.diagnostics["bisect_nfev"]
 
     @pytest.mark.parametrize("s,shots", [
         (-8.0, 1),  # falls past -TOL_U: the full-grid hysteresis case
@@ -273,12 +275,14 @@ class TestBisectionProbe:
 
         real_solve_ivp = radial.solve_ivp
         monkeypatch.setattr(radial, "solve_ivp", counting)
-        sign, nfev, reshot = radial._tail_sign(*args)
+        sign, nfev, reshot, r_c = radial._tail_sign(*args)
         assert sign == want
         assert len(calls) == shots
         assert reshot is (shots == 2)
         assert calls[0] == 1
         assert nfev > 0
+        # the radius of the certificate event, short of r_end
+        assert radial.R0 < r_c < self.R_BISECT
 
     def test_regular_mode_probes(self, monkeypatch):
         """At nu = 0 a probe with |s| > TOL_U holds its certificate at R0
@@ -292,11 +296,13 @@ class TestBisectionProbe:
 
         real_tail_sign = radial._tail_sign
         monkeypatch.setattr(radial, "_tail_sign", recording)
-        sol = find_topological(0.0, 1.0, (-1.0, 2.0))
+        sol = find_topological((-1.0, 2.0), nu=0.0, tau=1.0)
         assert abs(sol.s) < 1e-13  # the vacuum u = 0
-        for args, (sign, nfev, reshot) in probes:
+        for args, (sign, nfev, reshot, r_c) in probes:
             assert not reshot
-            assert (nfev == 0) is (abs(args[0]) > radial.TOPOLOGICAL_TOL_U)
+            unshot = abs(args[0]) > radial.TOPOLOGICAL_TOL_U
+            assert (nfev == 0) is unshot
+            assert (r_c == radial.R0) is unshot
             assert sign == _full_grid_tail_sign(*args)[0]
 
         calls = []
@@ -309,7 +315,7 @@ class TestBisectionProbe:
         monkeypatch.setattr(radial, "solve_ivp", counting)
         for s, sign in ((2.0, 1), (-1.0, -1)):
             args = (s, 0.0, 1.0, 200.0, -1)
-            assert real_tail_sign(*args) == (sign, 0, False)
+            assert real_tail_sign(*args) == (sign, 0, False, radial.R0)
         assert calls == []
         # the full-grid shot on s = 2 has the same sign
         monkeypatch.setattr(radial, "solve_ivp", real_solve_ivp)
@@ -328,6 +334,129 @@ class TestBisectionProbe:
         assert _full_grid_tail_sign(*args)[0] == sign
 
 
+def _plain_bisection(bracket, nu, tau, vortex_sign=-1):
+    """find_topological without model probes: every dyadic midpoint shot.
+    Returns the truncated profile and the probed s values."""
+    r_bisect = max(200.0, 60.0 * (tau + 1.0) ** 1.5 * (1.0 + nu))
+    probed = []
+    nfev = 0
+
+    def tail_sign(s):
+        nonlocal nfev
+        sign, more, _, _ = radial._tail_sign(s, nu, tau, r_bisect,
+                                             vortex_sign)
+        probed.append(s)
+        nfev += more
+        return sign
+
+    s_lo, s_hi = bracket
+    sgn_lo = tail_sign(s_lo)
+    assert sgn_lo == -tail_sign(s_hi) != 0
+    for _ in range(200):
+        mid = 0.5 * (s_lo + s_hi)
+        if mid == s_lo or mid == s_hi or s_hi - s_lo < 1e-13:
+            break
+        sgn_mid = tail_sign(mid)
+        if sgn_mid == 0:
+            break
+        if sgn_mid == sgn_lo:
+            s_lo = mid
+        else:
+            s_hi = mid
+    sol = integrate_radial(0.5 * (s_lo + s_hi), nu, tau, r_bisect,
+                           vortex_sign=vortex_sign,
+                           divergence_stop=radial.BISECT_DIVERGENCE_STOP,
+                           _retry=False)
+    return radial._truncate_topological(sol), probed, nfev
+
+
+# the three shoot brackets of bench radial on seeds 1, 2, 3 and 7919, then
+# the tier-1 ones: (nu, tau, bracket, vortex_sign)
+BISECTION_CASES = [
+    (1.0, 1.0, (-7.509832222395366, 8.176584265195807), -1),
+    (2.0, 1.0, (-15.529987873915733, 16.447234407778904), -1),
+    (1.0, 0.5, (-7.443253321716607, 8.189832420252689), -1),
+    (1.0, 1.0, (-7.497792109211599, 8.697762875441251), -1),
+    (2.0, 1.0, (-16.93018358369927, 16.71603155227472), -1),
+    (1.0, 0.5, (-7.276273985543783, 8.198981142640973), -1),
+    (1.0, 1.0, (-7.410586282144463, 7.4911202505686685), -1),
+    (2.0, 1.0, (-14.696365968882915, 14.916230825589444), -1),
+    (1.0, 0.5, (-7.3379291992689035, 7.264294220918401), -1),
+    (1.0, 1.0, (-8.284812332179925, 8.311197566857583), -1),
+    (2.0, 1.0, (-14.431437210855785, 14.50414704797123), -1),
+    (1.0, 0.5, (-7.700200003278381, 8.575851511056154), -1),
+    (1.0, 1.0, (-8.0, 8.0), -1),
+    (2.0, 1.0, (-16.0, 16.0), -1),
+    (1.0, 0.5, (-8.0, 8.0), -1),
+    (1.0, 1.0, (-8.0, 8.0), 1),
+    (0.0, 1.0, (-1.0, 2.0), -1),
+]
+
+
+class TestModelBisection:
+    @pytest.mark.parametrize("nu,tau,bracket,vortex_sign", BISECTION_CASES,
+                             ids=["bench-%d" % k for k in range(12)]
+                             + ["1-1", "2-1", "1-0.5", "1-1-plus", "0-1"])
+    def test_is_plain_bisection_at_no_more_nfev(self, nu, tau, bracket,
+                                                vortex_sign):
+        sol = find_topological(bracket, nu=nu, tau=tau,
+                               vortex_sign=vortex_sign)
+        ref, probed, nfev = _plain_bisection(bracket, nu, tau, vortex_sign)
+        assert sol.s == ref.s
+        assert sol.beta == ref.beta
+        assert sol.grid.tobytes() == ref.grid.tobytes()
+        diag = sol.diagnostics
+        assert diag["bisect_nfev"] <= nfev
+        if nu > 0.0:
+            # the model certifies most of the deep midpoints
+            assert diag["bisect_skipped"] > 20
+            assert diag["bisect_probes"] < len(probed)
+
+    def _mislead(self, monkeypatch, bracket, answer):
+        """Let answer(sign) replace the sign of every model probe, the
+        probes at s that plain bisection does not visit; returns the
+        (s, is model probe) list of the shot probes and plain bisection's
+        probed s values."""
+        _, probed, _ = _plain_bisection(bracket, 1.0, 1.0)
+        plain = set(probed)
+        real_tail_sign = radial._tail_sign
+        shots = []
+
+        def misleading(s, *args):
+            sign, nfev, reshot, r_c = real_tail_sign(s, *args)
+            shots.append((s, s not in plain))
+            if s not in plain:
+                sign = answer(sign)
+            return sign, nfev, reshot, r_c
+
+        monkeypatch.setattr(radial, "_tail_sign", misleading)
+        return shots, probed
+
+    def test_model_probe_of_sign_zero_ends_the_model_phase(
+            self, topological, monkeypatch):
+        shots, probed = self._mislead(monkeypatch, (-8.0, 8.0),
+                                      lambda sign: 0)
+        sol = find_topological((-8.0, 8.0), nu=1.0, tau=1.0)
+        assert sol.s == topological.s
+        assert sol.grid.tobytes() == topological.grid.tobytes()
+        # one model probe, then plain bisection: every midpoint shot
+        model = [k for k, (_, is_model) in enumerate(shots) if is_model]
+        assert len(model) == 1
+        assert [s for s, is_model in shots if not is_model] == probed
+
+    def test_model_probes_on_the_wrong_side_are_not_trusted(
+            self, topological, monkeypatch):
+        shots, _ = self._mislead(monkeypatch, (-8.0, 8.0),
+                                 lambda sign: -sign)
+        sol = find_topological((-8.0, 8.0), nu=1.0, tau=1.0)
+        assert sol.s == topological.s
+        assert sol.grid.tobytes() == topological.grid.tobytes()
+        # no model probe certified anything, and the credit caps them
+        assert sol.diagnostics["bisect_skipped"] == 0
+        assert 0 < sum(is_model for _, is_model in shots) \
+            <= radial._MODEL_CREDIT + 2
+
+
 class TestBetaCurve:
     def test_monotone_on_negative_axis(self):
         curve = compute_beta_curve(1.0, [-4.0, -2.0, -1.0, -0.5])
@@ -341,6 +470,48 @@ class TestBetaCurve:
             compute_beta_curve(1.0, [-1.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             compute_beta_curve(1.0, [-1.0, -2.0])
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_samples_are_integrate_radial_bit_for_bit(self, tau):
+        # the acceptance battery's two branches
+        s_values = list(np.linspace(-8.0, -0.25, 16)) + \
+            list(np.linspace(0.25, 8.0, 16))
+        curve = compute_beta_curve(tau, s_values)
+        assert not curve.failures
+        for s, beta, bc_type in curve.samples:
+            sol = integrate_radial(s, 0.0, tau)
+            assert (beta, bc_type) == (sol.beta, sol.bc_type)
+
+    @pytest.mark.parametrize("s", [-8.0, -1.0, 0.25])
+    def test_sampled_rows_are_the_full_grid_rows(self, s):
+        shot = (s, 0.0, 1.0, radial.R_MAX, -1, radial.DIVERGENCE_STOP)
+        radii = radial._radii(radial.R_MAX, radial._POINTS_PER_DECADE)
+        full, _, _ = radial._shoot(*shot, radii)
+        idx = [0, *np.searchsorted(radii, [1e4, 1e5]), radii.size - 1]
+        rows, _, _ = radial._shoot(*shot, radii[idx])
+        assert np.array(rows).tobytes() == np.array(full)[:, idx].tobytes()
+
+    def test_undetermined_sample_takes_the_full_grid_shot(self, monkeypatch):
+        # four rows cannot run the hysteresis test: the sample is shot
+        # again by integrate_radial, which retries out to 100 r_max
+        want = integrate_radial(-1e-3, r_max=10.0)
+        assert want.diagnostics["retried"] is True
+        shots = []
+
+        def recording(*args, **kwargs):
+            shots.append(real_integrate(*args, **kwargs))
+            return shots[-1]
+
+        real_integrate = radial.integrate_radial
+        monkeypatch.setattr(radial, "integrate_radial", recording)
+        curve = compute_beta_curve(1.0, [-1e-3], r_max=10.0)
+        assert curve.samples == [(-1e-3, want.beta, want.bc_type)]
+        assert shots and {sol.s for sol in shots} == {-1e-3}
+        # a sample its last row decides is not shot again
+        del shots[:]
+        curve = compute_beta_curve(1.0, [-1.0])
+        assert curve.samples[0][2] is BCType.NONTOPOLOGICAL_I
+        assert shots == []
 
 
 class TestCsvExports:

@@ -271,7 +271,7 @@ class TestRadialTypeOne:
 
 class TestRadialTopological:
     def test_positive_eigenvalue(self):
-        sol = find_topological(1.0, 1.0, (-8.0, 8.0), vortex_sign=1)
+        sol = find_topological((-8.0, 8.0), nu=1.0, tau=1.0, vortex_sign=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = weighted_eigen_radial(sol)
@@ -294,7 +294,7 @@ class TestWeightGuard:
 
     def test_negative_sign_topological_rejected(self):
         # u -> +inf at the origin for the negative-sign singular profile
-        sol = find_topological(1.0, 1.0, (-8.0, 8.0), vortex_sign=-1)
+        sol = find_topological((-8.0, 8.0), nu=1.0, tau=1.0, vortex_sign=-1)
         with pytest.raises(WeightIndefiniteError):
             weighted_eigen_radial(sol)
 

@@ -13,7 +13,8 @@ from a stubbed command and require cli.main to map it to exit 1 or 2
 with one line on stderr, so a new failure type cannot escape as a
 traceback.  The next test requires that every defaulted parameter of a
 public function is set by some call in the repository: an option no
-caller sets is a module constant.  Its twin requires the same of the
+caller sets is a module constant.  radial._shoot must stay the one
+solve_ivp call in src/.  The default test's twin requires the same of the
 config schema: every key is set by some config in tests/, demos/ or
 bench/.  The README's config table must list exactly the keys of the
 config schema.  The last two keep the radial-profile keys of the
@@ -193,6 +194,26 @@ def test_every_default_is_set_by_some_caller():
              if not any(_sets(call, param, positional)
                         for call in calls.get(name, []))]
     assert unset == []
+
+
+def test_radial_shoot_is_the_one_solve_ivp_call():
+    # one DOP853 call: every radial shot, the beta curve's sampled rows
+    # included, goes through radial._shoot
+    found = []
+    for directory, _, files in os.walk(os.path.join(ROOT, "src")):
+        for name in sorted(n for n in files if n.endswith(".py")):
+            path = os.path.join(directory, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in tree.body:
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and getattr(
+                            call.func, "id",
+                            getattr(call.func, "attr", None)) == "solve_ivp":
+                        found.append((os.path.relpath(path, ROOT),
+                                      getattr(node, "name", None)))
+    assert found == [(os.path.join("src", "vortexlab", "radial.py"),
+                      "_shoot")]
 
 
 def test_every_linear_operator_declares_its_dtype():
