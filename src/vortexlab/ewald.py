@@ -20,11 +20,13 @@ exceed e^-_Z_CUT at some point:
 - the dual vectors m = (i/L1, j/L2) != 0 with
   |m|^2 <= _Z_CUT eta^2 / pi^2.
 
+The dual window is closed under m -> -m and both dual series are even
+in m, so each +-m pair costs one cosine or sine (_folded).
 eta^2 = 2pi/|O| balances the windows by cost, not by term count: one
 scipy E1 evaluation costs about as much as 5-17 numpy cosines, so the
-real-space disk is the smaller one (25 images against 68 dual vectors
-on the 4 x 4 torus, where the same disks at eta^2 = pi/|O| hold 45
-and 36).
+real-space disk is the smaller one (25 images against 68 dual vectors,
+34 pairs, on the 4 x 4 torus, where the same disks at eta^2 = pi/|O|
+hold 45 and 36).
 The value is exactly independent of eta, which the test suite exploits
 and which torus._u0_gradient uses to sum the gradient on a whole grid
 with an eta set by the grid spacing.
@@ -60,6 +62,13 @@ def _setup(L1, L2):
     return area, eta2, images, duals
 
 
+def _folded(duals):
+    """One dual vector of each +-m pair in a window closed under
+    negation: cos(2pi m.x) and the grad term sin(2pi m.x) m are even in
+    m, so each pair is summed once at twice its weight."""
+    return [(i, j) for i, j in duals if i > 0 or (i == 0 and j > 0)]
+
+
 def _min_image(dx, L):
     return dx - L * np.round(dx / L)
 
@@ -91,9 +100,9 @@ def green_value(dx, dy, L1=1.0, L2=1.0):
             r2 = (dx - i * L1) ** 2 + (dy - j * L2) ** 2
             out = out + np.where(r2 > 0, exp1(eta2 * r2), np.inf)
     out /= 4.0 * np.pi
-    for i, j in duals:
+    for i, j in _folded(duals):
         q2 = (i / L1) ** 2 + (j / L2) ** 2
-        w = _dual_damping(q2, eta2) / (4.0 * np.pi**2 * q2 * area)
+        w = 2.0 * _dual_damping(q2, eta2) / (4.0 * np.pi**2 * q2 * area)
         out = out + w * np.cos(2.0 * np.pi * (i * dx / L1 + j * dy / L2))
     return out - 1.0 / (4.0 * eta2 * area)
 
@@ -114,10 +123,10 @@ def green_gradient(dx, dy, L1=1.0, L2=1.0):
             w = _real_weight(r2, eta2)
             gx = gx + w * ax
             gy = gy + w * ay
-    for i, j in duals:
+    for i, j in _folded(duals):
         q2 = (i / L1) ** 2 + (j / L2) ** 2
         w = -np.sin(2.0 * np.pi * (i * dx / L1 + j * dy / L2)) * \
-            _dual_damping(q2, eta2) / (2.0 * np.pi * q2 * area)
+            2.0 * _dual_damping(q2, eta2) / (2.0 * np.pi * q2 * area)
         gx = gx + w * (i / L1)
         gy = gy + w * (j / L2)
     return gx, gy
@@ -137,7 +146,7 @@ def regular_part(L1=1.0, L2=1.0):
         if i or j:
             acc += exp1(eta2 * ((i * L1) ** 2 + (j * L2) ** 2))
     out += acc / (4.0 * np.pi)
-    for i, j in duals:
+    for i, j in _folded(duals):
         q2 = (i / L1) ** 2 + (j / L2) ** 2
-        out += _dual_damping(q2, eta2) / (4.0 * np.pi**2 * q2 * area)
+        out += 2.0 * _dual_damping(q2, eta2) / (4.0 * np.pi**2 * q2 * area)
     return out - 1.0 / (4.0 * eta2 * area)

@@ -6,11 +6,14 @@ stability means mu_eps > 0), and on radial entire profiles the
 weighted eigenvalue mu* of (-Lap_r - f_tau'(u)) psi = mu (1-e^u) psi,
 whose negativity certifies instability of type-I solutions.
 
-The torus solve is one LOBPCG call preconditioned by (c - Lap)^-1,
-c = sqrt(R) with R = max W - min W + 1 the range of the potential W
-plus one: the operator shifted by the certified lower bound min W - 1
-has symbol k^2 + W - min W + 1 with 1 <= W - min W + 1 <= R, and this
-c keeps its ratio to k^2 + c within a factor sqrt(R) of 1 either way.
+The torus solve is a single-vector LOPCG preconditioned by
+(c - Lap)^-1: one spectral round trip per step, since the
+preconditioner also returns the operator's image of its output
+(torus._preconditioner).  c = sqrt(R), with R = max W - min W + 1 the
+range of the potential W plus one: the operator shifted by the
+certified lower bound min W - 1 has symbol k^2 + W - min W + 1 with
+1 <= W - min W + 1 <= R, and this c keeps its ratio to k^2 + c within
+a factor sqrt(R) of 1 either way.
 The radial problem is assembled in flux (P1 finite element) form on
 the shooter's geometric grid with mass lumping, reduced to a symmetric
 tridiagonal problem, and solved directly.  Dirichlet truncation at
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, lobpcg
+from scipy.linalg import LinAlgError, eigh
+from scipy.sparse.linalg import eigsh
 
 from . import torus as torus_mod
 
@@ -57,57 +61,107 @@ class EigenResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-_EIGEN_TOL = 1e-9  # LOBPCG's tol and the residual gate
+_EIGEN_TOL = 1e-9  # LOPCG's stop rule and the residual gate
+
+
+def _ritz(X, AX):
+    """Smallest Ritz pair (value, coefficients) on the span of X, each
+    vector with its image in AX, by eigh of the Gram matrices; a third
+    vector is dropped when the 3 x 3 basis Gram matrix is not positive
+    definite."""
+    n = len(X)
+    G, B = np.empty((n, n)), np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            G[i, j] = G[j, i] = np.vdot(X[i], AX[j])
+            B[i, j] = B[j, i] = np.vdot(X[i], X[j])
+    try:
+        vals, vecs = eigh(G, B, subset_by_index=(0, 0))
+    except LinAlgError:  # p depends on x and w
+        vals, vecs = eigh(G[:2, :2], B[:2, :2], subset_by_index=(0, 0))
+    return float(vals[0]), vecs[:, 0]
+
+
+def _lopcg(A0, pre, x, max_iter):
+    """Single-vector LOPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001)
+    517-541) for the smallest eigenpair from the start x.
+
+    Each step is Rayleigh-Ritz (_ritz) on [x, w, p]: w the
+    preconditioned residual, orthogonalized against the unit vector x,
+    and p the last step's update, dropped for the step when the 3 x 3
+    Gram matrix is not positive definite.  pre(r) returns w with its
+    operator image, so Ax and Ap are kept by recurrence and A0 (the
+    operator) is applied once, to the start.  Stops once the unit
+    vector's residual is at most _EIGEN_TOL, or after max_iter steps;
+    returns (x, steps).
+    """
+    x = x / np.linalg.norm(x)
+    Ax = A0(x)
+    lam = float(np.vdot(x, Ax))
+    p = Ap = None
+    steps = 0
+    while steps < max_iter:
+        r = -lam * x + Ax  # reuses its temporary, unlike Ax - lam * x
+        if not np.linalg.norm(r) > _EIGEN_TOL:
+            break
+        steps += 1
+        w, Aw = pre(r)
+        t = np.vdot(x, w)
+        w -= t * x
+        Aw -= t * Ax
+        X, AX = [x, w], [Ax, Aw]
+        if p is not None:
+            X.append(p)
+            AX.append(Ap)
+        lam, c = _ritz(X, AX)
+        # the update p = c1 w + c2 p and x = c0 x + p, in place: w, Aw
+        # and the iterate are this loop's own arrays
+        w *= c[1]
+        Aw *= c[1]
+        if len(c) == 3:
+            w += c[2] * p
+            Aw += c[2] * Ap
+        p, Ap = w, Aw
+        x *= c[0]
+        x += p
+        Ax *= c[0]
+        Ax += Ap
+    return x, steps
 
 
 def principal_eigen_torus(fld, max_iter=60):
     """Smallest eigenvalue of -Lap - eps^-2 f_tau'(u) on the torus grid.
 
-    One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517-541)
-    of the field's linearization -Lap + potential, preconditioned by
-    (c - Lap)^-1 with c = sqrt(max potential - min potential + 1), the
-    geometric mean of the shifted potential's range (module docstring),
-    from the constant start (nonzero overlap with the positive principal
-    eigenfunction).  The result is accepted only if its L2(domain)
-    residual is at most _EIGEN_TOL * max(1, |mu|) and the eigenvector
-    has one sign, since the ground state cannot change sign; otherwise
-    EigenConvergenceError carries the Rayleigh quotient.  The
+    One LOPCG solve (_lopcg) of the field's linearization -Lap +
+    potential, preconditioned by (c - Lap)^-1 with c = sqrt(max
+    potential - min potential + 1), the geometric mean of the shifted
+    potential's range (module docstring), from the constant start
+    (nonzero overlap with the positive principal eigenfunction).  The
+    result is accepted only if its L2(domain) residual, recomputed from
+    the operator, is at most _EIGEN_TOL * max(1, |mu|) and the
+    eigenvector has one sign, since the ground state cannot change sign;
+    otherwise EigenConvergenceError carries the Rayleigh quotient.  The
     eigenvector is returned L2(domain)-normalized and oriented positive;
-    iterations counts the preconditioned LOBPCG steps.
+    iterations counts the preconditioned LOPCG steps, each one spectral
+    multiply.
     """
     domain = fld.domain
-    shape = domain.grid_shape
     h1, h2 = domain.spacings
     cellw = h1 * h2
     pot = fld.potential
-    pre = 1.0 / (np.sqrt(float(pot.max()) - float(pot.min()) + 1.0)
-                 + domain._k2)
-    steps = 0
-
-    def apply(X):
-        return torus_mod._apply_shifted(domain, pot,
-                                        X.reshape(shape)).reshape(-1, 1)
-
-    def precondition(R):
-        nonlocal steps
-        steps += 1
-        return domain._multiply(pre, R.reshape(shape)).reshape(-1, 1)
-
-    with warnings.catch_warnings():
-        # lobpcg's residual of its unit vector is the L2(domain) residual
-        # of the rescaled one, so its tol is at least as strict as the
-        # gate below, which decides in place of lobpcg's miss warning
-        warnings.simplefilter("ignore", UserWarning)
-        _, X = lobpcg(apply, np.ones((pot.size, 1)), M=precondition,
-                      tol=_EIGEN_TOL, maxiter=max_iter, largest=False)
-    x = X[:, 0].reshape(shape)
+    pre = torus_mod._preconditioner(
+        domain, pot, np.sqrt(float(pot.max()) - float(pot.min()) + 1.0))
+    # the unit vector's residual is the L2(domain) residual of the
+    # rescaled one, so the stop rule is at least as strict as the gate
+    x, steps = _lopcg(lambda g: torus_mod._apply_shifted(domain, pot, g),
+                      pre, np.ones(domain.grid_shape), max_iter)
     x = x / float(np.sqrt(cellw * np.sum(x * x)))
     Lx = torus_mod._apply_shifted(domain, pot, x)
     rho = cellw * float(np.sum(x * Lx))
-    res = float(np.sqrt(cellw * np.sum((Lx - rho * x) ** 2)))
+    res = float(np.sqrt(cellw * np.sum((-rho * x + Lx) ** 2)))
     if not res <= _EIGEN_TOL * max(1.0, abs(rho)):
         raise EigenConvergenceError(
-            "LOBPCG reached residual %.3e in %d steps" % (res, steps),
+            "LOPCG reached residual %.3e in %d steps" % (res, steps),
             rayleigh=rho)
     if float(x.max()) * float(x.min()) <= 0.0:
         raise EigenConvergenceError(

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from . import ewald, kernels
 from .model import ModelParams, VortexSet, eps_schedule, nonlinearity_ops
@@ -431,11 +430,14 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
     field on the target grid.  A warm start keeps every stage on the
     target grid.  Every stage but the last stops at _STAGE_GATE times
     the solver gate.  Each stages entry records its epsilon, iterations,
+    minres_iters (MINRES iterations summed over its Newton steps),
     residual, grid_shape, and resolved/h_over_eps for that grid; the
-    last entry is always the target grid's.  Returns the final field,
-    on `geometry`; a stage that diverges raises with its last iterate on
-    that stage's grid.  Raises CapacityError before any solve when the
-    schedule's largest epsilon cannot carry the mass identity.
+    last entry is always the target grid's, and the top-level
+    minres_iters and minres_failed are totals over every stage.  Returns
+    the final field, on `geometry`; a stage that diverges raises with its
+    last iterate on that stage's grid.  Raises CapacityError before any
+    solve when the schedule's largest epsilon cannot carry the mass
+    identity.
     """
     domain = geometry.domain
     if continuation is not None:
@@ -457,7 +459,7 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
         plan.append((eps_list[-1], domain))  # the polish on the target
 
     stages = []
-    failed = 0
+    failed = minres_iters = 0
     fld = None
     geo = geometry
     for k, (eps, stage) in enumerate(plan):
@@ -473,13 +475,15 @@ def solve_newton(geometry, params, v_init=None, continuation=None,
         fld = _newton_core(geo, p, v, max_iter, gate)
         v = fld.v
         failed += fld.diagnostics["minres_failed"]
+        minres_iters += fld.diagnostics["minres_iters"]
         stages.append({"epsilon": float(eps),
                        "iterations": fld.diagnostics["iterations"],
+                       "minres_iters": fld.diagnostics["minres_iters"],
                        "residual": fld.diagnostics["residual"],
                        "grid_shape": stage.grid_shape,
                        **resolution})
     diagnostics = dict(fld.diagnostics)
-    diagnostics["minres_failed"] = failed  # over every stage
+    diagnostics.update(minres_failed=failed, minres_iters=minres_iters)
     diagnostics["stages"] = stages
     diagnostics["snap_moves"] = _snap_record(geometry)
     return replace(fld, diagnostics=diagnostics)
@@ -492,7 +496,7 @@ def _newton_core(geometry, params, v, max_iter, gate):
     res = fld.residual_norm()
     res0 = max(res, tol)
     grow_count = 0
-    failed = 0
+    failed = minres_iters = 0
     it = 0
     error = None
     while res > tol:
@@ -504,9 +508,10 @@ def _newton_core(geometry, params, v, max_iter, gate):
         c0 = max(float(np.mean(np.maximum(pot, 0.0))),
                  1e-6 * params.epsilon ** -2)
         eta = min(0.1, max(np.sqrt(res / res0) * 1e-2, 1e-10))
-        delta, info = _solve_shifted(geometry.domain, pot, c0, fld.residual,
-                                     eta, 800)
+        delta, info, k = _solve_shifted(geometry.domain, pot, c0,
+                                        fld.residual, eta, 800)
         failed += info != 0
+        minres_iters += k
 
         best = None
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
@@ -528,6 +533,7 @@ def _newton_core(geometry, params, v, max_iter, gate):
             break
     # minres_failed counts the Newton steps whose inner solve hit maxiter
     fld = replace(fld, diagnostics={"iterations": it, "residual": res,
+                                    "minres_iters": minres_iters,
                                     "minres_failed": failed})
     if error is not None:
         raise NewtonDivergenceError(error, field=fld)
@@ -539,26 +545,103 @@ def _apply_shifted(domain, W, g):
     return -laplacian(domain, g) + W * g
 
 
+def _preconditioner(domain, W, c):
+    """The (c - Lap)^-1 preconditioner of A = -Lap + W, as r -> (w, A w)
+    with w = (c - Lap)^-1 r.
+
+    A = (c - Lap) + (W - c), so A w = r + (W - c) w exactly: the
+    preconditioner's one spectral round trip also gives the operator's
+    image of its output, and a Krylov solver built on this pair pays one
+    _multiply per step instead of two.
+    """
+    symbol = 1.0 / (c + domain._k2)
+    dW = W - c
+
+    def apply(r):
+        w = domain._multiply(symbol, r)
+        return w, r + dW * w
+
+    return apply
+
+
 def _solve_shifted(domain, W, c, b, rtol, maxiter):
     """(-Lap + W) x = b by MINRES with the (c - Lap)^-1 preconditioner.
 
-    Returns the solution grid and MINRES's info, nonzero only at maxiter;
-    MINRES stops on its backward error, not on ||Ax - b|| <= rtol ||b||.
+    Preconditioned MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12
+    (1975) 617-629) with scipy's recurrences and stopping tests, which
+    reads each Lanczos vector's operator image off _preconditioner: k
+    iterations make k + 1 spectral multiplies.  Returns the solution
+    grid, info (maxiter when the iteration limit stopped it, else 0)
+    and the iteration count; MINRES stops on its backward error
+    ||r|| <= rtol ||A|| ||x||, not on ||Ax - b|| <= rtol ||b||.
     """
-    shape, n = domain.grid_shape, b.size
-    pre = 1.0 / (c + domain._k2)
+    eps = np.finfo(float).eps
+    pre = _preconditioner(domain, W, c)
+    x = np.zeros(domain.grid_shape)
+    r1 = b
+    y, Ay = pre(r1)
+    beta1 = float(np.vdot(r1, y))
+    if beta1 == 0:
+        return x, 0, 0
+    beta1 = np.sqrt(beta1)
 
-    def matvec(x):
-        return _apply_shifted(domain, W, x.reshape(shape)).ravel()
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(float).max
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros(domain.grid_shape)
+    r2 = r1
+    for itn in range(1, maxiter + 1):
+        # v = y / beta and its image A v, scaled in place: pre's arrays
+        # are this loop's own
+        s = 1.0 / beta
+        v, y = y, Ay
+        v *= s
+        y *= s
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y, Ay = pre(r2)
+        oldb = beta
+        beta = np.sqrt(float(np.vdot(r2, y)))
+        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
 
-    def psolve(x):
-        return domain._multiply(pre, x.reshape(shape)).ravel()
+        # the plane rotation that eliminates beta from the tridiagonal
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.hypot(gbar, dbar)
+        gamma = max(np.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
 
-    # an explicit dtype: without one scipy probes it with a full matvec
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    M = LinearOperator((n, n), matvec=psolve, dtype=float)
-    x, info = minres(op, b.ravel(), M=M, rtol=rtol, maxiter=maxiter)
-    return x.reshape(shape), info
+        # -oldeps * w1 + v reuses its temporary, where v - oldeps * w1
+        # would allocate two grids
+        w1, w2 = w2, w
+        w = -oldeps * w1 + v
+        w -= delta * w2
+        w *= 1.0 / gamma
+        x += phi * w
+
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        Anorm = np.sqrt(tnorm2)
+        ynorm = float(np.linalg.norm(x))
+        test1 = np.inf if ynorm == 0 or Anorm == 0 \
+            else phibar / (Anorm * ynorm)  # ||r|| / (||A|| ||x||)
+        test2 = np.inf if Anorm == 0 else root / Anorm  # ||Ar||/(||A|| ||r||)
+        # scipy's stops other than the iteration limit, all info 0: b an
+        # eigenvector (first step only), either backward error at rtol or
+        # at round-off, x at round-off of b, and A's condition at 0.1/eps
+        if (itn == 1 and beta / beta1 <= 10 * eps) \
+                or test1 <= rtol or test2 <= rtol \
+                or 1 + test1 <= 1 or 1 + test2 <= 1 \
+                or Anorm * ynorm * eps >= beta1 or gmax / gmin >= 0.1 / eps:
+            return x, 0, itn
+    return x, maxiter, maxiter
 
 
 _MONOTONE_MAX_ITER = 100000

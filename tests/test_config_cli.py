@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from test_stability import FROZEN_TOPOLOGICAL
+from test_torus import _growing_step
 from vortexlab import (
     EigenConvergenceError,
     ModelParams,
@@ -651,11 +652,22 @@ class TestTorusCommand:
     def test_growing_newton_residual_is_numerical_failure(self, tmp_path,
                                                           capsys):
         # a cold start at eps = 0.34 leaves an iterate the 0.25 stage's
-        # damped steps cannot shrink
+        # damped steps cannot shrink; round-off decides whether Newton
+        # stops on growth or on its iteration cap, and both exit 2
         tree = _base_cfg(tmp_path)
         tree["model"]["epsilon"] = 0.25
         tree["solver"]["continuation"] = [0.34, 0.25]
         cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: Newton ")
+        assert not (tmp_path / "run_summary.json").exists()
+
+    def test_newton_growth_stop_reaches_stderr(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(torus, "_solve_shifted", _growing_step)
+        cfg = _write_cfg(tmp_path, _base_cfg(tmp_path))
         assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1

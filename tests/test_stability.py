@@ -34,6 +34,7 @@ from vortexlab import (
     weighted_eigen_radial,
 )
 from vortexlab.kernels import df_tau, sup_abs_df_tau
+from vortexlab.stability import _lopcg, _ritz
 from vortexlab.torus import _apply_shifted
 
 pytestmark = pytest.mark.filterwarnings(
@@ -107,7 +108,7 @@ class TestTorusVortexField:
 
     def test_unconverged_solve_raises_with_its_rayleigh_quotient(
             self, vortex_field):
-        # one LOBPCG step cannot meet the residual gate on a vortex field
+        # one LOPCG step cannot meet the residual gate on a vortex field
         with pytest.raises(EigenConvergenceError) as info:
             principal_eigen_torus(vortex_field, max_iter=1)
         assert np.isfinite(info.value.rayleigh)
@@ -148,6 +149,64 @@ class TestTorusVortexField:
     def test_preconditioner_iteration_guard(self, vortex_field):
         # 9 steps at the sqrt(range) shift; the range shift itself took 16
         assert principal_eigen_torus(vortex_field).iterations <= 10
+
+
+class TestTorusLopcg:
+    def test_one_multiply_per_step(self, vortex_field, monkeypatch):
+        # the start, one preconditioner round trip per step (it also
+        # gives the operator image) and the residual gate's recompute
+        vortex_field.potential  # cached before counting
+        count = [0]
+        multiply = TorusDomain._multiply
+
+        def counted(self, symbol, g):
+            count[0] += 1
+            return multiply(self, symbol, g)
+
+        monkeypatch.setattr(TorusDomain, "_multiply", counted)
+        res = principal_eigen_torus(vortex_field)
+        assert count[0] == res.iterations + 2
+
+    def test_matches_scipy_lobpcg(self, vortex_field):
+        # scipy's block LOBPCG on the same operator, preconditioner and
+        # start takes the same steps to the same eigenvalue
+        dom = vortex_field.domain
+        shape = dom.grid_shape
+        pot = vortex_field.potential
+        pre = 1.0 / (np.sqrt(float(pot.max()) - float(pot.min()) + 1.0)
+                     + dom._k2)
+        steps = [0]
+
+        def precondition(R):
+            steps[0] += 1
+            return dom._multiply(pre, R.reshape(shape)).reshape(-1, 1)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _, X = lobpcg(
+                lambda X: _apply_shifted(dom, pot,
+                                         X.reshape(shape)).reshape(-1, 1),
+                np.ones((pot.size, 1)), M=precondition, tol=1e-9,
+                maxiter=60, largest=False)
+        res = principal_eigen_torus(vortex_field)
+        assert res.iterations == steps[0]
+        assert rayleigh_quotient_torus(
+            vortex_field, X[:, 0].reshape(shape)) == pytest.approx(
+                res.eigenvalue, rel=1e-12)
+
+    def test_dependent_update_is_dropped(self):
+        A = np.diag([1.0, 3.0, 7.0])
+        x, w = np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])
+        # p in the span of x and w: Rayleigh-Ritz on [x, w] alone
+        lam, c = _ritz([x, w, x + w], [A @ x, A @ w, A @ (x + w)])
+        assert len(c) == 2
+        v = c[0] * x + c[1] * w
+        assert lam == pytest.approx(v @ A @ v / (v @ v), rel=1e-14)
+        # at this scale the step-2 basis of R^3 degenerates at round-off
+        A = A * 1e12
+        x, steps = _lopcg(lambda g: A @ g, lambda r: (r, A @ r),
+                          np.ones(3), 5)
+        assert np.max(np.abs(x[1:])) < 1e-15 * abs(x[0])
 
 
 def _lobpcg_range_shift(fld, max_iter):

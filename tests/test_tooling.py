@@ -14,7 +14,8 @@ with one line on stderr, so a new failure type cannot escape as a
 traceback.  The next test requires that every defaulted parameter of a
 public function is set by some call in the repository: an option no
 caller sets is a module constant.  radial._shoot must stay the one
-solve_ivp call in src/.  The default test's twin requires the same of the
+solve_ivp call in src/, and src/ imports none of scipy's minres, lobpcg
+or LinearOperator.  The default test's twin requires the same of the
 config schema: every key is set by some config in tests/, demos/ or
 bench/.  The README's config table must list exactly the keys of the
 config schema.  The last two keep the radial-profile keys of the
@@ -216,25 +217,27 @@ def test_radial_shoot_is_the_one_solve_ivp_call():
                       "_shoot")]
 
 
-def test_every_linear_operator_declares_its_dtype():
-    # without a dtype, scipy infers one by applying the operator to a
-    # zero vector: a full spectral multiply thrown away per solve
-    package = os.path.join(ROOT, "src", "vortexlab")
-    undeclared, seen = [], 0
-    for module in sorted(os.listdir(package)):
-        if not module.endswith(".py"):
-            continue
-        with open(os.path.join(package, module)) as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "LinearOperator" in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None)):
-                seen += 1
-                if not any(kw.arg == "dtype" for kw in node.keywords):
-                    undeclared.append("%s:%d" % (module, node.lineno))
-    assert seen > 0
-    assert undeclared == []
+def test_src_uses_no_scipy_krylov_solver():
+    # torus._solve_shifted (MINRES) and stability._lopcg are the one
+    # implementation of each solver: both read the operator image off
+    # torus._preconditioner, which scipy's minres and lobpcg cannot
+    banned = {"minres", "lobpcg", "LinearOperator"}
+    found = []
+    for directory, _, files in os.walk(os.path.join(ROOT, "src")):
+        for name in sorted(n for n in files if n.endswith(".py")):
+            path = os.path.join(directory, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {a.name.rpartition(".")[2] for a in node.names}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                found += ["%s:%d %s" % (name, node.lineno, hit)
+                          for hit in sorted(names & banned)]
+    assert found == []
 
 
 def _schema_keys():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, minres
 
 from vortexlab import (
     CapacityError,
@@ -79,6 +80,13 @@ GOLDEN_RECT = {
                  (-0.2462063662531255581497, -0.05369487104717587895169)),
     },
 }
+
+
+def _growing_step(domain, W, c, b, rtol, maxiter):
+    """A _solve_shifted stand-in whose step only raises the residual: a
+    Nyquist checkerboard, whose Laplacian dwarfs any residual."""
+    i, j = np.indices(domain.grid_shape)
+    return 1e3 * (-1.0) ** (i + j), 0, 1
 
 
 @pytest.fixture(scope="module")
@@ -314,49 +322,67 @@ class TestShiftedSolve:
         W = 2.0 + np.cos(np.pi * X1 / 2.0) * np.sin(np.pi * X2 / 2.0)
         b = np.exp(np.sin(np.pi * X1 / 2.0))
         rtol = 1e-12
-        x, info = _solve_shifted(dom64, W, 2.0, b, rtol, 500)
-        assert info == 0
+        x, info, k = _solve_shifted(dom64, W, 2.0, b, rtol, 500)
+        assert info == 0 and 0 < k < 500
         assert np.max(np.abs(-laplacian(dom64, x) + W * x - b)) < 1e-9
         # MINRES stops on the backward error |r|_M <= rtol |A| |x|, not
         # on |r| <= rtol |b|; on this system the plain relative residual
         # is 4.8 rtol
         r = _apply_shifted(dom64, W, x) - b
         assert np.linalg.norm(r) <= 10.0 * rtol * np.linalg.norm(b)
-        _, info = _solve_shifted(dom64, W, 2.0, b, 1e-12, 1)
-        assert info != 0
+        _, info, k = _solve_shifted(dom64, W, 2.0, b, 1e-12, 1)
+        assert (info, k) == (1, 1)
 
-    def test_one_operator_call_per_iteration(self, dom64, monkeypatch):
-        # with explicit dtypes MINRES never probes an operator: k
-        # iterations make k matvecs and k + 1 preconditioner solves
-        count = {"matvec": 0, "multiply": 0, "iterations": 0}
-        apply, multiply, minres = (torus._apply_shifted,
-                                   TorusDomain._multiply, torus.minres)
+    def test_one_multiply_per_iteration(self, dom64, monkeypatch):
+        # the preconditioner's round trip also gives the operator image,
+        # so k iterations make k + 1 multiplies and no operator call
+        count = {"apply": 0, "multiply": 0}
+        apply, multiply = torus._apply_shifted, TorusDomain._multiply
 
         def counted_apply(*args):
-            count["matvec"] += 1
+            count["apply"] += 1
             return apply(*args)
 
         def counted_multiply(self, symbol, g):
             count["multiply"] += 1
             return multiply(self, symbol, g)
 
-        def counted_minres(*args, **kwargs):
-            def step(xk):
-                count["iterations"] += 1
-            return minres(*args, callback=step, **kwargs)
-
         monkeypatch.setattr(torus, "_apply_shifted", counted_apply)
         monkeypatch.setattr(TorusDomain, "_multiply", counted_multiply)
-        monkeypatch.setattr(torus, "minres", counted_minres)
         X1, X2 = dom64.mesh
         W = 2.0 + np.cos(np.pi * X1 / 2.0) * np.sin(np.pi * X2 / 2.0)
         b = np.exp(np.sin(np.pi * X1 / 2.0))
-        _, info = _solve_shifted(dom64, W, 2.0, b, 1e-10, 500)
-        k = count["iterations"]
+        _, info, k = _solve_shifted(dom64, W, 2.0, b, 1e-10, 500)
         assert info == 0 and k > 0
-        assert count["matvec"] == k
-        # each matvec's Laplacian is one multiply, the rest are psolves
-        assert count["multiply"] - count["matvec"] == k + 1
+        assert count == {"apply": 0, "multiply": k + 1}
+
+    def test_preconditioner_returns_the_operator_image(self, dom64):
+        # A w = r + (W - c) w for w = (c - Lap)^-1 r, A = -Lap + W
+        X1, X2 = dom64.mesh
+        W = 2.0 + np.cos(np.pi * X1 / 2.0) * np.sin(np.pi * X2 / 2.0)
+        r = np.exp(np.sin(np.pi * X1 / 2.0)) * np.cos(np.pi * X2 / 2.0)
+        w, Aw = torus._preconditioner(dom64, W, 3.0)(r)
+        assert np.max(np.abs(3.0 * w - laplacian(dom64, w) - r)) < 1e-12
+        assert np.max(np.abs(Aw - _apply_shifted(dom64, W, w))) < 1e-12
+
+    def test_matches_scipy_minres(self, dom64):
+        # the same recurrences as scipy's minres: the same iteration count
+        # and the same iterate up to round-off
+        X1, X2 = dom64.mesh
+        W = 2.0 + np.cos(np.pi * X1 / 2.0) * np.sin(np.pi * X2 / 2.0)
+        b = np.exp(np.sin(np.pi * X1 / 2.0))
+        shape, n = dom64.grid_shape, b.size
+        pre = 1.0 / (2.0 + dom64._k2)
+        op = LinearOperator((n, n), dtype=float, matvec=lambda g: (
+            _apply_shifted(dom64, W, g.reshape(shape)).ravel()))
+        M = LinearOperator((n, n), dtype=float, matvec=lambda g: (
+            dom64._multiply(pre, g.reshape(shape)).ravel()))
+        steps = []
+        ref, _ = minres(op, b.ravel(), M=M, rtol=1e-10, maxiter=500,
+                        callback=steps.append)
+        x, info, k = _solve_shifted(dom64, W, 2.0, b, 1e-10, 500)
+        assert k == len(steps)
+        assert np.max(np.abs(x.ravel() - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 class TestGreenGrid:
@@ -476,6 +502,40 @@ class TestNewton:
             solve_newton(TorusGeometry(dom64, one_plus),
                          ModelParams(1.0, 0.25),
                          v_init=np.zeros((32, 32)))
+
+    def test_growing_residual_is_divergence(self, dom64, one_plus,
+                                            monkeypatch):
+        # a step that only raises the residual stops Newton after five
+        # damped steps, whatever round-off does to a real solve
+        monkeypatch.setattr(torus, "_solve_shifted", _growing_step)
+        with pytest.raises(NewtonDivergenceError,
+                           match="residual grew for 5 consecutive damped "
+                                 "steps") as info:
+            torus._newton_core(TorusGeometry(dom64, one_plus),
+                               ModelParams(1.0, 0.25),
+                               np.zeros(dom64.grid_shape), 60, 1.0)
+        assert info.value.field.diagnostics["iterations"] == 5
+
+    def test_minres_iterations_are_counted(self, dom64, one_plus,
+                                           monkeypatch):
+        seen = []
+        solve = torus._solve_shifted
+
+        def counted(*args):
+            x, info, k = solve(*args)
+            seen.append(k)
+            return x, info, k
+
+        monkeypatch.setattr(torus, "_solve_shifted", counted)
+        fld = solve_newton(TorusGeometry(dom64, one_plus),
+                           ModelParams(1.0, 0.2), continuation=[0.25, 0.2])
+        stages = fld.diagnostics["stages"]
+        assert len(seen) == sum(st["iterations"] for st in stages)
+        assert fld.diagnostics["minres_iters"] == sum(seen) \
+            == sum(st["minres_iters"] for st in stages)
+        # every Newton step runs at least one MINRES iteration
+        assert all(st["minres_iters"] >= st["iterations"] > 0
+                   for st in stages)
 
     def test_iteration_cap_raises(self, dom64, one_plus):
         with pytest.raises((NewtonDivergenceError, ConvergenceError)):
