@@ -51,8 +51,8 @@ def main():
         print("  a = %-4g identity    : lhs %.6f  rhs %.6f  rel %.1e"
               % (a, lhs, rhs, rel))
 
-    # the vacuum shift -u0 is a supersolution
-    mono = solve_monotone(geo, params, sub=-geo.u0 - 25.0, super_=-geo.u0)
+    # down from the vacuum supersolution -u0
+    mono = solve_monotone(geo, params)
     print()
     print("= monotone iteration cross-check =")
     print("  iterations          : %d" % mono.diagnostics["iterations"])

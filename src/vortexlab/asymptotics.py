@@ -509,15 +509,13 @@ def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
 def _make_record(fld, mask, K_radius, compute_eigen, keep_fields):
     reports = []
     for k, (p, m, sgn) in enumerate(fld.vortices.signed()):
-        cov = _ball(fld.geometry, p, K_radius, k)
-        mass = _ball_integral(fld, cov, fld.f)
-        poh = _pohozaev_torus(fld, p, m, K_radius, cov, 1024)
-        quant = _ball_integral(fld, cov, fld.q)
+        mass = vortex_mass(fld, k, K_radius)
         reports.append(VortexReport(
             vortex=k, point=(float(p[0]), float(p[1])),
             multiplicity=int(m), sign=int(sgn), mass=mass,
             beta_proxy=-mass / (4.0 * np.pi) - m,
-            pohozaev=poh, quantization=quant))
+            pohozaev=pohozaev_value(fld, vortex_id=k, r=K_radius),
+            quantization=quantization_value(fld, k, K_radius)))
     eig = eig_error = None
     if compute_eigen:
         try:

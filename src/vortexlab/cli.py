@@ -18,6 +18,7 @@ byte-identical.
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -54,8 +55,6 @@ _RADIAL_MARGIN = 1e-8
 # the shot settings of a radial profile request: shoot's flags and the
 # stability section's keys; None leaves the shooter's default
 _SHOT_KEYS = ("tau", "nu", "vortex_sign", "r_max", "points_per_decade")
-# the monotone bracket: subsolution -u0 - _MONOTONE_OFFSET, supersolution -u0
-_MONOTONE_OFFSET = 25.0
 # verify's gates: residual_sup at _RESIDUAL_FACTOR times the solvers'
 # residual gate, the mass identity relative to 4 pi max(1, N1 + N2), the
 # a-identities at each of _A_VALUES, and every Pohozaev balance
@@ -71,6 +70,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse alone reads -1e-3 as an option; no option here is numeric
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError("%s: %s" % (self.prog, message))
 
@@ -196,9 +201,7 @@ def _field(cfg, path=None):
     solver = cfg.tree["solver"]
     params = cfg.params()
     if solver["method"] == "monotone":
-        u0 = geometry.u0
-        return solve_monotone(geometry, params, sub=-u0 - _MONOTONE_OFFSET,
-                              super_=-u0)
+        return solve_monotone(geometry, params)
     return solve_newton(geometry, params, continuation=solver["continuation"])
 
 

@@ -58,10 +58,15 @@ class ConfigError(ValueError):
 # sweep and stability, whose required keys have no defaults, stay None.
 
 
-def _num(positive=False, nonneg=False, allow_none=False):
+def _optional(check):
+    """check, with null accepted as None."""
+    def optional(v, ptr):
+        return None if v is None else check(v, ptr)
+    return optional
+
+
+def _num(positive=False, nonneg=False):
     def check(v, ptr):
-        if v is None and allow_none:
-            return None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(ptr, "expected a number, got %r" % (v,))
         v = float(v)
@@ -75,10 +80,8 @@ def _num(positive=False, nonneg=False, allow_none=False):
     return check
 
 
-def _int(min_value=None, choices=None, allow_none=False):
+def _int(min_value=None, choices=None):
     def check(v, ptr):
-        if v is None and allow_none:
-            return None
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(ptr, "expected an integer, got %r" % (v,))
         if min_value is not None and v < min_value:
@@ -98,10 +101,8 @@ def _bool():
     return check
 
 
-def _str(choices=None, allow_none=False):
+def _str(choices=None):
     def check(v, ptr):
-        if v is None and allow_none:
-            return None
         if not isinstance(v, str):
             raise ConfigError(ptr, "expected a string, got %r" % (v,))
         if choices is not None and v not in choices:
@@ -111,10 +112,8 @@ def _str(choices=None, allow_none=False):
     return check
 
 
-def _list(item, min_len=0, exact_len=None, allow_none=False):
+def _list(item, min_len=0, exact_len=None):
     def check(v, ptr):
-        if v is None and allow_none:
-            return None
         if not isinstance(v, list):
             raise ConfigError(ptr, "expected a list, got %r" % (v,))
         if exact_len is not None and len(v) != exact_len:
@@ -159,12 +158,6 @@ def _decreasing_positive(v, ptr):
         raise ConfigError(ptr, "must be strictly decreasing") from None
 
 
-def _decreasing_or_none(v, ptr):
-    if v is None:
-        return None
-    return _decreasing_positive(v, ptr)
-
-
 _VORTEX = _object({
     "point": (_list(_num(), exact_len=2), True, None),
     "multiplicity": (_int(min_value=0), False, 1),
@@ -178,7 +171,7 @@ _SCHEMA = {
     }), False, {}),
     "model": (_object({
         "tau": (_num(positive=True), False, 1.0),
-        "epsilon": (_num(positive=True, allow_none=True), False, None),
+        "epsilon": (_optional(_num(positive=True)), False, None),
     }), False, {}),
     "vortices": (_object({
         "positive": (_list(_VORTEX), False, []),
@@ -186,7 +179,7 @@ _SCHEMA = {
     }), False, {}),
     "solver": (_object({
         "method": (_str(choices=("newton", "monotone")), False, "newton"),
-        "continuation": (_decreasing_or_none, False, None),
+        "continuation": (_optional(_decreasing_positive), False, None),
     }), False, {}),
     "sweep": (_object({
         "epsilons": (_decreasing_positive, True, None),
@@ -194,19 +187,18 @@ _SCHEMA = {
     }), False, None),
     "stability": (_object({
         "target": (_str(choices=("torus", "radial")), True, None),
-        "field": (_str(allow_none=True), False, None),
-        "tau": (_num(positive=True, allow_none=True), False, None),
-        "nu": (_num(nonneg=True, allow_none=True), False, None),
-        "s": (_num(allow_none=True), False, None),
+        "field": (_optional(_str()), False, None),
+        "tau": (_optional(_num(positive=True)), False, None),
+        "nu": (_optional(_num(nonneg=True)), False, None),
+        "s": (_optional(_num()), False, None),
         "find_topological": (_bool(), False, False),
-        "bracket": (_list(_num(), exact_len=2, allow_none=True), False, None),
-        "vortex_sign": (_int(choices=(-1, 1), allow_none=True), False, None),
-        "r_max": (_num(positive=True, allow_none=True), False, None),
-        "points_per_decade": (_int(min_value=10, allow_none=True), False,
-                              None),
+        "bracket": (_optional(_list(_num(), exact_len=2)), False, None),
+        "vortex_sign": (_optional(_int(choices=(-1, 1))), False, None),
+        "r_max": (_optional(_num(positive=True)), False, None),
+        "points_per_decade": (_optional(_int(min_value=10)), False, None),
     }), False, None),
     "verify": (_object({
-        "field": (_str(allow_none=True), False, None),
+        "field": (_optional(_str()), False, None),
     }), False, {}),
     "output": (_object({
         "dir": (_str(), False, "."),

@@ -546,7 +546,8 @@ def find_topological(bracket, nu=0.0, tau=1.0, vortex_sign=-1,
     grid of the returned profile alone, whose own shot stops at
     |u| = BISECT_DIVERGENCE_STOP.
 
-    The loop keeps plain bisection's dyadic midpoints and stop rule, and
+    The loop keeps plain bisection's dyadic midpoints and stop rule,
+    which a floating-point bisection always reaches (no step cap), and
     an interval [a, b] that holds s*: every shot probe at or below a
     diverged like s_lo, every one at or above b like s_hi.  A midpoint
     outside [a, b] takes its side's sign unshot (bisect_skipped), which
@@ -555,8 +556,8 @@ def find_topological(bracket, nu=0.0, tau=1.0, vortex_sign=-1,
     bracket is narrower than _MODEL_WIDTH, a midpoint inside (a, b) is
     preceded by a round of two model probes, at the predicted s* (see
     _model_s_star) minus and plus a margin, each trusted only on the
-    side it was sent to.  A model probe of sign 0 ends the model phase, and the loop
-    finishes as plain bisection, [a, b] the bracket.
+    side it was sent to.  A model probe of sign 0 ends the model phase,
+    and the loop finishes as plain bisection, [a, b] the bracket.
 
     Returns the profile truncated at the last radius where both
     topological tail tolerances hold; its diagnostics add bisect_probes
@@ -610,7 +611,7 @@ def find_topological(bracket, nu=0.0, tau=1.0, vortex_sign=-1,
         margin = _MODEL_MARGIN
         model_probes = 0
         modeling = True
-        for _ in range(200):
+        while True:
             mid = 0.5 * (s_lo + s_hi)
             if mid == s_lo or mid == s_hi or s_hi - s_lo < 1e-13:
                 break

@@ -40,7 +40,7 @@ class NewtonDivergenceError(RuntimeError):
 
 
 class MonotonicityError(RuntimeError):
-    """Monotone iteration violated ordering (shift constant too small)."""
+    """Monotone iteration has no bracket or violated its ordering."""
 
 
 class ConvergenceError(RuntimeError):
@@ -644,26 +644,31 @@ def _solve_shifted(domain, W, c, b, rtol, maxiter):
     return x, maxiter, maxiter
 
 
+_MONOTONE_OFFSET = 25.0
 _MONOTONE_MAX_ITER = 100000
 
 
-def solve_monotone(geometry, params, sub, super_):
-    """Monotone iteration between a sub- and a supersolution.
+def solve_monotone(geometry, params):
+    """Monotone iteration down from the vacuum supersolution -u0.
 
-    Starts from the supersolution and decreases pointwise toward the
-    maximal solution in the bracket; the linearization shift c exceeds
-    sup |eps^-2 f_tau'| so the iteration map is order-preserving.
-    Residual signs of the supplied bracket are reported in the
-    diagnostics, not enforced.  Raises CapacityError before iterating
-    when epsilon cannot carry the mass identity (_check_capacity).
+    The bracket is the solver's own: super -u0 and sub -u0 -
+    _MONOTONE_OFFSET.  The iterates decrease pointwise toward the
+    maximal solution in it, as the shift c exceeds sup |eps^-2 f_tau'|;
+    the bracket's residual signs are reported in the diagnostics.  The
+    residual of -u0 is +4pi m/(h1 h2) on a negative vortex's cell, so
+    before iterating N2 > 0 raises MonotonicityError, and an epsilon
+    that cannot carry the mass identity raises CapacityError.
     """
     domain = geometry.domain
-    sub = np.asarray(sub, dtype=float)
-    super_ = np.asarray(super_, dtype=float)
-    if sub.shape != tuple(domain.grid_shape) or super_.shape != sub.shape:
-        raise ValueError("sub/super shapes must match the grid")
-    if np.any(sub > super_):
-        raise ValueError("sub must lie below super pointwise")
+    if geometry.vortices.N2:
+        raise MonotonicityError(
+            "the monotone bracket (-u0 - %g, -u0) needs N2 = 0: -u0 is no "
+            "supersolution at the negative vortices %s" % (
+                _MONOTONE_OFFSET, ", ".join(
+                    "(%g, %g) m=%d" % (*p, m)
+                    for p, m in geometry.vortices.negative_vortices if m)))
+    super_ = -geometry.u0
+    sub = super_ - _MONOTONE_OFFSET
 
     _check_capacity(domain, geometry.vortices, params, params.epsilon)
     resolution = _check_resolution(domain, params)
@@ -673,7 +678,7 @@ def solve_monotone(geometry, params, sub, super_):
     mult = 1.0 / (c + domain._k2)
 
     # the first iterate is the supersolution: its residual is the bracket's
-    fld = TorusField(geometry=geometry, params=params, v=super_.copy())
+    fld = TorusField(geometry=geometry, params=params, v=super_)
     diag = {
         "shift": c,
         "sub_residual_min": float(np.min(replace(fld, v=sub).residual)),

@@ -265,8 +265,7 @@ def test_criterion_10_cross_solver_agreement():
         geo = TorusGeometry(dom, ONE_PLUS)
         newton = solve_newton(geo, ModelParams(1.0, 0.1),
                               continuation=[0.25, 0.2, 0.15, 0.12, 0.1])
-        mono = solve_monotone(geo, ModelParams(1.0, 0.1),
-                              sub=-geo.u0 - 25.0, super_=-geo.u0)
+        mono = solve_monotone(geo, ModelParams(1.0, 0.1))
     gap = float(np.max(np.abs(newton.u - mono.u)))
     ok = gap < 1e-8
     assert _report(10, "cross-solver agreement", ok, "max gap %.1e" % gap)

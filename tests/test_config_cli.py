@@ -6,12 +6,14 @@ is asserted on return values, and determinism is checked byte-for-byte
 on the CSV/JSON artifacts.
 """
 
+import argparse
 import json
 import math
 import os
 import shlex
 import shutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from vortexlab import (
     torus,
     weighted_eigen_radial,
 )
-from vortexlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from vortexlab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
+                           build_parser, main)
 from vortexlab.config import (
     ConfigError,
     ExperimentConfig,
@@ -485,6 +488,16 @@ class TestShootCommand:
             "error: points_per_decade must be >= 10")
         assert not (tmp_path / "p.csv").exists()
 
+    def test_negative_value_in_scientific_notation(self, tmp_path, capsys):
+        out = str(tmp_path / "p")
+        assert main(["shoot", "--s", "-1e-3", "--tau", "1", "--rmax", "1e3",
+                     "--out", out]) == EXIT_OK
+        assert json.loads((tmp_path / "p.json").read_text())["s"] == -1e-3
+        # a dash word is still read as an option name
+        assert main(["shoot", "--tau", "1", "--s", "-x"]) == EXIT_USAGE
+        assert "argument --s: expected one argument" in \
+            capsys.readouterr().err
+
     def test_last_line_names_what_was_written(self, tmp_path, capsys):
         out = str(tmp_path / "p")
         assert main(["shoot", "--tau", "1", "--s", "-1", "--rmax", "1e3",
@@ -585,6 +598,39 @@ def test_tol_flag_is_gone(argv, tmp_path, capsys):
     assert rc == EXIT_USAGE
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+def _subcommands():
+    """name -> subparser of every command of build_parser()."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flag_argv(action, value):
+    n = action.nargs if isinstance(action.nargs, int) else 1
+    return [action.option_strings[-1]] + [value] * n
+
+
+@pytest.mark.parametrize("command, flag", [
+    (name, action.dest) for name, p in _subcommands().items()
+    for action in p._actions if action.type is float])
+@pytest.mark.parametrize("text", ["-1e-3", "-2.5E+2", "-.5e1", "-3."])
+def test_negative_float_flag_takes_exponents(command, flag, text):
+    # argparse alone reads "-1e-3" as an option name; the other required
+    # flags get "1"
+    sub = _subcommands()[command]
+    action = next(a for a in sub._actions if a.dest == flag)
+    argv = [command]
+    for other in sub._actions:
+        if other.required and other is not action:
+            argv += _flag_argv(other, "1")
+    for group in sub._mutually_exclusive_groups:
+        if group.required and action not in group._group_actions:
+            argv += _flag_argv(group._group_actions[0], "1")
+    args = build_parser().parse_args(argv + _flag_argv(action, text))
+    want = float(text)
+    assert getattr(args, flag) == (
+        want if action.nargs is None else [want] * action.nargs)
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +805,19 @@ class TestTorusCommand:
             assert main(["torus", "--config", cfg]) == EXIT_OK
         snaps = [w for w in caught if "snapped to the grid" in str(w.message)]
         assert len(snaps) == 1
+
+    def test_monotone_refuses_a_negative_vortex(self, tmp_path, capsys):
+        tree = _base_cfg(tmp_path)
+        tree["model"]["epsilon"] = 0.3
+        tree["vortices"]["negative"] = [{"point": [3.0, 3.0]}]
+        tree["solver"] = {"method": "monotone"}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: the monotone bracket (-u0 - 25, -u0) needs "
+            "N2 = 0: -u0 is no supersolution at the negative vortices "
+            "(3, 3) m=1\n")
+        assert not (tmp_path / "run_summary.json").exists()
 
     def test_retired_kernel_key_is_unknown(self, tmp_path, capsys):
         tree = _base_cfg(tmp_path)
@@ -1127,6 +1186,28 @@ class TestVerifyCommand:
         assert "FAIL" in out
         doc = json.loads((tmp_path / "run_verify.json").read_text())
         assert doc["all_passed"] is False
+
+    def test_perturbed_archive_fails_the_residual_row(self, tmp_path,
+                                                      capsys):
+        # the failure is the perturbation's, not the grid's: the archive
+        # of a solved field with v moved off the solution
+        cfg = _write_cfg(tmp_path, _base_cfg(tmp_path, grid=128))
+        assert main(["torus", "--config", cfg]) == EXIT_OK
+        archive = str(tmp_path / "run_field.npz")
+        fld = load_field(archive)
+        X, _ = fld.domain.mesh
+        save_field(replace(fld, v=fld.v + 1e-3 * np.cos(0.5 * np.pi * X)),
+                   archive)
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg,
+                     "--override", "verify.field=%s" % archive]) \
+            == EXIT_VERIFY
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("FAIL  residual_sup ") for line in lines)
+        doc = json.loads((tmp_path / "run_verify.json").read_text())
+        assert doc["all_passed"] is False
+        assert doc["rows"][0]["name"] == "residual_sup"
+        assert doc["rows"][0]["passed"] is False
 
     def test_last_lines_name_what_was_written(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, _base_cfg(tmp_path))

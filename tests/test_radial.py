@@ -352,7 +352,7 @@ def _plain_bisection(bracket, nu, tau, vortex_sign=-1):
     s_lo, s_hi = bracket
     sgn_lo = tail_sign(s_lo)
     assert sgn_lo == -tail_sign(s_hi) != 0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (s_lo + s_hi)
         if mid == s_lo or mid == s_hi or s_hi - s_lo < 1e-13:
             break
@@ -411,6 +411,13 @@ class TestModelBisection:
             # the model certifies most of the deep midpoints
             assert diag["bisect_skipped"] > 20
             assert diag["bisect_probes"] < len(probed)
+
+    def test_wide_bracket_bisects_to_its_stop_rule(self, topological):
+        # (-1e80, 1e80) needs about 300 midpoints; a step cap of 200 once
+        # returned the midpoint of a bracket still 1e20 wide
+        sol = find_topological((-1e80, 1e80), nu=1.0, tau=1.0)
+        assert sol.bc_type is BCType.TOPOLOGICAL
+        assert abs(sol.s - topological.s) <= 1e-12
 
     def _mislead(self, monkeypatch, bracket, answer):
         """Let answer(sign) replace the sign of every model probe, the

@@ -573,7 +573,7 @@ class TestMonotone:
     def test_agrees_with_newton(self, dom64, one_plus):
         p = ModelParams(1.0, 0.3)
         geo = TorusGeometry(dom64, one_plus)
-        mono = solve_monotone(geo, p, sub=-geo.u0 - 25.0, super_=-geo.u0)
+        mono = solve_monotone(geo, p)
         newt = solve_newton(geo, p)
         assert np.max(np.abs(mono.v - newt.v)) < 1e-8
         # the vacuum shift -u0 is an exact discrete supersolution
@@ -584,7 +584,6 @@ class TestMonotone:
     def test_one_f_evaluation_per_iterate(self, dom64, one_plus, monkeypatch):
         p = ModelParams(1.0, 0.3)
         geo = TorusGeometry(dom64, one_plus)
-        u0 = geo.u0
         f_tau = kernels.f_tau
         calls = []
 
@@ -593,7 +592,7 @@ class TestMonotone:
             return f_tau(*args, **kwargs)
 
         monkeypatch.setattr(kernels, "f_tau", counting)
-        mono = solve_monotone(geo, p, sub=-u0 - 25.0, super_=-u0)
+        mono = solve_monotone(geo, p)
         monkeypatch.undo()
         # the sub bracket's residual, then one f per iterate; the first
         # iterate's residual is the super bracket's
@@ -606,7 +605,7 @@ class TestMonotone:
         p = ModelParams(1.0, 0.3)
         geo = TorusGeometry(dom64, one_plus)
         u0 = geo.u0
-        mono = solve_monotone(geo, p, sub=-u0 - 25.0, super_=-u0)
+        mono = solve_monotone(geo, p)
         c = mono.diagnostics["shift"]
         K = 4.0 * np.pi * (geo.vortices.N1 - geo.vortices.N2) / dom64.area
         mult = 1.0 / (-dom64._k2 - c)
@@ -619,25 +618,41 @@ class TestMonotone:
         assert mono.diagnostics["iterations"] == it
         assert np.max(np.abs(mono.v - fld.v)) <= 1e-13
 
-    def test_ordering_violation_rejected(self, dom64, one_plus):
-        p = ModelParams(1.0, 0.3)
-        zeros = np.zeros(dom64.grid_shape)
-        with pytest.raises(ValueError):
-            solve_monotone(TorusGeometry(dom64, one_plus),
-                           p, sub=zeros + 1.0, super_=zeros)
-
-    def test_sub_above_solution_detected(self, dom64, one_plus):
+    def test_sub_above_solution_detected(self, dom64, one_plus, monkeypatch):
+        # a subsolution 1e-3 below -u0 lies above the solution
+        monkeypatch.setattr(torus, "_MONOTONE_OFFSET", 1e-3)
         p = ModelParams(1.0, 0.3)
         geo = TorusGeometry(dom64, one_plus)
-        with pytest.raises(MonotonicityError):
-            solve_monotone(geo, p, sub=-geo.u0 - 1e-3, super_=-geo.u0)
+        with pytest.raises(MonotonicityError, match="below the subsolution"):
+            solve_monotone(geo, p)
+
+    @pytest.mark.parametrize("vortices, named", [
+        (VortexSet(negative_vortices=(((2.0, 2.0), 1),)), "(2, 2) m=1"),
+        (VortexSet(positive_vortices=(((1.0, 1.0), 2),),
+                   negative_vortices=(((3.0, 3.0), 1),)), "(3, 3) m=1"),
+        (VortexSet(positive_vortices=(((2.0, 2.0), 1),),
+                   negative_vortices=(((2.0625, 2.0), 1),)),
+         "(2.0625, 2) m=1"),
+    ], ids=["minus", "plus2-minus", "adjacent"])
+    def test_negative_vortex_refused_before_iterating(self, dom64, vortices,
+                                                      named, monkeypatch):
+        # F(-u0) = +4 pi m / (h1 h2) on a negative vortex's cell, so -u0
+        # is no supersolution whatever the shift
+        monkeypatch.setattr(kernels, "f_tau",
+                            lambda *args, **kwargs: pytest.fail("iterated"))
+        geo = TorusGeometry(dom64, vortices)
+        with pytest.raises(MonotonicityError) as err:
+            solve_monotone(geo, ModelParams(1.0, 0.3))
+        assert str(err.value) == (
+            "the monotone bracket (-u0 - 25, -u0) needs N2 = 0: -u0 is no "
+            "supersolution at the negative vortices " + named)
 
     def test_over_capacity_rejected(self, dom64, one_plus):
         # tau = 1000 caps max f near 2.5e-10: one vortex needs eps <= 1.8e-5
         p = ModelParams(1000.0, 0.3)
         geo = TorusGeometry(dom64, one_plus)
         with pytest.raises(CapacityError, match=r"epsilon <= 1\.78"):
-            solve_monotone(geo, p, sub=-geo.u0 - 25.0, super_=-geo.u0)
+            solve_monotone(geo, p)
 
 
 class TestIdentity:
@@ -794,7 +809,7 @@ class TestGeometry:
             geo = TorusGeometry(dom64, vs)
         p = ModelParams(1.0, 0.3)
         newt = solve_newton(geo, p)
-        mono = solve_monotone(geo, p, sub=-geo.u0 - 25.0, super_=-geo.u0)
+        mono = solve_monotone(geo, p)
         for fld in (newt, mono):
             assert fld.diagnostics["snap_moves"] == [[[2.012, 2.0],
                                                       [2.0, 2.0]]]
