@@ -72,9 +72,11 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse alone reads -1e-3 as an option; no option here is numeric
+        # argparse alone reads -1e-3 and -inf as options; no option here
+        # is numeric, and float() takes inf, infinity and nan in any case
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$",
+            re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError("%s: %s" % (self.prog, message))

@@ -36,7 +36,8 @@ off-grid points with no truncation ringing near the log singularity.
 """
 
 import numpy as np
-from scipy.special import exp1
+
+from . import _scipy
 
 # E1(38) ~ 8e-19: both window radii are chosen from this cutoff
 _Z_CUT = 38.0
@@ -92,6 +93,7 @@ def green_value(dx, dy, L1=1.0, L2=1.0):
     the source point itself.
     """
     area, eta2, images, duals = _setup(L1, L2)
+    exp1 = _scipy.load().special.exp1
     dx = _min_image(np.asarray(dx, dtype=float), L1)
     dy = _min_image(np.asarray(dy, dtype=float), L2)
     out = np.zeros(np.broadcast(dx, dy).shape)
@@ -139,6 +141,7 @@ def regular_part(L1=1.0, L2=1.0):
     the log subtraction; everything else is evaluated at the source.
     """
     area, eta2, images, duals = _setup(L1, L2)
+    exp1 = _scipy.load().special.exp1
     euler = float(np.euler_gamma)
     out = -(euler + np.log(eta2)) / (4.0 * np.pi)
     acc = 0.0

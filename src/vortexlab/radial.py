@@ -20,8 +20,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp, simpson
-from scipy.optimize import brentq
 
 from .model import nonlinearity_ops
 
@@ -231,6 +229,14 @@ def _radii(r_max, points_per_decade):
     """The geometric output grid from R0 to r_max."""
     n_pts = max(int(points_per_decade * np.log10(r_max / R0)), 20) + 1
     return np.geomspace(R0, r_max, n_pts)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's solve_ivp, imported on the first shot.  _shoot calls it
+    through this module-level name, so a shot can be watched by patching
+    radial.solve_ivp."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def _shoot(s, nu, tau, r_max, vortex_sign, divergence_stop, radii):
@@ -523,6 +529,7 @@ def _model_s_star(sides, rate, a, b):
         k_max = rate * (1.0 + _MODEL_RATE_TOL)
         if excess(k_min) * excess(k_max) > 0.0:
             continue
+        from scipy.optimize import brentq
         k = brentq(excess, k_min, k_max)
         rho = math.exp(-k * (r3 - r2))
         guess = s3 + rho * (s3 - s2) / (1.0 - rho)
@@ -693,6 +700,7 @@ def mass_integral(sol, kind):
     if sol.bc_type is BCType.UNDETERMINED:
         warnings.warn("mass integral on an Undetermined profile",
                       RuntimeWarning, stacklevel=2)
+    from scipy.integrate import simpson
     vals = kern(sol.u)
     body = simpson(y=vals * sol.r, x=sol.r)
     origin = 0.5 * float(kern(sol.u[0])) * sol.r[0] ** 2

@@ -611,13 +611,13 @@ def _flag_argv(action, value):
     return [action.option_strings[-1]] + [value] * n
 
 
-@pytest.mark.parametrize("command, flag", [
-    (name, action.dest) for name, p in _subcommands().items()
-    for action in p._actions if action.type is float])
-@pytest.mark.parametrize("text", ["-1e-3", "-2.5E+2", "-.5e1", "-3."])
-def test_negative_float_flag_takes_exponents(command, flag, text):
-    # argparse alone reads "-1e-3" as an option name; the other required
-    # flags get "1"
+_FLOAT_FLAGS = [(name, action.dest) for name, p in _subcommands().items()
+                for action in p._actions if action.type is float]
+
+
+def _required_argv(command, flag):
+    """(argv of command with every other required flag set to 1, the
+    flag's action)."""
     sub = _subcommands()[command]
     action = next(a for a in sub._actions if a.dest == flag)
     argv = [command]
@@ -627,10 +627,38 @@ def test_negative_float_flag_takes_exponents(command, flag, text):
     for group in sub._mutually_exclusive_groups:
         if group.required and action not in group._group_actions:
             argv += _flag_argv(group._group_actions[0], "1")
+    return argv, action
+
+
+@pytest.mark.parametrize("command, flag", _FLOAT_FLAGS)
+@pytest.mark.parametrize("text", ["-1e-3", "-2.5E+2", "-.5e1", "-3."])
+def test_negative_float_flag_takes_exponents(command, flag, text):
+    # argparse alone reads "-1e-3" as an option name
+    argv, action = _required_argv(command, flag)
     args = build_parser().parse_args(argv + _flag_argv(action, text))
     want = float(text)
     assert getattr(args, flag) == (
         want if action.nargs is None else [want] * action.nargs)
+
+
+@pytest.mark.parametrize("command, flag", _FLOAT_FLAGS)
+@pytest.mark.parametrize("text", ["-inf", "-Infinity", "-NaN"])
+def test_negative_inf_flag_names_the_value_fault(command, flag, text,
+                                                 tmp_path, capsys):
+    # "--s -inf" was read as an option name ("expected one argument"),
+    # while "--s=-inf" reached the check that names the fault; float()
+    # takes inf, infinity and nan in any case
+    argv, action = _required_argv(command, flag)
+    argv += ["--out", str(tmp_path / "o")]
+    args = build_parser().parse_args(argv + _flag_argv(action, text))
+    n = action.nargs if isinstance(action.nargs, int) else 1
+    assert np.array_equal(np.ravel(getattr(args, flag)),
+                          np.full(n, float(text)), equal_nan=True)
+    spaced = main(argv + _flag_argv(action, text)), capsys.readouterr().err
+    assert "expected" not in spaced[1]
+    if action.nargs is None:  # --bracket takes two values: no "=" form
+        joined = main(argv + ["%s=%s" % (action.option_strings[-1], text)])
+        assert spaced == (joined, capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

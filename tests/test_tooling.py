@@ -5,8 +5,13 @@ the package (solve_newton, laplacian, _pohozaev_torus, load_field,
 save_field, run_sweep, ...), and reports a metric whose target is gone
 as missing instead of failing.  One test installs the tracer over the
 imported package, requires that nothing is missing, and uninstalls it
-again; a second one requires that the kernel counters see the radial
-shooter's scalar calls and Newton's array calls.  They only read bench/.
+again.  The package imports scipy on first use, so two more run the
+sweep and torus-verify commands in a fresh interpreter, untraced and
+then traced as bench/run.py does, and require that nothing is missing
+there either; a third requires that start-up and a torus solve load no
+scipy module.  Another one requires that the kernel counters see the
+radial shooter's scalar calls and Newton's array calls.  They only read
+bench/.
 
 The exit-code tests raise every exception class the package defines
 from a stubbed command and require cli.main to map it to exit 1 or 2
@@ -14,8 +19,9 @@ with one line on stderr, so a new failure type cannot escape as a
 traceback.  The next test requires that every defaulted parameter of a
 public function is set by some call in the repository: an option no
 caller sets is a module constant.  radial._shoot must stay the one
-solve_ivp call in src/, and src/ imports none of scipy's minres, lobpcg
-or LinearOperator.  The default test's twin requires the same of the
+caller of the forwarder radial.solve_ivp, whose own call is the only
+other solve_ivp call in src/, and src/ imports none of scipy's minres,
+lobpcg or LinearOperator.  The default test's twin requires the same of the
 config schema: every key is set by some config in tests/, demos/ or
 bench/.  The README's config table must list exactly the keys of the
 config schema.  The last two keep the radial-profile keys of the
@@ -32,6 +38,8 @@ import json
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -40,7 +48,7 @@ import pytest
 import vortexlab
 import vortexlab.cli as cli
 from vortexlab import ModelParams, TorusDomain, TorusGeometry, VortexSet
-from vortexlab import config, radial, torus
+from vortexlab import _scipy, config, radial, torus
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -55,6 +63,9 @@ def _layertrace():
 
 
 def test_tracer_finds_every_metric_target():
+    # the scipy set a torus command loads on its first Ewald sum or eigen
+    # solve; run alone, this module imports no scipy module by itself
+    _scipy.load()
     layertrace = _layertrace()
     solve_newton, rfft2 = torus.solve_newton, np.fft.rfft2
     tracer = layertrace.Tracer()
@@ -187,6 +198,85 @@ def _sets(call, param, positional):
                 and positional.index(param) < len(call.args)))
 
 
+def _fresh_python(code, *args):
+    """Run code in a new interpreter on this checkout's src/, where no
+    test module has imported scipy yet; the last stdout line as JSON."""
+    src = os.path.join(os.path.dirname(BENCH), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# each operation untraced and then traced, as bench/run.py runs a pass
+_TRACED_OPS = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("layertrace", sys.argv[1])
+layertrace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layertrace)
+import vortexlab.cli as cli
+tracer = layertrace.Tracer()
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[2]):
+        untraced = cli.main(argv)
+        tracer.install()
+        try:
+            codes.append((untraced, cli.main(argv)))
+        finally:
+            tracer.uninstall()
+print(json.dumps({"codes": codes, "missing": tracer.missing()}))
+"""
+
+
+@pytest.mark.parametrize("workload", ["sweep", "torus-verify"])
+def test_fresh_traced_workload_finds_every_metric_target(workload, tmp_path):
+    # the in-process test above loads the scipy set by hand; a benchmark
+    # process has only what the commands import, and the five minres_*
+    # metrics need scipy.sparse.linalg among it
+    tree = {"domain": {"periods": [4.0, 4.0], "grid_shape": [64, 64]},
+            "model": {"tau": 1.0, "epsilon": 0.2},
+            "vortices": {"positive": [{"point": [2.0, 2.0]}]},
+            "solver": {"continuation": [0.25, 0.2]},
+            "sweep": {"epsilons": [0.3, 0.25, 0.2]},
+            "verify": {"field": str(tmp_path / "tv_field.npz")},
+            "output": {"dir": str(tmp_path), "prefix": "tv"}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tree))
+    commands = {"sweep": ["sweep"], "torus-verify": ["torus", "verify"]}
+    argvs = [[c, "--config", str(cfg)] for c in commands[workload]]
+    result = _fresh_python(_TRACED_OPS, os.path.join(BENCH, "layertrace.py"),
+                           json.dumps(argvs))
+    assert result["missing"] == []
+    # verify exits 3 on 64^2 (the identity rows); traced or not alike
+    assert [tuple(c) for c in result["codes"]] == {
+        "sweep": [(0, 0)], "torus-verify": [(0, 0), (3, 3)]}[workload]
+
+
+_SCIPY_AT_START_UP = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+import vortexlab.cli
+loaded = [scipy_modules()]
+from vortexlab import ModelParams, TorusDomain, TorusGeometry, VortexSet
+from vortexlab.torus import solve_newton
+dom = TorusDomain(periods=(4.0, 4.0), grid_shape=(64, 64))
+solve_newton(TorusGeometry(dom, VortexSet(positive_vortices=(((2.0, 2.0),
+             1),))), ModelParams(1.0, 0.25))
+loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_start_up_and_a_torus_solve_load_no_scipy():
+    # scipy is imported where it is first called (vortexlab._scipy,
+    # radial), so a command pays for the modules it uses, not for all
+    assert _fresh_python(_SCIPY_AT_START_UP) == [[], []]
+
+
 def test_every_default_is_set_by_some_caller():
     calls = _calls_by_name()
     unset = ["%s(%s=)" % (name, param)
@@ -199,8 +289,10 @@ def test_every_default_is_set_by_some_caller():
 
 def test_radial_shoot_is_the_one_solve_ivp_call():
     # one DOP853 call: every radial shot, the beta curve's sampled rows
-    # included, goes through radial._shoot
-    found = []
+    # included, goes through radial._shoot.  It calls the module-level
+    # forwarder radial.solve_ivp, which calls scipy's, imported there on
+    # the first shot; tests and the tracer patch the forwarder
+    found, forwarder_imports = [], []
     for directory, _, files in os.walk(os.path.join(ROOT, "src")):
         for name in sorted(n for n in files if n.endswith(".py")):
             path = os.path.join(directory, name)
@@ -213,8 +305,14 @@ def test_radial_shoot_is_the_one_solve_ivp_call():
                             getattr(call.func, "attr", None)) == "solve_ivp":
                         found.append((os.path.relpath(path, ROOT),
                                       getattr(node, "name", None)))
-    assert found == [(os.path.join("src", "vortexlab", "radial.py"),
-                      "_shoot")]
+                if getattr(node, "name", None) == "solve_ivp":
+                    forwarder_imports += [
+                        (imp.module, [a.name for a in imp.names])
+                        for imp in ast.walk(node)
+                        if isinstance(imp, ast.ImportFrom)]
+    radial_py = os.path.join("src", "vortexlab", "radial.py")
+    assert found == [(radial_py, "solve_ivp"), (radial_py, "_shoot")]
+    assert forwarder_imports == [("scipy.integrate", ["solve_ivp"])]
 
 
 def test_src_uses_no_scipy_krylov_solver():
