@@ -16,11 +16,12 @@ radial profiles.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import ewald
+from . import ewald, kernels
 from . import torus as torus_mod
 from .model import ModelParams, eps_schedule
 from .radial import RadialSolution
@@ -225,6 +226,18 @@ def _ball(geometry, center, r, self_id):
     return w
 
 
+def _vortex(geometry, vortex_id):
+    """Entry (point, m, sign) of vortex #vortex_id in vortices.signed();
+    the id is an integer (not bool) in range(len(vortices))."""
+    entries = geometry.vortices.signed()
+    if isinstance(vortex_id, bool) \
+            or not isinstance(vortex_id, (int, np.integer)) \
+            or not 0 <= vortex_id < len(entries):
+        raise ValueError("vortex_id must be an integer in range(%d), one "
+                         "per vortex, got %r" % (len(entries), vortex_id))
+    return entries[vortex_id]
+
+
 def _check_n_theta(n_theta):
     if isinstance(n_theta, bool) \
             or not isinstance(n_theta, (int, np.integer)) or n_theta < 1:
@@ -256,9 +269,10 @@ def vortex_mass(field, vortex_id, r):
     """Local mass int_{B_r(p)} eps^-2 f(u) dx around vortex #vortex_id.
 
     Grid quadrature with partial-cell coverage weights at the ball
-    boundary.  Ids index field.vortices.signed().
+    boundary.  Ids index field.vortices.signed(); any other id raises
+    ValueError.
     """
-    p, m, sgn = field.vortices.signed()[vortex_id]
+    p, m, sgn = _vortex(field.geometry, vortex_id)
     return _ball_integral(field, _ball(field.geometry, p, r, vortex_id),
                           field.f)
 
@@ -285,7 +299,7 @@ def quantization_value(field, vortex_id, r):
     Tends to 4 (tau+1) pi m^2 at an m-fold vortex on the vacuum branch.
     """
     qgrid = field.q
-    p, m, sgn = field.vortices.signed()[vortex_id]
+    p, m, sgn = _vortex(field.geometry, vortex_id)
     return _ball_integral(field, _ball(field.geometry, p, r, vortex_id),
                           qgrid)
 
@@ -350,7 +364,7 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
         center = (float(center[0]), float(center[1]))
         mult = 0
     else:
-        center, mult, _ = obj.vortices.signed()[vortex_id]
+        center, mult, _ = _vortex(obj.geometry, vortex_id)
     cov = _ball(obj.geometry, center, r, vortex_id)
     return _pohozaev_torus(obj, center, mult, r, cov, n_theta)
 
@@ -364,7 +378,7 @@ def _pohozaev_radial(sol, r_cut):
     if k < 8:
         raise ValueError("quadrature radius leaves too few grid points")
     R = rr[k]
-    F2 = sol.ops.F2(sol.u[:k + 1])
+    F2 = kernels.F2_tau(sol.u[:k + 1], sol.tau)
     # trapezoid keeps the quadrature error dominant and cleanly O(h^2),
     # so refinement studies see it; the 0..r0 gap closes analytically
     volume = 2.0 * np.pi * (np.trapezoid(2.0 * F2 * rr[:k + 1], rr[:k + 1])
@@ -388,7 +402,7 @@ def _pohozaev_torus(field, center, mult, r, cov, n_theta):
                      for g, g0 in zip((field.v, *field.grad_v), u0))
     un = ct * ux + st * uy  # outward normal derivative
     ring = r * un * un - 0.5 * r * (ux * ux + uy * uy) \
-        + ie2 * r * field.ops.F2(uring)
+        + ie2 * r * kernels.F2_tau(uring, field.params.tau)
     boundary = float(np.sum(ring)) * (2.0 * np.pi * r / n_theta) \
         - 4.0 * np.pi * mult ** 2
     residual = abs(volume - boundary) / max(1.0, abs(boundary))
@@ -400,12 +414,15 @@ def rescale_blowup(field, center, scale=None, n_theta=64):
 
     Samples geometric radii out to the largest min-image ball and
     reports angular mean and variance per radius, plus the shifted grid
-    w = u - 2 ln(eps).  The default scale is eps itself; n_theta, a
-    positive integer, is the number of angles per radius.
+    w = u - 2 ln(eps).  The scale is finite and positive, eps by default;
+    n_theta, a positive integer, is the number of angles per radius.
     """
     n_theta = _check_n_theta(n_theta)
     if scale is None:
         scale = field.params.epsilon
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be finite and positive, got %r"
+                         % (scale,))
     h1, h2 = field.domain.spacings
     if scale < max(h1, h2):
         raise ResolutionError(
@@ -451,9 +468,9 @@ def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
     epsilons must be strictly decreasing.  K is the complement of the
     balls of radius K_radius (default 5 * epsilons[0], fixed across the
     sweep so the compact set does not shrink with epsilon) around the
-    snapped vortices; it must be nonempty and K_radius below half the
-    minimal vortex separation (periodic images included).  The
-    per-vortex diagnostic balls have radius K_radius too.
+    snapped vortices; it must be nonempty and K_radius finite, positive
+    and below half the minimal vortex separation (periodic images
+    included).  The per-vortex diagnostic balls have radius K_radius too.
     first_continuation is the first step's solve_newton continuation.
 
     The first failed solve aborts with SweepError; later failures are
@@ -465,6 +482,9 @@ def run_sweep(geometry, tau, epsilons, K_radius=None, compute_eigen=False,
     if K_radius is None:
         K_radius = 5.0 * eps_list[0]
     K_radius = float(K_radius)
+    if not 0.0 < K_radius < math.inf:
+        raise ValueError("K_radius must be finite and positive, got %r"
+                         % (K_radius,))
 
     if len(geometry.vortices):
         min_sep = _min_separation(geometry)

@@ -5,24 +5,18 @@ VortexSet (signed vortex points with integer multiplicities), and
 HypothesisReport (the two standing structural assumptions on the vortex
 data).  All types are immutable and safe to share between threads.
 
-nonlinearity_ops is the one place that binds the kernels at a tau;
 eps_schedule is the one validator of epsilon schedules.
 """
 
 import math
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
-
-from . import kernels
 
 __all__ = [
     "ModelParams",
     "VortexSet",
     "HypothesisReport",
     "check_hypotheses",
-    "nonlinearity_ops",
     "eps_schedule",
 ]
 
@@ -146,31 +140,6 @@ def check_hypotheses(vortices, params):
                    else vortices.negative_vortices)
         h2 = all(m <= 1 for _, m in heavier)
     return HypothesisReport(h1_holds=n1 != n2, h2_holds=h2)
-
-
-@dataclass(frozen=True)
-class _Ops:
-    """The kernels of f_tau at one tau."""
-
-    f: Callable
-    df: Callable
-    F1: Callable
-    F2: Callable
-    q: Callable
-    sup_abs_df: Callable
-    f_extrema: Callable
-
-
-def nonlinearity_ops(tau):
-    """Return the kernel bundle (f, df, F1, F2, q, ...) of f_tau at tau.
-
-    The bundle binds the kernels module's functions as they are at this
-    call, so a wrapper installed over them (a tracer's) is seen by later
-    bundles.
-    """
-    return _Ops(*(partial(k, tau=tau) for k in (
-        kernels.f_tau, kernels.df_tau, kernels.F1_tau, kernels.F2_tau,
-        kernels.q_tau, kernels.sup_abs_df_tau, kernels.f_extrema_tau)))
 
 
 def eps_schedule(epsilons, what):

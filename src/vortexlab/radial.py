@@ -17,11 +17,10 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .model import nonlinearity_ops
+from . import kernels
 
 # start radius for the series expansion that removes the 1/r singularity
 R0 = 1e-6
@@ -84,7 +83,6 @@ class RadialSolution:
     grid holds (r, u, u') rows for the full solution u; in singular
     mode u includes the c ln r part.  beta is the extrapolated flux,
     diagnostics carries integrator statistics and consistency residuals.
-    ops is the kernel bundle.
     """
 
     s: float
@@ -95,10 +93,6 @@ class RadialSolution:
     bc_type: BCType
     diagnostics: dict = field(default_factory=dict)
     vortex_sign: int = -1
-
-    @cached_property
-    def ops(self):
-        return nonlinearity_ops(self.tau)
 
     @property
     def r(self):
@@ -125,7 +119,7 @@ class BetaCurve:
     failures: list = field(default_factory=list)  # (s, message)
 
 
-def _series_start(s, c_log, f, nu):
+def _series_start(s, c_log, tau, nu):
     """Initial state [v, v', I] at R0 from the local expansion.
 
     Near the origin f(c ln r + s) ~ const * r^(2 nu), so the particular
@@ -133,7 +127,7 @@ def _series_start(s, c_log, f, nu):
     nu = 0 this is the familiar s - f(s) r^2 / 4.
     """
     u0 = c_log * np.log(R0) + s
-    f0 = float(f(u0))
+    f0 = float(kernels.f_tau(u0, tau))
     p = 2.0 * nu + 2.0
     v = s - f0 * R0**2 / p**2
     dv = -f0 * R0 / p
@@ -262,13 +256,13 @@ def _shoot(s, nu, tau, r_max, vortex_sign, divergence_stop, radii):
         raise ValueError("nu must be finite and nonnegative, got %r" % (nu,))
     if vortex_sign not in (-1, 1):
         raise ValueError("vortex_sign must be -1 or +1")
-    f = nonlinearity_ops(tau).f
+    f = kernels.f_tau  # read per shot: a wrapper installed over it is seen
     c_log = 2.0 * vortex_sign * nu
-    y0 = _series_start(s, c_log, f, nu)
+    y0 = _series_start(s, c_log, tau, nu)
 
     def rhs(r, y):
         u = c_log * np.log(r) + y[0]
-        fu = float(f(u))
+        fu = float(f(u, tau))
         return [y[1], -y[1] / r - fu, fu * r]
 
     # directional events: the singular mode starts at large |u| and
@@ -694,16 +688,16 @@ def mass_integral(sol, kind):
     Composite Simpson quadrature plus an O(r0^2) origin correction.
     Undetermined profiles still produce a value but emit a warning.
     """
-    kern = {MassKind.FLUX: sol.ops.f, MassKind.F1_MASS: sol.ops.F1,
-            MassKind.F2_MASS: sol.ops.F2,
-            MassKind.QUANTIZATION: sol.ops.q}[MassKind(kind)]
+    kern = {MassKind.FLUX: kernels.f_tau, MassKind.F1_MASS: kernels.F1_tau,
+            MassKind.F2_MASS: kernels.F2_tau,
+            MassKind.QUANTIZATION: kernels.q_tau}[MassKind(kind)]
     if sol.bc_type is BCType.UNDETERMINED:
         warnings.warn("mass integral on an Undetermined profile",
                       RuntimeWarning, stacklevel=2)
     from scipy.integrate import simpson
-    vals = kern(sol.u)
+    vals = kern(sol.u, sol.tau)
     body = simpson(y=vals * sol.r, x=sol.r)
-    origin = 0.5 * float(kern(sol.u[0])) * sol.r[0] ** 2
+    origin = 0.5 * float(kern(sol.u[0], sol.tau)) * sol.r[0] ** 2
     return 2.0 * np.pi * (body + origin)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _scipy
+from . import _scipy, kernels
 from . import torus as torus_mod
 
 
@@ -192,7 +192,7 @@ def weighted_eigen_radial(sol, _sensitivity=True):
         raise WeightIndefiniteError(
             "weight 1-e^u is nonpositive at %d grid points (min %.3e)"
             % (int(np.sum(w <= 0)), float(w.min())))
-    dfu = sol.ops.df(u)
+    dfu = kernels.df_tau(u, sol.tau)
 
     h = np.diff(r)
     rmid = 0.5 * (r[:-1] + r[1:])

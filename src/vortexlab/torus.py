@@ -1,10 +1,19 @@
 """Spectral solvers for the vortex equation on a flat 2-torus.
 
-The unknown is split as u = u0 + v: u0 carries every Dirac source via
-periodic Green functions (so near a positive vortex u0 ~ 2m ln|x-p|),
-and the smooth correction v solves
+The unknown is split as u = u0 + v: u0 carries every Dirac source (so
+near a positive vortex u0 ~ 2m ln|x-p|), and the correction v solves
 
     F(v) = Lap v + eps^-2 f_tau(u0 + v) - 4pi(N1 - N2)/|O| = 0.
+
+The grid u0 is not the exact sum of periodic Green functions G: it is a
+spectral Poisson solve of point charges on the vortex cells, that is
+the Fourier-truncated G.  It differs from the exact u0 by O(h^2), most
+near the cores, and that difference is not smooth, so every field
+carries it.  The audits read exact lattice sums instead: identity_check
+takes grad u0 from the grid-Ewald split (_u0_gradient), and the
+off-grid samples of u0 (_u0_at: Pohozaev rings, blow-up views) are
+Ewald sums too.  ROADMAP direction 9 replaces the grid u0 with the
+exact split.
 
 Integrating the equation over the torus kills the Laplacian, so every
 converged field satisfies the exact total-mass identity
@@ -24,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import ewald, kernels
-from .model import ModelParams, VortexSet, eps_schedule, nonlinearity_ops
+from .model import ModelParams, VortexSet, eps_schedule
 
 
 class ResolutionWarning(UserWarning):
@@ -250,8 +259,10 @@ class TorusGeometry:
 
     @cached_property
     def u0(self):
-        """Singular background u0 = -4pi sum m G(., p+) + 4pi sum m G(., p-),
-        one zero-mean Poisson solve."""
+        """Singular background u0 ~ -4pi sum m G(., p+) + 4pi sum m G(., p-),
+        one zero-mean spectral Poisson solve of the point charges on the
+        vortex cells (_charge_grid): the Fourier-truncated G, off the
+        exact sum by O(h^2) near the cores (module docstring)."""
         # Lap u0 = -c delta: +4pi m at positive vortices, -4pi m at negative
         rhs = -self._charge_grid() \
             - 4.0 * np.pi * (self.vortices.N1 - self.vortices.N2) \
@@ -298,24 +309,20 @@ class TorusField:
     u0 = property(lambda self: self.geometry.u0)
 
     @cached_property
-    def ops(self):
-        return nonlinearity_ops(self.params.tau)
-
-    @cached_property
     def u(self):
         return _read_only(self.u0 + self.v)
 
     @cached_property
     def f(self):
-        return _read_only(self.ops.f(self.u))
+        return _read_only(kernels.f_tau(self.u, self.params.tau))
 
     @cached_property
     def q(self):
-        return _read_only(self.ops.q(self.u))
+        return _read_only(kernels.q_tau(self.u, self.params.tau))
 
     @cached_property
     def F2(self):
-        return _read_only(self.ops.F2(self.u))
+        return _read_only(kernels.F2_tau(self.u, self.params.tau))
 
     @cached_property
     def residual(self):
@@ -327,7 +334,8 @@ class TorusField:
     @cached_property
     def potential(self):
         """-eps^-2 f'(u), the potential of the linearization."""
-        return _read_only(-self.params.epsilon ** -2 * self.ops.df(self.u))
+        return _read_only(-self.params.epsilon ** -2
+                          * kernels.df_tau(self.u, self.params.tau))
 
     @cached_property
     def grad_v(self):
@@ -378,7 +386,7 @@ def _check_capacity(domain, vortices, params, eps):
     charge = vortices.N1 - vortices.N2
     if charge == 0:
         return
-    f_min, f_max = nonlinearity_ops(params.tau).f_extrema()
+    f_min, f_max = kernels.f_extrema_tau(params.tau)
     room = domain.area * (f_max if charge > 0 else -f_min)
     need = 4.0 * np.pi * abs(charge)
     if eps ** -2 * room < need:
@@ -673,8 +681,7 @@ def solve_monotone(geometry, params):
     _check_capacity(domain, geometry.vortices, params, params.epsilon)
     resolution = _check_resolution(domain, params)
     tol = _solver_tol(params)
-    c = (1.05 * params.epsilon ** -2
-         * nonlinearity_ops(params.tau).sup_abs_df())
+    c = 1.05 * params.epsilon ** -2 * kernels.sup_abs_df_tau(params.tau)
     mult = 1.0 / (c + domain._k2)
 
     # the first iterate is the supersolution: its residual is the bracket's
@@ -766,7 +773,7 @@ def identity_check(field, a):
 
     lhs = int (a+1)|grad u|^2 e^u/(a+e^u)^2
           + eps^-2 e^u (1-e^u)^2 / ((tau+e^u)^3 (a+e^u)) dx,
-    rhs = 4pi (N1/a + N2).
+    rhs = 4pi (N1/a + N2), for a finite a > 0.
 
     |grad u|^2 is field.grad_u_sq, built once per field from spectral
     grad v plus the exact grid-Ewald gradient of u0 (_u0_gradient), so
@@ -774,8 +781,8 @@ def identity_check(field, a):
     grad u0 is infinite but the integrand has a removable singularity,
     the cell value is replaced by its analytic limit.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0.0 < a < np.inf:
+        raise ValueError("a must be finite and positive, got %r" % (a,))
     params = field.params
     domain = field.domain
     tau = params.tau

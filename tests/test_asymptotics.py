@@ -38,6 +38,7 @@ from vortexlab import (
     vortex_mass,
 )
 from vortexlab import ewald
+from vortexlab import torus as torus_mod
 from vortexlab.asymptotics import _ball_coverage, _disk_corner_area
 
 pytestmark = [
@@ -236,6 +237,22 @@ class TestGeometryGuards:
         with pytest.raises(GeometryError):
             vortex_mass(sweep128[-1].field, 0, 2.5)
 
+    @pytest.mark.parametrize("vortex_id", [1, 5, -1, True, 0.0, "0"])
+    @pytest.mark.parametrize("audit", [
+        lambda fld, k: vortex_mass(fld, k, 0.5),
+        lambda fld, k: quantization_value(fld, k, 0.5),
+        lambda fld, k: pohozaev_value(fld, vortex_id=k, r=0.5)],
+        ids=["mass", "quantization", "pohozaev"])
+    def test_vortex_id_outside_the_vortices(self, sweep128, audit, vortex_id):
+        # one vortex: only 0 names it; -1 is not read from the end
+        with pytest.raises(ValueError, match=r"vortex_id must be an "
+                           r"integer in range\(1\), one per vortex"):
+            audit(sweep128[-1].field, vortex_id)
+
+    def test_numpy_integer_vortex_id_accepted(self, sweep128):
+        fld = sweep128[-1].field
+        assert vortex_mass(fld, np.int64(0), 0.5) == vortex_mass(fld, 0, 0.5)
+
     def test_overlapping_vortex_balls(self, dom128):
         vs = VortexSet(positive_vortices=(((1.3, 1.2), 1), ((2.8, 2.9), 1)))
         with warnings.catch_warnings():
@@ -255,6 +272,12 @@ class TestGeometryGuards:
     def test_blowup_scale_below_grid(self, sweep128):
         with pytest.raises(ResolutionError):
             rescale_blowup(sweep128[-1].field, (2.0, 2.0), scale=1e-3)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_blowup_scale_must_be_finite_positive(self, sweep128, scale):
+        with pytest.raises(ValueError,
+                           match="scale must be finite and positive"):
+            rescale_blowup(sweep128[-1].field, (2.0, 2.0), scale=scale)
 
     @pytest.mark.parametrize("n_theta", [0, -3, 2.5, True, None])
     def test_n_theta_must_be_positive_integer(self, sweep128, type_one,
@@ -349,6 +372,19 @@ def _rec(eps, sup, inf, error=None):
 
 
 class TestSweepGeometry:
+    @pytest.mark.parametrize("K_radius", [-1.0, 0.0, float("nan"),
+                                          float("inf")])
+    def test_K_radius_refused_before_solving(self, dom128, one_plus,
+                                             monkeypatch, K_radius):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before K_radius was checked")
+
+        monkeypatch.setattr(torus_mod, "solve_newton", solve)
+        with pytest.raises(ValueError,
+                           match="K_radius must be finite and positive"):
+            run_sweep(TorusGeometry(dom128, one_plus), 1.0, [0.2, 0.1],
+                      K_radius=K_radius)
+
     def test_K_sits_on_the_snapped_vortices(self, dom128, one_plus):
         # (2.012, 2.0) snaps to (2, 2) (h = 1/32): K, the balls and the
         # solution's singularity all sit on the snapped point

@@ -16,12 +16,7 @@ from vortexlab import (
     identity_check,
     kernels,
 )
-from vortexlab.model import (
-    ModelParams,
-    VortexSet,
-    check_hypotheses,
-    nonlinearity_ops,
-)
+from vortexlab.model import ModelParams, VortexSet, check_hypotheses
 
 # mpmath golden values, 25 digits
 GOLDEN = {
@@ -380,11 +375,6 @@ class TestModelParams:
         p = ModelParams(tau=np.float32(2.0), epsilon=np.int64(1))
         assert (p.tau, p.epsilon) == (2.0, 1.0)
         assert type(p.tau) is float and type(p.epsilon) is float
-
-    def test_sigma_ops_dispatch(self):
-        ops = nonlinearity_ops(2.0)
-        assert ops.f(-1.0) == kernels.f_tau(-1.0, 2.0)
-        assert ops.F2(0.5) == kernels.F2_tau(0.5, 2.0)
 
 
 class TestVortexSet:

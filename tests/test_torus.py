@@ -711,6 +711,11 @@ class TestIdentity:
         with pytest.raises(ValueError):
             identity_check(fld128, -1.0)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_non_finite_a_rejected(self, fld128, a):
+        with pytest.raises(ValueError, match="a must be finite and positive"):
+            identity_check(fld128, a)
+
 
 def _pointwise_u0_gradient(geometry):
     """Reference grad u0: one Ewald point evaluation per vortex."""
