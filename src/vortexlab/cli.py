@@ -17,6 +17,8 @@ byte-identical.
 """
 
 import argparse
+import ctypes
+import functools
 import os
 import re
 import sys
@@ -50,6 +52,12 @@ EXIT_VERIFY = 3
 _NUMERICAL = (IntegrationFailureError, BracketError, NewtonDivergenceError,
               ConvergenceError, MonotonicityError, CapacityError,
               EigenConvergenceError, WeightIndefiniteError, SweepError)
+
+# glibc mallopt parameters: never trim the heap top back to the system,
+# and serve every block under 32 MiB (the 64-bit maximum) from the heap
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_NO_TRIM = 2 ** 31 - 1
+_MMAP_MAX = 32 * 1024 * 1024
 
 _RADIAL_MARGIN = 1e-8
 # the shot settings of a radial profile request: shoot's flags and the
@@ -498,7 +506,27 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _keep_freed_memory():
+    """Keep freed grids mapped for the rest of the process.
+
+    By default glibc serves each 256^2 grid by its own mmap and trims
+    the heap top, so every grid a solver frees goes back to the system
+    and its pages fault in again at the next allocation.  Setting both
+    thresholds freezes glibc's dynamic ones (either alone makes it
+    worse).  A no-op where libc has no mallopt.  Only the CLI sets it:
+    importing the library leaves the host process's allocator alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, _NO_TRIM)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_MAX)
+
+
 def main(argv=None):
+    _keep_freed_memory()
     # ConfigError and BracketError are ValueErrors, so the order matters
     try:
         args = build_parser().parse_args(argv)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, VortexSet, eps_schedule
+from .model import ModelParams, VortexSet, check_epsilon, eps_schedule
 from .torus import TorusDomain, TorusField, TorusGeometry
 
 __all__ = [
@@ -149,9 +149,18 @@ def _object(fields):
     return check
 
 
+def _epsilon(v, ptr):
+    v = _num(positive=True)(v, ptr)
+    try:
+        check_epsilon(v, "epsilon")
+    except ValueError as e:
+        raise ConfigError(ptr, str(e)) from None
+    return v
+
+
 def _decreasing_positive(v, ptr):
     # entries are checked one by one first, so only the order can fail
-    v = _list(_num(positive=True), min_len=1)(v, ptr)
+    v = _list(_epsilon, min_len=1)(v, ptr)
     try:
         return eps_schedule(v, "schedule")
     except ValueError:
@@ -171,7 +180,7 @@ _SCHEMA = {
     }), False, {}),
     "model": (_object({
         "tau": (_num(positive=True), False, 1.0),
-        "epsilon": (_optional(_num(positive=True)), False, None),
+        "epsilon": (_optional(_epsilon), False, None),
     }), False, {}),
     "vortices": (_object({
         "positive": (_list(_VORTEX), False, []),

@@ -58,16 +58,27 @@ def _check_tau(tau):
 
 
 # Array kernels run in blocks of this many elements, so that a form's
-# temporaries stay in cache.  It is a multiple of every SIMD width, so
-# each element keeps its lane position and the values are those of one
-# pass over the whole array, bit for bit.
+# temporaries stay in cache and a block of one sign runs one form only.
+# It is a multiple of every SIMD width, so each element keeps its lane
+# position and the values are those of one pass over the whole array,
+# bit for bit.
 _BLOCK = 8192
 
 
 def _where(a, pos, neg):
-    """Both forms over the array a, each element taking its side's."""
-    e = np.exp(-np.abs(a))
-    m = -np.expm1(-np.abs(a))
+    """Each element of the array a in its side's form.
+
+    A block with max <= 0 runs neg(e, m) alone and one with min > 0
+    pos(e, m) alone; a mixed block runs both and np.where keeps each
+    element's.  Every element gets the expression it gets in np.where,
+    so the result is the same bit for bit.
+    """
+    t = -np.abs(a)
+    e, m = np.exp(t), -np.expm1(t)
+    if a.max() <= 0.0:
+        return neg(e, m)
+    if a.min() > 0.0:
+        return pos(e, m)
     return np.where(a > 0.0, pos(e, m), neg(e, m))
 
 
@@ -80,9 +91,9 @@ def _two_sided(u, neg, pos):
 
     A float u (np.float64 included) takes the scalar path of the module
     docstring: only u's form runs, in numpy scalars, and a Python float
-    comes back.  Anything else, a 0-d array included, takes np.where
-    over both forms; an array of one or more dimensions does so in
-    blocks of _BLOCK elements.
+    comes back.  Anything else, a 0-d array included, takes _where; an
+    array of one or more dimensions does so in blocks of _BLOCK
+    elements.
     """
     if isinstance(u, float):
         if not math.isfinite(u):

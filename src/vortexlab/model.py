@@ -5,11 +5,13 @@ VortexSet (signed vortex points with integer multiplicities), and
 HypothesisReport (the two standing structural assumptions on the vortex
 data).  All types are immutable and safe to share between threads.
 
-eps_schedule is the one validator of epsilon schedules.
+check_epsilon is the one floor on epsilon and eps_schedule the one
+validator of epsilon schedules.
 """
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -17,8 +19,13 @@ __all__ = [
     "VortexSet",
     "HypothesisReport",
     "check_hypotheses",
+    "check_epsilon",
     "eps_schedule",
 ]
+
+# the smallest epsilon whose epsilon^-2, the equation's factor, is a
+# finite double
+EPS_MIN = 1.0 / math.sqrt(sys.float_info.max)
 
 
 def _real(x):
@@ -51,6 +58,7 @@ class ModelParams:
             if not v > 0:
                 raise ValueError("%s must be > 0, got %r" % (name, v))
             object.__setattr__(self, name, v)
+        check_epsilon(self.epsilon, "epsilon")
 
 
 def _vortex(entry):
@@ -142,17 +150,28 @@ def check_hypotheses(vortices, params):
     return HypothesisReport(h1_holds=n1 != n2, h2_holds=h2)
 
 
+def check_epsilon(eps, what):
+    """Raise ValueError unless eps^-2 is a finite double; `what` names
+    eps in the message."""
+    if not eps >= EPS_MIN:
+        raise ValueError("%s must be >= %r, where epsilon^-2 stays finite, "
+                         "got %r" % (what, EPS_MIN, eps))
+
+
 def eps_schedule(epsilons, what):
     """Validated epsilon schedule as a list of floats.
 
-    Raises ValueError unless it is nonempty, positive and strictly
-    decreasing; `what` names the schedule in the message.
+    Raises ValueError unless it is nonempty, positive, strictly
+    decreasing and each epsilon passes check_epsilon; `what` names the
+    schedule in the message.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValueError("%s must be nonempty" % what)
     if any(e <= 0 for e in eps):
         raise ValueError("%s must be positive" % what)
+    for e in eps:
+        check_epsilon(e, "%s entry" % what)
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("%s must be strictly decreasing" % what)
     return eps

@@ -878,6 +878,41 @@ class TestTorusCommand:
         assert not (tmp_path / "run_summary.json").exists()
 
 
+class TestEpsilonFloor:
+    # below about 7.5e-155 epsilon^-2 is not a finite double: every place
+    # an epsilon enters refuses it with its value, before any solve
+    @pytest.mark.parametrize("command, key, value, pointer", [
+        ("torus", "model.epsilon", "1e-160", "/model/epsilon"),
+        ("torus", "solver.continuation", "[0.25, 1e-160]",
+         "/solver/continuation/1"),
+        ("sweep", "sweep.epsilons", "[0.25, 0.2, 1e-160]",
+         "/sweep/epsilons/2"),
+    ], ids=["model.epsilon", "solver.continuation", "sweep.epsilons"])
+    def test_config_refuses_it(self, tmp_path, capsys, command, key, value,
+                               pointer):
+        tree = _base_cfg(tmp_path)
+        tree["model"]["epsilon"] = None
+        tree["solver"]["continuation"] = None
+        tree["sweep"] = {"epsilons": [0.25, 0.2, 0.15]}
+        cfg = _write_cfg(tmp_path, tree)
+        argv = [command, "--config", cfg, "--override", "%s=%s" % (key, value)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: epsilon must be >= ")
+        assert err[0].endswith("got 1e-160 (at %s)" % pointer)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_a_finite_inverse_square_fails_honestly(self, tmp_path, capsys):
+        tree = _base_cfg(tmp_path)
+        tree["model"]["epsilon"] = 1e-150
+        tree["solver"]["continuation"] = None
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
 # ---------------------------------------------------------------------------
 # stability command
 

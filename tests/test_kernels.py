@@ -16,7 +16,8 @@ from vortexlab import (
     identity_check,
     kernels,
 )
-from vortexlab.model import ModelParams, VortexSet, check_hypotheses
+from vortexlab.model import (EPS_MIN, ModelParams, VortexSet,
+                             check_hypotheses, eps_schedule)
 
 # mpmath golden values, 25 digits
 GOLDEN = {
@@ -338,6 +339,136 @@ class TestBlockedArrays:
             self._check(pos, neg)
 
 
+def _both_forms(u, neg, pos):
+    # _two_sided's array path with both forms in every block and np.where
+    # picking each element's, as the kernels ran before single-signed
+    # blocks ran one form alone
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        return float(_one_pass(u, pos, neg))
+    flat, out = u.reshape(-1), np.empty(u.size)
+    for start in range(0, u.size, kernels._BLOCK):
+        block = slice(start, start + kernels._BLOCK)
+        out[block] = _one_pass(flat[block], pos, neg)
+    return out.reshape(u.shape)
+
+
+def _kernel_forms(name, tau):
+    """The (neg, pos) pair that kernels.<name> hands to _two_sided."""
+    seen, two_sided = [], kernels._two_sided
+
+    def spy(u, neg, pos):
+        seen.append((neg, pos))
+        return two_sided(u, neg, pos)
+
+    kernels._two_sided = spy
+    try:
+        getattr(kernels, name)(np.zeros(2), tau)
+    finally:
+        kernels._two_sided = two_sided
+    [forms] = seen
+    return forms
+
+
+def _assert_same_bits(name, tau, u):
+    neg, pos = _kernel_forms(name, tau)
+    with np.errstate(all="ignore"):
+        got = getattr(kernels, name)(u, tau)
+        want = _both_forms(u, neg, pos)
+    if np.ndim(u) == 0:
+        assert type(got) is float and _same(got, want), (u, got, want)
+    else:
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+ONE_SIDED_TAUS = [0.5, 1.0, 2.0]
+
+
+def _signed_blocks(pattern, rng, last):
+    """One run of elements per letter of pattern ('-' all negative, '+'
+    all positive, 'x' mixed, '0' signed zeros): _BLOCK elements for each
+    letter but the last, which gets `last` elements."""
+    sizes = [kernels._BLOCK] * (len(pattern) - 1) + [last]
+    parts = []
+    for kind, n in zip(pattern, sizes):
+        mag = np.where(rng.random(n) < 0.5, rng.uniform(1e-17, 30.0, n),
+                       rng.uniform(30.0, 745.0, n))
+        if kind == "-":
+            parts.append(-mag)
+        elif kind == "+":
+            parts.append(mag)
+        elif kind == "0":
+            parts.append(np.where(rng.random(n) < 0.5, 0.0, -0.0))
+        else:
+            parts.append(np.where(rng.random(n) < 0.5, mag, -mag))
+    return np.concatenate(parts)
+
+
+class TestOneSidedBlocks:
+    # a block of one sign runs only its side's form; every element must
+    # keep the value np.where over both forms gives it, bit for bit
+
+    @pytest.mark.parametrize("name", SIGMA_KERNELS)
+    @pytest.mark.parametrize("tau", ONE_SIDED_TAUS)
+    @pytest.mark.parametrize("pattern", ["-+-+", "+-+-", "----", "++++",
+                                         "0+0-", "x-x+"])
+    def test_sign_changes_at_block_boundaries(self, name, tau, pattern):
+        u = _signed_blocks(pattern, np.random.default_rng(3), last=5)
+        assert u.size == 3 * kernels._BLOCK + 5
+        _assert_same_bits(name, tau, u)
+        # one element across a boundary makes both blocks mixed
+        for k in (kernels._BLOCK - 1, kernels._BLOCK):
+            w = u.copy()
+            w[k] = -w[k] if w[k] != 0.0 else 1.0
+            _assert_same_bits(name, tau, w)
+
+    @pytest.mark.parametrize("name", SIGMA_KERNELS)
+    @pytest.mark.parametrize("tau", ONE_SIDED_TAUS)
+    def test_signed_zeros(self, name, tau):
+        n = kernels._BLOCK + 3
+        for u in (np.zeros(n), -np.zeros(n), np.array([0.0, -0.0] * 9),
+                  np.concatenate([[0.0], np.full(n, 2.5)]),
+                  np.concatenate([np.full(n, 2.5), [-0.0]]),
+                  np.concatenate([[-0.0], np.full(n, -2.5)])):
+            _assert_same_bits(name, tau, u)
+
+    @pytest.mark.parametrize("name", SIGMA_KERNELS)
+    @pytest.mark.parametrize("tau", ONE_SIDED_TAUS)
+    def test_all_negative_all_positive_and_mixed(self, name, tau):
+        rng = np.random.default_rng(11)
+        mag = rng.uniform(1e-300, 745.0, (96, 257))
+        for u in (-mag, mag, np.where(rng.random(mag.shape) < 0.3,
+                                      mag, -mag)):
+            _assert_same_bits(name, tau, u)
+
+    @pytest.mark.parametrize("name", SIGMA_KERNELS)
+    @pytest.mark.parametrize("tau", ONE_SIDED_TAUS)
+    def test_0d_arrays(self, name, tau):
+        for x in TestScalarPath.US[-14:]:
+            _assert_same_bits(name, tau, np.array(x))
+
+    @given(pattern=st.text(alphabet="-+x0", min_size=1, max_size=4),
+           last=st.integers(min_value=1, max_value=2 * kernels._BLOCK),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           name=st.sampled_from(SIGMA_KERNELS),
+           tau=st.sampled_from(ONE_SIDED_TAUS))
+    @settings(max_examples=60, deadline=None)
+    def test_random_block_patterns(self, pattern, last, seed, name, tau):
+        u = _signed_blocks(pattern, np.random.default_rng(seed), last=last)
+        _assert_same_bits(name, tau, u)
+
+    @given(u=st.lists(st.floats(min_value=-745.0, max_value=745.0,
+                                allow_nan=False), min_size=0, max_size=40),
+           name=st.sampled_from(SIGMA_KERNELS),
+           tau=st.sampled_from(ONE_SIDED_TAUS))
+    @settings(max_examples=200, deadline=None)
+    def test_short_arrays(self, u, name, tau):
+        _assert_same_bits(name, tau, np.array(u, dtype=float))
+        if u:
+            _assert_same_bits(name, tau, np.array(u[0]))
+
+
 class TestExtrema:
     def test_f_extrema_match_scan(self):
         for tau in TAUS + [1000.0]:
@@ -375,6 +506,23 @@ class TestModelParams:
         p = ModelParams(tau=np.float32(2.0), epsilon=np.int64(1))
         assert (p.tau, p.epsilon) == (2.0, 1.0)
         assert type(p.tau) is float and type(p.epsilon) is float
+
+    def test_epsilon_floor_is_where_its_inverse_square_overflows(self):
+        # the equation's factor epsilon^-2 is finite at EPS_MIN and
+        # overflows one ulp below, so every solver can form it
+        assert np.isfinite(EPS_MIN ** -2)
+        below = np.nextafter(EPS_MIN, 0.0)
+        with pytest.raises(OverflowError):
+            float(below) ** -2
+        assert ModelParams(1.0, EPS_MIN).epsilon == EPS_MIN
+        assert eps_schedule([0.1, EPS_MIN], "schedule")[-1] == EPS_MIN
+        for eps in (below, 1e-160, 5e-324):
+            with pytest.raises(ValueError, match="epsilon must be >= .*got "
+                               + repr(float(eps))):
+                ModelParams(1.0, eps)
+            with pytest.raises(ValueError, match="continuation entry must "
+                               "be >= .*got " + repr(float(eps))):
+                eps_schedule([0.1, eps], "continuation")
 
 
 class TestVortexSet:

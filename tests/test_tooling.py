@@ -31,6 +31,7 @@ target to refuse each of them at its pointer.
 
 import argparse
 import ast
+import ctypes
 import importlib
 import importlib.util
 import inspect
@@ -275,6 +276,67 @@ def test_start_up_and_a_torus_solve_load_no_scipy():
     # scipy is imported where it is first called (vortexlab._scipy,
     # radial), so a command pays for the modules it uses, not for all
     assert _fresh_python(_SCIPY_AT_START_UP) == [[], []]
+
+
+_TORUS_TWICE = """
+import contextlib, io, json, resource, sys
+import vortexlab.cli as cli
+runs = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        code = cli.main(["torus", "--config", sys.argv[1]])
+        runs.append((code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                     - before))
+print(json.dumps(runs))
+"""
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_cli_keeps_freed_grids_mapped(tmp_path):
+    # cli.main keeps freed memory with the process, so a second solve
+    # reuses the first one's pages: its 128^2 torus run faulted 1,613
+    # pages under glibc's default policy and 9 under the CLI's
+    tree = {"domain": {"periods": [4.0, 4.0], "grid_shape": [128, 128]},
+            "model": {"tau": 1.0, "epsilon": 0.2},
+            "vortices": {"positive": [{"point": [2.0, 2.0]}]},
+            "solver": {"continuation": [0.25, 0.2]},
+            "output": {"dir": str(tmp_path), "prefix": "f"}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tree))
+    [(first, _), (second, faults)] = _fresh_python(_TORUS_TWICE, str(cfg))
+    assert (first, second) == (0, 0)
+    assert faults < 200
+
+
+def test_only_the_cli_sets_the_allocator_policy():
+    # a library must not change its host process's allocator: mallopt is
+    # named in cli.py alone, inside a function that main calls, never at
+    # import
+    found = []
+    for directory, _, files in os.walk(os.path.join(ROOT, "src")):
+        for name in sorted(n for n in files if n.endswith(".py")):
+            path = os.path.join(directory, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in tree.body:
+                found += [(name, getattr(node, "name", None))
+                          for ref in ast.walk(node)
+                          if "mallopt" in (getattr(ref, "id", None),
+                                           getattr(ref, "attr", None))]
+    assert found and set(found) == {("cli.py", "_keep_freed_memory")}
+    main = next(node for node in ast.parse(inspect.getsource(cli)).body
+                if getattr(node, "name", None) == "main")
+    assert any(isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "_keep_freed_memory"
+               for call in ast.walk(main))
 
 
 def test_every_default_is_set_by_some_caller():
