@@ -510,17 +510,20 @@ def build_parser():
 def _keep_freed_memory():
     """Keep freed grids mapped for the rest of the process.
 
-    By default glibc serves each 256^2 grid by its own mmap and trims
-    the heap top, so every grid a solver frees goes back to the system
-    and its pages fault in again at the next allocation.  Setting both
-    thresholds freezes glibc's dynamic ones (either alone makes it
-    worse).  A no-op where libc has no mallopt.  Only the CLI sets it:
-    importing the library leaves the host process's allocator alone.
+    Under glibc's default policy the grids a solver frees go back to
+    the system, as unmapped blocks or as a trimmed heap top, and the
+    pages of the next grid fault in again.  Setting both thresholds
+    freezes glibc's dynamic ones (either alone faults more than the
+    default).  A no-op where libc has no mallopt.  Only the CLI sets
+    it: importing the library leaves the host process's allocator
+    alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, _NO_TRIM)
     mallopt(_M_MMAP_THRESHOLD, _MMAP_MAX)
 

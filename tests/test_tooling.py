@@ -9,9 +9,11 @@ again.  The package imports scipy on first use, so two more run the
 sweep and torus-verify commands in a fresh interpreter, untraced and
 then traced as bench/run.py does, and require that nothing is missing
 there either; a third requires that start-up and a torus solve load no
-scipy module.  Another one requires that the kernel counters see the
-radial shooter's scalar calls and Newton's array calls.  They only read
-bench/.
+scipy module.  Two more require that the allocator policy is set by
+cli.main alone, and that with it a second torus run in one CLI process
+faults few fresh pages.  Another one requires that the kernel counters
+see the radial shooter's scalar calls and Newton's array calls.  They
+only read bench/.
 
 The exit-code tests raise every exception class the package defines
 from a stubbed command and require cli.main to map it to exit 1 or 2
@@ -302,8 +304,9 @@ def _libc_has_mallopt():
 @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
 def test_cli_keeps_freed_grids_mapped(tmp_path):
     # cli.main keeps freed memory with the process, so a second solve
-    # reuses the first one's pages: its 128^2 torus run faulted 1,613
-    # pages under glibc's default policy and 9 under the CLI's
+    # reuses the first one's pages: the second 128^2 torus run faulted
+    # 1,323-1,614 pages under glibc's default policy and 7-9 under the
+    # CLI's; the bound sits between the two
     tree = {"domain": {"periods": [4.0, 4.0], "grid_shape": [128, 128]},
             "model": {"tau": 1.0, "epsilon": 0.2},
             "vortices": {"positive": [{"point": [2.0, 2.0]}]},
