@@ -1,11 +1,12 @@
-"""The scipy modules of the Ewald sums and the eigen solvers, on first use.
+"""The scipy modules of the eigen solvers, on first use.
 
-``load()`` imports scipy.special, scipy.linalg and scipy.sparse.linalg
-together, so ``import vortexlab.cli`` loads none of them.  Of
-scipy.sparse.linalg, src/ calls only the radial ``eigsh``; the torus
-commands load it too because bench/layertrace.py reads its five
-``minres_*`` counters there and finds that target only in a loaded
-module.  Once those counters are retired, the set can narrow.
+``load()`` imports scipy.linalg and scipy.sparse.linalg together, so
+``import vortexlab.cli`` loads neither.  Of scipy.sparse.linalg, src/
+calls only the radial ``eigsh``.  The torus commands load it too, in
+the Green-function calls of ewald, which need no scipy themselves: they
+are there for bench/layertrace.py, which reads its five ``minres_*``
+counters on scipy.sparse.linalg and finds that target only in a loaded
+module.  Once those counters are retired, ewald's calls can go.
 """
 
 import functools
@@ -13,8 +14,7 @@ import functools
 
 @functools.cache
 def load():
-    """The scipy package, with the three modules imported."""
+    """The scipy package, with the two modules imported."""
     import scipy.linalg
     import scipy.sparse.linalg
-    import scipy.special
     return scipy

@@ -189,15 +189,20 @@ def _ball_coverage(domain, center, r):
     Cells are h1 x h2 squares centered on grid points; cells straddling
     the circle get their exact overlap area by corner-area inclusion-
     exclusion, so the only quadrature error left is integrand sampling.
+    Only the rows and columns whose min-image offset is below
+    r + half a cell diagonal can touch the ball, so only they are built.
     """
     L1, L2 = domain.periods
     h1, h2 = domain.spacings
-    X, Y = domain.mesh
-    dx = ewald._min_image(X - center[0], L1)
-    dy = ewald._min_image(Y - center[1], L2)
-    dist = np.hypot(dx, dy)
+    x, y = domain.axes
     half_diag = 0.5 * np.hypot(h1, h2)
-    w = np.zeros(tuple(domain.grid_shape))
+    dx = ewald._min_image(x - center[0], L1)
+    dy = ewald._min_image(y - center[1], L2)
+    rows = np.flatnonzero(np.abs(dx) < r + half_diag)
+    cols = np.flatnonzero(np.abs(dy) < r + half_diag)
+    dx, dy = np.meshgrid(dx[rows], dy[cols], indexing="ij")
+    dist = np.hypot(dx, dy)
+    w = np.zeros(dist.shape)
     w[dist <= r - half_diag] = 1.0
     band = (dist > r - half_diag) & (dist < r + half_diag)
     if np.any(band):
@@ -209,7 +214,9 @@ def _ball_coverage(domain, center, r):
                 - _disk_corner_area(b, c) + _disk_corner_area(a, c))
         # inclusion-exclusion can overshoot [0, 1] by ~1e-13
         w[band] = np.clip(area * r * r / (h1 * h2), 0.0, 1.0)
-    return w
+    out = np.zeros(tuple(domain.grid_shape))
+    out[np.ix_(rows, cols)] = w
+    return out
 
 
 def _ball(geometry, center, r, self_id):

@@ -1,73 +1,45 @@
-"""Ewald-split evaluation of the periodic Green function.
+"""The periodic Green function of a rectangular torus, by theta rows.
 
 G solves -Delta G = delta_0 - 1/|O| on the torus with periods (L1, L2),
-has zero mean, and behaves like -(1/2pi) ln|x| near the source.  The
-lattice sum
+has zero mean, and behaves like -(1/2pi) ln|x| near the source.  On a
+rectangular torus it is -(1/2pi) ln|theta_1| plus a quadratic
+(C.-S. Lin and C.-L. Wang, Ann. of Math. 172 (2010) 911-954).  With the
+axes swapped so that L1 <= L2, the minimum image (x, y),
+k = 2pi/L1 and rho_j = exp(-k |y - j L2|), its product formula summed
+row by row reads
 
-    G(x) = (1/4pi) sum_n E1(eta^2 |x - n|^2)
-         + (1/|O|) sum_{m != 0} cos(2pi m.x) exp(-pi^2|m|^2/eta^2)
-                                / (4pi^2 |m|^2)
-         - 1/(4 eta^2 |O|)
+    G(x, y) = (y^2/(2 L2) - |y|/2 + L2/12) / L1
+            - (1/4pi) sum_j ln(1 - 2 rho_j cos kx + rho_j^2).
 
-(n over the period lattice, m over the dual lattice) converges for any
-splitting parameter eta.  Each window keeps exactly the terms that can
-exceed e^-_Z_CUT at some point:
+Row j is the field of the source's images on the line y = j L2; the
+quadratic is the images' linear far fields summed against the uniform
+background, with the constant that gives zero mean.  Row j != 0 has
+rho_j <= q^(|j| - 1/2), q = exp(-2pi L_long/L_short), so each row is
+smaller than the last by that factor; the rows stop at the first j
+with q^(j - 1/2) < e^-_Z_CUT, so every dropped row is below e^-_Z_CUT
+at every minimum-image point: 13 rows on a square torus, 3 on the
+1 x 5 one, row 0 alone once L_long > 12.1 L_short.  Row 0 is written
+ln((1 - rho_0)^2 + 4 rho_0 sin^2(kx/2)) with 1 - rho_0 =
+-expm1(-k|y|), so it keeps its relative accuracy at the source, where
+it is -inf and G is +inf.  grad G is the exact derivative of the same
+rows; nan at the source.
 
-- the images n = (i L1, j L2) with
-  ((|i| - 1/2)+ L1)^2 + ((|j| - 1/2)+ L2)^2 <= _Z_CUT / eta^2,
-  since a minimum-image displacement lies in [-L/2, L/2] per axis, so
-  every dropped image has eta^2 |x - n|^2 > _Z_CUT at every point;
-- the dual vectors m = (i/L1, j/L2) != 0 with
-  |m|^2 <= _Z_CUT eta^2 / pi^2.
-
-The dual window is closed under m -> -m and both dual series are even
-in m, so each +-m pair costs one cosine or sine (_folded).
-eta^2 = 2pi/|O| balances the windows by cost, not by term count: one
-scipy E1 evaluation costs about as much as 5-17 numpy cosines, so the
-real-space disk is the smaller one (25 images against 68 dual vectors,
-34 pairs, on the 4 x 4 torus, where the same disks at eta^2 = pi/|O|
-hold 45 and 36).
-The value is exactly independent of eta, which the test suite exploits
-and which torus._u0_gradient uses to sum the gradient on a whole grid
-with an eta set by the grid spacing.
-
-Unlike the FFT route, these sums evaluate G and grad G at arbitrary
-off-grid points with no truncation ringing near the log singularity.
+_real_weight and _dual_damping are the gradient weights of the Ewald
+split, G = real-space E1 images + Gaussian-damped dual series, which
+holds for any splitting parameter eta; torus._u0_gradient sets eta by
+the grid spacing to sum grad G on a whole grid.  The tests keep the
+full lattice sum as the float reference of the rows.
 """
+
+import math
 
 import numpy as np
 
 from . import _scipy
 
-# E1(38) ~ 8e-19: both window radii are chosen from this cutoff
+# E1(38) ~ 8e-19 and e^-38 ~ 3e-17: the Ewald windows of _u0_gradient
+# and the last theta row are cut here
 _Z_CUT = 38.0
-
-
-def _setup(L1, L2):
-    """(area, eta^2, images, duals): the kept (i, j) of both windows."""
-    if not (0.0 < L1 < np.inf and 0.0 < L2 < np.inf):
-        raise ValueError("periods must be positive and finite")
-    area = L1 * L2
-    eta2 = 2.0 * np.pi / area
-    r2_cut = _Z_CUT / eta2
-    n1 = int(np.sqrt(r2_cut) / L1 + 0.5)
-    n2 = int(np.sqrt(r2_cut) / L2 + 0.5)
-    images = [(i, j) for i in range(-n1, n1 + 1) for j in range(-n2, n2 + 1)
-              if (max(abs(i) - 0.5, 0.0) * L1) ** 2
-              + (max(abs(j) - 0.5, 0.0) * L2) ** 2 <= r2_cut]
-    q2_cut = _Z_CUT * eta2 / np.pi**2
-    m1 = int(np.sqrt(q2_cut) * L1)
-    m2 = int(np.sqrt(q2_cut) * L2)
-    duals = [(i, j) for i in range(-m1, m1 + 1) for j in range(-m2, m2 + 1)
-             if (i or j) and (i / L1) ** 2 + (j / L2) ** 2 <= q2_cut]
-    return area, eta2, images, duals
-
-
-def _folded(duals):
-    """One dual vector of each +-m pair in a window closed under
-    negation: cos(2pi m.x) and the grad term sin(2pi m.x) m are even in
-    m, so each pair is summed once at twice its weight."""
-    return [(i, j) for i, j in duals if i > 0 or (i == 0 and j > 0)]
 
 
 def _min_image(dx, L):
@@ -86,70 +58,97 @@ def _dual_damping(q2, eta2):
     return np.exp(-np.pi**2 * q2 / eta2)
 
 
+def _rows(L1, L2):
+    """(L1, L2, swapped, q^j for j = 1..J): the periods with the shorter
+    first and the factors of the kept rows j != 0."""
+    if not (0.0 < L1 < np.inf and 0.0 < L2 < np.inf):
+        raise ValueError("periods must be positive and finite")
+    swapped = L1 > L2
+    if swapped:
+        L1, L2 = L2, L1
+    log_q = 2.0 * np.pi * L2 / L1
+    j = np.arange(1, int(_Z_CUT / log_q + 0.5) + 1)
+    return L1, L2, swapped, np.exp(-log_q * j)
+
+
+def _image(dx, dy, L1, L2, swapped):
+    """The minimum-image displacement along the (swapped) axes."""
+    if swapped:
+        dx, dy = dy, dx
+    return (_min_image(np.asarray(dx, dtype=float), L1),
+            _min_image(np.asarray(dy, dtype=float), L2))
+
+
 def green_value(dx, dy, L1=1.0, L2=1.0):
     """G(x) - G at displacement (dx, dy) from the source.
 
     Accepts scalars or arrays (broadcast together).  Returns +inf on
     the source point itself.
     """
-    area, eta2, images, duals = _setup(L1, L2)
-    exp1 = _scipy.load().special.exp1
-    dx = _min_image(np.asarray(dx, dtype=float), L1)
-    dy = _min_image(np.asarray(dy, dtype=float), L2)
-    out = np.zeros(np.broadcast(dx, dy).shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, j in images:
-            r2 = (dx - i * L1) ** 2 + (dy - j * L2) ** 2
-            out = out + np.where(r2 > 0, exp1(eta2 * r2), np.inf)
-    out /= 4.0 * np.pi
-    for i, j in _folded(duals):
-        q2 = (i / L1) ** 2 + (j / L2) ** 2
-        w = 2.0 * _dual_damping(q2, eta2) / (4.0 * np.pi**2 * q2 * area)
-        out = out + w * np.cos(2.0 * np.pi * (i * dx / L1 + j * dy / L2))
-    return out - 1.0 / (4.0 * eta2 * area)
+    _scipy.load()  # the tracer's scipy set, not used here (_scipy)
+    L1, L2, swapped, q = _rows(L1, L2)
+    x, y = _image(dx, dy, L1, L2, swapped)
+    k = 2.0 * np.pi / L1
+    m = np.expm1(-k * np.abs(y))  # rho_0 - 1
+    s2 = np.sin(0.5 * k * x) ** 2
+    with np.errstate(divide="ignore"):
+        rows = np.log(m * m + 4.0 * (1.0 + m) * s2)
+    if q.size:
+        # rows j and -j: rho = q^j e^(+-ky); their product stays within
+        # (1 +- q^(1/2))^(4J) of 1, so one log takes them all
+        c = 1.0 - 2.0 * s2
+        e = np.exp(k * y)
+        prod = 1.0
+        for qj in q:
+            a = qj * e
+            b = qj / e
+            prod = prod * (1.0 - 2.0 * a * c + a * a) \
+                * (1.0 - 2.0 * b * c + b * b)
+        rows = rows + np.log(prod)
+    quad = (y * y / (2.0 * L2) - 0.5 * np.abs(y) + L2 / 12.0) / L1
+    return quad - rows / (4.0 * np.pi)
 
 
 def green_gradient(dx, dy, L1=1.0, L2=1.0):
-    """(dG/dx, dG/dy) at displacement (dx, dy); inf at the source."""
-    area, eta2, images, duals = _setup(L1, L2)
-    dx = _min_image(np.asarray(dx, dtype=float), L1)
-    dy = _min_image(np.asarray(dy, dtype=float), L2)
-    shape = np.broadcast(dx, dy).shape
-    gx = np.zeros(shape)
-    gy = np.zeros(shape)
+    """(dG/dx, dG/dy) at displacement (dx, dy); nan at the source."""
+    _scipy.load()  # the tracer's scipy set, not used here (_scipy)
+    L1, L2, swapped, q = _rows(L1, L2)
+    x, y = _image(dx, dy, L1, L2, swapped)
+    k = 2.0 * np.pi / L1
+    m = np.expm1(-k * np.abs(y))  # rho_0 - 1
+    sh = np.sin(0.5 * k * x)
+    ch = np.cos(0.5 * k * x)
+    s2 = sh * sh
+    d0 = m * m + 4.0 * (1.0 + m) * s2
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, j in images:
-            ax = dx - i * L1
-            ay = dy - j * L2
-            r2 = ax * ax + ay * ay
-            w = _real_weight(r2, eta2)
-            gx = gx + w * ax
-            gy = gy + w * ay
-    for i, j in _folded(duals):
-        q2 = (i / L1) ** 2 + (j / L2) ** 2
-        w = -np.sin(2.0 * np.pi * (i * dx / L1 + j * dy / L2)) * \
-            2.0 * _dual_damping(q2, eta2) / (2.0 * np.pi * q2 * area)
-        gx = gx + w * (i / L1)
-        gy = gy + w * (j / L2)
-    return gx, gy
+        # sum_j rho_j / D_j, and row 0's y-derivative folded into the
+        # quadratic's -sgn(y)/(2 L1): -sgn(y)(1 - rho_0^2)/(2 L1 D_0)
+        wx = (1.0 + m) / d0
+        gy = np.sign(y) * m * (2.0 + m) / (2.0 * L1 * d0) + y / (L1 * L2)
+    if q.size:
+        c = 1.0 - 2.0 * s2
+        e = np.exp(k * y)
+        for qj in q:
+            a = qj * e  # the image at +j L2, rho' = +k rho
+            b = qj / e  # the image at -j L2, rho' = -k rho
+            da = 1.0 - 2.0 * a * c + a * a
+            db = 1.0 - 2.0 * b * c + b * b
+            wx = wx + a / da + b / db
+            gy = gy + (b * (b - c) / db - a * (a - c) / da) / L1
+    with np.errstate(invalid="ignore"):
+        gx = -2.0 * sh * ch * wx / L1
+    return (gy, gx) if swapped else (gx, gy)
 
 
 def regular_part(L1=1.0, L2=1.0):
     """gamma(p, p) = lim_{x->p} G(x, p) + (1/2pi) ln|x - p|.
 
-    The n = 0 lattice term contributes -(euler + 2 ln eta)/4pi after
-    the log subtraction; everything else is evaluated at the source.
+    Row 0 is -(1/4pi) ln(k^2 |x|^2) + o(1) at the source, and row +-j
+    is -(1/2pi) ln(1 - q^j) there, so
+    gamma = L2/(12 L1) - (1/2pi) ln k - (1/pi) sum_{j>=1} ln(1 - q^j).
     """
-    area, eta2, images, duals = _setup(L1, L2)
-    exp1 = _scipy.load().special.exp1
-    euler = float(np.euler_gamma)
-    out = -(euler + np.log(eta2)) / (4.0 * np.pi)
-    acc = 0.0
-    for i, j in images:
-        if i or j:
-            acc += exp1(eta2 * ((i * L1) ** 2 + (j * L2) ** 2))
-    out += acc / (4.0 * np.pi)
-    for i, j in _folded(duals):
-        q2 = (i / L1) ** 2 + (j / L2) ** 2
-        out += 2.0 * _dual_damping(q2, eta2) / (4.0 * np.pi**2 * q2 * area)
-    return out - 1.0 / (4.0 * eta2 * area)
+    _scipy.load()  # the tracer's scipy set, not used here (_scipy)
+    L1, L2, _, q = _rows(L1, L2)
+    rows = math.fsum(math.log1p(-qj) for qj in q)
+    return L2 / (12.0 * L1) - math.log(2.0 * np.pi / L1) / (2.0 * np.pi) \
+        - rows / np.pi

@@ -524,14 +524,21 @@ def _newton_core(geometry, params, v, max_iter, gate):
         best = None
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
             trial = replace(fld, v=fld.v + alpha * delta)
+            if not np.isfinite(trial.v).all():
+                # the kernels refuse it: stop at the last finite iterate
+                error = ("Newton trial iterate is not finite at step %d "
+                         "(residual %.3e)" % (it + 1, res))
+                break
             r_t = trial.residual_norm()
             if best is None or r_t < best[0]:
                 best = (r_t, trial)
             if r_t < res * (1.0 - 0.25 * alpha):
                 break
-        r_new, fld = best
         # a rejected last trial would keep its grids through the next solve
         del trial
+        if error is not None:
+            break
+        r_new, fld = best
         grow_count = grow_count + 1 if r_new >= res else 0
         res = r_new
         it += 1

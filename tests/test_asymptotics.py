@@ -115,7 +115,47 @@ class TestCornerArea:
         assert float(_disk_corner_area(-3.0, 0.0)) == 0.0
 
 
+def _full_grid_coverage(domain, center, r):
+    """_ball_coverage's per-cell formula on every cell of the grid."""
+    L1, L2 = domain.periods
+    h1, h2 = domain.spacings
+    X, Y = domain.mesh
+    dx = ewald._min_image(X - center[0], L1)
+    dy = ewald._min_image(Y - center[1], L2)
+    dist = np.hypot(dx, dy)
+    half_diag = 0.5 * np.hypot(h1, h2)
+    w = np.zeros(tuple(domain.grid_shape))
+    w[dist <= r - half_diag] = 1.0
+    band = (dist > r - half_diag) & (dist < r + half_diag)
+    a = (dx[band] - 0.5 * h1) / r
+    b = (dx[band] + 0.5 * h1) / r
+    c = (dy[band] - 0.5 * h2) / r
+    d = (dy[band] + 0.5 * h2) / r
+    area = (_disk_corner_area(b, d) - _disk_corner_area(a, d)
+            - _disk_corner_area(b, c) + _disk_corner_area(a, c))
+    w[band] = np.clip(area * r * r / (h1 * h2), 0.0, 1.0)
+    return w
+
+
 class TestBallCoverage:
+    # centres inside, across one edge, across both edges (the corner
+    # cells' ball wraps to all four corners) and outside the domain
+    @pytest.mark.parametrize("periods, shape", [
+        ((4.0, 4.0), (128, 128)), ((4.0, 2.0), (64, 128)),
+        ((1.0, 3.0), (32, 256))], ids=["square", "rect", "long"])
+    @pytest.mark.parametrize("where", [(0.37, 0.61), (0.02, 0.5),
+                                       (0.5, 0.99), (0.995, 0.01),
+                                       (0.0, 0.0), (-0.3, 1.7)])
+    @pytest.mark.parametrize("scale", [0.013, 0.21, 0.4999999])
+    def test_window_matches_full_grid(self, periods, shape, where, scale):
+        # only the rows and columns near the ball are built, with the
+        # same arithmetic per cell as on the full grid
+        dom = TorusDomain(periods=periods, grid_shape=shape)
+        center = (where[0] * periods[0], where[1] * periods[1])
+        r = scale * min(periods)
+        assert np.array_equal(_ball_coverage(dom, center, r),
+                              _full_grid_coverage(dom, center, r))
+
     def test_total_area_is_pi_r_squared(self, dom128):
         h1, h2 = dom128.spacings
         for r in (0.3, 0.8, 1.3):

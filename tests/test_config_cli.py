@@ -912,6 +912,23 @@ class TestEpsilonFloor:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
+    # the overflowing MINRES solve warns on its way to the failure
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_a_non_finite_trial_is_a_numerical_failure(self, tmp_path,
+                                                       capsys):
+        # epsilon^-2 is finite here, but the first Newton step is not, and
+        # the kernels would refuse its trial iterate as a usage error
+        tree = _base_cfg(tmp_path)
+        tree["model"]["epsilon"] = 1e-154
+        tree["solver"]["continuation"] = None
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: Newton trial iterate "
+                                 "is not finite at step 1 (residual ")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
 
 # ---------------------------------------------------------------------------
 # stability command

@@ -1,7 +1,9 @@
 """Periodic solver tests.
 
-Ewald golden values were frozen from tests/oracles/green_oracle.py
-(mpmath theta-function route, 25 digits) before ewald.py was written.
+Green-function golden values were frozen from tests/oracles/green_oracle.py
+(mpmath theta-function route, 25 digits) before ewald.py was written;
+tests/ewald_lattice.py is the float Ewald lattice sum that ewald.py's
+theta-row series is checked against.
 All solves here run on the 4 x 4 torus; epsilon schedules respect the
 solvability capacity bound eps^2 < |O| sup f / (4 pi (N1 - N2)), which
 for tau = 1 and N1 - N2 = 2 already excludes eps = 0.3.
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, minres
 
+import ewald_lattice
 from vortexlab import (
     CapacityError,
     ConvergenceError,
@@ -131,6 +134,15 @@ class TestEwaldGoldens:
     def test_infinite_at_source(self):
         assert ewald.green_value(0.0, 0.0) == np.inf
 
+    @pytest.mark.parametrize("periods", [(1.0, 1.0), (4.0, 2.0), (1.0, 3.0)])
+    def test_source_and_its_images(self, periods):
+        # G is +inf and grad G nan (0/0, as on _u0_gradient's vortex
+        # cells) at the source and at its periodic image (L1, 0)
+        L1, L2 = periods
+        for x, y in [(0.0, 0.0), (L1, 0.0)]:
+            assert ewald.green_value(x, y, L1, L2) == np.inf
+            assert np.isnan(ewald.green_gradient(x, y, L1, L2)).all()
+
     @pytest.mark.parametrize("periods", sorted(GOLDEN_RECT))
     def test_rectangular_torus(self, periods):
         gold = GOLDEN_RECT[periods]
@@ -154,12 +166,13 @@ class TestEwaldGoldens:
 
 
 class TestEwaldWindows:
-    """_setup keeps exactly the terms that reach e^-_Z_CUT somewhere."""
+    """The reference's _setup keeps exactly the terms that reach
+    e^-_Z_CUT somewhere."""
 
     @pytest.mark.parametrize("periods", [(4.0, 4.0), (1.0, 3.0), (3.0, 1.0)])
     def test_windows_are_closed(self, periods):
         L1, L2 = periods
-        _, eta2, images, duals = ewald._setup(L1, L2)
+        _, eta2, images, duals = ewald_lattice._setup(L1, L2)
         kept_n, kept_m = set(images), set(duals)
         assert len(kept_n) == len(images) and len(kept_m) == len(duals)
         for i in range(-12, 13):
@@ -181,9 +194,65 @@ class TestEwaldWindows:
                 assert ((i, j) in kept_m) == (damped <= ewald._Z_CUT), (i, j)
 
     def test_square_term_counts(self):
-        _, eta2, images, duals = ewald._setup(4.0, 4.0)
+        _, eta2, images, duals = ewald_lattice._setup(4.0, 4.0)
         assert eta2 == 2.0 * np.pi / 16.0
         assert (len(images), len(duals)) == (25, 68)
+
+
+# the tori of the row series' checks: square, both orientations of a
+# rectangle, and a long one that keeps only the rows 0 and +-1
+ROW_TORI = [(4.0, 4.0), (1.0, 1.0), (2.0, 3.0), (3.0, 1.5), (1.0, 5.0),
+            (5.0, 1.0)]
+
+
+def _row_points(L1, L2, n=4000, seed=5):
+    """Displacements over two periods per axis, 100 of them within 1e-3
+    of the source and 20 on the line y = 0 within 1e-8 of it."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-L1, L1, n)
+    y = rng.uniform(-L2, L2, n)
+    x[:100] = rng.uniform(-1e-3, 1e-3, 100)
+    y[:100] = rng.uniform(-1e-3, 1e-3, 100)
+    x[100:120] = rng.uniform(-1e-8, 1e-8, 20)
+    y[100:120] = 0.0
+    return x, y
+
+
+class TestRowSeries:
+    """ewald's theta rows against the Ewald lattice sum, in floats."""
+
+    @pytest.mark.parametrize("periods", ROW_TORI)
+    def test_value_matches_lattice_sum(self, periods):
+        x, y = _row_points(*periods)
+        want = ewald_lattice.green_value(x, y, *periods)
+        assert np.max(np.abs(ewald.green_value(x, y, *periods) - want)) \
+            <= 1e-14
+
+    @pytest.mark.parametrize("periods", ROW_TORI)
+    def test_gradient_matches_lattice_sum(self, periods):
+        x, y = _row_points(*periods)
+        wx, wy = ewald_lattice.green_gradient(x, y, *periods)
+        gx, gy = ewald.green_gradient(x, y, *periods)
+        scale = 1e-14 * np.maximum(1.0, np.hypot(wx, wy))
+        assert np.all(np.abs(gx - wx) <= scale)
+        assert np.all(np.abs(gy - wy) <= scale)
+
+    @pytest.mark.parametrize("periods", ROW_TORI)
+    def test_regular_part_matches_lattice_sum(self, periods):
+        assert abs(ewald.regular_part(*periods)
+                   - ewald_lattice.regular_part(*periods)) <= 1e-14
+
+    @pytest.mark.parametrize("periods", ROW_TORI + [(1.0, 13.0)])
+    def test_rows_are_closed(self, periods):
+        # every kept row j != 0 exceeds e^-_Z_CUT at some minimum-image
+        # point (|y| = L_long/2), and the first dropped one does not
+        short, long_ = sorted(periods)
+        _, _, swapped, q = ewald._rows(*periods)
+        assert swapped == (periods[0] > periods[1])
+        reach = 2.0 * np.pi / short * (np.arange(1, q.size + 2) - 0.5) \
+            * long_
+        assert np.all(reach[:-1] <= ewald._Z_CUT) \
+            and reach[-1] > ewald._Z_CUT
 
 
 class TestEwaldStructure:
@@ -515,6 +584,25 @@ class TestNewton:
                                ModelParams(1.0, 0.25),
                                np.zeros(dom64.grid_shape), 60, 1.0)
         assert info.value.field.diagnostics["iterations"] == 5
+
+    def test_non_finite_trial_is_divergence(self, dom64, one_plus,
+                                            monkeypatch):
+        # Newton stops at its last finite iterate instead of handing the
+        # kernels a non-finite one
+        def overflowing_step(domain, W, c, b, rtol, maxiter):
+            return np.full(domain.grid_shape, np.inf), 0, 1
+
+        monkeypatch.setattr(torus, "_solve_shifted", overflowing_step)
+        v = np.zeros(dom64.grid_shape)
+        with pytest.raises(NewtonDivergenceError,
+                           match="trial iterate is not finite at step 1") \
+                as info:
+            torus._newton_core(TorusGeometry(dom64, one_plus),
+                               ModelParams(1.0, 0.25), v, 60, 1.0)
+        fld = info.value.field
+        assert np.array_equal(fld.v, v)
+        assert fld.diagnostics["iterations"] == 0
+        assert fld.diagnostics["minres_iters"] == 1
 
     def test_minres_iterations_are_counted(self, dom64, one_plus,
                                            monkeypatch):
