@@ -245,6 +245,18 @@ def _vortex(geometry, vortex_id):
     return entries[vortex_id]
 
 
+def _center(center):
+    """center as a pair of finite floats, else ValueError."""
+    try:
+        x, y = map(float, center)
+    except (TypeError, ValueError):
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("center must be two finite coordinates, got %r"
+                         % (center,))
+    return x, y
+
+
 def _check_n_theta(n_theta):
     if isinstance(n_theta, bool) \
             or not isinstance(n_theta, (int, np.integer)) or n_theta < 1:
@@ -346,7 +358,8 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
     and raise ValueError here.
 
     For a torus field the ball sits at vortex #vortex_id (or at an
-    explicit center with no enclosed vortex) and the identity reads
+    explicit center with no enclosed vortex, not both) and the identity
+    reads
 
         eps^-2 int_B 2 F2(u) dx
             = oint [ (x.grad u)(du/dn) - (x.n)|grad u|^2/2 ] ds
@@ -368,8 +381,11 @@ def pohozaev_value(obj, vortex_id=None, r=None, center=None, n_theta=1024):
         if center is None:
             center = (0.5 * obj.domain.periods[0],
                       0.5 * obj.domain.periods[1])
-        center = (float(center[0]), float(center[1]))
+        center = _center(center)
         mult = 0
+    elif center is not None:
+        raise ValueError("pass vortex_id or center, not both: the ball of "
+                         "vortex_id is centered on that vortex")
     else:
         center, mult, _ = _vortex(obj.geometry, vortex_id)
     cov = _ball(obj.geometry, center, r, vortex_id)
@@ -421,10 +437,12 @@ def rescale_blowup(field, center, scale=None, n_theta=64):
 
     Samples geometric radii out to the largest min-image ball and
     reports angular mean and variance per radius, plus the shifted grid
-    w = u - 2 ln(eps).  The scale is finite and positive, eps by default;
-    n_theta, a positive integer, is the number of angles per radius.
+    w = u - 2 ln(eps).  The center is two finite coordinates, the scale
+    finite and positive, eps by default; n_theta, a positive integer, is
+    the number of angles per radius.
     """
     n_theta = _check_n_theta(n_theta)
+    center = _center(center)
     if scale is None:
         scale = field.params.epsilon
     if not 0.0 < scale < math.inf:
@@ -447,8 +465,7 @@ def rescale_blowup(field, center, scale=None, n_theta=64):
     uhat = (_bilinear_periodic(field.domain, field.v, px, py)
             + u0).reshape(n_r, n_theta)
     w = field.u - 2.0 * np.log(field.params.epsilon)
-    return BlowupProfile(center=(float(center[0]), float(center[1])),
-                         scale=float(scale), y=y,
+    return BlowupProfile(center=center, scale=float(scale), y=y,
                          angular_mean=uhat.mean(axis=1),
                          angular_variance=uhat.var(axis=1),
                          w=w, n_theta=n_theta)

@@ -24,11 +24,9 @@ ln((1 - rho_0)^2 + 4 rho_0 sin^2(kx/2)) with 1 - rho_0 =
 it is -inf and G is +inf.  grad G is the exact derivative of the same
 rows; nan at the source.
 
-_real_weight and _dual_damping are the gradient weights of the Ewald
-split, G = real-space E1 images + Gaussian-damped dual series, which
-holds for any splitting parameter eta; torus._u0_gradient sets eta by
-the grid spacing to sum grad G on a whole grid.  The tests keep the
-full lattice sum as the float reference of the rows.
+torus._u0_gradient evaluates grad G on a quarter of the grid offsets
+and rolls it to each vortex cell.  The tests keep the Ewald lattice sum
+as the float reference of the rows.
 """
 
 import math
@@ -37,25 +35,13 @@ import numpy as np
 
 from . import _scipy
 
-# E1(38) ~ 8e-19 and e^-38 ~ 3e-17: the Ewald windows of _u0_gradient
-# and the last theta row are cut here
+# e^-38 ~ 3e-17: the last theta row is cut here (and the lattice
+# reference's Ewald windows, E1(38) ~ 8e-19)
 _Z_CUT = 38.0
 
 
 def _min_image(dx, L):
     return dx - L * np.round(dx / L)
-
-
-def _real_weight(r2, eta2):
-    """Real-space gradient weight: an image at squared distance r2 adds
-    _real_weight * (its displacement); inf on the source itself."""
-    return np.where(r2 > 0, -np.exp(-eta2 * r2) / (2.0 * np.pi * r2), np.inf)
-
-
-def _dual_damping(q2, eta2):
-    """Gaussian factor of the dual term at |m|^2 = q2 (m in cycles per
-    unit length)."""
-    return np.exp(-np.pi**2 * q2 / eta2)
 
 
 def _rows(L1, L2):

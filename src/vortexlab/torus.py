@@ -9,11 +9,11 @@ The grid u0 is not the exact sum of periodic Green functions G: it is a
 spectral Poisson solve of point charges on the vortex cells, that is
 the Fourier-truncated G.  It differs from the exact u0 by O(h^2), most
 near the cores, and that difference is not smooth, so every field
-carries it.  The audits read exact lattice sums instead: identity_check
-takes grad u0 from the grid-Ewald split (_u0_gradient), and the
-off-grid samples of u0 (_u0_at: Pohozaev rings, blow-up views) are
-Ewald sums too.  ROADMAP direction 9 replaces the grid u0 with the
-exact split.
+carries it.  The audits read the exact Green function of ewald
+instead: identity_check takes grad u0 from its theta rows on the grid
+offsets, rolled to each vortex cell (_u0_gradient), and the off-grid
+samples of u0 (_u0_at: Pohozaev rings, blow-up views) sum the same
+rows.  ROADMAP direction 9 replaces the grid u0 with the exact one.
 
 Integrating the equation over the torus kills the Laplacian, so every
 converged field satisfies the exact total-mass identity
@@ -248,24 +248,18 @@ class TorusGeometry:
         c = np.array([-4.0 * np.pi * m * sgn for (p, m, sgn) in entries])
         return _read_only(points), _read_only(c)
 
-    def _charge_grid(self):
-        """Point charges c_p/(h1 h2) on the vortex cells; built per call
-        and not kept, since u0 and _u0_gradient read it once each."""
+    @cached_property
+    def u0(self):
+        """Singular background u0 ~ -4pi sum m G(., p+) + 4pi sum m G(., p-),
+        one zero-mean spectral Poisson solve of the point charges
+        c_p/(h1 h2) on the vortex cells: the Fourier-truncated G, off the
+        exact sum by O(h^2) near the cores (module docstring)."""
         h1, h2 = self.domain.spacings
         rho = np.zeros(self.domain.grid_shape)
         for (i, j), cp in zip(self.cells, self._sources[1]):
             rho[i, j] += cp / (h1 * h2)
-        return rho
-
-    @cached_property
-    def u0(self):
-        """Singular background u0 ~ -4pi sum m G(., p+) + 4pi sum m G(., p-),
-        one zero-mean spectral Poisson solve of the point charges on the
-        vortex cells (_charge_grid): the Fourier-truncated G, off the
-        exact sum by O(h^2) near the cores (module docstring)."""
         # Lap u0 = -c delta: +4pi m at positive vortices, -4pi m at negative
-        rhs = -self._charge_grid() \
-            - 4.0 * np.pi * (self.vortices.N1 - self.vortices.N2) \
+        rhs = -rho - 4.0 * np.pi * (self.vortices.N1 - self.vortices.N2) \
             / self.domain.area
         return _read_only(poisson_solve(self.domain, rhs))
 
@@ -343,8 +337,8 @@ class TorusField:
 
     @cached_property
     def grad_u_sq(self):
-        """|grad v + grad u0|^2 with the exact grid-Ewald grad u0
-        (_u0_gradient); nan on the vortex cells."""
+        """|grad v + grad u0|^2 with the exact grad u0 (_u0_gradient);
+        nan on the cells of the vortices with m >= 1."""
         gx, gy = (gv + g0 for gv, g0 in zip(self.grad_v,
                                             _u0_gradient(self.geometry)))
         return _read_only(gx * gx + gy * gy)
@@ -512,28 +506,31 @@ def _newton_core(geometry, params, v, max_iter, gate):
             error = ("Newton did not converge in %d iterations (residual %.3e)"
                      % (max_iter, res))
             break
-        pot = fld.potential
-        c0 = max(float(np.mean(np.maximum(pot, 0.0))),
-                 1e-6 * params.epsilon ** -2)
-        eta = min(0.1, max(np.sqrt(res / res0) * 1e-2, 1e-10))
-        delta, info, k = _solve_shifted(geometry.domain, pot, c0,
-                                        fld.residual, eta, 800)
-        failed += info != 0
-        minres_iters += k
+        # an overflowing step ends in a non-finite trial, which the
+        # check below reports; numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            pot = fld.potential
+            c0 = max(float(np.mean(np.maximum(pot, 0.0))),
+                     1e-6 * params.epsilon ** -2)
+            eta = min(0.1, max(np.sqrt(res / res0) * 1e-2, 1e-10))
+            delta, info, k = _solve_shifted(geometry.domain, pot, c0,
+                                            fld.residual, eta, 800)
+            failed += info != 0
+            minres_iters += k
 
-        best = None
-        for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            trial = replace(fld, v=fld.v + alpha * delta)
-            if not np.isfinite(trial.v).all():
-                # the kernels refuse it: stop at the last finite iterate
-                error = ("Newton trial iterate is not finite at step %d "
-                         "(residual %.3e)" % (it + 1, res))
-                break
-            r_t = trial.residual_norm()
-            if best is None or r_t < best[0]:
-                best = (r_t, trial)
-            if r_t < res * (1.0 - 0.25 * alpha):
-                break
+            best = None
+            for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
+                trial = replace(fld, v=fld.v + alpha * delta)
+                if not np.isfinite(trial.v).all():
+                    # the kernels refuse it: stop at the last finite iterate
+                    error = ("Newton trial iterate is not finite at step %d "
+                             "(residual %.3e)" % (it + 1, res))
+                    break
+                r_t = trial.residual_norm()
+                if best is None or r_t < best[0]:
+                    best = (r_t, trial)
+                if r_t < res * (1.0 - 0.25 * alpha):
+                    break
         # a rejected last trial would keep its grids through the next solve
         del trial
         if error is not None:
@@ -739,39 +736,28 @@ def _u0_at(geometry, px, py, want_grad):
 def _u0_gradient(geometry):
     """grad u0 = sum_p c_p grad G(x - p), c_p = -4pi m sgn, on the grid.
 
-    Ewald split with eta set by the grid: the dual Gaussian has fallen
-    to e^-_Z_CUT at the coarser axis's Nyquist wavenumber, so the dual
-    series of all vortices is one exact half-spectrum multiply of point
-    charges on their (snapped) cells, and the real-space images reach
-    only 2 _Z_CUT/pi ~ 24 cells: one offset stencil, scattered
-    periodically around each vortex.  nan on the vortex cells.
+    Every vortex sits on a grid point, so each term is one grid of
+    grad G at the grid offsets, rolled to the vortex's cell.  That grid
+    is ewald.green_gradient on the quarter of offsets 0 <= x <= L1/2,
+    0 <= y <= L2/2, unfolded by parity: dG/dx is odd in x and even in
+    y, and dG/dy the mirror.  nan on the cells of the vortices with
+    m >= 1; a vortex with m = 0 adds no term.
     """
-    domain = geometry.domain
-    h1, h2 = domain.spacings
-    n1, n2 = domain.grid_shape
-    eta2 = (np.pi / max(h1, h2)) ** 2 / (4.0 * ewald._Z_CUT)
-    r_cut = np.sqrt(ewald._Z_CUT / eta2)
-    w1 = int(np.ceil(r_cut / h1))
-    w2 = int(np.ceil(r_cut / h2))
-    a = np.arange(-w1, w1 + 1)
-    b = np.arange(-w2, w2 + 1)
-    dx = (a * h1)[:, None]
-    dy = (b * h2)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = ewald._real_weight(dx * dx + dy * dy, eta2)
-        wx, wy = w * dx, w * dy
-
-    rho = geometry._charge_grid()
-    smooth = ewald._dual_damping(domain._k2 / (4.0 * np.pi ** 2), eta2) \
-        * -domain._inv_lap
+    n1, n2 = geometry.domain.grid_shape
+    x, y = geometry.domain.axes
+    quarter = ewald.green_gradient(x[:n1 // 2 + 1, None],
+                                   y[None, :n2 // 2 + 1],
+                                   *geometry.domain.periods)
     grad = []
-    for ik, wk in zip(domain._ik, (wx, wy)):
-        g = domain._multiply(ik * smooth, rho)
-        for (i, j), coef in zip(geometry.cells, geometry._sources[1]):
-            # unbuffered: a stencil wider than the grid folds its
-            # periodic images onto one cell
-            np.add.at(g, np.ix_((i + a) % n1, (j + b) % n2), coef * wk)
-        grad.append(g)
+    for g, sx, sy in zip(quarter, (-1.0, 1.0), (1.0, -1.0)):
+        # offset i > n1/2 is -(n1 - i) by minimum image
+        g = np.concatenate([g, sx * g[n1 // 2 - 1:0:-1]], axis=0)
+        g = np.concatenate([g, sy * g[:, n2 // 2 - 1:0:-1]], axis=1)
+        total = np.zeros((n1, n2))
+        for cell, cp in zip(geometry.cells, geometry._sources[1]):
+            if cp:
+                total += cp * np.roll(g, cell, axis=(0, 1))
+        grad.append(total)
     return tuple(grad)
 
 
@@ -783,7 +769,7 @@ def identity_check(field, a):
     rhs = 4pi (N1/a + N2), for a finite a > 0.
 
     |grad u|^2 is field.grad_u_sq, built once per field from spectral
-    grad v plus the exact grid-Ewald gradient of u0 (_u0_gradient), so
+    grad v plus the exact gradient of u0 (_u0_gradient), so
     the log singularities enter exactly; at the vortex cells, where
     grad u0 is infinite but the integrand has a removable singularity,
     the cell value is replaced by its analytic limit.
@@ -805,7 +791,8 @@ def identity_check(field, a):
     # finite limit there: with e^u ~ e^c |x-p|^(2m) near a positive
     # vortex (c the regular part of u at p), |grad u|^2 e^u/(a+e^u)^2
     # tends to 4 m^2 e^c / a^2 when m = 1 and to 0 when m >= 2; the
-    # mirror statement holds at negative vortices with e^u -> e^-c.
+    # mirror statement holds at negative vortices with e^u -> e^-c.  A
+    # vortex with m = 0 is no singularity: its cell keeps its value.
     geometry = field.geometry
     for (i, j), (p, m, sgn), reg in zip(geometry.cells,
                                         geometry.vortices.signed(),
@@ -813,7 +800,7 @@ def identity_check(field, a):
         if m == 1:
             c = sgn * (field.v[i, j] + reg)
             t1[i, j] = (a + 1.0) * 4.0 * np.exp(c) / (a * a if sgn > 0 else 1.0)
-        else:
+        elif m >= 2:
             t1[i, j] = 0.0
     t2 = params.epsilon ** -2 * w2
 

@@ -28,7 +28,19 @@ in m, so each +-m pair costs one cosine or sine (_folded).  eta^2 =
 import numpy as np
 from scipy.special import exp1
 
-from vortexlab.ewald import _Z_CUT, _dual_damping, _min_image, _real_weight
+from vortexlab.ewald import _Z_CUT, _min_image
+
+
+def _real_weight(r2, eta2):
+    """Real-space gradient weight: an image at squared distance r2 adds
+    _real_weight * (its displacement); inf on the source itself."""
+    return np.where(r2 > 0, -np.exp(-eta2 * r2) / (2.0 * np.pi * r2), np.inf)
+
+
+def _dual_damping(q2, eta2):
+    """Gaussian factor of the dual term at |m|^2 = q2 (m in cycles per
+    unit length)."""
+    return np.exp(-np.pi**2 * q2 / eta2)
 
 
 def _setup(L1, L2):

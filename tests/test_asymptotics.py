@@ -309,6 +309,21 @@ class TestGeometryGuards:
         with pytest.raises(GeometryError):
             pohozaev_value(sweep128[-1].field, center=(2.3, 2.0), r=0.5)
 
+    def test_vortex_id_and_center_are_not_both_taken(self, sweep128):
+        with pytest.raises(ValueError, match="vortex_id or center, not both"):
+            pohozaev_value(sweep128[-1].field, vortex_id=0,
+                           center=(1.0, 1.0), r=0.5)
+
+    @pytest.mark.parametrize("center", [
+        (float("nan"), 1.0), (1.0, float("inf")), (-float("inf"), 1.0),
+        (1.0, 1.0, 1.0), (1.0,), "xy"])
+    def test_center_must_be_two_finite_coordinates(self, sweep128, center):
+        fld = sweep128[-1].field
+        with pytest.raises(ValueError, match="center must be two finite"):
+            pohozaev_value(fld, center=center, r=0.5)
+        with pytest.raises(ValueError, match="center must be two finite"):
+            rescale_blowup(fld, center)
+
     def test_blowup_scale_below_grid(self, sweep128):
         with pytest.raises(ResolutionError):
             rescale_blowup(sweep128[-1].field, (2.0, 2.0), scale=1e-3)

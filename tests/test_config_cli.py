@@ -12,6 +12,8 @@ import math
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -912,8 +914,9 @@ class TestEpsilonFloor:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
-    # the overflowing MINRES solve warns on its way to the failure
-    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    # the overflowing step is reported once, by the failure line, and
+    # not by numpy's warnings on the way to it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_non_finite_trial_is_a_numerical_failure(self, tmp_path,
                                                        capsys):
         # epsilon^-2 is finite here, but the first Newton step is not, and
@@ -928,6 +931,25 @@ class TestEpsilonFloor:
         assert err[0].startswith("numerical failure: Newton trial iterate "
                                  "is not finite at step 1 (residual ")
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_an_overflowing_step_prints_no_runtime_warning(self, tmp_path):
+        # a new interpreter, so stderr is exactly what a user sees
+        src = os.path.join(ROOT, "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vortexlab.cli", "torus", "--config",
+             os.path.join(ROOT, "demos", "one_vortex.json"),
+             "--override", "solver.continuation=null",
+             "--override", "model.epsilon=1e-154",
+             "--override", "domain.grid_shape=[64,64]"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(
+            "numerical failure: Newton trial iterate is not finite ")
+        assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -793,6 +793,21 @@ class TestIdentity:
         for have, want in zip(got, (w1(fld.u, a), w2(fld.u, tau, a))):
             assert np.array_equal(have.view(np.int64), want.view(np.int64))
 
+    def test_a_vortex_of_multiplicity_zero_changes_nothing(self, dom64,
+                                                            one_plus):
+        # an m = 0 entry has c_p = 0: no term of grad u0, no nan cell and
+        # no vortex-cell limit, so the rows are those of the field without it
+        with_zero = replace(one_plus, positive_vortices=(
+            *one_plus.positive_vortices, ((0.5, 0.5), 0)))
+        p = ModelParams(1.0, 0.3)
+        fld = solve_newton(TorusGeometry(dom64, one_plus), p)
+        fld0 = solve_newton(TorusGeometry(dom64, with_zero), p)
+        assert np.array_equal(fld0.v, fld.v)
+        assert np.array_equal(fld0.grad_u_sq, fld.grad_u_sq, equal_nan=True)
+        assert np.count_nonzero(np.isnan(fld0.grad_u_sq)) == 1
+        for a in (0.5, 1.0, 2.0):
+            assert identity_check(fld0, a) == identity_check(fld, a)
+
     def test_bad_a_rejected(self, fld128):
         with pytest.raises(ValueError):
             identity_check(fld128, 0.0)
@@ -806,7 +821,8 @@ class TestIdentity:
 
 
 def _pointwise_u0_gradient(geometry):
-    """Reference grad u0: one Ewald point evaluation per vortex."""
+    """Reference grad u0: one row-series evaluation per vortex on the
+    whole grid, with no unfolding and no roll."""
     domain = geometry.domain
     X1, X2 = domain.mesh
     L1, L2 = domain.periods
@@ -966,6 +982,40 @@ class TestGridEwald:
         err = max(np.abs(gx - rx)[finite].max(), np.abs(gy - ry)[finite].max())
         assert err <= 1e-13 * scale
 
+    @pytest.mark.parametrize("periods, grid_shape", [
+        ((4.0, 4.0), (32, 32)),
+        ((4.0, 2.0), (64, 128)),     # L1 > L2: the rows swap the axes
+        ((4.0, 4.0), (256, 256)),
+    ], ids=["wrap32", "rect", "256"])
+    def test_matches_lattice_sum(self, periods, grid_shape):
+        # the Ewald lattice sum is an algorithm independent of the rows;
+        # the m = 0 vortex adds no term and leaves its cell finite
+        dom = TorusDomain(periods=periods, grid_shape=grid_shape)
+        L1, L2 = periods
+        geo = _mixed_geometry(dom)
+        geo = TorusGeometry(dom, replace(geo.vortices, positive_vortices=(
+            *geo.vortices.positive_vortices, ((0.5 * L1, 0.5 * L2), 0))))
+        gx, gy = _u0_gradient(geo)
+        X1, X2 = dom.mesh
+        rx = np.zeros(grid_shape)
+        ry = np.zeros(grid_shape)
+        for (p, m, sgn) in geo.vortices.signed():
+            if m:
+                ex, ey = ewald_lattice.green_gradient(X1 - p[0], X2 - p[1],
+                                                      L1, L2)
+                rx += -4.0 * np.pi * m * sgn * ex
+                ry += -4.0 * np.pi * m * sgn * ey
+        nan = np.zeros(grid_shape, dtype=bool)
+        for cell, (p, m, sgn) in zip(geo.cells, geo.vortices.signed()):
+            nan[cell] = m >= 1
+        assert np.count_nonzero(nan) == 4
+        assert np.array_equal(np.isnan(gx), nan)
+        assert np.array_equal(np.isnan(gy), nan)
+        assert np.isfinite(gx[~nan]).all() and np.isfinite(gy[~nan]).all()
+        scale = max(np.abs(rx[~nan]).max(), np.abs(ry[~nan]).max())
+        err = max(np.abs(gx - rx)[~nan].max(), np.abs(gy - ry)[~nan].max())
+        assert err <= 1e-13 * scale
+
     @pytest.mark.parametrize("which", ["solved", "mixed"])
     def test_identity_matches_pointwise_assembly(self, fld128, dom64,
                                                  monkeypatch, which):
@@ -1072,9 +1122,9 @@ class TestAuditGrids:
         monkeypatch.setattr(np.fft, "rfft2", counting)
         got = audits(fld)
         monkeypatch.undo()
-        # grad v and grad u0, one transform per component, for all
-        # three a-values and every Pohozaev ring
-        assert len(calls) == 4
+        # grad v, one transform per component, for all three a-values
+        # and every Pohozaev ring; grad u0 takes none
+        assert len(calls) == 2
         fresh = TorusField(geometry=fld.geometry, params=fld.params, v=fld.v)
         assert got == audits(fresh)
 
