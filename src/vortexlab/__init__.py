@@ -11,17 +11,17 @@ diagnostics), config/cli (experiment plumbing).
 from .asymptotics import (Alternative, AlternativeVerdict, BlowupProfile,
                           GeometryError, ResolutionError, SweepError,
                           SweepRecord, VortexReport, classify_alternative,
-                          export_sweep_csv, mass_partition, pohozaev_value,
-                          quantization_value, rescale_blowup, run_sweep,
-                          squared_ratio_test, vortex_mass)
-from .config import (ConfigError, ExperimentConfig, load_config, load_field,
-                     save_field)
+                          mass_partition, pohozaev_value, quantization_value,
+                          rescale_blowup, run_sweep, squared_ratio_test,
+                          vortex_mass)
+from .config import (ConfigError, ExperimentConfig, export_curve_csv,
+                     export_profile_csv, export_sweep_csv, load_config,
+                     load_field, save_field)
 from .kernels import F2_tau, df_tau, f_tau, q_tau
 from .model import HypothesisReport, ModelParams, VortexSet, check_hypotheses
 from .radial import (BCType, BetaCurve, BracketError,
                      IntegrationFailureError, MassKind, RadialSolution,
-                     compute_beta_curve, export_curve_csv,
-                     export_profile_csv, find_topological, integrate_radial,
+                     compute_beta_curve, find_topological, integrate_radial,
                      mass_integral)
 from .stability import (EigenConvergenceError, EigenResult, StabilityClass,
                         WeightIndefiniteError, classify_stability,
@@ -45,8 +45,7 @@ __all__ = [
     # radial
     "integrate_radial", "find_topological", "compute_beta_curve",
     "mass_integral", "RadialSolution", "BetaCurve", "BCType", "MassKind",
-    "export_profile_csv", "export_curve_csv", "BracketError",
-    "IntegrationFailureError",
+    "BracketError", "IntegrationFailureError",
     # torus
     "TorusDomain", "TorusGeometry", "TorusField", "solve_newton",
     "solve_monotone", "identity_check", "total_mass",
@@ -62,10 +61,11 @@ __all__ = [
     # asymptotics
     "run_sweep", "classify_alternative", "squared_ratio_test",
     "vortex_mass", "mass_partition", "pohozaev_value", "quantization_value",
-    "rescale_blowup", "export_sweep_csv", "SweepRecord",
+    "rescale_blowup", "SweepRecord",
     "AlternativeVerdict", "Alternative", "VortexReport", "BlowupProfile",
     "GeometryError", "ResolutionError", "SweepError",
     # config
     "ExperimentConfig", "load_config", "ConfigError", "save_field",
-    "load_field",
+    "load_field", "export_profile_csv", "export_curve_csv",
+    "export_sweep_csv",
 ]

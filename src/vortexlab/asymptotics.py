@@ -675,39 +675,3 @@ def squared_ratio_test(epsilons, values):
     detail["margins"] = [float(_FIT_SLACK * C * val[i] ** 2 - val[j])
                          for (i, j) in test]
     return bool(passed), detail
-
-
-def export_sweep_csv(records, path):
-    """Write sweep records as CSV, per-vortex columns flattened; mu and
-    eigen_iterations are empty on a step without an eigen result."""
-    n_v = max((len(rec.per_vortex) for rec in records), default=0)
-    cols = ["epsilon", "sup_K", "inf_K", "total_abs_mass", "error",
-            "resolved", "h_over_eps", "minres_failed", "mu",
-            "eigen_iterations"]
-    for k in range(n_v):
-        cols += ["v%d_mass" % k, "v%d_beta_proxy" % k,
-                 "v%d_pohozaev_volume" % k, "v%d_pohozaev_boundary" % k,
-                 "v%d_pohozaev_residual" % k, "v%d_quantization" % k]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in records:
-            row = ["%.17g" % rec.epsilon, "%.17g" % rec.sup_K,
-                   "%.17g" % rec.inf_K, "%.17g" % rec.total_abs_mass,
-                   rec.error or "",
-                   {True: "true", False: "false", None: ""}[rec.resolved],
-                   "%.17g" % rec.h_over_eps,
-                   "" if rec.minres_failed is None
-                   else "%d" % rec.minres_failed]
-            row += ["", ""] if rec.eigen is None else [
-                "%.17g" % rec.eigen.eigenvalue, "%d" % rec.eigen.iterations]
-            for k in range(n_v):
-                if k < len(rec.per_vortex):
-                    vr = rec.per_vortex[k]
-                    row += ["%.17g" % vr.mass, "%.17g" % vr.beta_proxy,
-                            "%.17g" % vr.pohozaev[0],
-                            "%.17g" % vr.pohozaev[1],
-                            "%.17g" % vr.pohozaev[2],
-                            "%.17g" % vr.quantization]
-                else:
-                    row += [""] * 6
-            fh.write(",".join(row) + "\n")

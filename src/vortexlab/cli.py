@@ -22,18 +22,19 @@ import functools
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
 from . import asymptotics, torus
-from .asymptotics import (SweepError, classify_alternative, export_sweep_csv,
-                          pohozaev_value, run_sweep, squared_ratio_test)
-from .config import (ConfigError, atomic_path, dumps_json, load_config,
+from .asymptotics import (SweepError, classify_alternative, pohozaev_value,
+                          run_sweep, squared_ratio_test)
+from .config import (ConfigError, dumps_json, export_curve_csv,
+                     export_profile_csv, export_sweep_csv, load_config,
                      load_field, save_field, write_json)
 from .model import check_hypotheses
 from .radial import (R_MAX, BracketError, IntegrationFailureError,
-                     compute_beta_curve, export_curve_csv,
-                     export_profile_csv, find_topological, integrate_radial)
+                     compute_beta_curve, find_topological, integrate_radial)
 from .stability import (EigenConvergenceError, WeightIndefiniteError,
                         classify_stability, default_torus_margin,
                         principal_eigen_torus, weighted_eigen_radial)
@@ -148,8 +149,7 @@ def _refuse_flag(key, text):
 def cmd_shoot(args):
     sol = _profile(dict(vars(args), r_max=args.rmax), _refuse_flag)
     out_csv = args.out + ".csv"
-    with atomic_path(out_csv) as tmp:
-        export_profile_csv(sol, tmp)
+    export_profile_csv(sol, out_csv)
     summary = {
         "s": sol.s, "nu": sol.nu, "tau": sol.tau,
         "vortex_sign": sol.vortex_sign,
@@ -180,8 +180,7 @@ def cmd_beta_curve(args):
                 if s != 0.0]
     curve = compute_beta_curve(args.tau, s_values, r_max=args.rmax)
     out_csv = args.out + ".csv"
-    with atomic_path(out_csv) as tmp:
-        export_curve_csv(curve, tmp)
+    export_curve_csv(curve, out_csv)
     summary = {
         "tau": curve.tau,
         "n_requested": args.n,
@@ -316,8 +315,7 @@ def cmd_sweep(args):
                         compute_eigen=block["compute_eigen"],
                         keep_fields=False)
     out_csv = _outpath(cfg, "_sweep.csv")
-    with atomic_path(out_csv) as tmp:
-        export_sweep_csv(records, tmp)
+    export_sweep_csv(records, out_csv)
     ok = [rec for rec in records if rec.ok]
     if len(ok) < 3:
         raise SweepError("%d of %d steps solved, need 3 for a verdict; see %s"
@@ -530,6 +528,10 @@ def _keep_freed_memory():
 
 def main(argv=None):
     _keep_freed_memory()
+    # a warning the filters let through is shown as one line; a caller
+    # that records warnings still receives them
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: "warning: %s\n" % message
     # ConfigError and BracketError are ValueErrors, so the order matters
     try:
         args = build_parser().parse_args(argv)
@@ -546,6 +548,8 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ node, and defaults are filled in so downstream code reads a canonical
 tree.  This module is also home to the atomic file writers (temp file
 plus os.replace, so readers never observe a partial artifact), the
 deterministic JSON emitter (sorted keys, floats at 17 significant
-digits), and the torus field archive (one .npz holding the grids plus
-a JSON metadata entry).
+digits), the CSV exporters of radial profiles, beta curves and sweeps,
+and the torus field archive (one .npz holding the grids plus a JSON
+metadata entry).  No other module of the package writes a file.
 """
 
 import json
@@ -34,6 +35,9 @@ __all__ = [
     "write_text",
     "write_json",
     "dumps_json",
+    "export_profile_csv",
+    "export_curve_csv",
+    "export_sweep_csv",
     "save_field",
     "load_field",
 ]
@@ -412,6 +416,63 @@ def write_text(path, text):
 
 def write_json(path, obj):
     write_text(path, dumps_json(obj) + "\n")
+
+
+def _csv_cell(v):
+    # float first: nearly every cell is one
+    if isinstance(v, float):
+        return "%.17g" % v
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return "%d" % v
+    return v  # a str; join refuses anything else
+
+
+def _write_csv(path, columns, rows):
+    """A header line, then one line per row, each cell by one rule: None
+    empty, bool true/false, int %d, float %.17g, str as is.  The text is
+    built before the atomic write, so a failure leaves path as it was."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def export_profile_csv(sol, path):
+    """Write the profile grid as CSV with columns r, u, du_dr."""
+    _write_csv(path, ("r", "u", "du_dr"), sol.grid.tolist())
+
+
+def export_curve_csv(curve, path):
+    """Write a beta curve as CSV with columns s, beta, bc_type."""
+    _write_csv(path, ("s", "beta", "bc_type"),
+               [(s, beta, bc.value) for s, beta, bc in curve.samples])
+
+
+def export_sweep_csv(records, path):
+    """Write sweep records as CSV, per-vortex columns flattened; mu and
+    eigen_iterations are empty on a step without an eigen result."""
+    n_v = max((len(rec.per_vortex) for rec in records), default=0)
+    cols = ["epsilon", "sup_K", "inf_K", "total_abs_mass", "error",
+            "resolved", "h_over_eps", "minres_failed", "mu",
+            "eigen_iterations"]
+    for k in range(n_v):
+        cols += ["v%d_mass" % k, "v%d_beta_proxy" % k,
+                 "v%d_pohozaev_volume" % k, "v%d_pohozaev_boundary" % k,
+                 "v%d_pohozaev_residual" % k, "v%d_quantization" % k]
+    rows = []
+    for rec in records:
+        eig = rec.eigen
+        row = [rec.epsilon, rec.sup_K, rec.inf_K, rec.total_abs_mass,
+               rec.error, rec.resolved, rec.h_over_eps, rec.minres_failed,
+               None if eig is None else eig.eigenvalue,
+               None if eig is None else eig.iterations]
+        for vr in rec.per_vortex:
+            row += [vr.mass, vr.beta_proxy, *vr.pohozaev, vr.quantization]
+        rows.append(row + [None] * (len(cols) - len(row)))
+    _write_csv(path, cols, rows)
 
 
 # ---------------------------------------------------------------------------

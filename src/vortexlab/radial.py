@@ -699,19 +699,3 @@ def mass_integral(sol, kind):
     body = simpson(y=vals * sol.r, x=sol.r)
     origin = 0.5 * float(kern(sol.u[0], sol.tau)) * sol.r[0] ** 2
     return 2.0 * np.pi * (body + origin)
-
-
-def export_profile_csv(sol, path):
-    """Write the profile grid as CSV with columns r, u, du_dr."""
-    with open(path, "w") as fh:
-        fh.write("r,u,du_dr\n")
-        for r, u, du in sol.grid:
-            fh.write("%.17g,%.17g,%.17g\n" % (r, u, du))
-
-
-def export_curve_csv(curve, path):
-    """Write a beta curve as CSV with columns s, beta, bc_type."""
-    with open(path, "w") as fh:
-        fh.write("s,beta,bc_type\n")
-        for s, beta, bc in curve.samples:
-            fh.write("%.17g,%.17g,%s\n" % (s, beta, bc.value))

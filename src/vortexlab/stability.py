@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _scipy, kernels
+from . import kernels
 from . import torus as torus_mod
 
 
@@ -67,7 +67,7 @@ def _ritz(X, AX):
     vector with its image in AX, by eigh of the Gram matrices; a third
     vector is dropped when the 3 x 3 basis Gram matrix is not positive
     definite."""
-    scipy = _scipy.load()
+    from scipy.linalg import LinAlgError, eigh
     n = len(X)
     G, B = np.empty((n, n)), np.empty((n, n))
     for i in range(n):
@@ -75,10 +75,9 @@ def _ritz(X, AX):
             G[i, j] = G[j, i] = np.vdot(X[i], AX[j])
             B[i, j] = B[j, i] = np.vdot(X[i], X[j])
     try:
-        vals, vecs = scipy.linalg.eigh(G, B, subset_by_index=(0, 0))
-    except scipy.linalg.LinAlgError:  # p depends on x and w
-        vals, vecs = scipy.linalg.eigh(G[:2, :2], B[:2, :2],
-                                       subset_by_index=(0, 0))
+        vals, vecs = eigh(G, B, subset_by_index=(0, 0))
+    except LinAlgError:  # p depends on x and w
+        vals, vecs = eigh(G[:2, :2], B[:2, :2], subset_by_index=(0, 0))
     return float(vals[0]), vecs[:, 0]
 
 
@@ -219,11 +218,12 @@ def weighted_eigen_radial(sol, _sensitivity=True):
     pos = np.maximum(dfu[:-1], 0.0)
     lower = -float(np.max(pos / w[:-1])) if np.any(pos > 0) else 0.0
     sigma0 = lower - 0.1 * (1.0 + abs(lower))
-    scipy = _scipy.load()
-    A = scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csc")
-    B = scipy.sparse.diags([mass], [0], format="csc")
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import eigsh
+    A = diags([off, diag, off], [-1, 0, 1], format="csc")
+    B = diags([mass], [0], format="csc")
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
+        vals, vecs = eigsh(
             A, k=1, M=B, sigma=sigma0, which="LM", v0=np.ones(diag.size),
             tol=0)
     except Exception as e:

@@ -669,7 +669,13 @@ def solve_monotone(geometry, params):
     the bracket's residual signs are reported in the diagnostics.  The
     residual of -u0 is +4pi m/(h1 h2) on a negative vortex's cell, so
     before iterating N2 > 0 raises MonotonicityError, and an epsilon
-    that cannot carry the mass identity raises CapacityError.
+    that cannot carry the mass identity raises CapacityError.  The step
+    v + P F(v), P = (c - Lap)^-1, has derivative P diag(c + eps^-2 f'),
+    so it preserves order iff P has no negative entry; P is circulant,
+    so P applied to one cell's delta decides it.  Its min/max is the
+    diagnostics' kernel_ratio, and a negative one (the truncated kernel
+    rings below zero once c is large for the grid) raises
+    MonotonicityError before iterating too.
     """
     domain = geometry.domain
     if geometry.vortices.N2:
@@ -687,11 +693,21 @@ def solve_monotone(geometry, params):
     tol = _solver_tol(params)
     c = 1.05 * params.epsilon ** -2 * kernels.sup_abs_df_tau(params.tau)
     mult = 1.0 / (c + domain._k2)
+    delta = np.zeros(domain.grid_shape)
+    delta[0, 0] = 1.0
+    kernel = domain._multiply(mult, delta)
+    ratio = float(kernel.min()) / float(kernel.max())
+    if ratio < 0.0:
+        raise MonotonicityError(
+            "the monotone step (c - Lap)^-1 with shift c = %.6g has a "
+            "negative kernel on the %d x %d grid (min/max %.3e), so it "
+            "cannot preserve order" % (c, *domain.grid_shape, ratio))
 
     # the first iterate is the supersolution: its residual is the bracket's
     fld = TorusField(geometry=geometry, params=params, v=super_)
     diag = {
         "shift": c,
+        "kernel_ratio": ratio,
         "sub_residual_min": float(np.min(replace(fld, v=sub).residual)),
         "super_residual_max": float(np.max(fld.residual)),
         **resolution,

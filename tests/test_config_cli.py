@@ -23,12 +23,18 @@ import pytest
 from test_stability import FROZEN_TOPOLOGICAL
 from test_torus import _growing_step
 from vortexlab import (
+    BetaCurve,
     EigenConvergenceError,
+    EigenResult,
     ModelParams,
+    SweepRecord,
     TorusDomain,
     TorusGeometry,
+    VortexReport,
     VortexSet,
     asymptotics,
+    export_curve_csv,
+    export_sweep_csv,
     integrate_radial,
     pohozaev_value,
     run_sweep,
@@ -251,6 +257,53 @@ class TestAtomicWrites:
                 raise RuntimeError("interrupted")
         assert target.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+class TestCsvWriter:
+    def test_sweep_csv_cells_by_one_rule(self, tmp_path):
+        # None empty, bool true/false, int %d, float %.17g, str as is: a
+        # failed step (error text, nan cells, empty flags, eigen and
+        # per-vortex cells) and a solved one with an eigen result
+        nan = float("nan")
+        failed = SweepRecord(epsilon=0.2, sup_K=nan, inf_K=nan,
+                             total_abs_mass=nan, error="solve failed: x")
+        solved = SweepRecord(
+            epsilon=0.1, sup_K=-0.25, inf_K=-1.5, total_abs_mass=12.5,
+            per_vortex=(VortexReport(
+                vortex=0, point=(2.0, 2.0), multiplicity=1, sign=1,
+                mass=-12.5, beta_proxy=0.1, pohozaev=(1.0, 0.5, 0.25),
+                quantization=25.0),),
+            eigen=EigenResult(eigenvalue=3.5, eigenvector=np.ones(4),
+                              residual_norm=1e-10, iterations=7),
+            K_radius=0.5, resolved=True, h_over_eps=0.3125, minres_failed=0)
+        path = tmp_path / "sweep.csv"
+        export_sweep_csv([failed, solved], path)
+        assert path.read_text() == "\n".join([
+            "epsilon,sup_K,inf_K,total_abs_mass,error,resolved,h_over_eps,"
+            "minres_failed,mu,eigen_iterations,v0_mass,v0_beta_proxy,"
+            "v0_pohozaev_volume,v0_pohozaev_boundary,v0_pohozaev_residual,"
+            "v0_quantization",
+            "0.20000000000000001,nan,nan,nan,solve failed: x,,nan,,,,,,,,,",
+            "0.10000000000000001,-0.25,-1.5,12.5,,true,0.3125,0,3.5,7,"
+            "-12.5,0.10000000000000001,1,0.5,0.25,25",
+        ]) + "\n"
+
+    @pytest.mark.parametrize("name, export", [
+        ("sweep.csv", lambda path: export_sweep_csv([SweepRecord(
+            epsilon=0.1, sup_K=0.0, inf_K=0.0, total_abs_mass=0.0,
+            eigen=object())], path)),
+        ("curve.csv", lambda path: export_curve_csv(BetaCurve(
+            tau=1.0, samples=[(-1.0, 5.2, "NonTopologicalI")],
+            monotone_violations=0), path)),
+    ], ids=["sweep", "curve"])
+    def test_a_failed_export_leaves_the_target(self, tmp_path, name, export):
+        # the rows are built before anything is written
+        target = tmp_path / name
+        target.write_text("old")
+        with pytest.raises(AttributeError):
+            export(target)
+        assert target.read_text() == "old"
+        assert os.listdir(tmp_path) == [name]
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +889,20 @@ class TestTorusCommand:
         snaps = [w for w in caught if "snapped to the grid" in str(w.message)]
         assert len(snaps) == 1
 
+    def test_monotone_refuses_a_negative_step_kernel(self, tmp_path,
+                                                     capsys):
+        # tau 1, eps 0.1 on 32^2: (c - Lap)^-1 rings below zero
+        tree = _base_cfg(tmp_path, grid=32)
+        tree["model"]["epsilon"] = 0.1
+        tree["solver"] = {"method": "monotone"}
+        cfg = _write_cfg(tmp_path, tree)
+        assert main(["torus", "--config", cfg]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: the monotone step (c - Lap)^-1 with shift "
+            "c = 13.125 has a negative kernel on the 32 x 32 grid (min/max "
+            "-5.653e-05), so it cannot preserve order\n")
+        assert not (tmp_path / "run_summary.json").exists()
+
     def test_monotone_refuses_a_negative_vortex(self, tmp_path, capsys):
         tree = _base_cfg(tmp_path)
         tree["model"]["epsilon"] = 0.3
@@ -950,6 +1017,26 @@ class TestEpsilonFloor:
         assert proc.stderr.splitlines()[-1].startswith(
             "numerical failure: Newton trial iterate is not finite ")
         assert os.listdir(tmp_path) == []
+
+    def test_a_warning_is_one_stderr_line(self, tmp_path):
+        # a new interpreter, where no test module filters the warning
+        src = os.path.join(ROOT, "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vortexlab.cli", "torus", "--config",
+             os.path.join(ROOT, "demos", "one_vortex.json"),
+             "--override", "solver.continuation=null",
+             "--override", "model.epsilon=1e-154",
+             "--override", "domain.grid_shape=[64,64]"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERICAL
+        warning, failure = proc.stderr.splitlines()
+        assert warning == "warning: grid spacing h=0.0625 does not " \
+            "resolve epsilon=1e-154 (want h <= eps/4)"
+        assert failure.startswith(
+            "numerical failure: Newton trial iterate is not finite ")
 
 
 # ---------------------------------------------------------------------------

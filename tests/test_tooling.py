@@ -22,8 +22,9 @@ traceback.  The next test requires that every defaulted parameter of a
 public function is set by some call in the repository: an option no
 caller sets is a module constant.  radial._shoot must stay the one
 caller of the forwarder radial.solve_ivp, whose own call is the only
-other solve_ivp call in src/, and src/ imports none of scipy's minres,
-lobpcg or LinearOperator.  The default test's twin requires the same of the
+other solve_ivp call in src/, src/ imports none of scipy's minres,
+lobpcg or LinearOperator, and config.py is the one module of src/ that
+writes a file.  The default test's twin requires the same of the
 config schema: every key is set by some config in tests/, demos/ or
 bench/.  The README's config table must list exactly the keys of the
 config schema.  The last two keep the radial-profile keys of the
@@ -51,7 +52,7 @@ import pytest
 import vortexlab
 import vortexlab.cli as cli
 from vortexlab import ModelParams, TorusDomain, TorusGeometry, VortexSet
-from vortexlab import _scipy, config, radial, torus
+from vortexlab import config, radial, torus
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -66,9 +67,9 @@ def _layertrace():
 
 
 def test_tracer_finds_every_metric_target():
-    # the scipy set a torus command loads on its first Ewald sum or eigen
-    # solve; run alone, this module imports no scipy module by itself
-    _scipy.load()
+    # the scipy module a torus command loads on its first Green-function
+    # call; run alone, this module imports no scipy module by itself
+    import scipy.sparse.linalg
     layertrace = _layertrace()
     solve_newton, rfft2 = torus.solve_newton, np.fft.rfft2
     tracer = layertrace.Tracer()
@@ -275,8 +276,8 @@ print(json.dumps(loaded))
 
 
 def test_start_up_and_a_torus_solve_load_no_scipy():
-    # scipy is imported where it is first called (vortexlab._scipy,
-    # radial), so a command pays for the modules it uses, not for all
+    # each scipy name is imported in the function that calls it, so a
+    # command pays for the modules it uses, not for all
     assert _fresh_python(_SCIPY_AT_START_UP) == [[], []]
 
 
@@ -378,6 +379,31 @@ def test_radial_shoot_is_the_one_solve_ivp_call():
     radial_py = os.path.join("src", "vortexlab", "radial.py")
     assert found == [(radial_py, "solve_ivp"), (radial_py, "_shoot")]
     assert forwarder_imports == [("scipy.integrate", ["solve_ivp"])]
+
+
+def test_only_config_writes_files():
+    # config is the one writer of artifacts: open() with a write mode,
+    # np.savez and atomic_path appear in config.py alone
+    found = set()
+    for directory, _, files in os.walk(os.path.join(ROOT, "src")):
+        for name in sorted(n for n in files if n.endswith(".py")):
+            with open(os.path.join(directory, name)) as fh:
+                tree = ast.parse(fh.read())
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                called = getattr(call.func, "id",
+                                 getattr(call.func, "attr", None))
+                if called == "open":
+                    modes = call.args[1:2] + [kw.value for kw in call.keywords
+                                              if kw.arg == "mode"]
+                    if any(not isinstance(m, ast.Constant)
+                           or set(m.value) & set("wax+") for m in modes):
+                        found.add((name, called))
+                elif called in ("savez", "savez_compressed", "atomic_path"):
+                    found.add((name, called))
+    assert found == {("config.py", "open"), ("config.py", "savez"),
+                     ("config.py", "atomic_path")}
 
 
 def test_src_uses_no_scipy_krylov_solver():

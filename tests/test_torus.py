@@ -657,7 +657,50 @@ class TestNewton:
                                   1.0001 * bound)
 
 
+# Monotone iterations of one +1 vortex on the 4 x 4 torus, keyed by
+# (grid, tau, eps), where (c - Lap)^-1 has no negative entry; the other
+# cases of the 3 x 3 x 3 table have a negative one
+_MONOTONE_ITERATIONS = {
+    **{(n, 1.0, 0.125): 33 for n in (32, 64, 128)},
+    (64, 1.0, 0.1): 33, (128, 1.0, 0.1): 33,
+    **{(n, 2.0, 0.125): 89 for n in (32, 64, 128)},
+    **{(n, 2.0, 0.1): 63 for n in (32, 64, 128)},
+    (128, 2.0, 0.05): 60,
+}
+_MONOTONE_TABLE = [(n, tau, eps) for n in (32, 64, 128)
+                   for tau in (0.5, 1.0, 2.0) for eps in (0.125, 0.1, 0.05)]
+
+
 class TestMonotone:
+    @pytest.mark.parametrize("n, tau, eps", _MONOTONE_TABLE,
+                             ids=["%d-%g-%g" % case
+                                  for case in _MONOTONE_TABLE])
+    def test_kernel_sign_decides(self, one_plus, n, tau, eps, monkeypatch):
+        # the step preserves order iff (c - Lap)^-1 has no negative entry:
+        # a negative kernel is refused before any f_tau call, and a
+        # positive one converges
+        f_tau = kernels.f_tau
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return f_tau(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "f_tau", counting)
+        geo = TorusGeometry(TorusDomain(periods=(4.0, 4.0),
+                                        grid_shape=(n, n)), one_plus)
+        want = _MONOTONE_ITERATIONS.get((n, tau, eps))
+        if want is None:
+            with pytest.raises(MonotonicityError, match=(
+                    r"negative kernel on the %d x %d grid \(min/max -"
+                    % (n, n))):
+                solve_monotone(geo, ModelParams(tau, eps))
+            assert calls == []
+        else:
+            fld = solve_monotone(geo, ModelParams(tau, eps))
+            assert fld.diagnostics["iterations"] == want
+            assert fld.diagnostics["kernel_ratio"] > 0.0
+
     def test_agrees_with_newton(self, dom64, one_plus):
         p = ModelParams(1.0, 0.3)
         geo = TorusGeometry(dom64, one_plus)
