@@ -19,6 +19,7 @@ byte-identical.
 import argparse
 import ctypes
 import functools
+import math
 import os
 import re
 import sys
@@ -172,6 +173,10 @@ def cmd_shoot(args):
 
 
 def cmd_beta_curve(args):
+    for flag, value in (("s-min", args.s_min), ("s-max", args.s_max)):
+        if not math.isfinite(value):
+            raise _UsageError("beta-curve: --%s must be finite, got %r"
+                              % (flag, value))
     if not args.s_min < args.s_max:
         raise _UsageError("beta-curve: need --s-min < --s-max")
     if args.n < 2:
@@ -187,6 +192,7 @@ def cmd_beta_curve(args):
         "n_sampled": len(curve.samples),
         "monotone_violations": curve.monotone_violations,
         "failures": [{"s": s, "message": msg} for s, msg in curve.failures],
+        "nfev": curve.nfev,
         "curve_csv": out_csv,
     }
     failed = args.strict and (curve.monotone_violations or curve.failures)

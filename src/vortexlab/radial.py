@@ -11,10 +11,22 @@ as a third state component, so r u'(r) = c - I(r) can be checked at
 every output point.  Tail behavior classifies the run as Topological
 (u -> 0), NonTopologicalI (u -> -inf), NonTopologicalII (u -> +inf)
 or Undetermined.
+
+Every shot is one call of scipy's solve_ivp (through the patchable
+forwarder radial.solve_ivp) with the DOP853 subclass of _dop853().  It
+takes the stock solver's steps with less Python per step, and hands
+solve_ivp only the steps that reach a sample radius or may hold an
+event, so its event search and sampling run less often.  It rounds
+every float as scipy's DOP853 does, its stage sums by the same np.dot
+calls on the same operands, so every profile, event and nfev is the
+stock solver's, bit for bit.
 """
 
+import bisect
 import enum
+import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -48,6 +60,8 @@ _POINTS_PER_DECADE = 200
 # DOP853's relative tolerance (absolute: 1e-2 of it); Hairer, Norsett and
 # Wanner, Solving Ordinary Differential Equations I, 2nd ed. (1993), II.10
 _TOL = 1e-10
+# the largest nu whose series start (2 nu + 2)**2 is finite
+_NU_MAX = (math.sqrt(sys.float_info.max) - 2.0) / 2.0
 
 
 class BCType(enum.Enum):
@@ -117,6 +131,7 @@ class BetaCurve:
     samples: list  # (s, beta, bc_type) triples
     monotone_violations: int
     failures: list = field(default_factory=list)  # (s, message)
+    nfev: int = 0  # summed over the shots that returned
 
 
 def _series_start(s, c_log, tau, nu):
@@ -233,6 +248,140 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
+def _sign(x):
+    """The sign class of an event value: 1, -1, or 0 (for 0 and nan)."""
+    return 1 if x > 0 else -1 if x < 0 else 0
+
+
+@functools.cache
+def _dop853():
+    """The DOP853 class _shoot passes to solve_ivp as its method.
+
+    It is scipy's DOP853 with less Python per step, and every float it
+    produces, nfev included, is the stock solver's:
+
+    - _step_impl is scipy's RungeKutta._step_impl with rk_step and
+      DOP853._estimate_error_norm inlined: the same numpy calls on the
+      same operands in the same order, on stage views built once, with
+      t, h and the nodes C as Python floats, np.sqrt(x.dot(x)) for
+      np.linalg.norm(x) (numpy's own definition for a 1-D real array),
+      and y_new = y + h (B.K) formed in place as (B.K) h + y (IEEE
+      addition commutes).  The stage sums stay np.dot's; a stage state
+      y + (A_s.K) h, the same two roundings per component, is formed in
+      Python floats and passed to the RHS as a list of three;
+    - fun counts nfev and returns the RHS's list, which goes straight
+      into a stage row; only f_new becomes an array;
+    - step() takes steps until one reaches the next sample radius,
+      changes the sign class (< 0, = 0 or nan, > 0) of an event
+      function or lands on one in class 0, finishes or fails.
+      solve_ivp's event search and t_eval sampling act only on those
+      steps, each with its own dense output; on a step in between they
+      would have found no event and no sample radius.
+
+    Built on the first shot, because scipy is imported there.  It steps
+    forward only, with no max_step; its one extra option, stops, is the
+    pair (sample radii, event functions) that solve_ivp is given.
+    """
+    from scipy.integrate import DOP853
+    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
+
+    class Stepper(DOP853):
+        def __init__(self, fun, t0, y0, t_bound, stops, **options):
+            super().__init__(fun, t0, y0, t_bound, **options)
+
+            def counted(t, y):
+                self.nfev += 1
+                return fun(t, y)
+
+            self.fun = counted
+            K = self.K
+            self._stages = [(s, K[:s].T, self.A[s, :s], float(self.C[s]))
+                            for s in range(1, self.n_stages)]
+            self._KT, self._KbT = K.T, K[:-1].T
+            self._radii = [*stops[0].tolist(), math.inf]
+            self._next_radius = self._radii[0]
+            self._events = stops[1]
+            self._classes = [_sign(ev(t0, self.y)) for ev in self._events]
+
+        def _step_impl(self):
+            t, y, f = self.t, self.y, self.f
+            K, fun = self.K, self.fun
+            v, dv, i = y.tolist()
+            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+            h_abs = max(self.h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    return False, self.TOO_SMALL_STEP
+                t_new = min(t + h_abs, self.t_bound)
+                h = t_new - t
+                h_abs = abs(h)
+                K[0] = f
+                for s, Ks, a, c in self._stages:
+                    p, q, w = np.dot(Ks, a).tolist()
+                    K[s] = fun(t + c * h, [p * h + v, q * h + dv, w * h + i])
+                y_new = np.dot(self._KbT, self.B)
+                y_new *= h
+                y_new += y
+                f_new = np.asarray(fun(t + h, y_new), dtype=float)
+                K[-1] = f_new
+                scale = self.atol + np.maximum(np.abs(y),
+                                               np.abs(y_new)) * self.rtol
+                err5 = np.dot(self._KT, self.E5)
+                err5 /= scale
+                err3 = np.dot(self._KT, self.E3)
+                err3 /= scale
+                err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+                err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+                if err5_norm_2 == 0 and err3_norm_2 == 0:
+                    error_norm = 0.0
+                else:
+                    denom = err5_norm_2 + 0.01 * err3_norm_2
+                    error_norm = h_abs * err5_norm_2 / np.sqrt(
+                        denom * len(scale))
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = MAX_FACTOR
+                    else:
+                        factor = min(MAX_FACTOR, SAFETY
+                                     * error_norm ** self.error_exponent)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR,
+                             SAFETY * error_norm ** self.error_exponent)
+                rejected = True
+            self.h_previous = h
+            self.y_old = y
+            self.t = t_new
+            self.y = y_new
+            self.h_abs = float(h_abs)
+            self.f = f_new
+            return True, None
+
+        def step(self):
+            while True:
+                t = self.t
+                success, message = self._step_impl()
+                if not success:
+                    self.status = "failed"
+                    return message
+                self.t_old = t
+                if self.t >= self.t_bound:
+                    self.status = "finished"
+                    return None
+                classes = [_sign(ev(self.t, self.y)) for ev in self._events]
+                if (self.t >= self._next_radius or classes != self._classes
+                        or 0 in classes):
+                    self._classes = classes
+                    self._next_radius = self._radii[
+                        bisect.bisect_right(self._radii, self.t)]
+                    return None
+
+    return Stepper
+
+
 def _shoot(s, nu, tau, r_max, vortex_sign, divergence_stop, radii):
     """One DOP853 run of the regular part [v, v', I] from R0 to r_max.
 
@@ -252,18 +401,19 @@ def _shoot(s, nu, tau, r_max, vortex_sign, divergence_stop, radii):
     """
     if not math.isfinite(s):
         raise ValueError("s must be finite, got %r" % (s,))
-    if not 0.0 <= nu < math.inf:
-        raise ValueError("nu must be finite and nonnegative, got %r" % (nu,))
+    if not 0.0 <= nu <= _NU_MAX:
+        raise ValueError("nu must be finite, nonnegative and at most %r, "
+                         "got %r" % (_NU_MAX, nu))
     if vortex_sign not in (-1, 1):
         raise ValueError("vortex_sign must be -1 or +1")
     f = kernels.f_tau  # read per shot: a wrapper installed over it is seen
     c_log = 2.0 * vortex_sign * nu
     y0 = _series_start(s, c_log, tau, nu)
 
-    def rhs(r, y):
-        u = c_log * np.log(r) + y[0]
-        fu = float(f(u, tau))
-        return [y[1], -y[1] / r - fu, fu * r]
+    def rhs(r, y):  # y: an array, or the stepper's list of floats
+        v, dv, _ = y
+        fu = f(float(c_log * np.log(r) + v), tau)
+        return [dv, -dv / r - fu, fu * r]
 
     # directional events: the singular mode starts at large |u| and
     # transits toward 0, which must not count as divergence
@@ -296,9 +446,10 @@ def _shoot(s, nu, tau, r_max, vortex_sign, divergence_stop, radii):
         return (rr, c_log * np.log(rr) + vv, c_log / rr + dvv, dvv, ii), \
             event_kind, 0
 
-    sol = solve_ivp(rhs, (R0, r_max), y0, method="DOP853", rtol=_TOL,
-                    atol=_TOL * 1e-2, t_eval=radii,
-                    events=(hit_upper, hit_lower))
+    events = (hit_upper, hit_lower)
+    sol = solve_ivp(rhs, (R0, r_max), y0, method=_dop853(), rtol=_TOL,
+                    atol=_TOL * 1e-2, t_eval=radii, events=events,
+                    stops=(radii, events))
     # sol.t and sol.y are empty lists when no sample radius was reached
     if sol.status == -1:
         r_reached = sol.t[-1] if len(sol.t) else R0
@@ -390,7 +541,8 @@ def compute_beta_curve(tau, s_values, r_max=R_MAX):
     test needs the whole last decade), is shot again by integrate_radial.
     Integration failures are collected per sample instead of aborting
     the sweep.  monotone_violations counts adjacent same-sign pairs
-    where beta fails to increase strictly (noise tolerance 1e-6).
+    where beta fails to increase strictly (noise tolerance 1e-6).  nfev
+    sums the row shots' nfev and the fall-backs' diagnostics nfev.
     """
     s_values = [float(s) for s in s_values]
     if any(s == 0.0 for s in s_values):
@@ -404,15 +556,18 @@ def compute_beta_curve(tau, s_values, r_max=R_MAX):
 
     samples = []
     failures = []
+    nfev = 0
     for s in s_values:
         try:
-            (rr, uu, duu, dvv, _), event_kind, _ = _shoot(
+            (rr, uu, duu, dvv, _), event_kind, shot_nfev = _shoot(
                 s, 0.0, tau, r_max, -1, DIVERGENCE_STOP, rows)
+            nfev += shot_nfev
             bc_type = _classify(rr, uu, duu, event_kind)
             if event_kind is None and bc_type is not BCType.UNDETERMINED:
                 beta = float(_extrapolate_beta(rr, dvv)[0])
             else:
                 sol = integrate_radial(s, 0.0, tau, r_max)
+                nfev += sol.diagnostics["nfev"]
                 beta, bc_type = sol.beta, sol.bc_type
         except IntegrationFailureError as exc:
             failures.append((s, str(exc)))
@@ -426,7 +581,8 @@ def compute_beta_curve(tau, s_values, r_max=R_MAX):
         if b_b <= b_a - 1e-6:
             violations += 1
     return BetaCurve(tau=float(tau), samples=samples,
-                     monotone_violations=violations, failures=failures)
+                     monotone_violations=violations, failures=failures,
+                     nfev=nfev)
 
 
 def _tail_sign(s, nu, tau, r_end, vortex_sign):

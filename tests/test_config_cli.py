@@ -33,6 +33,7 @@ from vortexlab import (
     VortexReport,
     VortexSet,
     asymptotics,
+    compute_beta_curve,
     export_curve_csv,
     export_sweep_csv,
     integrate_radial,
@@ -57,6 +58,18 @@ from vortexlab.config import (
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _fresh_cli(cwd, *argv):
+    """vortexlab.cli run on argv in a new interpreter on this checkout's
+    src/, in cwd: stderr is what a user sees, with no test's warning
+    filters in between."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "vortexlab.cli", *argv],
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::vortexlab.torus.ResolutionWarning"),
@@ -506,6 +519,25 @@ class TestShootCommand:
         assert docs[0] == docs[1]
         assert docs[0][0]["nu"] == 0.0
 
+    def test_overflowing_nu_is_one_error_line(self, tmp_path):
+        # (2 nu + 2)**2 of the series start overflowed with a traceback
+        proc = _fresh_cli(tmp_path, "shoot", "--tau", "1", "--s", "2",
+                          "--nu", "1e154")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: nu must be finite, nonnegative and " \
+            "at most 6.703903964971298e+153, got 1e+154\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_step_size_underflow_is_numerical_failure(self, tmp_path,
+                                                      capsys):
+        # DOP853's own failure message, as scipy's stock solver words it
+        rc = main(["shoot", "--tau", "1e-300", "--s", "-2",
+                   "--out", str(tmp_path / "p")])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: Required " \
+            "step size is less than spacing between numbers.\n"
+        assert os.listdir(tmp_path) == []
+
     def test_same_side_bracket_is_numerical_failure(self, tmp_path, capsys):
         rc = main(["shoot", "--tau", "1.0", "--find-topological",
                    "--nu", "1.0", "--bracket", "-8", "-7",
@@ -629,6 +661,27 @@ class TestBetaCurveCommand:
                    "--s-max", "-1.0", "--n", "1",
                    "--out", str(tmp_path / "b")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("s_min, s_max, flag, value", [
+        ("-1", "inf", "s-max", "inf"), ("-inf", "1", "s-min", "-inf")])
+    def test_non_finite_range_names_its_flag(self, tmp_path, s_min, s_max,
+                                             flag, value):
+        # refused before linspace, which warned on an infinite range
+        proc = _fresh_cli(tmp_path, "beta-curve", "--tau", "1", "--n", "4",
+                          "--s-min", s_min, "--s-max", s_max)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "usage error: beta-curve: --%s must be " \
+            "finite, got %s\n" % (flag, value)
+        assert os.listdir(tmp_path) == []
+
+    def test_summary_reports_nfev(self, tmp_path):
+        out = str(tmp_path / "b")
+        assert main(["beta-curve", "--tau", "1.0", "--s-min", "-2.0",
+                     "--s-max", "-1.0", "--n", "3", "--rmax", "1e4",
+                     "--out", out]) == EXIT_OK
+        doc = json.loads((tmp_path / "b.json").read_text())
+        curve = compute_beta_curve(1.0, [-2.0, -1.5, -1.0], r_max=1e4)
+        assert doc["nfev"] == curve.nfev > 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -1001,17 +1054,12 @@ class TestEpsilonFloor:
 
     def test_an_overflowing_step_prints_no_runtime_warning(self, tmp_path):
         # a new interpreter, so stderr is exactly what a user sees
-        src = os.path.join(ROOT, "src")
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "vortexlab.cli", "torus", "--config",
-             os.path.join(ROOT, "demos", "one_vortex.json"),
-             "--override", "solver.continuation=null",
-             "--override", "model.epsilon=1e-154",
-             "--override", "domain.grid_shape=[64,64]"],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True, text=True)
+        proc = _fresh_cli(
+            tmp_path, "torus", "--config",
+            os.path.join(ROOT, "demos", "one_vortex.json"),
+            "--override", "solver.continuation=null",
+            "--override", "model.epsilon=1e-154",
+            "--override", "domain.grid_shape=[64,64]")
         assert proc.returncode == EXIT_NUMERICAL
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith(
@@ -1020,17 +1068,12 @@ class TestEpsilonFloor:
 
     def test_a_warning_is_one_stderr_line(self, tmp_path):
         # a new interpreter, where no test module filters the warning
-        src = os.path.join(ROOT, "src")
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "vortexlab.cli", "torus", "--config",
-             os.path.join(ROOT, "demos", "one_vortex.json"),
-             "--override", "solver.continuation=null",
-             "--override", "model.epsilon=1e-154",
-             "--override", "domain.grid_shape=[64,64]"],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True, text=True)
+        proc = _fresh_cli(
+            tmp_path, "torus", "--config",
+            os.path.join(ROOT, "demos", "one_vortex.json"),
+            "--override", "solver.continuation=null",
+            "--override", "model.epsilon=1e-154",
+            "--override", "domain.grid_shape=[64,64]")
         assert proc.returncode == EXIT_NUMERICAL
         warning, failure = proc.stderr.splitlines()
         assert warning == "warning: grid spacing h=0.0625 does not " \

@@ -5,6 +5,8 @@ Golden beta values were frozen from tests/oracles/radial_oracle.py
 before the production integrator was written.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,13 +183,18 @@ class TestSingularTopological:
         (lambda: integrate_radial(-np.inf, nu=1.0, r_max=1e3), "s"),
         (lambda: find_topological((-8.0, 8.0), nu=np.inf, tau=1.0), "nu"),
         (lambda: find_topological((-8.0, 8.0), nu=np.nan, tau=1.0), "nu"),
+        (lambda: integrate_radial(2.0, nu=1e300), "nu"),
+        (lambda: integrate_radial(2.0, nu=1e154), "nu"),
+        (lambda: find_topological((-1.0, 1.0), nu=1e300), "nu"),
         (lambda: compute_beta_curve(1.0, [-1.0], r_max=np.inf), "r_max"),
         (lambda: compute_beta_curve(1.0, [-1.0], r_max=5.0), "r_max"),
         (lambda: compute_beta_curve(1.0, [-np.inf, -1.0]), "s"),
     ], ids=["r_max-inf", "r_max-nan", "r_max-5", "nu-nan", "nu-inf",
             "nu-negative", "s-nan", "s-inf", "s-minus-inf",
-            "bisection-nu-inf", "bisection-nu-nan", "beta-curve-r_max-inf",
-            "beta-curve-r_max-5", "beta-curve-s-minus-inf"])
+            "bisection-nu-inf", "bisection-nu-nan", "nu-overflow",
+            "nu-overflow-1e154", "bisection-nu-overflow",
+            "beta-curve-r_max-inf", "beta-curve-r_max-5",
+            "beta-curve-s-minus-inf"])
     def test_bad_input_is_named_before_integrating(self, shot, name,
                                                    monkeypatch):
         def no_integration(*args, **kwargs):
@@ -195,6 +202,19 @@ class TestSingularTopological:
         monkeypatch.setattr(radial, "solve_ivp", no_integration)
         with pytest.raises(ValueError, match="^%s must be " % name):
             shot()
+
+    def test_nu_is_refused_exactly_where_the_series_start_overflows(self):
+        # _series_start's (2 nu + 2)**2 raised OverflowError past the bound
+        nu_max = radial._NU_MAX
+        assert math.isfinite((2.0 * nu_max + 2.0) ** 2)
+        with pytest.raises(OverflowError):
+            (2.0 * math.nextafter(nu_max, math.inf) + 2.0) ** 2
+        for nu in (6e153, nu_max):
+            assert integrate_radial(2.0, nu=nu, r_max=1e3).nu == nu
+        with pytest.raises(ValueError, match="^nu must be finite, "
+                           "nonnegative and at most 6.703903964971298e\\+153, "
+                           "got 6.703903964971299e\\+153$"):
+            integrate_radial(2.0, nu=math.nextafter(nu_max, math.inf))
 
     def test_type_one_f2_mass_approaches_half_pi_beta_sq(self):
         # Pohozaev limit: 2 pi int 2 F2 r dr -> pi beta^2 on type-I
@@ -462,6 +482,107 @@ class TestModelBisection:
         assert sol.diagnostics["bisect_skipped"] == 0
         assert 0 < sum(is_model for _, is_model in shots) \
             <= radial._MODEL_CREDIT + 2
+
+
+def _stock_pairs(monkeypatch):
+    """Run every shot of _shoot twice: through its own DOP853 class, and
+    through solve_ivp(..., method="DOP853") with the same arguments.
+    Returns the list the (stepper, stock) result pairs are appended to."""
+    pairs = []
+
+    def both(fun, t_span, y0, **kwargs):
+        stock = dict(kwargs, method="DOP853")
+        del stock["stops"]
+        pairs.append((real_solve_ivp(fun, t_span, y0, **kwargs),
+                      real_solve_ivp(fun, t_span, y0, **stock)))
+        return pairs[-1][0]
+
+    real_solve_ivp = radial.solve_ivp
+    monkeypatch.setattr(radial, "solve_ivp", both)
+    return pairs
+
+
+def _assert_bit_for_bit(new, old):
+    assert np.array_equal(new.t, old.t)
+    assert np.array_equal(new.y, old.y)
+    assert len(new.t_events) == len(old.t_events) == 2
+    for got, want in zip(new.t_events + new.y_events,
+                         old.t_events + old.y_events):
+        assert np.array_equal(got, want)
+    assert new.status == old.status
+    assert new.message == old.message
+    assert new.nfev == old.nfev
+
+
+class TestStepper:
+    """_shoot's DOP853 class keeps every float of scipy's stock DOP853."""
+
+    @pytest.mark.parametrize("nu,vortex_sign,s_values", [
+        (0.0, -1, (-1.0, 1.0, -5e-7, 5e-7)),  # small |s| shoots a probe
+        (1.0, -1, (-8.0, 8.0)),
+        (1.0, 1, (-8.0, 8.0)),
+        (2.0, -1, (-16.0, 16.0)),
+        (2.0, 1, (-16.0, 16.0)),
+    ], ids=["nu0", "nu1", "nu1-plus", "nu2", "nu2-plus"])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_shots_match_stock_dop853(self, nu, vortex_sign, s_values, tau,
+                                      monkeypatch):
+        pairs = _stock_pairs(monkeypatch)
+        r_bisect = max(200.0, 60.0 * (tau + 1.0) ** 1.5 * (1.0 + nu))
+        # (the event kind, r_max) of a beta-curve row shot, a bisected
+        # profile and a bisection probe
+        for stop, r_max in ((radial.DIVERGENCE_STOP, radial.R_MAX),
+                            (radial.BISECT_DIVERGENCE_STOP, r_bisect),
+                            (radial._CERTIFY, r_bisect)):
+            radii = radial._radii(r_max, radial._POINTS_PER_DECADE)
+            rows = radii[[0, *np.searchsorted(
+                radii, [r_max / 100.0, r_max / 10.0]), -1]]
+            for s in s_values:
+                for sampled in (radii, rows, radii[-1:],
+                                radii[radii >= r_max / 10.0]):
+                    radial._shoot(s, nu, tau, r_max, vortex_sign, stop,
+                                  sampled)
+        assert len(pairs) >= 8 * len(s_values)
+        for new, old in pairs:
+            _assert_bit_for_bit(new, old)
+        # some shots reach r_max, the others end at an event
+        assert {new.status for new, _ in pairs} == {0, 1}
+
+    @pytest.mark.parametrize("s, stop", [
+        (-1.0, radial.DIVERGENCE_STOP), (3.0, radial.DIVERGENCE_STOP),
+        (-1.0, radial.BISECT_DIVERGENCE_STOP)])
+    def test_sample_radius_on_a_step_end(self, s, stop, monkeypatch):
+        steps = []
+
+        def every_step(fun, t_span, y0, **kwargs):
+            # with no t_eval, solve_ivp returns every accepted step's end
+            kwargs.update(method="DOP853", t_eval=None)
+            del kwargs["stops"]
+            steps.append(real_solve_ivp(fun, t_span, y0, **kwargs))
+            return steps[-1]
+
+        real_solve_ivp = radial.solve_ivp
+        monkeypatch.setattr(radial, "solve_ivp", every_step)
+        radial._shoot(s, 0.0, 1.0, 1e4, -1, stop, None)
+        ends = steps[0].t[1:-1]
+        assert ends.size > 20
+        monkeypatch.setattr(radial, "solve_ivp", real_solve_ivp)
+        pairs = _stock_pairs(monkeypatch)
+        for picked in (ends[[ends.size // 2]], ends[[0, 7, -1]]):
+            radial._shoot(s, 0.0, 1.0, 1e4, -1, stop, picked)
+        for new, old in pairs:
+            _assert_bit_for_bit(new, old)
+            assert set(ends) & set(new.t)
+
+    def test_step_size_failure(self, monkeypatch):
+        pairs = _stock_pairs(monkeypatch)
+        with pytest.raises(radial.IntegrationFailureError,
+                           match="^Required step size is less than spacing "
+                           "between numbers.$"):
+            integrate_radial(-2.0, tau=1e-300)
+        (new, old), = pairs
+        _assert_bit_for_bit(new, old)
+        assert new.status == -1
 
 
 class TestBetaCurve:

@@ -231,11 +231,12 @@ with contextlib.redirect_stdout(io.StringIO()):
             codes.append((untraced, cli.main(argv)))
         finally:
             tracer.uninstall()
-print(json.dumps({"codes": codes, "missing": tracer.missing()}))
+print(json.dumps({"codes": codes, "missing": tracer.missing(),
+                  "radial_nfev": tracer.counters["radial.nfev"]}))
 """
 
 
-@pytest.mark.parametrize("workload", ["sweep", "torus-verify"])
+@pytest.mark.parametrize("workload", ["sweep", "torus-verify", "radial"])
 def test_fresh_traced_workload_finds_every_metric_target(workload, tmp_path):
     # the in-process test above loads the scipy set by hand; a benchmark
     # process has only what the commands import, and the five minres_*
@@ -249,14 +250,29 @@ def test_fresh_traced_workload_finds_every_metric_target(workload, tmp_path):
             "output": {"dir": str(tmp_path), "prefix": "tv"}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(tree))
-    commands = {"sweep": ["sweep"], "torus-verify": ["torus", "verify"]}
-    argvs = [[c, "--config", str(cfg)] for c in commands[workload]]
+    argvs = {
+        "sweep": [["sweep", "--config", str(cfg)]],
+        "torus-verify": [[c, "--config", str(cfg)]
+                         for c in ("torus", "verify")],
+        "radial": [["shoot", "--find-topological", "--nu", "1", "--tau", "1",
+                    "--bracket", "-8", "8", "--out", str(tmp_path / "sh")],
+                   ["beta-curve", "--tau", "1", "--n", "2", "--s-min", "-1",
+                    "--s-max", "1", "--out", str(tmp_path / "bc")]],
+    }[workload]
     result = _fresh_python(_TRACED_OPS, os.path.join(BENCH, "layertrace.py"),
                            json.dumps(argvs))
     assert result["missing"] == []
     # verify exits 3 on 64^2 (the identity rows); traced or not alike
     assert [tuple(c) for c in result["codes"]] == {
-        "sweep": [(0, 0)], "torus-verify": [(0, 0), (3, 3)]}[workload]
+        "sweep": [(0, 0)], "torus-verify": [(0, 0), (3, 3)],
+        "radial": [(0, 0), (0, 0)]}[workload]
+    if workload == "radial":
+        # the tracer still sees every shot through radial.solve_ivp
+        shoot = json.loads((tmp_path / "sh.json").read_text())
+        curve = json.loads((tmp_path / "bc.json").read_text())
+        assert curve["nfev"] > 0
+        assert result["radial_nfev"] == shoot["diagnostics"]["nfev"] + \
+            shoot["diagnostics"]["bisect_nfev"] + curve["nfev"]
 
 
 _SCIPY_AT_START_UP = """
